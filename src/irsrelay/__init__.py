@@ -43,10 +43,9 @@ from .errors import (
     DegenerateChannelError,
     DegenerateElementWarning,
     ProjectorDegenerateError,
+    TraceDipError,
 )
 from .harness import (
-    BASELINE_METHODS,
-    FIXED_PHASE_METHODS,
     METHODS,
     PROPOSED_METHODS,
     ScenarioConfig,
@@ -74,13 +73,11 @@ from .metrics import (
 
 __all__ = [
     "__version__",
-    "BASELINE_METHODS",
     "Beamformer",
     "ChannelSet",
     "ConfigError",
     "DegenerateChannelError",
     "DegenerateElementWarning",
-    "FIXED_PHASE_METHODS",
     "FirstSlotSolution",
     "FlopsEstimate",
     "Geometry",
@@ -97,6 +94,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
+    "TraceDipError",
     "TrialRecord",
     "ais_max_rp",
     "brute_force_max_rp",

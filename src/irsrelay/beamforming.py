@@ -31,6 +31,7 @@ from .errors import (
     DegenerateChannelError,
     DegenerateElementWarning,
     ProjectorDegenerateError,
+    TraceDipError,
 )
 from .metrics import rate_from_power, receive_power_ais
 
@@ -49,6 +50,7 @@ TRACE_SLACK = 1e-12
 DEFAULT_EPSILON = 1e-4
 DEFAULT_MAX_ITER = 50
 
+#: accepted values of each mode switch; the first one is the default
 COMBINING_MODES = ("snr-sum", "printed")
 NSP_MODES = ("effective", "literal")
 IRSES_MODES = ("idealized", "full")
@@ -158,7 +160,7 @@ def _validated_trace(trace: tuple[float, ...]) -> tuple[float, ...]:
     if values.size == 0:
         raise ConfigError("solution trace must contain at least one entry")
     if np.any(np.diff(values) < -TRACE_SLACK):
-        raise ConfigError("alternation trace decreased beyond tolerance")
+        raise TraceDipError("alternation trace decreased beyond tolerance")
     return tuple(float(v) for v in values)
 
 
@@ -243,40 +245,16 @@ def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
     return angles
 
 
-def theta_update_ais(
-    channels: ChannelSet, u_r: Beamformer, form: str = "aligned"
-) -> PhaseShiftVector:
+def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
     """Optimal surface phases for a fixed receive beamformer.
 
     Rotates every cascaded source-surface-relay path so that it adds in phase
-    with the direct path at the beamformer output.  ``form`` selects between
-    the direct phase-alignment evaluation ("aligned") and an equivalent route
-    through the pseudo-inverse of the rank-one path-response quadratic
-    ("pinv"); the two agree to within numerical precision and the second
-    exists for cross-validation.
+    with the direct path at the beamformer output.
     """
-    if form not in ("aligned", "pinv"):
-        raise ConfigError(f"unknown form {form!r}")
     u = u_r.weights
     row = _cascade_row(channels, u)
     direct = complex(np.vdot(u, channels.h_sr))
-    if form == "aligned":
-        return PhaseShiftVector(_aligned_angles(direct, row))
-    # rank-one quadratic route: pinv(a a^H) (a c) = a c / ||a||^2, whose
-    # entrywise phases reproduce the alignment rule
-    a = np.conj(row)
-    quad = np.outer(a, np.conj(a))
-    solved = np.linalg.pinv(quad, rcond=PINV_RCOND) @ (a * direct)
-    zero = np.abs(row) < ZERO_NORM
-    angles = np.angle(solved)
-    if np.any(zero):
-        angles[zero] = 0.0
-        warnings.warn(
-            f"{int(zero.sum())} zero-magnitude cascaded path(s); phase set to 0",
-            DegenerateElementWarning,
-            stacklevel=2,
-        )
-    return PhaseShiftVector(angles)
+    return PhaseShiftVector(_aligned_angles(direct, row))
 
 
 def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
@@ -373,8 +351,8 @@ def nsp_max_rp_mrc(
     noise_variance_watt: float,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = "effective",
-    combining: str = "snr-sum",
+    mode: str = NSP_MODES[0],
+    combining: str = COMBINING_MODES[0],
     phases: PhaseShiftVector | None = None,
 ) -> FirstSlotSolution:
     """Null-space separation of direct and reflected signals, plus MRC.
@@ -498,8 +476,8 @@ def irses_max_rp_mrc(
     p_s_watt: float,
     noise_variance_watt: float | np.ndarray,
     partition: Partition,
-    interference_mode: str = "idealized",
-    combining: str = "snr-sum",
+    interference_mode: str = IRSES_MODES[0],
+    combining: str = COMBINING_MODES[0],
     phases: PhaseShiftVector | None = None,
 ) -> FirstSlotSolution:
     """Closed-form per-antenna phase alignment over an element partition.

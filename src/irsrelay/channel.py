@@ -112,7 +112,6 @@ class LinkBudget:
     gain_irs_dbi: float = 0.0
     p_s_watt: float = 10.0
     p_r_watt: float = 10.0
-    noise_variance_watt: float = 0.02
 
     def __post_init__(self) -> None:
         if not self.alpha > 0.0:
@@ -121,10 +120,6 @@ class LinkBudget:
             raise ConfigError(f"p_s_watt must be positive, got {self.p_s_watt}")
         if not self.p_r_watt > 0.0:
             raise ConfigError(f"p_r_watt must be positive, got {self.p_r_watt}")
-        if not self.noise_variance_watt > 0.0:
-            raise ConfigError(
-                f"noise_variance_watt must be positive, got {self.noise_variance_watt}"
-            )
 
 
 @dataclass(eq=False)

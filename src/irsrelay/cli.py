@@ -15,22 +15,23 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .channel import Geometry, LinkBudget
 from .errors import ConfigError
 from .harness import (
     METHODS,
+    PROPOSED_METHODS,
     ScenarioConfig,
     SweepSpec,
     collect_trials,
     summarize_records,
     sweep,
 )
-from .metrics import flops_ais, flops_irses, flops_nsp, noise_variance_for_snr
+from .metrics import flops_ais, flops_irses, flops_nsp
 
 RATE_DECIMALS = 6
 
@@ -61,11 +62,9 @@ DEFAULT_VALUES = {
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    value = int(text, 10)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -73,11 +72,7 @@ def _parse_point(text: str) -> tuple[float, float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError("expected 'x,y'")
-    return (float(parts[0]), float(parts[1]))
-
-
-def _parse_str(text: str) -> str:
-    return text
+    return (_parse_float(parts[0]), _parse_float(parts[1]))
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -88,68 +83,46 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
-    values = tuple(float(p.strip()) for p in text.split(",") if p.strip())
+    values = tuple(_parse_float(p.strip()) for p in text.split(",") if p.strip())
     if not values:
         raise ValueError("expected a comma-separated value list")
     return values
 
 
-#: every recognized config key with its parser and built-in default
-SETTING_PARSERS = {
-    "m": _parse_int,
-    "n": _parse_int,
-    "methods": _parse_methods,
-    "snr_db": _parse_float,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "epsilon": _parse_float,
-    "max_iter": _parse_int,
-    "nsp_mode": _parse_str,
-    "irses_mode": _parse_str,
-    "combining": _parse_str,
-    "alpha": _parse_float,
-    "gain_s_dbi": _parse_float,
-    "gain_rs_dbi": _parse_float,
-    "gain_d_dbi": _parse_float,
-    "gain_irs_dbi": _parse_float,
-    "p_s_watt": _parse_float,
-    "p_r_watt": _parse_float,
-    "pos_s": _parse_point,
-    "pos_rs": _parse_point,
-    "pos_irs": _parse_point,
-    "pos_d": _parse_point,
-    "values": _parse_values,
-    "workers": _parse_int,
-    "l": _parse_int,
-}
+def _parse_workers(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
 
-DEFAULT_SETTINGS = {
-    "m": 16,
-    "n": 160,
-    "methods": ("ais", "nsp", "irses"),
-    "snr_db": 30.0,
-    "trials": 500,
-    "seed": 0,
-    "epsilon": 1e-4,
-    "max_iter": 50,
-    "nsp_mode": "effective",
-    "irses_mode": "idealized",
-    "combining": "snr-sum",
-    "alpha": 2.4,
-    "gain_s_dbi": 5.0,
-    "gain_rs_dbi": 5.0,
-    "gain_d_dbi": 2.0,
-    "gain_irs_dbi": 0.0,
-    "p_s_watt": 10.0,
-    "p_r_watt": 10.0,
-    "pos_s": (0.0, 0.0),
-    "pos_rs": (50.0, 0.0),
-    "pos_irs": (50.0, 10.0),
-    "pos_d": (100.0, 0.0),
-    "values": None,
-    "workers": None,
-    "l": 3,
+
+#: config keys named differently from the scenario field they set
+ALIASES = {"method": "methods", "base_seed": "seed"}
+
+#: parser of a scenario field, by the type of the field's default
+_PARSER_BY_TYPE = {int: int, float: _parse_float, str: str, tuple: _parse_point}
+
+
+def _scenario_fields(owner: type = ScenarioConfig):
+    """(config key, field) for every leaf field of the scenario dataclasses."""
+    for field in dataclasses.fields(owner):
+        if dataclasses.is_dataclass(field.default):
+            yield from _scenario_fields(type(field.default))
+        else:
+            yield ALIASES.get(field.name, field.name), field
+
+
+#: every recognized config key with its parser and built-in default; a table
+#: runs each listed method, and ``values``, ``workers`` and ``l`` shape the
+#: table rather than the scenario
+SETTING_PARSERS = {
+    key: _PARSER_BY_TYPE[type(f.default)] for key, f in _scenario_fields()
 }
+SETTING_PARSERS.update(
+    methods=_parse_methods, values=_parse_values, workers=_parse_workers, l=int
+)
+DEFAULT_SETTINGS = {key: f.default for key, f in _scenario_fields()}
+DEFAULT_SETTINGS.update(methods=PROPOSED_METHODS, values=None, workers=None, l=3)
 
 ENV_SEED_VAR = "IRS_SIM_SEED"
 
@@ -200,48 +173,25 @@ def parse_config(
     return settings
 
 
+def _build(owner: type, leaves: dict):
+    """An ``owner`` dataclass whose leaf fields are read from ``leaves``."""
+    return owner(**{
+        f.name: _build(type(f.default), leaves)
+        if dataclasses.is_dataclass(f.default)
+        else leaves[ALIASES.get(f.name, f.name)]
+        for f in dataclasses.fields(owner)
+    })
+
+
 def scenario_from_settings(settings: dict) -> ScenarioConfig:
-    """Build the harness configuration from resolved settings."""
-    geometry = Geometry(
-        pos_s=settings["pos_s"],
-        pos_rs=settings["pos_rs"],
-        pos_irs=settings["pos_irs"],
-        pos_d=settings["pos_d"],
-    )
-    budget = LinkBudget(
-        alpha=settings["alpha"],
-        gain_s_dbi=settings["gain_s_dbi"],
-        gain_rs_dbi=settings["gain_rs_dbi"],
-        gain_d_dbi=settings["gain_d_dbi"],
-        gain_irs_dbi=settings["gain_irs_dbi"],
-        p_s_watt=settings["p_s_watt"],
-        p_r_watt=settings["p_r_watt"],
-        noise_variance_watt=noise_variance_for_snr(
-            settings["snr_db"], settings["p_s_watt"], settings["p_r_watt"]
-        ),
-    )
-    methods = settings["methods"]
-    for method in methods:
+    """Build the harness configuration, for the first listed method."""
+    for method in settings["methods"]:
         if method not in METHODS:
             raise ConfigError(
                 f"config key 'methods': unknown method {method!r}; "
                 f"choose from {', '.join(METHODS)}"
             )
-    return ScenarioConfig(
-        geometry=geometry,
-        budget=budget,
-        m=settings["m"],
-        n=settings["n"],
-        method=methods[0],
-        snr_db=settings["snr_db"],
-        trials=settings["trials"],
-        base_seed=settings["seed"],
-        epsilon=settings["epsilon"],
-        max_iter=settings["max_iter"],
-        nsp_mode=settings["nsp_mode"],
-        irses_mode=settings["irses_mode"],
-        combining=settings["combining"],
-    )
+    return _build(ScenarioConfig, {**settings, "methods": settings["methods"][0]})
 
 
 @dataclass(frozen=True)
@@ -514,16 +464,10 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
         overrides[key.strip()] = raw.strip()
     settings = parse_config(path=args.config, overrides=overrides)
     # dedicated flags are command line too, applied last
-    if args.trials is not None:
-        settings["trials"] = args.trials
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.methods is not None:
-        _apply_setting(settings, "methods", args.methods, "command line")
-    if args.workers is not None:
-        settings["workers"] = args.workers
-    if args.values is not None:
-        _apply_setting(settings, "values", args.values, "command line")
+    for key in ("trials", "seed", "methods", "workers", "values"):
+        raw = getattr(args, key)
+        if raw is not None:
+            _apply_setting(settings, key, str(raw), "command line")
     # flops is a closed-form table over n; its canonical antenna count is 50
     if args.subcommand == "flops" and "m" not in _explicit_keys(args):
         settings["m"] = 50

@@ -3,7 +3,8 @@
 Configuration problems (bad dimensions, unknown methods, malformed config
 files) raise :class:`ConfigError`; numerical degeneracies discovered while
 solving (zero channels, collapsed projectors) raise
-:class:`DegenerateChannelError` or its subclass.
+:class:`DegenerateChannelError` or its subclass; an optimizer that breaks its
+own monotone-ascent guarantee raises :class:`TraceDipError`.
 """
 
 
@@ -17,6 +18,10 @@ class DegenerateChannelError(RuntimeError):
 
 class ProjectorDegenerateError(DegenerateChannelError):
     """A null-space projector annihilates the vector it is supposed to shape."""
+
+
+class TraceDipError(RuntimeError):
+    """An alternation trace decreased by more than the allowed slack."""
 
 
 class DegenerateElementWarning(RuntimeWarning):

@@ -17,10 +17,16 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .beamforming import (
+    COMBINING_MODES,
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
+    IRSES_MODES,
+    NSP_MODES,
     PhaseShiftVector,
     ais_max_rp,
     irses_max_rp_mrc,
@@ -39,17 +45,37 @@ from .metrics import (
     system_rate,
 )
 
+
+class Method(NamedTuple):
+    """How a method evaluates a trial.
+
+    ``trial`` is "two-hop", "irs-only" (one hop via the surface alone) or
+    "relay-only" (both hops without the surface).  ``first_slot`` names the
+    solver of a two-hop trial; it is looked up in this module at call time.
+    """
+
+    trial: str
+    first_slot: str | None = None
+    fixed_phase: bool = False
+    m: int | None = None
+
+
+#: every method by name, in table order; fixed-phase ablations pin the surface
+#: phases of both slots to zero and still optimize the beamformers
+METHODS = {
+    "ais": Method("two-hop", "ais"),
+    "nsp": Method("two-hop", "nsp"),
+    "irses": Method("two-hop", "irses"),
+    "ais-fixed-phase": Method("two-hop", "ais", fixed_phase=True),
+    "nsp-fixed-phase": Method("two-hop", "nsp", fixed_phase=True),
+    "irses-fixed-phase": Method("two-hop", "irses", fixed_phase=True),
+    # the same alternating design with a single relay antenna
+    "baseline-single-antenna": Method("two-hop", "ais", m=1),
+    "baseline-irs-only": Method("irs-only"),
+    "baseline-relay-only": Method("relay-only"),
+}
+
 PROPOSED_METHODS = ("ais", "nsp", "irses")
-
-FIXED_PHASE_METHODS = ("ais-fixed-phase", "nsp-fixed-phase", "irses-fixed-phase")
-
-BASELINE_METHODS = (
-    "baseline-single-antenna",
-    "baseline-irs-only",
-    "baseline-relay-only",
-)
-
-METHODS = PROPOSED_METHODS + FIXED_PHASE_METHODS + BASELINE_METHODS
 
 SWEEP_AXES = ("snr_db", "n", "m", "distance_d")
 
@@ -74,11 +100,11 @@ class ScenarioConfig:
     snr_db: float = 30.0
     trials: int = 500
     base_seed: int = 0
-    epsilon: float = 1e-4
-    max_iter: int = 50
-    nsp_mode: str = "effective"
-    irses_mode: str = "idealized"
-    combining: str = "snr-sum"
+    epsilon: float = DEFAULT_EPSILON
+    max_iter: int = DEFAULT_MAX_ITER
+    nsp_mode: str = NSP_MODES[0]
+    irses_mode: str = IRSES_MODES[0]
+    combining: str = COMBINING_MODES[0]
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -97,17 +123,25 @@ class ScenarioConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.nsp_mode not in ("effective", "literal"):
+        if self.nsp_mode not in NSP_MODES:
             raise ConfigError(f"unknown nsp_mode {self.nsp_mode!r}")
-        if self.irses_mode not in ("idealized", "full"):
+        if self.irses_mode not in IRSES_MODES:
             raise ConfigError(f"unknown irses_mode {self.irses_mode!r}")
-        if self.combining not in ("snr-sum", "printed"):
+        if self.combining not in COMBINING_MODES:
             raise ConfigError(f"unknown combining {self.combining!r}")
-        if self.method.startswith("nsp") and self.m < 2:
+        method = METHODS[self.method]
+        m = method.m or self.m
+        if method.first_slot == "nsp" and m < 2:
             raise ConfigError("nsp methods need m >= 2")
-        if self.method.startswith("irses") and self.n % self.m != 0:
+        if method.first_slot == "irses" and self.n % m != 0:
             raise ConfigError(
-                f"irses methods need m to divide n, got m={self.m}, n={self.n}"
+                f"irses methods need m to divide n, got m={m}, n={self.n}"
+            )
+        noise = self.noise_variance_watt
+        if not 0.0 < noise < math.inf:
+            raise ConfigError(
+                f"snr_db={self.snr_db} gives noise variance {noise}; "
+                "it must be finite and positive"
             )
 
     @property
@@ -141,29 +175,19 @@ def _fixed_second_slot_rate(
     return rate_from_power(power, noise_variance_watt)
 
 
-def _run_proposed(config: ScenarioConfig, trial_index: int) -> TrialRecord:
-    seed = trial_seed(config.base_seed, trial_index)
-    channels = sample_channels(config.geometry, config.budget, config.m, config.n, seed)
-    noise = config.noise_variance_watt
+def _first_slot(
+    config: ScenarioConfig, method: Method, channels: ChannelSet, seed: int, noise: float
+) -> tuple[float, int]:
+    """First-hop rate and iteration count of a two-hop method's solver."""
     p_s = config.budget.p_s_watt
-    p_r = config.budget.p_r_watt
-    fixed = config.method.endswith("-fixed-phase")
-    base = config.method.removesuffix("-fixed-phase")
-    identity_phases = PhaseShiftVector(np.zeros(config.n))
-
-    if base == "ais":
-        if fixed:
-            u_r = ur_update_ais(channels, identity_phases)
-            power = receive_power_ais(
-                channels, identity_phases.angles, u_r.weights, p_s
-            )
-            rate_r = rate_from_power(power, noise)
-            iterations_1 = 1
-        else:
-            first = ais_max_rp(channels, p_s, noise, config.epsilon, config.max_iter)
-            rate_r = first.rate_r
-            iterations_1 = first.iterations
-    elif base == "nsp":
+    phases = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
+    if method.first_slot == "ais":
+        if method.fixed_phase:
+            u_r = ur_update_ais(channels, phases)
+            power = receive_power_ais(channels, phases.angles, u_r.weights, p_s)
+            return rate_from_power(power, noise), 1
+        first = ais_max_rp(channels, p_s, noise, config.epsilon, config.max_iter)
+    elif method.first_slot == "nsp":
         first = nsp_max_rp_mrc(
             channels,
             p_s,
@@ -172,13 +196,11 @@ def _run_proposed(config: ScenarioConfig, trial_index: int) -> TrialRecord:
             config.max_iter,
             mode=config.nsp_mode,
             combining=config.combining,
-            phases=identity_phases if fixed else None,
+            phases=phases,
         )
-        rate_r = first.rate_r
-        iterations_1 = first.iterations
-    elif base == "irses":
+    else:
         partition = irses_partition(
-            config.n, config.m, stream_seed(seed, PARTITION_STREAM)
+            config.n, channels.m, stream_seed(seed, PARTITION_STREAM)
         )
         first = irses_max_rp_mrc(
             channels,
@@ -187,87 +209,49 @@ def _run_proposed(config: ScenarioConfig, trial_index: int) -> TrialRecord:
             partition,
             interference_mode=config.irses_mode,
             combining=config.combining,
-            phases=identity_phases if fixed else None,
+            phases=phases,
         )
-        rate_r = first.rate_r
-        iterations_1 = first.iterations
-    else:  # pragma: no cover - guarded by ScenarioConfig validation
-        raise ConfigError(f"unknown method {config.method!r}")
-
-    if fixed:
-        rate_d = _fixed_second_slot_rate(channels, p_r, noise)
-        iterations_2 = 1
-    else:
-        second = second_slot_optimize(
-            channels, p_r, noise, config.epsilon, config.max_iter
-        )
-        rate_d = second.rate_d
-        iterations_2 = second.iterations
-
-    result = RateResult(
-        method=config.method,
-        rate_r=rate_r,
-        rate_d=rate_d,
-        rate_s=system_rate(rate_r, rate_d),
-        iterations=(iterations_1, iterations_2),
-    )
-    return TrialRecord(trial_index, seed, result, (iterations_1, iterations_2))
-
-
-def run_baseline_single_antenna(
-    config: ScenarioConfig, trial_index: int
-) -> TrialRecord:
-    """Single-antenna relay reference: the full pipeline with m forced to 1."""
-    reduced = dataclasses.replace(config, m=1, method="ais")
-    record = _run_proposed(reduced, trial_index)
-    result = dataclasses.replace(record.result, method=config.method)
-    return dataclasses.replace(record, result=result)
-
-
-def run_baseline_irs_only(config: ScenarioConfig, trial_index: int) -> TrialRecord:
-    """Surface-only reference: one hop S -> IRS -> D, element-wise alignment.
-
-    Single-hop transmission, so the reported system rate carries no 1/2
-    pre-log factor and the per-hop fields all equal the single-hop rate.
-    """
-    seed = trial_seed(config.base_seed, trial_index)
-    channels = sample_channels(config.geometry, config.budget, config.m, config.n, seed)
-    amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
-    rate = rate_from_power(
-        config.budget.p_s_watt * amplitude**2, config.noise_variance_watt
-    )
-    result = RateResult(config.method, rate, rate, rate, (1, 1))
-    return TrialRecord(trial_index, seed, result, (1, 1))
-
-
-def run_baseline_relay_only(config: ScenarioConfig, trial_index: int) -> TrialRecord:
-    """Relay-only reference: two-hop decode-and-forward without the surface."""
-    seed = trial_seed(config.base_seed, trial_index)
-    channels = sample_channels(config.geometry, config.budget, config.m, config.n, seed)
-    noise = config.noise_variance_watt
-    rate_r = rate_from_power(
-        config.budget.p_s_watt * float(np.linalg.norm(channels.h_sr)) ** 2, noise
-    )
-    rate_d = rate_from_power(
-        config.budget.p_r_watt * float(np.linalg.norm(channels.h_rd)) ** 2, noise
-    )
-    result = RateResult(
-        config.method, rate_r, rate_d, system_rate(rate_r, rate_d), (1, 1)
-    )
-    return TrialRecord(trial_index, seed, result, (1, 1))
+    return first.rate_r, first.iterations
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
     """Evaluate one Monte Carlo trial of the configured method."""
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
-    if config.method == "baseline-single-antenna":
-        return run_baseline_single_antenna(config, trial_index)
-    if config.method == "baseline-irs-only":
-        return run_baseline_irs_only(config, trial_index)
-    if config.method == "baseline-relay-only":
-        return run_baseline_relay_only(config, trial_index)
-    return _run_proposed(config, trial_index)
+    method = METHODS[config.method]
+    seed = trial_seed(config.base_seed, trial_index)
+    channels = sample_channels(
+        config.geometry, config.budget, method.m or config.m, config.n, seed
+    )
+    noise = config.noise_variance_watt
+    p_s = config.budget.p_s_watt
+    p_r = config.budget.p_r_watt
+    if method.trial == "irs-only":
+        # one hop S -> IRS -> D with element-wise alignment: no 1/2 pre-log,
+        # and the per-hop fields all equal the single-hop rate
+        amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
+        rate = rate_from_power(p_s * amplitude**2, noise)
+        result = RateResult(config.method, rate, rate, rate, (1, 1))
+        return TrialRecord(trial_index, seed, result, (1, 1))
+    if method.trial == "relay-only":
+        rate_r = rate_from_power(p_s * float(np.linalg.norm(channels.h_sr)) ** 2, noise)
+        rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
+        iterations = (1, 1)
+    else:
+        rate_r, iterations_1 = _first_slot(config, method, channels, seed, noise)
+        if method.fixed_phase:
+            rate_d = _fixed_second_slot_rate(channels, p_r, noise)
+            iterations = (iterations_1, 1)
+        else:
+            second = second_slot_optimize(
+                channels, p_r, noise, config.epsilon, config.max_iter
+            )
+            rate_d = second.rate_d
+            iterations = (iterations_1, second.iterations)
+    result = RateResult(
+        config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
+    )
+    return TrialRecord(trial_index, seed, result, iterations)
 
 
 def collect_trials(
@@ -338,11 +322,10 @@ def point_config(spec: SweepSpec, value: float, method: str) -> ScenarioConfig:
     # distance axis: relay and surface move together parallel to the S-D
     # line, each keeping its own lateral offset
     g = spec.config.geometry
-    moved = Geometry(
-        pos_s=g.pos_s,
+    moved = dataclasses.replace(
+        g,
         pos_rs=(g.pos_s[0] + float(value), g.pos_rs[1]),
         pos_irs=(g.pos_s[0] + float(value), g.pos_irs[1]),
-        pos_d=g.pos_d,
     )
     return dataclasses.replace(base, geometry=moved)
 

@@ -3,6 +3,7 @@ import pytest
 
 from irsrelay.beamforming import (
     Beamformer,
+    FirstSlotSolution,
     PhaseShiftVector,
     ais_max_rp,
     brute_force_max_rp,
@@ -15,8 +16,10 @@ from irsrelay.errors import (
     ConfigError,
     DegenerateChannelError,
     DegenerateElementWarning,
+    TraceDipError,
 )
 from irsrelay.metrics import receive_power_ais
+from irsrelay.selftest import theta_update_pinv
 
 from conftest import NOISE_30DB, P_S, make_channels, manual_channels
 
@@ -67,15 +70,9 @@ def test_theta_update_two_forms_agree():
     for seed in range(50):
         ch = make_channels(m=3, n=4, seed=seed)
         u = Beamformer.normalized(ch.h_sr)
-        aligned = theta_update_ais(ch, u, form="aligned")
-        pinv = theta_update_ais(ch, u, form="pinv")
+        aligned = theta_update_ais(ch, u)
+        pinv = theta_update_pinv(ch, u)
         assert np.max(np.abs(aligned.phasors - pinv.phasors)) < 1e-9
-
-
-def test_theta_update_rejects_unknown_form():
-    ch = make_channels(m=2, n=2, seed=0)
-    with pytest.raises(ConfigError):
-        theta_update_ais(ch, Beamformer.normalized(ch.h_sr), form="exact")
 
 
 def test_theta_update_degenerate_element_flagged():
@@ -127,6 +124,21 @@ def test_ais_trace_monotone_and_bounded():
             assert np.min(np.diff(trace)) >= -1e-12
         assert abs(np.linalg.norm(sol.u_r.weights) - 1.0) <= 1e-12
         assert np.max(np.abs(np.abs(sol.theta1.phasors) - 1.0)) <= 1e-15
+
+
+def test_dipping_trace_is_a_runtime_error():
+    # a solver breaking its ascent guarantee is a numerical fault (exit 2),
+    # not a configuration problem (exit 1)
+    with pytest.raises(TraceDipError) as excinfo:
+        FirstSlotSolution(
+            method="ais",
+            theta1=PhaseShiftVector(np.zeros(2)),
+            receive_power_watt=1.0,
+            rate_r=0.5,
+            trace=(1.0, 0.5),
+        )
+    assert isinstance(excinfo.value, RuntimeError)
+    assert not isinstance(excinfo.value, ConfigError)
 
 
 def test_ais_respects_iteration_controls():

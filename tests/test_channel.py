@@ -76,8 +76,6 @@ def test_link_budget_validation():
         LinkBudget(alpha=0.0)
     with pytest.raises(ConfigError):
         LinkBudget(p_s_watt=0.0)
-    with pytest.raises(ConfigError):
-        LinkBudget(noise_variance_watt=-1.0)
 
 
 def test_stream_seed_deterministic_and_distinct():

@@ -170,6 +170,34 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert cli.main(args) == 2
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("p_s_watt", "inf"),
+        ("p_r_watt", "inf"),
+        ("gain_s_dbi", "inf"),
+        ("alpha", "inf"),
+        ("p_s_watt", "-1"),
+        ("snr_db", "nan"),
+        ("pos_rs", "nan,0"),
+        ("workers", "0"),
+        ("workers", "-3"),
+    ],
+)
+def test_main_rejects_bad_value_naming_its_key(key, raw, capsys):
+    args = ["run"] + [f"--set={k}={v}" for k, v in FAST.items()]
+    assert cli.main(args + [f"--set={key}={raw}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
+
+
+def test_main_rejects_workers_flag_below_one(capsys):
+    args = ["run"] + [f"--set={k}={v}" for k, v in FAST.items()]
+    assert cli.main(args + ["--workers", "-3"]) == 1
+    assert "workers" in capsys.readouterr().err
+
+
 def test_main_writes_requested_file(tmp_path):
     out = tmp_path / "table.csv"
     args = ["flops", "--values", "100,200", "--out", str(out), "--set", "l=2"]

@@ -60,6 +60,8 @@ def test_scenario_config_validation():
         small_config(epsilon=0.0)
     with pytest.raises(ConfigError):
         small_config(base_seed=-1)
+    with pytest.raises(ConfigError):
+        small_config(snr_db=float("inf"))  # zero noise variance
 
 
 def test_run_trial_deterministic():
