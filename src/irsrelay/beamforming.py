@@ -63,6 +63,37 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
+def _checked_angles(angles: np.ndarray) -> np.ndarray:
+    """Finite ``angles`` wrapped onto [0, 2*pi), as a phase vector stores them.
+
+    The solvers iterate on these raw arrays and build one
+    :class:`PhaseShiftVector` at the end; every iterate is checked here.
+    """
+    if not np.isfinite(angles).all():
+        raise ConfigError("phase vector contains non-finite angles")
+    return wrap_angles(angles)
+
+
+def _check_unit_norm(weights: np.ndarray) -> None:
+    norm = float(np.linalg.norm(weights))
+    if abs(norm - 1.0) > 1e-12:
+        raise ConfigError(f"beamformer norm must be 1, got {norm!r}")
+
+
+def _unit(weights: np.ndarray) -> np.ndarray:
+    """``weights`` scaled to unit norm, as a beamformer stores them.
+
+    Zero vectors are rejected, and the result passes the unit-norm check of
+    :class:`Beamformer` (the solvers call this on every iterate).
+    """
+    norm = float(np.linalg.norm(weights))
+    if norm < ZERO_NORM:
+        raise DegenerateChannelError("cannot normalize a zero beamformer")
+    unit = weights / norm
+    _check_unit_norm(unit)
+    return unit
+
+
 @dataclass(frozen=True)
 class PhaseShiftVector:
     """Per-element reflection phases, stored normalized to [0, 2*pi)."""
@@ -73,9 +104,7 @@ class PhaseShiftVector:
         angles = np.atleast_1d(np.asarray(self.angles, dtype=np.float64))
         if angles.ndim != 1:
             raise ConfigError("phase vector must be one-dimensional")
-        if not np.all(np.isfinite(angles)):
-            raise ConfigError("phase vector contains non-finite angles")
-        object.__setattr__(self, "angles", wrap_angles(angles))
+        object.__setattr__(self, "angles", _checked_angles(angles))
 
     def __len__(self) -> int:
         return self.angles.shape[0]
@@ -96,19 +125,13 @@ class Beamformer:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=np.complex128))
         if weights.ndim != 1:
             raise ConfigError("beamformer weights must be one-dimensional")
-        norm = float(np.linalg.norm(weights))
-        if abs(norm - 1.0) > 1e-12:
-            raise ConfigError(f"beamformer norm must be 1, got {norm!r}")
+        _check_unit_norm(weights)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def normalized(cls, weights: np.ndarray) -> "Beamformer":
         """Scale ``weights`` to unit norm; zero vectors are rejected."""
-        weights = np.atleast_1d(np.asarray(weights, dtype=np.complex128))
-        norm = float(np.linalg.norm(weights))
-        if norm < ZERO_NORM:
-            raise DegenerateChannelError("cannot normalize a zero beamformer")
-        return cls(weights / norm)
+        return cls(_unit(np.atleast_1d(np.asarray(weights, dtype=np.complex128))))
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -235,7 +258,7 @@ def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
     """
     zero = np.abs(row) < ZERO_NORM
     angles = np.angle(reference) - np.angle(row)
-    if np.any(zero):
+    if zero.any():
         angles[zero] = 0.0
         warnings.warn(
             f"{int(zero.sum())} zero-magnitude cascaded path(s); phase set to 0",
@@ -245,22 +268,30 @@ def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
     return angles
 
 
+def _ais_angles(channels: ChannelSet, u: np.ndarray) -> np.ndarray:
+    """The checked angles :func:`theta_update_ais` gives for weights ``u``."""
+    row = _cascade_row(channels, u)
+    direct = complex(np.vdot(u, channels.h_sr))
+    return _checked_angles(_aligned_angles(direct, row))
+
+
+def _ais_combined(channels: ChannelSet, angles: np.ndarray) -> np.ndarray:
+    """Direct plus reflected first-hop channel at surface phases ``angles``."""
+    return channels.h_sr + channels.H_ir @ (np.exp(1j * angles) * channels.h_si)
+
+
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
     """Optimal surface phases for a fixed receive beamformer.
 
     Rotates every cascaded source-surface-relay path so that it adds in phase
     with the direct path at the beamformer output.
     """
-    u = u_r.weights
-    row = _cascade_row(channels, u)
-    direct = complex(np.vdot(u, channels.h_sr))
-    return PhaseShiftVector(_aligned_angles(direct, row))
+    return PhaseShiftVector(_ais_angles(channels, u_r.weights))
 
 
 def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
     """Matched-filter receive beamformer for fixed surface phases."""
-    combined = channels.h_sr + channels.H_ir @ (theta1.phasors * channels.h_si)
-    return Beamformer.normalized(combined)
+    return Beamformer.normalized(_ais_combined(channels, theta1.angles))
 
 
 def ais_max_rp(
@@ -279,24 +310,24 @@ def ais_max_rp(
     so the rate trace never decreases.
     """
     _check_iteration_controls(epsilon, max_iter)
-    u = Beamformer.normalized(channels.h_sr)
+    u = _unit(channels.h_sr)
     trace: list[float] = []
-    theta = PhaseShiftVector(np.zeros(channels.n))
     for _ in range(max_iter):
-        theta = theta_update_ais(channels, u)
-        u = ur_update_ais(channels, theta)
-        power = receive_power_ais(channels, theta.angles, u.weights, p_s_watt)
+        # theta_update_ais, ur_update_ais and receive_power_ais on raw arrays
+        angles = _ais_angles(channels, u)
+        combined = _ais_combined(channels, angles)
+        u = _unit(combined)
+        power = float(p_s_watt * np.abs(np.vdot(u, combined)) ** 2)
         trace.append(rate_from_power(power, noise_variance_watt))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
             break
-    power = receive_power_ais(channels, theta.angles, u.weights, p_s_watt)
     return FirstSlotSolution(
         method="ais",
-        theta1=theta,
+        theta1=PhaseShiftVector(angles),
         receive_power_watt=power,
         rate_r=trace[-1],
         trace=tuple(trace),
-        u_r=u,
+        u_r=Beamformer(u),
     )
 
 
@@ -397,20 +428,23 @@ def nsp_max_rp_mrc(
     trace: list[float] = []
 
     if phases is None:
-        theta = _nsp_start_phases(channels, direct_null)
-        u_ri = None
+        angles = _nsp_start_phases(channels, direct_null).angles
+        cascade = _reflected_cascade(channels, np.exp(1j * angles))
         for _ in range(max_iter):
-            cascade = _reflected_cascade(channels, theta.phasors)
             # projector applied twice as defined; idempotence makes it one
-            u_ri = Beamformer.normalized(direct_null @ (direct_null @ cascade))
-            row = _cascade_row(channels, u_ri.weights)
-            theta = PhaseShiftVector(_aligned_angles(1.0, row))
-            branch = abs(np.vdot(u_ri.weights, _reflected_cascade(channels, theta.phasors)))
+            u_ri = _unit(direct_null @ (direct_null @ cascade))
+            row = _cascade_row(channels, u_ri)
+            angles = _checked_angles(_aligned_angles(1.0, row))
+            # the next iteration starts from this cascade
+            cascade = _reflected_cascade(channels, np.exp(1j * angles))
+            branch = abs(np.vdot(u_ri, cascade))
             trace.append(
                 rate_from_power(p_s_watt * branch**2, noise_variance_watt)
             )
             if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
                 break
+        theta = PhaseShiftVector(angles)
+        u_ri = Beamformer(u_ri)
     else:
         if len(phases) != channels.n:
             raise ConfigError("fixed phase vector length must equal n")
@@ -420,7 +454,6 @@ def nsp_max_rp_mrc(
         branch = abs(np.vdot(u_ri.weights, cascade))
         trace.append(rate_from_power(p_s_watt * branch**2, noise_variance_watt))
 
-    cascade = _reflected_cascade(channels, theta.phasors)
     if mode == "literal":
         surface_null = nsp_projector(channels.H_ir)
         direct_raw = surface_null @ (surface_null @ channels.h_sr)
@@ -582,25 +615,27 @@ def second_slot_optimize(
     the combined effective channel.
     """
     _check_iteration_controls(epsilon, max_iter)
-    u = Beamformer.normalized(channels.h_rd)
+    h_rd, H_ri, h_id = channels.h_rd, channels.H_ri, channels.h_id
+    H_ri_h, h_id_conj = np.conj(H_ri.T), np.conj(h_id)
+    u = _unit(h_rd)
     trace: list[float] = []
-    theta = PhaseShiftVector(np.zeros(channels.n))
     for _ in range(max_iter):
-        direct = complex(np.vdot(channels.h_rd, u.weights))
-        paths = np.conj(channels.h_id) * (np.conj(channels.H_ri.T) @ u.weights)
-        theta = PhaseShiftVector(_aligned_angles(direct, paths))
-        combined = channels.h_rd + channels.H_ri @ (
-            np.exp(-1j * theta.angles) * channels.h_id
-        )
-        u = Beamformer.normalized(combined)
-        received = abs(np.vdot(combined, u.weights))
+        direct = complex(np.vdot(h_rd, u))
+        paths = h_id_conj * (H_ri_h @ u)
+        angles = _checked_angles(_aligned_angles(direct, paths))
+        combined = h_rd + H_ri @ (np.exp(-1j * angles) * h_id)
+        u = _unit(combined)
+        received = abs(np.vdot(combined, u))
         trace.append(
             rate_from_power(p_r_watt * received**2, noise_variance_watt)
         )
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
             break
     return SecondSlotSolution(
-        theta2=theta, u_t=u, rate_d=trace[-1], trace=tuple(trace)
+        theta2=PhaseShiftVector(angles),
+        u_t=Beamformer(u),
+        rate_d=trace[-1],
+        trace=tuple(trace),
     )
 
 

@@ -130,6 +130,10 @@ class ChannelSet:
     ``h_id`` are length-``n`` vectors, ``H_ir`` and ``H_ri`` are ``m x n``
     matrices.  ``H_ir`` maps surface elements to relay antennas on the first
     hop, ``H_ri`` is the relay-to-surface link used on the second hop.
+
+    The six blocks are stored as read-only views, so one draw can be shared
+    by several solvers and none of them can change it for the others; the
+    arrays passed in stay writable.
     """
 
     h_sr: np.ndarray
@@ -140,12 +144,10 @@ class ChannelSet:
     H_ri: np.ndarray
 
     def __post_init__(self) -> None:
-        self.h_sr = np.asarray(self.h_sr, dtype=np.complex128)
-        self.H_ir = np.asarray(self.H_ir, dtype=np.complex128)
-        self.h_si = np.asarray(self.h_si, dtype=np.complex128)
-        self.h_rd = np.asarray(self.h_rd, dtype=np.complex128)
-        self.h_id = np.asarray(self.h_id, dtype=np.complex128)
-        self.H_ri = np.asarray(self.H_ri, dtype=np.complex128)
+        for name in LINK_STREAMS:
+            block = np.asarray(getattr(self, name), dtype=np.complex128).view()
+            block.flags.writeable = False
+            setattr(self, name, block)
         m = self.h_sr.shape[0]
         n = self.h_si.shape[0]
         if self.h_sr.ndim != 1 or self.h_rd.shape != (m,):
@@ -154,7 +156,7 @@ class ChannelSet:
             raise ConfigError("h_si and h_id must be length-n vectors")
         if self.H_ir.shape != (m, n) or self.H_ri.shape != (m, n):
             raise ConfigError("H_ir and H_ri must have shape (m, n)")
-        for name in ("h_sr", "H_ir", "h_si", "h_rd", "h_id", "H_ri"):
+        for name in LINK_STREAMS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"channel block {name} contains non-finite entries")
 

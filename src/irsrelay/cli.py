@@ -234,11 +234,12 @@ def _table_metadata(subcommand: str, settings: dict, **extra) -> dict:
 
 def build_run_table(settings: dict) -> OutputTable:
     config = scenario_from_settings(settings)
+    methods = settings["methods"]
+    configs = [dataclasses.replace(config, method=method) for method in methods]
     rows = []
-    for method in settings["methods"]:
-        records = collect_trials(
-            dataclasses.replace(config, method=method), workers=settings["workers"]
-        )
+    for method, records in zip(
+        methods, collect_trials(configs, workers=settings["workers"])
+    ):
         mean_r, mean_d, mean_s, stderr = summarize_records(records)
         rows.append(
             (

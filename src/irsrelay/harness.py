@@ -7,17 +7,20 @@ reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
 (SNR, element count, antenna count, or relay position) and aggregate mean
 rate and standard error per axis value and method.
 
-Every result is a pure function of the configuration and trial index, so
-tables are reproducible bit for bit regardless of worker count.
+Several configurations (the methods of a table, the points of a sweep) are
+evaluated together, trial-major: trial ``k`` of every configuration runs
+before trial ``k + 1`` of any, and they share trial ``k``'s channel draw and
+second-slot solution wherever these agree.  Every result is a pure function
+of the configuration and trial index, so tables are reproducible bit for bit
+whatever else is evaluated alongside and whatever the worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,7 +140,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"irses methods need m to divide n, got m={m}, n={self.n}"
             )
-        noise = self.noise_variance_watt
+        try:
+            noise = self.noise_variance_watt
+        except OverflowError:  # 10 ** (snr_db / 10) beyond the float range
+            noise = 0.0
+        except ZeroDivisionError:  # 10 ** (snr_db / 10) underflows to 0
+            noise = math.inf
         if not 0.0 < noise < math.inf:
             raise ConfigError(
                 f"snr_db={self.snr_db} gives noise variance {noise}; "
@@ -158,7 +166,6 @@ class TrialRecord:
     trial_index: int
     seed: int
     result: RateResult
-    iterations: tuple[int, int]
 
 
 def trial_seed(base_seed: int, trial_index: int) -> int:
@@ -214,15 +221,27 @@ def _first_slot(
     return first.rate_r, first.iterations
 
 
-def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
-    """Evaluate one Monte Carlo trial of the configured method."""
+def run_trial(
+    config: ScenarioConfig, trial_index: int, *, shared: dict | None = None
+) -> TrialRecord:
+    """Evaluate one Monte Carlo trial of the configured method.
+
+    ``shared`` holds what other configurations evaluated at the same trial
+    index may reuse: the channel draw, keyed by everything it depends on, and
+    the second-slot solution on those channels, keyed by its own inputs.  It
+    is filled on first use; a result does not depend on whether it was
+    shared.
+    """
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
+    shared = {} if shared is None else shared
     method = METHODS[config.method]
     seed = trial_seed(config.base_seed, trial_index)
-    channels = sample_channels(
-        config.geometry, config.budget, method.m or config.m, config.n, seed
-    )
+    m = method.m or config.m
+    draw = (seed, m, config.n, config.geometry, config.budget)
+    if draw not in shared:
+        shared[draw] = sample_channels(config.geometry, config.budget, m, config.n, seed)
+    channels = shared[draw]
     noise = config.noise_variance_watt
     p_s = config.budget.p_s_watt
     p_r = config.budget.p_r_watt
@@ -232,7 +251,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
         amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
         rate = rate_from_power(p_s * amplitude**2, noise)
         result = RateResult(config.method, rate, rate, rate, (1, 1))
-        return TrialRecord(trial_index, seed, result, (1, 1))
+        return TrialRecord(trial_index, seed, result)
     if method.trial == "relay-only":
         rate_r = rate_from_power(p_s * float(np.linalg.norm(channels.h_sr)) ** 2, noise)
         rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
@@ -243,30 +262,45 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
             rate_d = _fixed_second_slot_rate(channels, p_r, noise)
             iterations = (iterations_1, 1)
         else:
-            second = second_slot_optimize(
-                channels, p_r, noise, config.epsilon, config.max_iter
-            )
+            solve = (draw, noise, config.epsilon, config.max_iter)
+            if solve not in shared:
+                shared[solve] = second_slot_optimize(
+                    channels, p_r, noise, config.epsilon, config.max_iter
+                )
+            second = shared[solve]
             rate_d = second.rate_d
             iterations = (iterations_1, second.iterations)
     result = RateResult(
         config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
     )
-    return TrialRecord(trial_index, seed, result, iterations)
+    return TrialRecord(trial_index, seed, result)
 
 
 def collect_trials(
-    config: ScenarioConfig, workers: int | None = None
-) -> list[TrialRecord]:
-    """Run all trials of a configuration, optionally in parallel.
+    config: ScenarioConfig | Sequence[ScenarioConfig], workers: int | None = None
+) -> list[TrialRecord] | list[list[TrialRecord]]:
+    """Run all trials of one configuration, or of several together.
 
-    Results are ordered by trial index whatever the worker count, so every
-    downstream aggregate is independent of scheduling.
+    Given one configuration, returns its records in trial order.  Given a
+    sequence, returns one such list per configuration, in sequence order.
+    Evaluation is serial and trial-major: every configuration's trial ``k``
+    runs before any trial ``k + 1``, and they share trial ``k``'s channel
+    draws and second-slot solutions wherever their inputs agree.  Sharing
+    changes no bit of any record.
+
+    ``workers`` is accepted for compatibility and must be at least 1; it
+    does not change the evaluation or any result.
     """
-    indices = range(config.trials)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: run_trial(config, i), indices))
-    return [run_trial(config, i) for i in indices]
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    configs = [config] if isinstance(config, ScenarioConfig) else list(config)
+    records: list[list[TrialRecord]] = [[] for _ in configs]
+    for trial_index in range(max((c.trials for c in configs), default=0)):
+        shared: dict = {}
+        for cfg, out in zip(configs, records):
+            if trial_index < cfg.trials:
+                out.append(run_trial(cfg, trial_index, shared=shared))
+    return records[0] if isinstance(config, ScenarioConfig) else records
 
 
 @dataclass(frozen=True)
@@ -373,17 +407,19 @@ def summarize_records(records: list[TrialRecord]) -> tuple[float, float, float, 
 
 
 def sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
-    """Evaluate the whole sweep grid; deterministic for any worker count."""
+    """Evaluate the whole sweep grid; deterministic for any worker count.
+
+    All grid points go through one :func:`collect_trials` call, so a trial's
+    channels are drawn once for every point that shares them.
+    """
     grid = [
         (value, method, point_config(spec, value, method))
         for value in spec.values
         for method in spec.methods
     ]
-    points = []
-    for value, method, cfg in grid:
-        records = collect_trials(cfg, workers=workers)
-        mean_r, mean_d, mean_s, stderr = summarize_records(records)
-        points.append(
-            SweepPoint(value, method, mean_r, mean_d, mean_s, stderr, cfg.trials)
-        )
-    return SweepResult(spec=spec, points=tuple(points))
+    per_point = collect_trials([cfg for _, _, cfg in grid], workers=workers)
+    points = tuple(
+        SweepPoint(value, method, *summarize_records(records), cfg.trials)
+        for (value, method, cfg), records in zip(grid, per_point)
+    )
+    return SweepResult(spec=spec, points=points)

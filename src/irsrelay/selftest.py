@@ -178,7 +178,7 @@ def _check_second_slot(seed: int) -> str:
         raise AssertionError(f"forward ascent trace dipped by {dips:.2e}")
     return "forward-link rate matches its aligned channel"
 
-def _check_parallel_determinism(seed: int) -> str:
+def _check_worker_invariance(seed: int) -> str:
     config = ScenarioConfig(m=2, n=6, trials=6, base_seed=seed, epsilon=1e-3)
     spec = SweepSpec(
         config=config,
@@ -187,8 +187,8 @@ def _check_parallel_determinism(seed: int) -> str:
         methods=("ais", "irses"),
     )
     serial = sweep(spec, workers=1)
-    threaded = sweep(spec, workers=8)
-    if serial.points != threaded.points:
+    eight = sweep(spec, workers=8)
+    if serial.points != eight.points:
         raise AssertionError("worker count changed the sweep table")
     if serial.points != sweep(spec, workers=1).points:
         raise AssertionError("repeated sweep changed the table")
@@ -214,7 +214,7 @@ CHECKS = (
     ("grouping alignment", _check_grouping_alignment),
     ("oracle dominance", _check_oracle_dominance),
     ("second slot", _check_second_slot),
-    ("parallel determinism", _check_parallel_determinism),
+    ("worker-count invariance", _check_worker_invariance),
     ("flops ordering", _check_flops_ordering),
 )
 

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from irsrelay.channel import (
+    ChannelSet,
     Geometry,
     LinkBudget,
     dbi_to_amplitude_gain,
@@ -113,6 +114,20 @@ def test_sample_channels_validation():
         make_channels(m=3, n=0, seed=0)
     with pytest.raises(ConfigError):
         make_channels(m=3, n=3, seed=-1)
+
+
+def test_channel_blocks_are_read_only_views():
+    # one draw is shared by every method of a trial, so no solver may write it
+    H_ir = np.ones((2, 3), dtype=np.complex128)
+    vectors = dict(h_sr=np.ones(2), h_si=np.ones(3), h_rd=np.ones(2), h_id=np.ones(3))
+    channels = ChannelSet(H_ir=H_ir, H_ri=np.ones((2, 3)), **vectors)
+    with pytest.raises(ValueError):
+        channels.H_ir[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        make_channels(m=2, n=3, seed=0).h_sr[0] = 0.0
+    assert H_ir.flags.writeable  # the caller's own array is left as it was
+    H_ir[0, 0] = 2.0
+    assert channels.H_ir[0, 0] == 2.0
 
 
 def test_leading_entries_stable_as_array_grows():

@@ -179,6 +179,8 @@ def test_main_run_exit_codes(tmp_path, capsys):
         ("alpha", "inf"),
         ("p_s_watt", "-1"),
         ("snr_db", "nan"),
+        ("snr_db", "4000"),  # 10 ** (snr_db / 10) overflows
+        ("snr_db", "-3300"),  # 10 ** (snr_db / 10) underflows to 0
         ("pos_rs", "nan,0"),
         ("workers", "0"),
         ("workers", "-3"),

@@ -1,9 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from irsrelay.channel import Geometry
+from irsrelay import harness
 from irsrelay.errors import ConfigError
 from irsrelay.harness import (
     METHODS,
@@ -161,6 +163,61 @@ def test_collect_trials_worker_count_invariant():
     threaded = collect_trials(config, workers=5)
     assert [r.result for r in serial] == [r.result for r in threaded]
     assert [r.trial_index for r in serial] == list(range(8))
+
+
+def _count_calls(monkeypatch, name, key):
+    """Count calls of ``harness.<name>`` by ``key(*args)``."""
+    counts = Counter()
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        counts[key(*args)] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+def test_shared_draws_and_second_slots_change_no_record(monkeypatch):
+    methods = ("ais", "nsp", "irses", "ais-fixed-phase", "baseline-single-antenna")
+    configs = [small_config(method=m, m=8, n=32, trials=3) for m in methods]
+    alone = [collect_trials(c) for c in configs]
+    draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: (s, m))
+    solves = _count_calls(
+        monkeypatch, "second_slot_optimize", lambda ch, p, noise, *_: (ch.m, noise)
+    )
+    together = collect_trials(configs)
+    assert together == alone
+    # one draw per (trial, m) and one second slot per (trial, m, SNR): m=8
+    # for the first four methods, m=1 for the single-antenna baseline
+    assert sorted(draws.values()) == [1] * 6
+    assert sorted(solves.values()) == [3, 3]
+
+
+def test_sweep_shares_draws_across_snr_points(monkeypatch):
+    config = small_config(method="ais", trials=3)
+    spec = SweepSpec(
+        config=config, axis="snr_db", values=(0.0, 20.0), methods=("ais", "irses")
+    )
+    alone = [
+        summarize_records(collect_trials(point_config(spec, value, method)))
+        for value in spec.values
+        for method in spec.methods
+    ]
+    draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: s)
+    solves = _count_calls(
+        monkeypatch, "second_slot_optimize", lambda ch, p, noise, *_: noise
+    )
+    together = sweep(spec).points
+    assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
+            for p in together] == alone
+    assert sorted(draws.values()) == [1] * 3  # one draw per trial
+    assert sorted(solves.values()) == [3, 3]  # one solve per trial and SNR
+
+
+def test_collect_trials_rejects_workers_below_one():
+    with pytest.raises(ConfigError):
+        collect_trials(small_config(), workers=0)
 
 
 def test_summarize_records_stderr():
