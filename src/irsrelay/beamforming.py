@@ -12,9 +12,9 @@ Three first-slot strategies are implemented:
   and combines antennas with maximum-ratio combining.
 
 The second slot (relay to destination via the surface) is optimized by
-:func:`second_slot_optimize`, which mirrors the alternating structure of the
-first-slot solver.  :func:`brute_force_max_rp` is an exhaustive grid oracle
-for small instances, used by the test suite.
+:func:`second_slot_optimize`: the alternation of :func:`ais_max_rp`, run on
+the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
+grid oracle for small instances, used by the test suite.
 """
 
 from __future__ import annotations
@@ -245,13 +245,13 @@ def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _cascade_row(channels: ChannelSet, u: np.ndarray) -> np.ndarray:
-    """Per-element response (u^H H_ir)_i * h_si_i of the reflected paths."""
-    return (np.conj(u) @ channels.H_ir) * channels.h_si
+def _path_row(H: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-element response (u^H H)_i * h_i of a hop's reflected paths."""
+    return (np.conj(u) @ H) * h
 
 
 def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
-    """Phases rotating each entry of ``row`` onto the phase of ``reference``.
+    """Checked phases rotating each entry of ``row`` onto ``reference``'s phase.
 
     Entries with zero magnitude carry no signal; their phase is set to 0 and
     reported through :class:`DegenerateElementWarning`.
@@ -265,19 +265,40 @@ def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
             DegenerateElementWarning,
             stacklevel=3,
         )
-    return angles
+    return _checked_angles(angles)
 
 
-def _ais_angles(channels: ChannelSet, u: np.ndarray) -> np.ndarray:
-    """The checked angles :func:`theta_update_ais` gives for weights ``u``."""
-    row = _cascade_row(channels, u)
-    direct = complex(np.vdot(u, channels.h_sr))
-    return _checked_angles(_aligned_angles(direct, row))
+def _align(hop: tuple, u: np.ndarray) -> np.ndarray:
+    """Phases aligning each reflected path with the direct path at ``u``.
+
+    ``hop`` is one hop's (direct link, surface matrix H, element link h).
+    """
+    direct, H, h = hop
+    return _aligned_angles(complex(np.vdot(u, direct)), _path_row(H, h, u))
 
 
-def _ais_combined(channels: ChannelSet, angles: np.ndarray) -> np.ndarray:
-    """Direct plus reflected first-hop channel at surface phases ``angles``."""
-    return channels.h_sr + channels.H_ir @ (np.exp(1j * angles) * channels.h_si)
+def _hop_channel(hop: tuple, angles: np.ndarray) -> np.ndarray:
+    """A hop's effective channel direct + H diag(exp(j*angles)) h."""
+    direct, H, h = hop
+    return direct + H @ (np.exp(1j * angles) * h)
+
+
+def _alternate(
+    hop: tuple, p_watt: float, noise_variance_watt: float, epsilon: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """:func:`ais_max_rp`'s loop on one hop: (angles, weights, power, trace)."""
+    _check_iteration_controls(epsilon, max_iter)
+    u = _unit(hop[0])  # the matched filter to the direct link
+    trace: list[float] = []
+    for _ in range(max_iter):
+        angles = _align(hop, u)
+        combined = _hop_channel(hop, angles)
+        u = _unit(combined)
+        power = float(p_watt * np.abs(np.vdot(u, combined)) ** 2)
+        trace.append(rate_from_power(power, noise_variance_watt))
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
+            break
+    return angles, u, power, trace
 
 
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
@@ -286,12 +307,14 @@ def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
     Rotates every cascaded source-surface-relay path so that it adds in phase
     with the direct path at the beamformer output.
     """
-    return PhaseShiftVector(_ais_angles(channels, u_r.weights))
+    hop = (channels.h_sr, channels.H_ir, channels.h_si)
+    return PhaseShiftVector(_align(hop, u_r.weights))
 
 
 def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
     """Matched-filter receive beamformer for fixed surface phases."""
-    return Beamformer.normalized(_ais_combined(channels, theta1.angles))
+    hop = (channels.h_sr, channels.H_ir, channels.h_si)
+    return Beamformer.normalized(_hop_channel(hop, theta1.angles))
 
 
 def ais_max_rp(
@@ -309,18 +332,10 @@ def ais_max_rp(
     reached).  Each half-step is the exact maximizer given the other block,
     so the rate trace never decreases.
     """
-    _check_iteration_controls(epsilon, max_iter)
-    u = _unit(channels.h_sr)
-    trace: list[float] = []
-    for _ in range(max_iter):
-        # theta_update_ais, ur_update_ais and receive_power_ais on raw arrays
-        angles = _ais_angles(channels, u)
-        combined = _ais_combined(channels, angles)
-        u = _unit(combined)
-        power = float(p_s_watt * np.abs(np.vdot(u, combined)) ** 2)
-        trace.append(rate_from_power(power, noise_variance_watt))
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
-            break
+    hop = (channels.h_sr, channels.H_ir, channels.h_si)
+    angles, u, power, trace = _alternate(
+        hop, p_s_watt, noise_variance_watt, epsilon, max_iter
+    )
     return FirstSlotSolution(
         method="ais",
         theta1=PhaseShiftVector(angles),
@@ -347,10 +362,6 @@ def nsp_projector(A: np.ndarray) -> np.ndarray:
     m = A.shape[0]
     gram_inv = np.linalg.pinv(np.conj(A.T) @ A, rcond=PINV_RCOND)
     return np.eye(m, dtype=np.complex128) - A @ gram_inv @ np.conj(A.T)
-
-
-def _reflected_cascade(channels: ChannelSet, phasors: np.ndarray) -> np.ndarray:
-    return channels.H_ir @ (phasors * channels.h_si)
 
 
 def _nsp_start_phases(
@@ -423,20 +434,24 @@ def nsp_max_rp_mrc(
             "literal mode projects off the full surface-to-relay matrix, "
             f"which spans the receive space for n={channels.n} >= m={channels.m}"
         )
+    if phases is not None and len(phases) != channels.n:
+        raise ConfigError("fixed phase vector length must equal n")
 
     direct_null = nsp_projector(channels.h_sr)
+    H, h = channels.H_ir, channels.h_si
     trace: list[float] = []
 
+    theta = _nsp_start_phases(channels, direct_null) if phases is None else phases
+    # the reflected branch alone: no direct term in the cascade
+    cascade = H @ (theta.phasors * h)
     if phases is None:
-        angles = _nsp_start_phases(channels, direct_null).angles
-        cascade = _reflected_cascade(channels, np.exp(1j * angles))
         for _ in range(max_iter):
             # projector applied twice as defined; idempotence makes it one
             u_ri = _unit(direct_null @ (direct_null @ cascade))
-            row = _cascade_row(channels, u_ri)
-            angles = _checked_angles(_aligned_angles(1.0, row))
+            # aligned to phase 0, as the direct path is projected off
+            angles = _aligned_angles(1.0, _path_row(H, h, u_ri))
             # the next iteration starts from this cascade
-            cascade = _reflected_cascade(channels, np.exp(1j * angles))
+            cascade = H @ (np.exp(1j * angles) * h)
             branch = abs(np.vdot(u_ri, cascade))
             trace.append(
                 rate_from_power(p_s_watt * branch**2, noise_variance_watt)
@@ -446,10 +461,6 @@ def nsp_max_rp_mrc(
         theta = PhaseShiftVector(angles)
         u_ri = Beamformer(u_ri)
     else:
-        if len(phases) != channels.n:
-            raise ConfigError("fixed phase vector length must equal n")
-        theta = phases
-        cascade = _reflected_cascade(channels, theta.phasors)
         u_ri = Beamformer.normalized(direct_null @ (direct_null @ cascade))
         branch = abs(np.vdot(u_ri.weights, cascade))
         trace.append(rate_from_power(p_s_watt * branch**2, noise_variance_watt))
@@ -563,8 +574,8 @@ def irses_max_rp_mrc(
     if interference_mode == "idealized":
         amplitudes = np.abs(own)
     else:
-        total = channels.h_sr + channels.H_ir @ (theta.phasors * channels.h_si)
-        amplitudes = np.abs(total)
+        hop = (channels.h_sr, channels.H_ir, channels.h_si)
+        amplitudes = np.abs(_hop_channel(hop, theta.angles))
 
     weights = np.ones(m, dtype=np.complex128)
     usable = np.abs(own) >= ZERO_NORM
@@ -609,30 +620,16 @@ def second_slot_optimize(
 ) -> SecondSlotSolution:
     """Transmit-side co-design for the relay-to-destination hop.
 
-    Mirrors the first-slot alternation: surface phases rotate every cascaded
-    relay-surface-destination path onto the direct relay-destination path at
-    the current transmit beamformer, and the beamformer is then matched to
-    the combined effective channel.
+    This is the alternation of :func:`ais_max_rp` on the relay-to-destination
+    links.  The surface applies exp(-j*theta2), so ``theta2`` holds the
+    negated alignment phases.
     """
-    _check_iteration_controls(epsilon, max_iter)
-    h_rd, H_ri, h_id = channels.h_rd, channels.H_ri, channels.h_id
-    H_ri_h, h_id_conj = np.conj(H_ri.T), np.conj(h_id)
-    u = _unit(h_rd)
-    trace: list[float] = []
-    for _ in range(max_iter):
-        direct = complex(np.vdot(h_rd, u))
-        paths = h_id_conj * (H_ri_h @ u)
-        angles = _checked_angles(_aligned_angles(direct, paths))
-        combined = h_rd + H_ri @ (np.exp(-1j * angles) * h_id)
-        u = _unit(combined)
-        received = abs(np.vdot(combined, u))
-        trace.append(
-            rate_from_power(p_r_watt * received**2, noise_variance_watt)
-        )
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
-            break
+    hop = (channels.h_rd, channels.H_ri, channels.h_id)
+    angles, u, _, trace = _alternate(
+        hop, p_r_watt, noise_variance_watt, epsilon, max_iter
+    )
     return SecondSlotSolution(
-        theta2=PhaseShiftVector(angles),
+        theta2=PhaseShiftVector(-angles),
         u_t=Beamformer(u),
         rate_d=trace[-1],
         trace=tuple(trace),

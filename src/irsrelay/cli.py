@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -395,6 +396,11 @@ def regenerate(metadata: dict[str, str]) -> OutputTable:
         if key in reserved:
             continue
         _apply_setting(settings, key, str(raw), "metadata")
+    return build_table(subcommand, settings)
+
+
+def build_table(subcommand: str, settings: dict) -> OutputTable:
+    """The table of a ``run``, ``flops`` or sweep subcommand."""
     if subcommand == "run":
         return build_run_table(settings)
     if subcommand == "flops":
@@ -487,6 +493,11 @@ def _explicit_keys(args: argparse.Namespace) -> set[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads the list in "--values -10,0" as an option; glue it on
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] == "--values" and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = ["--values=" + argv[i]]
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:
@@ -496,13 +507,7 @@ def main(argv: list[str] | None = None) -> int:
 
             passed = selftest.run_selftest()
             return 0 if passed else 2
-        settings = _settings_from_args(args)
-        if args.subcommand == "run":
-            table = build_run_table(settings)
-        elif args.subcommand == "flops":
-            table = build_flops_table(settings)
-        else:
-            table = build_sweep_table(args.subcommand, settings)
+        table = build_table(args.subcommand, _settings_from_args(args))
         emit_table(table, args.format, args.out)
         return 0
     except _UsageError as exc:

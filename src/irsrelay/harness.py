@@ -31,6 +31,7 @@ from .beamforming import (
     IRSES_MODES,
     NSP_MODES,
     PhaseShiftVector,
+    _check_iteration_controls,
     ais_max_rp,
     irses_max_rp_mrc,
     irses_partition,
@@ -122,10 +123,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
             )
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_iteration_controls(self.epsilon, self.max_iter)
         if self.nsp_mode not in NSP_MODES:
             raise ConfigError(f"unknown nsp_mode {self.nsp_mode!r}")
         if self.irses_mode not in IRSES_MODES:

@@ -38,10 +38,6 @@ def _channels(seed: int, m: int = 3, n: int = 9):
     return sample_channels(Geometry(), LinkBudget(), m=m, n=n, seed=seed)
 
 
-def _cascade(channels, theta):
-    return channels.h_sr + channels.H_ir @ (theta.phasors * channels.h_si)
-
-
 def theta_update_pinv(channels, u_r: Beamformer) -> PhaseShiftVector:
     """Reference for :func:`theta_update_ais` through a pseudo-inverse.
 
@@ -101,7 +97,7 @@ def _check_null_space_split(seed: int) -> str:
     channels = _channels(seed)
     solution = nsp_max_rp_mrc(channels, P_S, NOISE)
     h_sr = channels.h_sr
-    reflected = _cascade(channels, solution.theta1) - h_sr
+    reflected = channels.H_ir @ (solution.theta1.phasors * channels.h_si)
     leak_direct = abs(np.vdot(solution.u_ri.weights, h_sr))
     leak_reflected = abs(np.vdot(solution.u_rs.weights, reflected))
     scale_direct = np.linalg.norm(h_sr)

@@ -7,6 +7,7 @@ from irsrelay.beamforming import (
     PhaseShiftVector,
     ais_max_rp,
     brute_force_max_rp,
+    second_slot_optimize,
     theta_update_ais,
     ur_update_ais,
     wrap_angles,
@@ -184,3 +185,22 @@ def test_ais_scale_covariance():
         assert np.max(np.abs(base.u_r.weights - moved.u_r.weights)) < 1e-6
         ratio = moved.receive_power_watt / base.receive_power_watt
         assert abs(ratio - c**2) < 1e-9 * c**2
+
+
+@pytest.mark.parametrize("m, n", [(4, 16), (8, 32), (16, 160)])
+def test_second_slot_is_ais_on_the_second_hop(m, n):
+    # both hops run one alternation, so a network whose relay-to-destination
+    # blocks equal its source-to-relay blocks gets the same solution twice;
+    # the second slot's surface applies exp(-j*theta2)
+    for seed in range(10):
+        ch = make_channels(m=m, n=n, seed=seed)
+        mirrored = ChannelSet(
+            h_sr=ch.h_sr, H_ir=ch.H_ir, h_si=ch.h_si,
+            h_rd=ch.h_sr, H_ri=ch.H_ir, h_id=ch.h_si,
+        )
+        first = ais_max_rp(mirrored, P_S, NOISE_30DB)
+        second = second_slot_optimize(mirrored, P_S, NOISE_30DB)
+        assert second.trace == first.trace
+        assert np.array_equal(second.u_t.weights, first.u_r.weights)
+        gap = wrap_angles(second.theta2.angles + first.theta1.angles)
+        assert np.max(np.minimum(gap, 2.0 * np.pi - gap)) <= 1e-12

@@ -221,6 +221,19 @@ def test_main_sweep_values_flag(capsys):
     assert [ln.split(",")[0] for ln in body[1:]] == ["1.0", "2.0"]
 
 
+@pytest.mark.parametrize("values", ["-10,0", "-.5,2", "-3"])
+def test_main_sweep_accepts_negative_values_after_a_space(values, capsys):
+    common = ["--trials", "2", "--methods", "ais", "--set", "m=2", "--set", "n=4"]
+    assert cli.main(["sweep-snr", f"--values={values}"] + common) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["sweep-snr", "--values", values] + common) == 0
+    assert capsys.readouterr().out == expected
+    body = [ln for ln in expected.splitlines() if not ln.startswith("#")]
+    assert [ln.split(",")[0] for ln in body[1:]] == [
+        repr(float(v)) for v in values.split(",")
+    ]
+
+
 def test_format_rejects_unknown():
     table = cli.build_flops_table(settings_with(m=2, values="4"))
     with pytest.raises(ConfigError):
