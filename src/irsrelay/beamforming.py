@@ -15,6 +15,11 @@ The second slot (relay to destination via the surface) is optimized by
 :func:`second_slot_optimize`: the alternation of :func:`ais_max_rp`, run on
 the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
 grid oracle for small instances, used by the test suite.
+
+No iterate of an alternation reads the noise variance: it enters only the
+rate trace and the stop.  So each iterative solver also has a ``_per_noise``
+form that runs one alternation for several noise variances and stops each at
+its own iterate; the scalar solver is its one-level case.
 """
 
 from __future__ import annotations
@@ -283,22 +288,65 @@ def _hop_channel(hop: tuple, angles: np.ndarray) -> np.ndarray:
     return direct + H @ (np.exp(1j * angles) * h)
 
 
+def _check_noise_levels(noise_variances: tuple[float, ...]) -> None:
+    if not noise_variances:
+        raise ConfigError("need at least one noise variance")
+
+
+def _extend_traces(
+    traces: list[list[float]],
+    stops: list,
+    noise_variances: tuple[float, ...],
+    power: float,
+    epsilon: float,
+    iterate: tuple,
+) -> bool:
+    """Append ``power``'s rate to the trace of every noise level still running.
+
+    A level stops once its last two rates differ by at most ``epsilon``; its
+    entry of ``stops`` then holds ``iterate``.  True when every level has
+    stopped.
+    """
+    done = True
+    for k, trace in enumerate(traces):
+        if stops[k] is None:
+            trace.append(rate_from_power(power, noise_variances[k]))
+            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
+                stops[k] = iterate
+            else:
+                done = False
+    return done
+
+
 def _alternate(
-    hop: tuple, p_watt: float, noise_variance_watt: float, epsilon: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """:func:`ais_max_rp`'s loop on one hop: (angles, weights, power, trace)."""
+    hop: tuple,
+    p_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float,
+    max_iter: int,
+) -> list[tuple[np.ndarray, np.ndarray, float, list[float]]]:
+    """:func:`ais_max_rp`'s loop on one hop, for several noise levels at once.
+
+    No iterate reads the noise, which enters only each level's rate trace
+    and its stop.  Returns (angles, weights, power, trace) per noise level,
+    each at the iterate where that level stopped.
+    """
     _check_iteration_controls(epsilon, max_iter)
+    _check_noise_levels(noise_variances)
+    traces: list[list[float]] = [[] for _ in noise_variances]
+    stops: list = [None] * len(noise_variances)
     u = _unit(hop[0])  # the matched filter to the direct link
-    trace: list[float] = []
     for _ in range(max_iter):
         angles = _align(hop, u)
         combined = _hop_channel(hop, angles)
         u = _unit(combined)
         power = float(p_watt * np.abs(np.vdot(u, combined)) ** 2)
-        trace.append(rate_from_power(power, noise_variance_watt))
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
+        if _extend_traces(
+            traces, stops, noise_variances, power, epsilon, (angles, u, power)
+        ):
             break
-    return angles, u, power, trace
+    last = (angles, u, power)  # where the levels still running hit max_iter
+    return [(*(stop or last), trace) for stop, trace in zip(stops, traces)]
 
 
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
@@ -332,17 +380,37 @@ def ais_max_rp(
     reached).  Each half-step is the exact maximizer given the other block,
     so the rate trace never decreases.
     """
+    return ais_max_rp_per_noise(
+        channels, p_s_watt, (noise_variance_watt,), epsilon, max_iter
+    )[0]
+
+
+def ais_max_rp_per_noise(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[FirstSlotSolution, ...]:
+    """:func:`ais_max_rp` at each noise variance, from one alternation.
+
+    The iterates do not depend on the noise, so they are computed once; each
+    level's solution equals the one :func:`ais_max_rp` returns at it, bit
+    for bit.
+    """
     hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    angles, u, power, trace = _alternate(
-        hop, p_s_watt, noise_variance_watt, epsilon, max_iter
-    )
-    return FirstSlotSolution(
-        method="ais",
-        theta1=PhaseShiftVector(angles),
-        receive_power_watt=power,
-        rate_r=trace[-1],
-        trace=tuple(trace),
-        u_r=Beamformer(u),
+    return tuple(
+        FirstSlotSolution(
+            method="ais",
+            theta1=PhaseShiftVector(angles),
+            receive_power_watt=power,
+            rate_r=trace[-1],
+            trace=tuple(trace),
+            u_r=Beamformer(u),
+        )
+        for angles, u, power, trace in _alternate(
+            hop, p_s_watt, tuple(noise_variances), epsilon, max_iter
+        )
     )
 
 
@@ -422,7 +490,38 @@ def nsp_max_rp_mrc(
     ``trace`` records the reflected-branch rate the alternation maximizes;
     the returned ``rate_r`` is the MRC-combined rate of both branches.
     """
+    return nsp_max_rp_mrc_per_noise(
+        channels,
+        p_s_watt,
+        (noise_variance_watt,),
+        epsilon,
+        max_iter,
+        mode=mode,
+        combining=combining,
+        phases=phases,
+    )[0]
+
+
+def nsp_max_rp_mrc_per_noise(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = NSP_MODES[0],
+    combining: str = COMBINING_MODES[0],
+    phases: PhaseShiftVector | None = None,
+) -> tuple[FirstSlotSolution, ...]:
+    """:func:`nsp_max_rp_mrc` at each noise variance, from one alternation.
+
+    The start phases, the projector off the direct channel and the
+    iterates are computed once, and each level stops at its own iterate.
+    Each level's solution equals the one :func:`nsp_max_rp_mrc` returns at
+    it, bit for bit.
+    """
+    noise_variances = tuple(noise_variances)
     _check_iteration_controls(epsilon, max_iter)
+    _check_noise_levels(noise_variances)
     if channels.m < 2:
         raise ConfigError("null-space separation needs at least 2 relay antennas")
     if mode not in NSP_MODES:
@@ -439,12 +538,13 @@ def nsp_max_rp_mrc(
 
     direct_null = nsp_projector(channels.h_sr)
     H, h = channels.H_ir, channels.h_si
-    trace: list[float] = []
 
     theta = _nsp_start_phases(channels, direct_null) if phases is None else phases
     # the reflected branch alone: no direct term in the cascade
     cascade = H @ (theta.phasors * h)
     if phases is None:
+        traces: list[list[float]] = [[] for _ in noise_variances]
+        stops: list = [None] * len(noise_variances)
         for _ in range(max_iter):
             # projector applied twice as defined; idempotence makes it one
             u_ri = _unit(direct_null @ (direct_null @ cascade))
@@ -453,18 +553,45 @@ def nsp_max_rp_mrc(
             # the next iteration starts from this cascade
             cascade = H @ (np.exp(1j * angles) * h)
             branch = abs(np.vdot(u_ri, cascade))
-            trace.append(
-                rate_from_power(p_s_watt * branch**2, noise_variance_watt)
-            )
-            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
+            if _extend_traces(
+                traces,
+                stops,
+                noise_variances,
+                p_s_watt * branch**2,
+                epsilon,
+                (angles, u_ri, cascade),
+            ):
                 break
-        theta = PhaseShiftVector(angles)
-        u_ri = Beamformer(u_ri)
+        last = (angles, u_ri, cascade)  # where the levels still running hit max_iter
+        iterates = [stop or last for stop in stops]
     else:
-        u_ri = Beamformer.normalized(direct_null @ (direct_null @ cascade))
-        branch = abs(np.vdot(u_ri.weights, cascade))
-        trace.append(rate_from_power(p_s_watt * branch**2, noise_variance_watt))
+        u_ri = _unit(direct_null @ (direct_null @ cascade))
+        power = p_s_watt * abs(np.vdot(u_ri, cascade)) ** 2
+        traces = [[rate_from_power(power, noise)] for noise in noise_variances]
+        iterates = [(phases.angles, u_ri, cascade)] * len(noise_variances)
 
+    return tuple(
+        _nsp_solution(channels, p_s_watt, iterate, trace, noise, mode, combining)
+        for iterate, trace, noise in zip(iterates, traces, noise_variances)
+    )
+
+
+def _nsp_solution(
+    channels: ChannelSet,
+    p_s_watt: float,
+    iterate: tuple,
+    trace: list[float],
+    noise_variance_watt: float,
+    mode: str,
+    combining: str,
+) -> FirstSlotSolution:
+    """:func:`nsp_max_rp_mrc`'s solution at one reflected-branch iterate.
+
+    ``iterate`` holds the reflected branch's (angles, receive vector,
+    cascade); the direct branch's beamformer is built here, off the
+    reflected signal, and both branches are combined.
+    """
+    angles, u_ri, cascade = iterate
     if mode == "literal":
         surface_null = nsp_projector(channels.H_ir)
         direct_raw = surface_null @ (surface_null @ channels.h_sr)
@@ -480,7 +607,7 @@ def nsp_max_rp_mrc(
     u_rs = Beamformer.normalized(direct_raw)
 
     branch_s = complex(np.vdot(u_rs.weights, channels.h_sr))
-    branch_i = complex(np.vdot(u_ri.weights, cascade))
+    branch_i = complex(np.vdot(u_ri, cascade))
     amp_s = abs(branch_s)
     amp_i = abs(branch_i)
     if combining == "snr-sum":
@@ -492,12 +619,12 @@ def nsp_max_rp_mrc(
         power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
     return FirstSlotSolution(
         method="nsp",
-        theta1=theta,
+        theta1=PhaseShiftVector(angles),
         receive_power_watt=power_eff,
         rate_r=rate_from_power(power_eff, noise_variance_watt),
         trace=tuple(trace),
         u_rs=u_rs,
-        u_ri=u_ri,
+        u_ri=Beamformer(u_ri),
     )
 
 
@@ -624,15 +751,34 @@ def second_slot_optimize(
     links.  The surface applies exp(-j*theta2), so ``theta2`` holds the
     negated alignment phases.
     """
+    return second_slot_optimize_per_noise(
+        channels, p_r_watt, (noise_variance_watt,), epsilon, max_iter
+    )[0]
+
+
+def second_slot_optimize_per_noise(
+    channels: ChannelSet,
+    p_r_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[SecondSlotSolution, ...]:
+    """:func:`second_slot_optimize` at each noise variance, from one alternation.
+
+    As in :func:`ais_max_rp_per_noise`, each level's solution equals the
+    scalar one bit for bit.
+    """
     hop = (channels.h_rd, channels.H_ri, channels.h_id)
-    angles, u, _, trace = _alternate(
-        hop, p_r_watt, noise_variance_watt, epsilon, max_iter
-    )
-    return SecondSlotSolution(
-        theta2=PhaseShiftVector(-angles),
-        u_t=Beamformer(u),
-        rate_d=trace[-1],
-        trace=tuple(trace),
+    return tuple(
+        SecondSlotSolution(
+            theta2=PhaseShiftVector(-angles),
+            u_t=Beamformer(u),
+            rate_d=trace[-1],
+            trace=tuple(trace),
+        )
+        for angles, u, _, trace in _alternate(
+            hop, p_r_watt, tuple(noise_variances), epsilon, max_iter
+        )
     )
 
 

@@ -494,10 +494,18 @@ def _explicit_keys(args: argparse.Namespace) -> set[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads the list in "--values -10,0" as an option; glue it on
-    for i in reversed(range(1, len(argv))):
-        if argv[i - 1] == "--values" and re.match(r"-\.?\d", argv[i]):
-            argv[i - 1 : i + 1] = ["--values=" + argv[i]]
+    # argparse reads the list in "--values -10,0" as an option; glue it on.
+    # A subcommand accepts any prefix down to "--v" (no other option of its
+    # starts so); the first token is the subcommand's place, where "--v"
+    # would be the top-level "--version"
+    for i in reversed(range(2, len(argv))):
+        flag = argv[i - 1]
+        if (
+            len(flag) >= 3
+            and "--values".startswith(flag)
+            and re.match(r"-\.?\d", argv[i])
+        ):
+            argv[i - 1 : i + 1] = [flag + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
         if args.subcommand is None:

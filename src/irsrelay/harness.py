@@ -9,10 +9,13 @@ rate and standard error per axis value and method.
 
 Several configurations (the methods of a table, the points of a sweep) are
 evaluated together, trial-major: trial ``k`` of every configuration runs
-before trial ``k + 1`` of any, and they share trial ``k``'s channel draw and
-second-slot solution wherever these agree.  Every result is a pure function
-of the configuration and trial index, so tables are reproducible bit for bit
-whatever else is evaluated alongside and whatever the worker count.
+before trial ``k + 1`` of any, and they share trial ``k``'s channel draw,
+element partition and iterative solves wherever these agree.  No solver
+iterate reads the noise, so one solve serves every noise level (every SNR
+point of a sweep), each stopping at its own iterate.  Every result is a pure
+function of the configuration and trial index, so tables are reproducible
+bit for bit whatever else is evaluated alongside and whatever the worker
+count.
 """
 
 from __future__ import annotations
@@ -32,13 +35,17 @@ from .beamforming import (
     NSP_MODES,
     PhaseShiftVector,
     _check_iteration_controls,
-    ais_max_rp,
+    ais_max_rp_per_noise,
     irses_max_rp_mrc,
     irses_partition,
-    nsp_max_rp_mrc,
-    second_slot_optimize,
+    nsp_max_rp_mrc_per_noise,
+    second_slot_optimize_per_noise,
     ur_update_ais,
 )
+
+# The benchmark's trace points (perfbench/tracing.py) wrap the scalar solvers
+# under these names; the trial engine calls their ``_per_noise`` forms.
+from .beamforming import ais_max_rp, nsp_max_rp_mrc, second_slot_optimize  # noqa: F401
 from .channel import ChannelSet, Geometry, LinkBudget, sample_channels, stream_seed
 from .errors import ConfigError
 from .metrics import (
@@ -180,59 +187,146 @@ def _fixed_second_slot_rate(
     return rate_from_power(power, noise_variance_watt)
 
 
+def _solves(config: ScenarioConfig) -> dict[str, tuple]:
+    """The iterative solves in one trial of ``config``, by kind.
+
+    ``"first"`` and ``"second"`` are the first- and second-slot solves of a
+    two-hop method.  Each is a (key, run) pair: ``run(channels, noises)``
+    returns one solution per noise variance, and the key, led by the
+    solver's name, holds every input of the solve except the trial seed and
+    the noise.  Configurations with equal keys share one solve per trial
+    for all their noise levels.
+    """
+    method = METHODS[config.method]
+    if method.trial != "two-hop":
+        return {}
+    channels = (method.m or config.m, config.n, config.geometry, config.budget)
+    eps, max_iter = config.epsilon, config.max_iter
+    p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
+    solves = {}
+    if method.first_slot == "ais" and not method.fixed_phase:
+        solves["first"] = (
+            ("ais", channels, eps, max_iter),
+            lambda ch, noises: ais_max_rp_per_noise(ch, p_s, noises, eps, max_iter),
+        )
+    elif method.first_slot == "nsp":
+        options = dict(
+            mode=config.nsp_mode,
+            combining=config.combining,
+            phases=PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None,
+        )
+        variant = (config.nsp_mode, config.combining, method.fixed_phase)
+        solves["first"] = (
+            ("nsp", channels, eps, max_iter, *variant),
+            lambda ch, noises: nsp_max_rp_mrc_per_noise(
+                ch, p_s, noises, eps, max_iter, **options
+            ),
+        )
+    if not method.fixed_phase:
+        solves["second"] = (
+            ("second", channels, eps, max_iter),
+            lambda ch, noises: second_slot_optimize_per_noise(
+                ch, p_r, noises, eps, max_iter
+            ),
+        )
+    return solves
+
+
+def solve_plans(configs: Sequence[ScenarioConfig]) -> list[dict[str, tuple]]:
+    """Each configuration's iterative solves, planned across ``configs``.
+
+    One dict per configuration maps each kind of :func:`_solves` to the
+    solve's (key, noise levels, run): the levels are the noise variances
+    its key serves among ``configs``, its own among them.  Nothing here
+    depends on the trial, so one plan serves every trial.
+    """
+    solves = [_solves(config) for config in configs]
+    levels: dict[tuple, dict[float, None]] = {}
+    for config, kinds in zip(configs, solves):
+        for key, _ in kinds.values():
+            levels.setdefault(key, {})[config.noise_variance_watt] = None
+    return [
+        {kind: (key, tuple(levels[key]), run) for kind, (key, run) in kinds.items()}
+        for kinds in solves
+    ]
+
+
+def _shared_solve(
+    solve: tuple, channels: ChannelSet, seed: int, noise: float, shared: dict
+):
+    """The solution at ``noise`` of one planned solve on trial ``seed``.
+
+    ``solve`` is a (key, noise levels, run) entry of :func:`solve_plans`.
+    The solutions are shared under the trial seed and the key; on a miss
+    the solver runs once for every level that ``shared`` lacks.
+    """
+    key, levels, run = solve
+    solutions = shared.setdefault((seed, key), {})
+    if noise not in solutions:
+        noises = tuple(v for v in levels if v not in solutions)
+        solutions.update(zip(noises, run(channels, noises)))
+    return solutions[noise]
+
+
 def _first_slot(
-    config: ScenarioConfig, method: Method, channels: ChannelSet, seed: int, noise: float
+    config: ScenarioConfig,
+    method: Method,
+    channels: ChannelSet,
+    seed: int,
+    noise: float,
+    shared: dict,
+    plan: dict[str, tuple],
 ) -> tuple[float, int]:
     """First-hop rate and iteration count of a two-hop method's solver."""
     p_s = config.budget.p_s_watt
-    phases = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
-    if method.first_slot == "ais":
-        if method.fixed_phase:
-            u_r = ur_update_ais(channels, phases)
-            power = receive_power_ais(channels, phases.angles, u_r.weights, p_s)
-            return rate_from_power(power, noise), 1
-        first = ais_max_rp(channels, p_s, noise, config.epsilon, config.max_iter)
-    elif method.first_slot == "nsp":
-        first = nsp_max_rp_mrc(
-            channels,
-            p_s,
-            noise,
-            config.epsilon,
-            config.max_iter,
-            mode=config.nsp_mode,
-            combining=config.combining,
-            phases=phases,
-        )
-    else:
-        partition = irses_partition(
-            config.n, channels.m, stream_seed(seed, PARTITION_STREAM)
-        )
+    if method.first_slot == "ais" and method.fixed_phase:
+        phases = PhaseShiftVector(np.zeros(config.n))
+        u_r = ur_update_ais(channels, phases)
+        power = receive_power_ais(channels, phases.angles, u_r.weights, p_s)
+        return rate_from_power(power, noise), 1
+    if method.first_slot == "irses":
+        partition = ("partition", seed, config.n, channels.m)
+        if partition not in shared:
+            shared[partition] = irses_partition(
+                config.n, channels.m, stream_seed(seed, PARTITION_STREAM)
+            )
         first = irses_max_rp_mrc(
             channels,
             p_s,
             noise,
-            partition,
+            shared[partition],
             interference_mode=config.irses_mode,
             combining=config.combining,
-            phases=phases,
+            phases=PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None,
         )
+    else:
+        first = _shared_solve(plan["first"], channels, seed, noise, shared)
     return first.rate_r, first.iterations
 
 
 def run_trial(
-    config: ScenarioConfig, trial_index: int, *, shared: dict | None = None
+    config: ScenarioConfig,
+    trial_index: int,
+    *,
+    shared: dict | None = None,
+    plan: dict[str, tuple] | None = None,
 ) -> TrialRecord:
     """Evaluate one Monte Carlo trial of the configured method.
 
     ``shared`` holds what other configurations evaluated at the same trial
-    index may reuse: the channel draw, keyed by everything it depends on, and
-    the second-slot solution on those channels, keyed by its own inputs.  It
-    is filled on first use; a result does not depend on whether it was
-    shared.
+    index may reuse: the channel draw, keyed by everything it depends on,
+    the element partition of ``irses`` methods, and the iterative solves on
+    those channels, keyed by their inputs without the noise.  ``plan`` is
+    the configuration's entry of :func:`solve_plans` (by default, planned
+    alone): a solve runs once for every noise level its plan lists, each
+    stopping at its own iterate.  ``shared`` is filled on first use; a
+    result does not depend on whether, or with which noise levels, anything
+    was shared.
     """
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     shared = {} if shared is None else shared
+    plan = solve_plans([config])[0] if plan is None else plan
     method = METHODS[config.method]
     seed = trial_seed(config.base_seed, trial_index)
     m = method.m or config.m
@@ -255,17 +349,14 @@ def run_trial(
         rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
         iterations = (1, 1)
     else:
-        rate_r, iterations_1 = _first_slot(config, method, channels, seed, noise)
+        rate_r, iterations_1 = _first_slot(
+            config, method, channels, seed, noise, shared, plan
+        )
         if method.fixed_phase:
             rate_d = _fixed_second_slot_rate(channels, p_r, noise)
             iterations = (iterations_1, 1)
         else:
-            solve = (draw, noise, config.epsilon, config.max_iter)
-            if solve not in shared:
-                shared[solve] = second_slot_optimize(
-                    channels, p_r, noise, config.epsilon, config.max_iter
-                )
-            second = shared[solve]
+            second = _shared_solve(plan["second"], channels, seed, noise, shared)
             rate_d = second.rate_d
             iterations = (iterations_1, second.iterations)
     result = RateResult(
@@ -283,7 +374,9 @@ def collect_trials(
     sequence, returns one such list per configuration, in sequence order.
     Evaluation is serial and trial-major: every configuration's trial ``k``
     runs before any trial ``k + 1``, and they share trial ``k``'s channel
-    draws and second-slot solutions wherever their inputs agree.  Sharing
+    draws, element partitions and iterative solves wherever their inputs
+    other than the noise agree.  Each solve runs once per trial for all the
+    noise levels that share it (the SNR points of a sweep, say).  Sharing
     changes no bit of any record.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
@@ -292,12 +385,13 @@ def collect_trials(
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = [config] if isinstance(config, ScenarioConfig) else list(config)
+    plans = solve_plans(configs)
     records: list[list[TrialRecord]] = [[] for _ in configs]
     for trial_index in range(max((c.trials for c in configs), default=0)):
         shared: dict = {}
-        for cfg, out in zip(configs, records):
+        for cfg, plan, out in zip(configs, plans, records):
             if trial_index < cfg.trials:
-                out.append(run_trial(cfg, trial_index, shared=shared))
+                out.append(run_trial(cfg, trial_index, shared=shared, plan=plan))
     return records[0] if isinstance(config, ScenarioConfig) else records
 
 
@@ -408,7 +502,8 @@ def sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the whole sweep grid; deterministic for any worker count.
 
     All grid points go through one :func:`collect_trials` call, so a trial's
-    channels are drawn once for every point that shares them.
+    channels are drawn, and on an SNR axis its solvers run, once for every
+    point that shares them.
     """
     grid = [
         (value, method, point_config(spec, value, method))

@@ -3,8 +3,9 @@
 Each check exercises one structural guarantee of the library on small
 dimensions: deterministic channel draws, unit-modulus phase shifts,
 unit-norm beamformers, monotone ascent traces, null-space orthogonality,
-grouping alignment, oracle dominance, and worker-count-independent sweeps.
-All checks together take on the order of a second.
+grouping alignment, oracle dominance, and a shared sweep that matches
+separate runs cell for cell.  All checks together take on the order of a
+second.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from .beamforming import (
     theta_update_ais,
 )
 from .channel import Geometry, LinkBudget, sample_channels
-from .harness import ScenarioConfig, SweepSpec, sweep
+from .harness import (
+    ScenarioConfig,
+    SweepPoint,
+    SweepSpec,
+    collect_trials,
+    point_config,
+    summarize_records,
+    sweep,
+)
 from .metrics import flops_ais, flops_irses, flops_nsp
 
 P_S = 10.0
@@ -174,21 +183,28 @@ def _check_second_slot(seed: int) -> str:
         raise AssertionError(f"forward ascent trace dipped by {dips:.2e}")
     return "forward-link rate matches its aligned channel"
 
-def _check_worker_invariance(seed: int) -> str:
+def _check_shared_evaluation(seed: int) -> str:
     config = ScenarioConfig(m=2, n=6, trials=6, base_seed=seed, epsilon=1e-3)
     spec = SweepSpec(
         config=config,
         axis="snr_db",
         values=(0.0, 10.0),
-        methods=("ais", "irses"),
+        methods=("ais", "nsp", "irses"),
     )
-    serial = sweep(spec, workers=1)
-    eight = sweep(spec, workers=8)
-    if serial.points != eight.points:
-        raise AssertionError("worker count changed the sweep table")
-    if serial.points != sweep(spec, workers=1).points:
-        raise AssertionError("repeated sweep changed the table")
-    return "1-worker and 8-worker sweeps agree cell for cell"
+    shared = sweep(spec).points
+    for point in shared:
+        alone = point_config(spec, point.axis_value, point.method)
+        cell = SweepPoint(
+            point.axis_value,
+            point.method,
+            *summarize_records(collect_trials(alone)),
+            alone.trials,
+        )
+        if cell != point:
+            raise AssertionError(
+                f"sharing changed the {point.method} cell at {point.axis_value} dB"
+            )
+    return f"shared sweep and {len(shared)} separate runs agree cell for cell"
 
 def _check_flops_ordering(seed: int) -> str:
     del seed
@@ -210,7 +226,7 @@ CHECKS = (
     ("grouping alignment", _check_grouping_alignment),
     ("oracle dominance", _check_oracle_dominance),
     ("second slot", _check_second_slot),
-    ("worker-count invariance", _check_worker_invariance),
+    ("shared evaluation", _check_shared_evaluation),
     ("flops ordering", _check_flops_ordering),
 )
 

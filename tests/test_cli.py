@@ -226,8 +226,10 @@ def test_main_sweep_accepts_negative_values_after_a_space(values, capsys):
     common = ["--trials", "2", "--methods", "ais", "--set", "m=2", "--set", "n=4"]
     assert cli.main(["sweep-snr", f"--values={values}"] + common) == 0
     expected = capsys.readouterr().out
-    assert cli.main(["sweep-snr", "--values", values] + common) == 0
-    assert capsys.readouterr().out == expected
+    # argparse accepts every prefix of --values down to --v
+    for flag in ("--values", "--val", "--v"):
+        assert cli.main(["sweep-snr", flag, values] + common) == 0
+        assert capsys.readouterr().out == expected
     body = [ln for ln in expected.splitlines() if not ln.startswith("#")]
     assert [ln.split(",")[0] for ln in body[1:]] == [
         repr(float(v)) for v in values.split(",")

@@ -184,14 +184,17 @@ def test_shared_draws_and_second_slots_change_no_record(monkeypatch):
     alone = [collect_trials(c) for c in configs]
     draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: (s, m))
     solves = _count_calls(
-        monkeypatch, "second_slot_optimize", lambda ch, p, noise, *_: (ch.m, noise)
+        monkeypatch,
+        "second_slot_optimize_per_noise",
+        lambda ch, p, noises, *_: (ch.h_rd.tobytes(), noises),
     )
     together = collect_trials(configs)
     assert together == alone
-    # one draw per (trial, m) and one second slot per (trial, m, SNR): m=8
-    # for the first four methods, m=1 for the single-antenna baseline
+    # one draw per (trial, m) and one noise-free second slot per (trial, m):
+    # m=8 for the first four methods, m=1 for the single-antenna baseline
     assert sorted(draws.values()) == [1] * 6
-    assert sorted(solves.values()) == [3, 3]
+    assert sorted(solves.values()) == [1] * 6
+    assert {noises for _, noises in solves} == {(configs[0].noise_variance_watt,)}
 
 
 def test_sweep_shares_draws_across_snr_points(monkeypatch):
@@ -205,14 +208,22 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         for method in spec.methods
     ]
     draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: s)
-    solves = _count_calls(
-        monkeypatch, "second_slot_optimize", lambda ch, p, noise, *_: noise
-    )
+    solves = {
+        name: _count_calls(monkeypatch, name, lambda ch, p, noises, *_: noises)
+        for name in ("ais_max_rp_per_noise", "second_slot_optimize_per_noise")
+    }
+    partitions = _count_calls(monkeypatch, "irses_partition", lambda n, m, s: s)
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
             for p in together] == alone
     assert sorted(draws.values()) == [1] * 3  # one draw per trial
-    assert sorted(solves.values()) == [3, 3]  # one solve per trial and SNR
+    # one noise-free solve per trial serves both SNR points
+    noises = tuple(
+        point_config(spec, v, "ais").noise_variance_watt for v in spec.values
+    )
+    for counts in solves.values():
+        assert counts == {noises: 3}
+    assert sorted(partitions.values()) == [1] * 3  # one partition per trial
 
 
 def test_collect_trials_rejects_workers_below_one():

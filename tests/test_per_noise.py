@@ -1,0 +1,137 @@
+"""One alternation for several noise levels equals one scalar solve per level.
+
+No iterate of ``ais``, ``nsp`` or the second slot reads the noise variance, so
+the ``_per_noise`` solvers run one alternation and stop each level at its own
+iterate.  Every field of each level's solution must equal, bit for bit, what
+the scalar solver returns at that level alone.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from irsrelay.beamforming import (
+    PhaseShiftVector,
+    ais_max_rp,
+    ais_max_rp_per_noise,
+    nsp_max_rp_mrc,
+    nsp_max_rp_mrc_per_noise,
+    second_slot_optimize,
+    second_slot_optimize_per_noise,
+)
+from irsrelay.errors import ConfigError
+from irsrelay.metrics import noise_variance_for_snr
+
+from conftest import P_R, P_S, make_channels
+
+
+def noise_levels(*snr_db):
+    return tuple(noise_variance_for_snr(s, P_S, P_R) for s in snr_db)
+
+
+GRID = noise_levels(0, 5, 10, 15, 20, 25, 30)
+
+#: (noise levels, epsilon, max_iter); at epsilon 1e-6 and 6 iterations the
+#: low-SNR levels stop on the rate rule and the high-SNR ones on the cap
+CASES = {
+    "0-30dB": (GRID, 1e-4, 50),
+    "max_iter=1": (GRID, 1e-4, 1),
+    "mixed-stops": (GRID, 1e-6, 6),
+    "repeated-unsorted": (noise_levels(30, 0, 15, 0, 30, 5), 1e-4, 50),
+}
+
+
+class Solver(NamedTuple):
+    per_noise: object
+    scalar: object
+    power: float
+    shape: tuple[int, int]
+    options: dict = {}
+
+
+SOLVERS = {
+    "ais": Solver(ais_max_rp_per_noise, ais_max_rp, P_S, (4, 16)),
+    "second-slot": Solver(
+        second_slot_optimize_per_noise, second_slot_optimize, P_R, (4, 16)
+    ),
+    **{
+        f"nsp-{mode}-{combining}": Solver(
+            nsp_max_rp_mrc_per_noise,
+            nsp_max_rp_mrc,
+            P_S,
+            # literal mode projects off the whole surface matrix: needs m > n
+            (8, 4) if mode == "literal" else (4, 16),
+            {"mode": mode, "combining": combining},
+        )
+        for mode in ("effective", "literal")
+        for combining in ("snr-sum", "printed")
+    },
+    "nsp-fixed-phases": Solver(
+        nsp_max_rp_mrc_per_noise,
+        nsp_max_rp_mrc,
+        P_S,
+        (4, 16),
+        {"phases": PhaseShiftVector(np.zeros(16))},
+    ),
+}
+
+
+def assert_identical(together, alone):
+    assert together.trace == alone.trace
+    assert together.iterations == alone.iterations
+    for field in ("rate_r", "rate_d", "receive_power_watt"):
+        assert getattr(together, field, None) == getattr(alone, field, None)
+    for field in ("theta1", "theta2"):
+        if hasattr(alone, field):
+            assert np.array_equal(
+                getattr(together, field).angles, getattr(alone, field).angles
+            )
+    for field in ("u_r", "u_rs", "u_ri", "u_t"):
+        if getattr(alone, field, None) is not None:
+            assert np.array_equal(
+                getattr(together, field).weights, getattr(alone, field).weights
+            )
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("name", SOLVERS)
+def test_per_noise_solve_equals_one_scalar_solve_per_level(name, case):
+    solver = SOLVERS[name]
+    levels, epsilon, max_iter = CASES[case]
+    for seed in range(4):
+        channels = make_channels(*solver.shape, seed=seed)
+        together = solver.per_noise(
+            channels, solver.power, levels, epsilon, max_iter, **solver.options
+        )
+        assert len(together) == len(levels)
+        for noise, solution in zip(levels, together):
+            alone = solver.scalar(
+                channels, solver.power, noise, epsilon, max_iter, **solver.options
+            )
+            assert_identical(solution, alone)
+
+
+@pytest.mark.parametrize("name", ["ais", "second-slot", "nsp-effective-snr-sum"])
+def test_mixed_case_stops_on_both_rules(name):
+    # pins that the "mixed-stops" case, on one of the draws compared above,
+    # stops some levels on the rate rule and others on the cap
+    solver = SOLVERS[name]
+    levels, epsilon, max_iter = CASES["mixed-stops"]
+
+    def mixed(channels):
+        capped = solver.per_noise(channels, solver.power, levels, epsilon, max_iter)
+        free = solver.per_noise(channels, solver.power, levels, epsilon, 50)
+        return min(s.iterations for s in capped) < max_iter and any(
+            c.iterations == max_iter < f.iterations for c, f in zip(capped, free)
+        )
+
+    assert any(mixed(make_channels(*solver.shape, seed=seed)) for seed in range(4))
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_per_noise_solve_needs_a_noise_level(name):
+    solver = SOLVERS[name]
+    channels = make_channels(*solver.shape, seed=0)
+    with pytest.raises(ConfigError):
+        solver.per_noise(channels, solver.power, (), 1e-4, 50, **solver.options)
