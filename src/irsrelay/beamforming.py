@@ -17,13 +17,22 @@ the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
 grid oracle for small instances, used by the test suite.
 
 No iterate of an alternation reads the noise variance: it enters only the
-rate trace and the stop.  So each iterative solver also has a ``_per_noise``
-form that runs one alternation for several noise variances and stops each at
-its own iterate; the scalar solver is its one-level case.
+rate trace and the stop.  There is one loop per solver family, and it runs
+on a stack of trials (a :class:`~irsrelay.channel.ChannelSet` with a leading
+trial axis) for several noise variances at once: each (trial, noise level)
+stops at its own iterate, and a trial leaves the stack once all its levels
+have stopped.  The ``_batch`` solvers expose it; the ``_per_noise`` forms
+are its one-trial view and the scalar solvers its one-trial, one-level view.
+Every batched operation runs the same floating-point operations per trial
+as the one-trial case (the same BLAS call per slice, the same elementwise
+loops), so a trial's solution does not depend on what it is stacked with.
+:func:`irses_max_rp_mrc` is closed-form; its ``_per_noise`` form computes
+the noise-free part once.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,34 +78,59 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 
 
 def _checked_angles(angles: np.ndarray) -> np.ndarray:
-    """Finite ``angles`` wrapped onto [0, 2*pi), as a phase vector stores them.
-
-    The solvers iterate on these raw arrays and build one
-    :class:`PhaseShiftVector` at the end; every iterate is checked here.
-    """
+    """Finite ``angles`` wrapped onto [0, 2*pi), as a phase vector stores them."""
     if not np.isfinite(angles).all():
         raise ConfigError("phase vector contains non-finite angles")
     return wrap_angles(angles)
 
 
-def _check_unit_norm(weights: np.ndarray) -> None:
-    norm = float(np.linalg.norm(weights))
-    if abs(norm - 1.0) > 1e-12:
-        raise ConfigError(f"beamformer norm must be 1, got {norm!r}")
+def _norms(stack: np.ndarray) -> list[float]:
+    """Euclidean norm of each row of a stack of weight vectors.
+
+    This is :func:`numpy.linalg.norm` of each row: it sums the squares of
+    the strided real and imaginary parts with one BLAS dot each, and
+    ``vecdot`` on the same strided views runs the same dot per row, so the
+    bits agree (a contiguous copy of the parts would take another dot
+    kernel and change them).  One row takes ``linalg.norm`` itself, which
+    costs less.
+    """
+    if len(stack) == 1:
+        return [float(np.linalg.norm(stack))]
+    re, im = stack.real, stack.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+
+
+def _check_unit_norm(norms: list[float]) -> None:
+    # the solvers check every iterate: a stack's few norms are checked as
+    # floats, which costs less than array comparisons
+    for norm in norms:
+        if abs(norm - 1.0) > 1e-12:
+            raise ConfigError(f"beamformer norm must be 1, got {norm!r}")
 
 
 def _unit(weights: np.ndarray) -> np.ndarray:
-    """``weights`` scaled to unit norm, as a beamformer stores them.
+    """Each row of a stack of weight vectors scaled to unit norm.
 
-    Zero vectors are rejected, and the result passes the unit-norm check of
-    :class:`Beamformer` (the solvers call this on every iterate).
+    Zero vectors are rejected, and every result passes the unit-norm check
+    of :class:`Beamformer` (the solvers call this on every iterate).
     """
-    norm = float(np.linalg.norm(weights))
-    if norm < ZERO_NORM:
+    norms = _norms(weights)
+    if any(norm < ZERO_NORM for norm in norms):
         raise DegenerateChannelError("cannot normalize a zero beamformer")
-    unit = weights / norm
-    _check_unit_norm(unit)
+    # a float divides one row faster than an array, with the same bits
+    unit = weights / (norms[0] if len(norms) == 1 else np.array(norms)[:, np.newaxis])
+    _check_unit_norm(_norms(unit))
     return unit
+
+
+def _powers(p_watt: float, weights: np.ndarray, channels: np.ndarray) -> list[float]:
+    """Received power ``p_watt |w^H c|^2`` of each row, as floats.
+
+    The square is a float's ``** 2``, the C library's ``pow``, as in the
+    scalar rule; numpy squares an array otherwise, which can differ in the
+    last bit.
+    """
+    return [p_watt * amp**2 for amp in np.abs(np.vecdot(weights, channels)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -130,13 +164,16 @@ class Beamformer:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=np.complex128))
         if weights.ndim != 1:
             raise ConfigError("beamformer weights must be one-dimensional")
-        _check_unit_norm(weights)
+        _check_unit_norm(_norms(weights[np.newaxis]))
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def normalized(cls, weights: np.ndarray) -> "Beamformer":
         """Scale ``weights`` to unit norm; zero vectors are rejected."""
-        return cls(_unit(np.atleast_1d(np.asarray(weights, dtype=np.complex128))))
+        weights = np.atleast_1d(np.asarray(weights, dtype=np.complex128))
+        if weights.ndim != 1:
+            raise ConfigError("beamformer weights must be one-dimensional")
+        return cls(_unit(weights[np.newaxis])[0])
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -251,71 +288,170 @@ def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
 
 
 def _path_row(H: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-element response (u^H H)_i * h_i of a hop's reflected paths."""
-    return (np.conj(u) @ H) * h
+    """Per-element response (u^H H)_i * h_i of a hop's reflected paths.
 
-
-def _aligned_angles(reference: complex, row: np.ndarray) -> np.ndarray:
-    """Checked phases rotating each entry of ``row`` onto ``reference``'s phase.
-
-    Entries with zero magnitude carry no signal; their phase is set to 0 and
-    reported through :class:`DegenerateElementWarning`.
+    ``H^T conj(u)`` on the transposed view runs the BLAS gemv of the
+    one-trial ``conj(u) @ H`` on each trial (``np.vecmat`` does not).
     """
-    zero = np.abs(row) < ZERO_NORM
-    angles = np.angle(reference) - np.angle(row)
-    if zero.any():
+    return np.matvec(H.mT, np.conj(u)) * h
+
+
+def _phase(z: np.ndarray) -> np.ndarray:
+    """``np.angle(z)`` of a complex array, without its argument handling."""
+    return np.arctan2(z.imag, z.real)
+
+
+def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarray:
+    """Checked phases rotating each entry of ``rows`` onto the phase ``reference``.
+
+    ``reference`` holds one phase in [-pi, pi] per row (trailing axis of
+    length 1) or one for all.  The result is what :func:`_checked_angles`
+    makes of the differences; the solvers iterate on such raw arrays and
+    build one :class:`PhaseShiftVector` at the end, so every iterate is
+    checked here.  Entries with zero magnitude carry no signal; their phase
+    is set to 0 and reported through :class:`DegenerateElementWarning`,
+    once per row.
+    """
+    zero = np.abs(rows) < ZERO_NORM
+    angles = reference - _phase(rows)
+    if np.count_nonzero(zero):
         angles[zero] = 0.0
-        warnings.warn(
-            f"{int(zero.sum())} zero-magnitude cascaded path(s); phase set to 0",
-            DegenerateElementWarning,
-            stacklevel=3,
-        )
-    return _checked_angles(angles)
+        counts = zero.sum(axis=-1, keepdims=True)
+        for count in counts[counts > 0]:
+            warnings.warn(
+                f"{int(count)} zero-magnitude cascaded path(s); phase set to 0",
+                DegenerateElementWarning,
+                stacklevel=3,
+            )
+    if np.count_nonzero(np.isfinite(angles)) != angles.size:
+        raise ConfigError("phase vector contains non-finite angles")
+    # two phases in [-pi, pi] differ by at most 2*pi, where the fmod inside
+    # np.mod is exact: wrap_angles reduces to adding 2*pi below zero (and
+    # 0 elsewhere, which turns -0 into +0), bit for bit
+    wrapped = angles + np.where(angles < 0.0, TWO_PI, 0.0)
+    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
 def _align(hop: tuple, u: np.ndarray) -> np.ndarray:
     """Phases aligning each reflected path with the direct path at ``u``.
 
-    ``hop`` is one hop's (direct link, surface matrix H, element link h).
+    ``hop`` is one hop's (direct link, surface matrix H, element link h),
+    for one trial or with a leading trial axis.
     """
     direct, H, h = hop
-    return _aligned_angles(complex(np.vdot(u, direct)), _path_row(H, h, u))
+    reference = _phase(np.vecdot(u, direct))[..., np.newaxis]
+    return _aligned_angles(reference, _path_row(H, h, u))
 
 
 def _hop_channel(hop: tuple, angles: np.ndarray) -> np.ndarray:
     """A hop's effective channel direct + H diag(exp(j*angles)) h."""
     direct, H, h = hop
-    return direct + H @ (np.exp(1j * angles) * h)
+    return direct + np.matvec(H, np.exp(1j * angles) * h)
 
 
-def _check_noise_levels(noise_variances: tuple[float, ...]) -> None:
+#: the first and second hop's (direct link, surface matrix, element link)
+_FIRST_HOP = operator.attrgetter("h_sr", "H_ir", "h_si")
+_SECOND_HOP = operator.attrgetter("h_rd", "H_ri", "h_id")
+
+
+def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tuple:
+    """One hop's blocks with a leading trial axis.
+
+    ``stack`` says whether ``channels`` is a stack of trials; one trial is
+    viewed as a stack of one.
+    """
+    if (channels.h_sr.ndim == 2) != stack:
+        raise ConfigError(
+            "the batched solvers take a stack of trials, the others one trial"
+        )
+    direct, H, h = blocks(channels)
+    return (direct, H, h) if stack else (direct[None], H[None], h[None])
+
+
+def _check_noise_levels(noise_variances: tuple) -> None:
     if not noise_variances:
         raise ConfigError("need at least one noise variance")
 
 
-def _extend_traces(
-    traces: list[list[float]],
-    stops: list,
-    noise_variances: tuple[float, ...],
-    power: float,
-    epsilon: float,
-    iterate: tuple,
-) -> bool:
-    """Append ``power``'s rate to the trace of every noise level still running.
+class _Stops:
+    """The rate traces of a batched alternation and where each one stops.
 
-    A level stops once its last two rates differ by at most ``epsilon``; its
-    entry of ``stops`` then holds ``iterate``.  True when every level has
-    stopped.
+    Each iterate appends to the trace of every running (trial, noise level)
+    the rate ``log2(1 + power / noise)`` of its trial's power.  A level
+    stops once its last two rates differ by at most ``epsilon``, or on the
+    ``max_iter``-th, and keeps that iterate and its trace in ``stopped``;
+    a trial leaves the running ``rows`` once all its levels have stopped.
+    The traces are floats, as in the one-trial rule: a stack of one checks
+    its few rates faster on floats than any array bookkeeping would.
     """
-    done = True
-    for k, trace in enumerate(traces):
-        if stops[k] is None:
-            trace.append(rate_from_power(power, noise_variances[k]))
-            if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= epsilon:
-                stops[k] = iterate
-            else:
-                done = False
-    return done
+
+    def __init__(
+        self,
+        trials: int,
+        noise_variances: tuple[float, ...],
+        epsilon: float,
+        max_iter: int,
+    ) -> None:
+        _check_iteration_controls(epsilon, max_iter)
+        _check_noise_levels(noise_variances)
+        for noise in noise_variances:
+            if noise <= 0.0:
+                raise ValueError(f"noise variance must be positive, got {noise}")
+        self.noise = noise_variances
+        self.epsilon = epsilon
+        self.max_iter = max_iter
+        levels = range(len(noise_variances))
+        #: the trial of each running row, and its running (level, trace)s
+        self.rows = list(range(trials))
+        self.live = [[(level, []) for level in levels] for _ in self.rows]
+        #: per trial and level, the (iterate, trace) it stopped at
+        self.stopped: list[list] = [[None] * len(levels) for _ in self.rows]
+
+    def record(self, powers: list[float], iterate: tuple) -> list[int] | None:
+        """Take one iterate of the running rows, with a power per row.
+
+        ``iterate`` holds per-row arrays; a level that stops keeps its row
+        of each, and the row's power.  Returns the rows that keep running
+        when some leave (none once every level has stopped), else None.
+        """
+        if len(self.rows) == 1:
+            # one array call per iterate would cost more than a few floats
+            power = powers[0]
+            rates = ([float(np.log2(1.0 + power / noise)) for noise in self.noise],)
+        else:
+            rates = np.log2(1.0 + np.divide.outer(powers, self.noise)).tolist()
+        epsilon, max_iter = self.epsilon, self.max_iter
+        stops = []
+        for row, live in enumerate(self.live):
+            row_rates = rates[row]
+            for entry in live:
+                level, trace = entry
+                rate = row_rates[level]
+                trace.append(rate)
+                if len(trace) == max_iter or (
+                    len(trace) > 1 and abs(rate - trace[-2]) <= epsilon
+                ):
+                    stops.append((row, entry))
+        if not stops:
+            return None
+        for row, entry in stops:
+            level, trace = entry
+            # a copy, so that the iterate's arrays of the stack can go
+            parts = [part[row].copy() for part in iterate]
+            self.stopped[self.rows[row]][level] = ((*parts, powers[row]), tuple(trace))
+            self.live[row].remove(entry)
+        keep = [row for row, live in enumerate(self.live) if live]
+        if len(keep) == len(self.rows):
+            return None
+        self.rows = [self.rows[row] for row in keep]
+        self.live = [self.live[row] for row in keep]
+        return keep
+
+
+def _check_power(p_watt: float) -> None:
+    # a trace's power is p_watt times a square
+    if p_watt < 0.0:
+        raise ValueError(f"power must be non-negative, got {p_watt}")
 
 
 def _alternate(
@@ -324,29 +460,27 @@ def _alternate(
     noise_variances: tuple[float, ...],
     epsilon: float,
     max_iter: int,
-) -> list[tuple[np.ndarray, np.ndarray, float, list[float]]]:
-    """:func:`ais_max_rp`'s loop on one hop, for several noise levels at once.
+) -> _Stops:
+    """:func:`ais_max_rp`'s loop on one hop of a stack of trials.
 
-    No iterate reads the noise, which enters only each level's rate trace
-    and its stop.  Returns (angles, weights, power, trace) per noise level,
-    each at the iterate where that level stopped.
+    ``hop`` holds the (direct, H, h) blocks with a leading trial axis.  No
+    iterate reads the noise, which enters only each level's rate trace and
+    its stop.  Each stop keeps the iterate's (angles, weights, power).
     """
-    _check_iteration_controls(epsilon, max_iter)
-    _check_noise_levels(noise_variances)
-    traces: list[list[float]] = [[] for _ in noise_variances]
-    stops: list = [None] * len(noise_variances)
-    u = _unit(hop[0])  # the matched filter to the direct link
+    direct, H, h = hop
+    stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
+    _check_power(p_watt)
+    u = _unit(direct)  # the matched filter to each direct link
     for _ in range(max_iter):
-        angles = _align(hop, u)
-        combined = _hop_channel(hop, angles)
+        angles = _align((direct, H, h), u)
+        combined = _hop_channel((direct, H, h), angles)
         u = _unit(combined)
-        power = float(p_watt * np.abs(np.vdot(u, combined)) ** 2)
-        if _extend_traces(
-            traces, stops, noise_variances, power, epsilon, (angles, u, power)
-        ):
-            break
-    last = (angles, u, power)  # where the levels still running hit max_iter
-    return [(*(stop or last), trace) for stop, trace in zip(stops, traces)]
+        keep = stops.record(_powers(p_watt, u, combined), (angles, u))
+        if keep is not None:
+            if not keep:
+                break
+            direct, H, h, u = direct[keep], H[keep], h[keep], u[keep]
+    return stops
 
 
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
@@ -396,22 +530,45 @@ def ais_max_rp_per_noise(
 
     The iterates do not depend on the noise, so they are computed once; each
     level's solution equals the one :func:`ais_max_rp` returns at it, bit
-    for bit.
+    for bit.  This is :func:`ais_max_rp_batch` on one trial.
     """
-    hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    return tuple(
-        FirstSlotSolution(
-            method="ais",
-            theta1=PhaseShiftVector(angles),
-            receive_power_watt=power,
-            rate_r=trace[-1],
-            trace=tuple(trace),
-            u_r=Beamformer(u),
+    hop = _hop(channels, _FIRST_HOP, stack=False)
+    stops = _alternate(hop, p_s_watt, noise_variances, epsilon, max_iter)
+    return _ais_solutions(stops)[0]
+
+
+def ais_max_rp_batch(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`ais_max_rp_per_noise` on each trial of a stack, in one loop.
+
+    Returns one tuple of per-level solutions per trial; each equals what
+    the one-trial solver returns on that trial, bit for bit.
+    """
+    hop = _hop(channels, _FIRST_HOP, stack=True)
+    stops = _alternate(hop, p_s_watt, noise_variances, epsilon, max_iter)
+    return _ais_solutions(stops)
+
+
+def _ais_solutions(stops: _Stops) -> list[tuple[FirstSlotSolution, ...]]:
+    return [
+        tuple(
+            FirstSlotSolution(
+                method="ais",
+                theta1=PhaseShiftVector(angles),
+                receive_power_watt=float(power),
+                rate_r=trace[-1],
+                trace=trace,
+                u_r=Beamformer(u),
+            )
+            for (angles, u, power), trace in levels
         )
-        for angles, u, power, trace in _alternate(
-            hop, p_s_watt, tuple(noise_variances), epsilon, max_iter
-        )
-    )
+        for levels in stops.stopped
+    ]
 
 
 def nsp_projector(A: np.ndarray) -> np.ndarray:
@@ -433,18 +590,18 @@ def nsp_projector(A: np.ndarray) -> np.ndarray:
 
 
 def _nsp_start_phases(
-    channels: ChannelSet, direct_null: np.ndarray
+    H: np.ndarray, h: np.ndarray, direct_null: np.ndarray
 ) -> PhaseShiftVector:
-    """Start phases of the null-space alternation.
+    """Start phases of the null-space alternation on one trial.
 
-    The reflected branch at phasors v is ||B v|| with B = P H_ir diag(h_si).
+    The reflected branch at phasors v is ||B v|| with B = P H diag(h).
     B's principal right singular vector maximizes it without the
     unit-modulus constraint; its phases, rotated so that its largest entry
     is real positive (a deterministic global phase), are one candidate and
     flat phases the other.  The larger branch wins, flat phases on a tie,
     so the start is never below the flat-phase branch.
     """
-    relaxed = direct_null @ (channels.H_ir * channels.h_si)
+    relaxed = direct_null @ (H * h)
     # B^H times the principal eigenvector of the m x m Gram matrix B B^H is
     # the principal right singular vector up to scale, without an n x n SVD
     gram = relaxed @ np.conj(relaxed.T)
@@ -452,7 +609,7 @@ def _nsp_start_phases(
     angles = np.angle(v) - np.angle(v[np.argmax(np.abs(v))])
     singular = np.linalg.norm(relaxed @ np.exp(1j * angles))
     flat = np.linalg.norm(relaxed.sum(axis=1))
-    return PhaseShiftVector(angles if singular > flat else np.zeros(channels.n))
+    return PhaseShiftVector(angles if singular > flat else np.zeros(h.shape[0]))
 
 
 def nsp_max_rp_mrc(
@@ -517,96 +674,135 @@ def nsp_max_rp_mrc_per_noise(
     The start phases, the projector off the direct channel and the
     iterates are computed once, and each level stops at its own iterate.
     Each level's solution equals the one :func:`nsp_max_rp_mrc` returns at
-    it, bit for bit.
+    it, bit for bit.  This is :func:`nsp_max_rp_mrc_batch` on one trial.
     """
+    hop = _hop(channels, _FIRST_HOP, stack=False)
+    options = (mode, combining, phases)
+    return _nsp(hop, p_s_watt, noise_variances, epsilon, max_iter, *options)[0]
+
+
+def nsp_max_rp_mrc_batch(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+    mode: str = NSP_MODES[0],
+    combining: str = COMBINING_MODES[0],
+    phases: PhaseShiftVector | None = None,
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`nsp_max_rp_mrc_per_noise` on each trial of a stack, in one loop.
+
+    Returns one tuple of per-level solutions per trial; each equals what
+    the one-trial solver returns on that trial, bit for bit.
+    """
+    hop = _hop(channels, _FIRST_HOP, stack=True)
+    options = (mode, combining, phases)
+    return _nsp(hop, p_s_watt, noise_variances, epsilon, max_iter, *options)
+
+
+def _nsp(
+    hop: tuple,
+    p_s_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float,
+    max_iter: int,
+    mode: str,
+    combining: str,
+    phases: PhaseShiftVector | None,
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`nsp_max_rp_mrc`'s loop on the first hop of a stack of trials."""
     noise_variances = tuple(noise_variances)
-    _check_iteration_controls(epsilon, max_iter)
-    _check_noise_levels(noise_variances)
-    if channels.m < 2:
+    h_sr, H_ir, h_si = hop
+    trials, m, n = H_ir.shape
+    stops = _Stops(trials, noise_variances, epsilon, max_iter if phases is None else 1)
+    _check_power(p_s_watt)
+    if m < 2:
         raise ConfigError("null-space separation needs at least 2 relay antennas")
     if mode not in NSP_MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     if combining not in COMBINING_MODES:
         raise ConfigError(f"unknown combining {combining!r}")
-    if mode == "literal" and channels.n >= channels.m:
+    if mode == "literal" and n >= m:
         raise ProjectorDegenerateError(
             "literal mode projects off the full surface-to-relay matrix, "
-            f"which spans the receive space for n={channels.n} >= m={channels.m}"
+            f"which spans the receive space for n={n} >= m={m}"
         )
-    if phases is not None and len(phases) != channels.n:
+    if phases is not None and len(phases) != n:
         raise ConfigError("fixed phase vector length must equal n")
 
-    direct_null = nsp_projector(channels.h_sr)
-    H, h = channels.H_ir, channels.h_si
-
-    theta = _nsp_start_phases(channels, direct_null) if phases is None else phases
+    direct_null = np.empty((trials, m, m), dtype=np.complex128)
+    angles = np.empty((trials, n))
+    for trial in range(trials):
+        direct_null[trial] = nsp_projector(h_sr[trial])
+        if phases is None:
+            start = _nsp_start_phases(H_ir[trial], h_si[trial], direct_null[trial])
+            angles[trial] = start.angles
+        else:
+            angles[trial] = phases.angles
     # the reflected branch alone: no direct term in the cascade
-    cascade = H @ (theta.phasors * h)
-    if phases is None:
-        traces: list[list[float]] = [[] for _ in noise_variances]
-        stops: list = [None] * len(noise_variances)
+    cascade = np.matvec(H_ir, np.exp(1j * angles) * h_si)
+    if phases is not None:
+        u_ri = _unit(np.matvec(direct_null, np.matvec(direct_null, cascade)))
+        stops.record(_powers(p_s_watt, u_ri, cascade), (angles, u_ri, cascade))
+    else:
+        H, h, null = H_ir, h_si, direct_null
         for _ in range(max_iter):
             # projector applied twice as defined; idempotence makes it one
-            u_ri = _unit(direct_null @ (direct_null @ cascade))
+            u_ri = _unit(np.matvec(null, np.matvec(null, cascade)))
             # aligned to phase 0, as the direct path is projected off
-            angles = _aligned_angles(1.0, _path_row(H, h, u_ri))
+            angles = _aligned_angles(0.0, _path_row(H, h, u_ri))
             # the next iteration starts from this cascade
-            cascade = H @ (np.exp(1j * angles) * h)
-            branch = abs(np.vdot(u_ri, cascade))
-            if _extend_traces(
-                traces,
-                stops,
-                noise_variances,
-                p_s_watt * branch**2,
-                epsilon,
-                (angles, u_ri, cascade),
-            ):
-                break
-        last = (angles, u_ri, cascade)  # where the levels still running hit max_iter
-        iterates = [stop or last for stop in stops]
-    else:
-        u_ri = _unit(direct_null @ (direct_null @ cascade))
-        power = p_s_watt * abs(np.vdot(u_ri, cascade)) ** 2
-        traces = [[rate_from_power(power, noise)] for noise in noise_variances]
-        iterates = [(phases.angles, u_ri, cascade)] * len(noise_variances)
+            cascade = np.matvec(H, np.exp(1j * angles) * h)
+            powers = _powers(p_s_watt, u_ri, cascade)
+            keep = stops.record(powers, (angles, u_ri, cascade))
+            if keep is not None:
+                if not keep:
+                    break
+                H, h, null, cascade = H[keep], h[keep], null[keep], cascade[keep]
 
-    return tuple(
-        _nsp_solution(channels, p_s_watt, iterate, trace, noise, mode, combining)
-        for iterate, trace, noise in zip(iterates, traces, noise_variances)
-    )
+    return [
+        tuple(
+            _nsp_solution(
+                h_sr[trial], H_ir[trial], p_s_watt, iterate, trace, noise, mode,
+                combining,
+            )
+            for (iterate, trace), noise in zip(levels, noise_variances)
+        )
+        for trial, levels in enumerate(stops.stopped)
+    ]
 
 
 def _nsp_solution(
-    channels: ChannelSet,
+    h_sr: np.ndarray,
+    H_ir: np.ndarray,
     p_s_watt: float,
     iterate: tuple,
-    trace: list[float],
+    trace: tuple[float, ...],
     noise_variance_watt: float,
     mode: str,
     combining: str,
 ) -> FirstSlotSolution:
-    """:func:`nsp_max_rp_mrc`'s solution at one reflected-branch iterate.
+    """:func:`nsp_max_rp_mrc`'s solution at one trial's reflected-branch iterate.
 
     ``iterate`` holds the reflected branch's (angles, receive vector,
     cascade); the direct branch's beamformer is built here, off the
     reflected signal, and both branches are combined.
     """
-    angles, u_ri, cascade = iterate
+    angles, u_ri, cascade, _ = iterate
     if mode == "literal":
-        surface_null = nsp_projector(channels.H_ir)
-        direct_raw = surface_null @ (surface_null @ channels.h_sr)
+        surface_null = nsp_projector(H_ir)
+        direct_raw = surface_null @ (surface_null @ h_sr)
     else:
         cascade_null = nsp_projector(cascade)
-        direct_raw = cascade_null @ channels.h_sr
-    if float(np.linalg.norm(direct_raw)) < 1e-12 * float(
-        np.linalg.norm(channels.h_sr)
-    ):
+        direct_raw = cascade_null @ h_sr
+    if float(np.linalg.norm(direct_raw)) < 1e-12 * float(np.linalg.norm(h_sr)):
         raise ProjectorDegenerateError(
             "direct channel lies inside the projected-off subspace"
         )
     u_rs = Beamformer.normalized(direct_raw)
 
-    branch_s = complex(np.vdot(u_rs.weights, channels.h_sr))
+    branch_s = complex(np.vdot(u_rs.weights, h_sr))
     branch_i = complex(np.vdot(u_ri, cascade))
     amp_s = abs(branch_s)
     amp_i = abs(branch_i)
@@ -622,7 +818,7 @@ def _nsp_solution(
         theta1=PhaseShiftVector(angles),
         receive_power_watt=power_eff,
         rate_r=rate_from_power(power_eff, noise_variance_watt),
-        trace=tuple(trace),
+        trace=trace,
         u_rs=u_rs,
         u_ri=Beamformer(u_ri),
     )
@@ -665,6 +861,34 @@ def irses_max_rp_mrc(
 
     This method is closed-form, so the trace always has length 1.
     """
+    return irses_max_rp_mrc_per_noise(
+        channels,
+        p_s_watt,
+        (noise_variance_watt,),
+        partition,
+        interference_mode=interference_mode,
+        combining=combining,
+        phases=phases,
+    )[0]
+
+
+def irses_max_rp_mrc_per_noise(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple,
+    partition: Partition,
+    interference_mode: str = IRSES_MODES[0],
+    combining: str = COMBINING_MODES[0],
+    phases: PhaseShiftVector | None = None,
+) -> tuple[FirstSlotSolution, ...]:
+    """:func:`irses_max_rp_mrc` at each noise variance (scalar or per antenna).
+
+    The alignment, the per-antenna amplitudes and the MRC weights do not
+    read the noise, so they are computed once; each level's solution equals
+    the one :func:`irses_max_rp_mrc` returns at it, bit for bit.
+    """
+    noise_variances = tuple(noise_variances)
+    _check_noise_levels(noise_variances)
     if interference_mode not in IRSES_MODES:
         raise ConfigError(f"unknown interference_mode {interference_mode!r}")
     if combining not in COMBINING_MODES:
@@ -675,11 +899,13 @@ def irses_max_rp_mrc(
             f"partition for (m={partition.m}, n={partition.n}) does not match "
             f"channels (m={m}, n={n})"
         )
-    sigma2 = np.broadcast_to(
-        np.asarray(noise_variance_watt, dtype=np.float64), (m,)
-    ).copy()
-    if np.any(sigma2 <= 0.0):
-        raise ConfigError("noise variance must be positive")
+    sigma2s = [
+        np.broadcast_to(np.asarray(noise, dtype=np.float64), (m,)).copy()
+        for noise in noise_variances
+    ]
+    for sigma2 in sigma2s:
+        if np.any(sigma2 <= 0.0):
+            raise ConfigError("noise variance must be positive")
 
     antenna = partition.assignment
     element = np.arange(n)
@@ -715,27 +941,32 @@ def irses_max_rp_mrc(
             stacklevel=2,
         )
 
-    if combining == "snr-sum":
-        snr = p_s_watt * float(np.sum(amplitudes**2 / sigma2))
-        power_eff = p_s_watt * float(np.sum(amplitudes**2))
-    else:
-        denom = float(np.sum(amplitudes**2 * sigma2))
-        if denom < ZERO_NORM:
-            raise DegenerateChannelError("all antennas received zero signal")
-        snr = p_s_watt * float(np.sum(amplitudes**4)) / denom
-        power_eff = p_s_watt * float(np.sum(amplitudes**4)) / float(
-            np.sum(amplitudes**2)
+    solutions = []
+    for sigma2 in sigma2s:
+        if combining == "snr-sum":
+            snr = p_s_watt * float(np.sum(amplitudes**2 / sigma2))
+            power_eff = p_s_watt * float(np.sum(amplitudes**2))
+        else:
+            denom = float(np.sum(amplitudes**2 * sigma2))
+            if denom < ZERO_NORM:
+                raise DegenerateChannelError("all antennas received zero signal")
+            snr = p_s_watt * float(np.sum(amplitudes**4)) / denom
+            power_eff = p_s_watt * float(np.sum(amplitudes**4)) / float(
+                np.sum(amplitudes**2)
+            )
+        rate_r = float(np.log2(1.0 + snr))
+        solutions.append(
+            FirstSlotSolution(
+                method="irses",
+                theta1=theta,
+                receive_power_watt=power_eff,
+                rate_r=rate_r,
+                trace=(rate_r,),
+                mrc_weights=weights,
+                partition=partition,
+            )
         )
-    rate_r = float(np.log2(1.0 + snr))
-    return FirstSlotSolution(
-        method="irses",
-        theta1=theta,
-        receive_power_watt=power_eff,
-        rate_r=rate_r,
-        trace=(rate_r,),
-        mrc_weights=weights,
-        partition=partition,
-    )
+    return tuple(solutions)
 
 
 def second_slot_optimize(
@@ -766,20 +997,42 @@ def second_slot_optimize_per_noise(
     """:func:`second_slot_optimize` at each noise variance, from one alternation.
 
     As in :func:`ais_max_rp_per_noise`, each level's solution equals the
-    scalar one bit for bit.
+    scalar one bit for bit.  This is :func:`second_slot_optimize_batch` on
+    one trial.
     """
-    hop = (channels.h_rd, channels.H_ri, channels.h_id)
-    return tuple(
-        SecondSlotSolution(
-            theta2=PhaseShiftVector(-angles),
-            u_t=Beamformer(u),
-            rate_d=trace[-1],
-            trace=tuple(trace),
-        )
-        for angles, u, _, trace in _alternate(
-            hop, p_r_watt, tuple(noise_variances), epsilon, max_iter
-        )
+    hop = _hop(channels, _SECOND_HOP, stack=False)
+    return _second_slot_solutions(
+        _alternate(hop, p_r_watt, noise_variances, epsilon, max_iter)
+    )[0]
+
+
+def second_slot_optimize_batch(
+    channels: ChannelSet,
+    p_r_watt: float,
+    noise_variances: tuple[float, ...],
+    epsilon: float = DEFAULT_EPSILON,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[tuple[SecondSlotSolution, ...]]:
+    """:func:`second_slot_optimize_per_noise` on each trial of a stack, in one loop."""
+    hop = _hop(channels, _SECOND_HOP, stack=True)
+    return _second_slot_solutions(
+        _alternate(hop, p_r_watt, noise_variances, epsilon, max_iter)
     )
+
+
+def _second_slot_solutions(stops: _Stops) -> list[tuple[SecondSlotSolution, ...]]:
+    return [
+        tuple(
+            SecondSlotSolution(
+                theta2=PhaseShiftVector(-angles),
+                u_t=Beamformer(u),
+                rate_d=trace[-1],
+                trace=trace,
+            )
+            for (angles, u, _), trace in levels
+        )
+        for levels in stops.stopped
+    ]
 
 
 class OracleResult(NamedTuple):

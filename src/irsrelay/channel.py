@@ -9,8 +9,10 @@ distance-based amplitude attenuation and by the endpoint antenna gains.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -124,12 +126,14 @@ class LinkBudget:
 
 @dataclass(eq=False)
 class ChannelSet:
-    """One realization of all six links.
+    """One realization of all six links, or a stack of several trials' ones.
 
     Shapes: ``h_sr`` and ``h_rd`` are length-``m`` vectors, ``h_si`` and
     ``h_id`` are length-``n`` vectors, ``H_ir`` and ``H_ri`` are ``m x n``
     matrices.  ``H_ir`` maps surface elements to relay antennas on the first
-    hop, ``H_ri`` is the relay-to-surface link used on the second hop.
+    hop, ``H_ri`` is the relay-to-surface link used on the second hop.  A
+    stack puts one more, leading trial axis on every block; the batched
+    solvers take stacks, and :meth:`trial` views one trial's rows.
 
     The six blocks are stored as read-only views, so one draw can be shared
     by several solvers and none of them can change it for the others; the
@@ -148,13 +152,15 @@ class ChannelSet:
             block = np.asarray(getattr(self, name), dtype=np.complex128).view()
             block.flags.writeable = False
             setattr(self, name, block)
-        m = self.h_sr.shape[0]
-        n = self.h_si.shape[0]
-        if self.h_sr.ndim != 1 or self.h_rd.shape != (m,):
+        if self.h_sr.ndim not in (1, 2):
             raise ConfigError("h_sr and h_rd must be length-m vectors")
-        if self.h_id.shape != (n,):
+        *lead, m = self.h_sr.shape
+        n = self.h_si.shape[-1] if self.h_si.ndim else -1
+        if self.h_rd.shape != (*lead, m):
+            raise ConfigError("h_sr and h_rd must be length-m vectors")
+        if self.h_si.shape != (*lead, n) or self.h_id.shape != (*lead, n):
             raise ConfigError("h_si and h_id must be length-n vectors")
-        if self.H_ir.shape != (m, n) or self.H_ri.shape != (m, n):
+        if self.H_ir.shape != (*lead, m, n) or self.H_ri.shape != (*lead, m, n):
             raise ConfigError("H_ir and H_ri must have shape (m, n)")
         for name in LINK_STREAMS:
             if not np.all(np.isfinite(getattr(self, name))):
@@ -162,11 +168,33 @@ class ChannelSet:
 
     @property
     def m(self) -> int:
-        return self.h_sr.shape[0]
+        return self.h_sr.shape[-1]
 
     @property
     def n(self) -> int:
-        return self.h_si.shape[0]
+        return self.h_si.shape[-1]
+
+    def trial(self, index: int) -> "ChannelSet":
+        """Trial ``index`` of a stack, as a ChannelSet viewing its rows.
+
+        The rows of a checked stack need no second check.
+        """
+        if self.h_sr.ndim != 2:
+            raise ConfigError("only a stack of trials has trials to view")
+        view = copy.copy(self)
+        for name in LINK_STREAMS:
+            setattr(view, name, getattr(self, name)[index])
+        return view
+
+
+def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
+    """Several trials' channels as one stack, each block on a leading trial axis."""
+    return ChannelSet(
+        **{
+            name: np.stack([getattr(channels, name) for channels in channel_sets])
+            for name in LINK_STREAMS
+        }
+    )
 
 
 def pathloss_amplitude(distance_m: float, alpha: float) -> float:

@@ -8,14 +8,19 @@ reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
 rate and standard error per axis value and method.
 
 Several configurations (the methods of a table, the points of a sweep) are
-evaluated together, trial-major: trial ``k`` of every configuration runs
-before trial ``k + 1`` of any, and they share trial ``k``'s channel draw,
-element partition and iterative solves wherever these agree.  No solver
-iterate reads the noise, so one solve serves every noise level (every SNR
-point of a sweep), each stopping at its own iterate.  Every result is a pure
-function of the configuration and trial index, so tables are reproducible
-bit for bit whatever else is evaluated alongside and whatever the worker
-count.
+evaluated together, chunk-major: the trial indices are cut into chunks, and
+for each chunk every distinct channel draw is made once and held once, in a
+stack of the chunk's trials of which each trial's channels are a view.  Each
+solve shared by several configurations (same solver and inputs but the
+noise) then runs once per chunk, as one batched loop over the chunk's
+trials and for every noise level it serves (every SNR point of a sweep),
+each (trial, level) stopping at its own iterate.  A chunk holds as many
+trials as keep its stacked draws within :data:`CHUNK_BYTES` of what one
+trial holds, and at most :data:`CHUNK_TRIALS`: a property of the draws'
+sizes, not a setting, that bounds the memory a chunk holds.  Every result
+is a pure function of the configuration and trial index, so tables are
+reproducible bit for bit whatever else is evaluated alongside, whatever the
+chunk and whatever the worker count.
 """
 
 from __future__ import annotations
@@ -35,18 +40,32 @@ from .beamforming import (
     NSP_MODES,
     PhaseShiftVector,
     _check_iteration_controls,
-    ais_max_rp_per_noise,
-    irses_max_rp_mrc,
+    ais_max_rp_batch,
+    irses_max_rp_mrc_per_noise,
     irses_partition,
-    nsp_max_rp_mrc_per_noise,
-    second_slot_optimize_per_noise,
+    nsp_max_rp_mrc_batch,
+    second_slot_optimize_batch,
     ur_update_ais,
 )
 
 # The benchmark's trace points (perfbench/tracing.py) wrap the scalar solvers
-# under these names; the trial engine calls their ``_per_noise`` forms.
-from .beamforming import ais_max_rp, nsp_max_rp_mrc, second_slot_optimize  # noqa: F401
-from .channel import ChannelSet, Geometry, LinkBudget, sample_channels, stream_seed
+# under these names; the trial engine calls their batched and ``_per_noise``
+# forms.
+from .beamforming import (  # noqa: F401
+    ais_max_rp,
+    irses_max_rp_mrc,
+    nsp_max_rp_mrc,
+    second_slot_optimize,
+)
+from .channel import (
+    LINK_STREAMS,
+    ChannelSet,
+    Geometry,
+    LinkBudget,
+    sample_channels,
+    stack_channels,
+    stream_seed,
+)
 from .errors import ConfigError
 from .metrics import (
     RateResult,
@@ -187,53 +206,145 @@ def _fixed_second_slot_rate(
     return rate_from_power(power, noise_variance_watt)
 
 
+#: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
+#: trial holds too, a chunk may hold CHUNK_BYTES of stacked draws; a trial at
+#: (m, n) stacks 16 (2m + 2n + 2mn) bytes per distinct draw, so a chunk holds
+#: 4 trials at (16, 160) and 2 at (50, 200).  Small draws are bounded by the
+#: trial count instead, as every solution of a chunk (a few kB each) is held
+#: until its records are made.  Longer stacks iterate faster but raise the
+#: peak memory of a table build: at (16, 160), 4 trials add about 0.3 MB, 6
+#: about 0.8 MB.
+CHUNK_BYTES = 330_000
+CHUNK_TRIALS = 32
+
+
+def _channel_inputs(config: ScenarioConfig) -> tuple:
+    """Everything a trial's channel draw depends on but its seed."""
+    method = METHODS[config.method]
+    return (method.m or config.m, config.n, config.geometry, config.budget)
+
+
+def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
+    """Trials per chunk: as many as keep the chunk within its limits."""
+    draws = {(config.base_seed, *_channel_inputs(config)) for config in configs}
+    itemsize = np.dtype(np.complex128).itemsize
+    per_trial = sum(itemsize * 2 * (m + n + m * n) for _, m, n, *_ in draws)
+    return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
+
+
+def _trial_seed(shared: dict, base_seed: int, trial_index: int) -> int:
+    key = ("seed", base_seed, trial_index)
+    if key not in shared:
+        shared[key] = trial_seed(base_seed, trial_index)
+    return shared[key]
+
+
+def _partition(shared: dict, seed: int, n: int, m: int):
+    key = ("partition", seed, n, m)
+    if key not in shared:
+        shared[key] = irses_partition(n, m, stream_seed(seed, PARTITION_STREAM))
+    return shared[key]
+
+
+def _draw(shared: dict, channels: tuple, seeds: list[int]) -> None:
+    """Draw trials ``seeds`` once at ``channels`` (:func:`_channel_inputs`).
+
+    The draws are stacked, and each trial's ChannelSet is a view of its
+    rows of the stack.
+    """
+    m, n, geometry, budget = channels
+    blocks: dict[str, np.ndarray] = {}
+    for row, seed in enumerate(seeds):
+        # each draw is copied into the stack and dropped, so a chunk's
+        # draws are held once
+        draw = sample_channels(geometry, budget, m, n, seed)
+        for name in LINK_STREAMS:
+            block = getattr(draw, name)
+            if not row:
+                blocks[name] = np.empty((len(seeds), *block.shape), block.dtype)
+            blocks[name][row] = block
+    stack = ChannelSet(**blocks)
+    shared[("stack", *channels)] = (stack, seeds)
+    for row, seed in enumerate(seeds):
+        shared[(seed, *channels)] = stack.trial(row)
+
+
+def _stacked(shared: dict, seeds: list[int], channels: tuple) -> ChannelSet:
+    """The drawn channels of trials ``seeds`` at ``channels``, as one stack."""
+    stack, drawn = shared.get(("stack", *channels), (None, None))
+    if seeds == drawn:
+        return stack
+    return stack_channels([shared[(seed, *channels)] for seed in seeds])
+
+
 def _solves(config: ScenarioConfig) -> dict[str, tuple]:
-    """The iterative solves in one trial of ``config``, by kind.
+    """The solves in one trial of ``config``, by kind.
 
     ``"first"`` and ``"second"`` are the first- and second-slot solves of a
-    two-hop method.  Each is a (key, run) pair: ``run(channels, noises)``
-    returns one solution per noise variance, and the key, led by the
-    solver's name, holds every input of the solve except the trial seed and
-    the noise.  Configurations with equal keys share one solve per trial
-    for all their noise levels.
+    two-hop method.  Each is a (key, run) pair: ``run(shared, seeds,
+    noises)`` solves the drawn trials ``seeds`` at once and returns, per
+    trial, one solution per noise variance; the key, led by the solver's
+    name, holds every input of the solve except the trial seed and the
+    noise.  Configurations with equal keys share one solve per trial for
+    all their noise levels.
     """
     method = METHODS[config.method]
     if method.trial != "two-hop":
         return {}
-    channels = (method.m or config.m, config.n, config.geometry, config.budget)
+    channels = _channel_inputs(config)
     eps, max_iter = config.epsilon, config.max_iter
     p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
+    zeros = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
     solves = {}
     if method.first_slot == "ais" and not method.fixed_phase:
         solves["first"] = (
             ("ais", channels, eps, max_iter),
-            lambda ch, noises: ais_max_rp_per_noise(ch, p_s, noises, eps, max_iter),
+            lambda shared, seeds, noises: ais_max_rp_batch(
+                _stacked(shared, seeds, channels), p_s, noises, eps, max_iter
+            ),
         )
     elif method.first_slot == "nsp":
-        options = dict(
-            mode=config.nsp_mode,
-            combining=config.combining,
-            phases=PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None,
-        )
+        options = dict(mode=config.nsp_mode, combining=config.combining, phases=zeros)
         variant = (config.nsp_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("nsp", channels, eps, max_iter, *variant),
-            lambda ch, noises: nsp_max_rp_mrc_per_noise(
-                ch, p_s, noises, eps, max_iter, **options
+            lambda shared, seeds, noises: nsp_max_rp_mrc_batch(
+                _stacked(shared, seeds, channels), p_s, noises, eps, max_iter, **options
             ),
+        )
+    elif method.first_slot == "irses":
+        m, n = channels[:2]
+        options = dict(
+            interference_mode=config.irses_mode,
+            combining=config.combining,
+            phases=zeros,
+        )
+        variant = (config.irses_mode, config.combining, method.fixed_phase)
+        solves["first"] = (
+            ("irses", channels, *variant),
+            lambda shared, seeds, noises: [
+                irses_max_rp_mrc_per_noise(
+                    shared[(seed, *channels)],
+                    p_s,
+                    noises,
+                    _partition(shared, seed, n, m),
+                    **options,
+                )
+                for seed in seeds
+            ],
         )
     if not method.fixed_phase:
         solves["second"] = (
             ("second", channels, eps, max_iter),
-            lambda ch, noises: second_slot_optimize_per_noise(
-                ch, p_r, noises, eps, max_iter
+            lambda shared, seeds, noises: second_slot_optimize_batch(
+                _stacked(shared, seeds, channels), p_r, noises, eps, max_iter
             ),
         )
     return solves
 
 
 def solve_plans(configs: Sequence[ScenarioConfig]) -> list[dict[str, tuple]]:
-    """Each configuration's iterative solves, planned across ``configs``.
+    """Each configuration's solves, planned across ``configs``.
 
     One dict per configuration maps each kind of :func:`_solves` to the
     solve's (key, noise levels, run): the levels are the noise variances
@@ -251,21 +362,36 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[dict[str, tuple]]:
     ]
 
 
-def _shared_solve(
-    solve: tuple, channels: ChannelSet, seed: int, noise: float, shared: dict
-):
-    """The solution at ``noise`` of one planned solve on trial ``seed``.
+def _evaluate_chunk(jobs: Sequence[tuple], shared: dict) -> None:
+    """Draw and solve a chunk of trials into ``shared``.
 
-    ``solve`` is a (key, noise levels, run) entry of :func:`solve_plans`.
-    The solutions are shared under the trial seed and the key; on a miss
-    the solver runs once for every level that ``shared`` lacks.
+    ``jobs`` holds (configuration, its plan, its trial indices) triples.
+    Each distinct draw is made once, and each planned key is solved once
+    for all the drawn trials that need it and all its noise levels.
     """
-    key, levels, run = solve
-    solutions = shared.setdefault((seed, key), {})
-    if noise not in solutions:
-        noises = tuple(v for v in levels if v not in solutions)
-        solutions.update(zip(noises, run(channels, noises)))
-    return solutions[noise]
+    draws: dict[tuple, dict[int, None]] = {}
+    solves: dict[tuple, tuple] = {}
+    for config, plan, indices in jobs:
+        channels = _channel_inputs(config)
+        seeds = dict.fromkeys(
+            _trial_seed(shared, config.base_seed, k) for k in indices
+        )
+        draws.setdefault(channels, {}).update(seeds)
+        for key, levels, run in plan.values():
+            solves.setdefault(key, (levels, run, {}))[2].update(seeds)
+    for channels, seeds in draws.items():
+        missing = [seed for seed in seeds if (seed, *channels) not in shared]
+        if missing:
+            _draw(shared, channels, missing)
+    for key, (levels, run, seeds) in solves.items():
+        missing = [
+            seed
+            for seed in seeds
+            if not shared.get((seed, key), {}).keys() >= set(levels)
+        ]
+        if missing:
+            for seed, solutions in zip(missing, run(shared, missing, levels)):
+                shared.setdefault((seed, key), {}).update(zip(levels, solutions))
 
 
 def _first_slot(
@@ -278,29 +404,13 @@ def _first_slot(
     plan: dict[str, tuple],
 ) -> tuple[float, int]:
     """First-hop rate and iteration count of a two-hop method's solver."""
-    p_s = config.budget.p_s_watt
     if method.first_slot == "ais" and method.fixed_phase:
+        p_s = config.budget.p_s_watt
         phases = PhaseShiftVector(np.zeros(config.n))
         u_r = ur_update_ais(channels, phases)
         power = receive_power_ais(channels, phases.angles, u_r.weights, p_s)
         return rate_from_power(power, noise), 1
-    if method.first_slot == "irses":
-        partition = ("partition", seed, config.n, channels.m)
-        if partition not in shared:
-            shared[partition] = irses_partition(
-                config.n, channels.m, stream_seed(seed, PARTITION_STREAM)
-            )
-        first = irses_max_rp_mrc(
-            channels,
-            p_s,
-            noise,
-            shared[partition],
-            interference_mode=config.irses_mode,
-            combining=config.combining,
-            phases=PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None,
-        )
-    else:
-        first = _shared_solve(plan["first"], channels, seed, noise, shared)
+    first = shared[(seed, plan["first"][0])][noise]
     return first.rate_r, first.iterations
 
 
@@ -313,27 +423,25 @@ def run_trial(
 ) -> TrialRecord:
     """Evaluate one Monte Carlo trial of the configured method.
 
-    ``shared`` holds what other configurations evaluated at the same trial
-    index may reuse: the channel draw, keyed by everything it depends on,
-    the element partition of ``irses`` methods, and the iterative solves on
-    those channels, keyed by their inputs without the noise.  ``plan`` is
-    the configuration's entry of :func:`solve_plans` (by default, planned
-    alone): a solve runs once for every noise level its plan lists, each
-    stopping at its own iterate.  ``shared`` is filled on first use; a
-    result does not depend on whether, or with which noise levels, anything
-    was shared.
+    ``shared`` holds what :func:`collect_trials` drew and solved for the
+    trial's chunk: the channel draws, keyed by everything they depend on,
+    the element partitions of ``irses`` methods, and the solves on those
+    channels, keyed by their inputs without the noise.  ``plan`` is the
+    configuration's entry of :func:`solve_plans` (by default, planned
+    alone).  What ``shared`` lacks of the trial is drawn and solved here,
+    alone (a chunk of one), for every noise level its plan lists.  A result
+    does not depend on whether, or with which trials and noise levels,
+    anything was shared.
     """
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     shared = {} if shared is None else shared
     plan = solve_plans([config])[0] if plan is None else plan
     method = METHODS[config.method]
-    seed = trial_seed(config.base_seed, trial_index)
-    m = method.m or config.m
-    draw = (seed, m, config.n, config.geometry, config.budget)
-    if draw not in shared:
-        shared[draw] = sample_channels(config.geometry, config.budget, m, config.n, seed)
-    channels = shared[draw]
+    seed = _trial_seed(shared, config.base_seed, trial_index)
+    # draws and solves what ``shared`` lacks, on this trial alone
+    _evaluate_chunk([(config, plan, [trial_index])], shared)
+    channels = shared[(seed, *_channel_inputs(config))]
     noise = config.noise_variance_watt
     p_s = config.budget.p_s_watt
     p_r = config.budget.p_r_watt
@@ -356,7 +464,7 @@ def run_trial(
             rate_d = _fixed_second_slot_rate(channels, p_r, noise)
             iterations = (iterations_1, 1)
         else:
-            second = _shared_solve(plan["second"], channels, seed, noise, shared)
+            second = shared[(seed, plan["second"][0])][noise]
             rate_d = second.rate_d
             iterations = (iterations_1, second.iterations)
     result = RateResult(
@@ -372,12 +480,13 @@ def collect_trials(
 
     Given one configuration, returns its records in trial order.  Given a
     sequence, returns one such list per configuration, in sequence order.
-    Evaluation is serial and trial-major: every configuration's trial ``k``
-    runs before any trial ``k + 1``, and they share trial ``k``'s channel
-    draws, element partitions and iterative solves wherever their inputs
-    other than the noise agree.  Each solve runs once per trial for all the
-    noise levels that share it (the SNR points of a sweep, say).  Sharing
-    changes no bit of any record.
+    Evaluation is serial and chunk-major: the trial indices are cut into
+    chunks of :func:`_chunk_trials` trials, and for each chunk every
+    distinct channel draw is made once, stacked, and each planned solve
+    runs once over the chunk's trials that need it, for all the noise
+    levels that share it (the SNR points of a sweep, say).  Then
+    :func:`run_trial` assembles each record of the chunk from what was
+    shared.  Sharing and chunking change no bit of any record.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.
@@ -387,11 +496,22 @@ def collect_trials(
     configs = [config] if isinstance(config, ScenarioConfig) else list(config)
     plans = solve_plans(configs)
     records: list[list[TrialRecord]] = [[] for _ in configs]
-    for trial_index in range(max((c.trials for c in configs), default=0)):
+    trials = max((c.trials for c in configs), default=0)
+    size = _chunk_trials(configs)
+    for start in range(0, trials, size):
+        indices = range(start, min(start + size, trials))
         shared: dict = {}
-        for cfg, plan, out in zip(configs, plans, records):
-            if trial_index < cfg.trials:
-                out.append(run_trial(cfg, trial_index, shared=shared, plan=plan))
+        _evaluate_chunk(
+            [
+                (cfg, plan, [k for k in indices if k < cfg.trials])
+                for cfg, plan in zip(configs, plans)
+            ],
+            shared,
+        )
+        for trial_index in indices:
+            for cfg, plan, out in zip(configs, plans, records):
+                if trial_index < cfg.trials:
+                    out.append(run_trial(cfg, trial_index, shared=shared, plan=plan))
     return records[0] if isinstance(config, ScenarioConfig) else records
 
 

@@ -178,23 +178,77 @@ def _count_calls(monkeypatch, name, key):
     return counts
 
 
+def _record_batches(monkeypatch, name):
+    """Record (trials solved, noise levels) of each call of ``harness.<name>``.
+
+    A trial is told by the bytes of its direct link; a stack holds one per
+    row, a single trial's channels one.
+    """
+    calls = []
+    original = getattr(harness, name)
+
+    def recorded(channels, power, noises, *args, **kwargs):
+        rows = channels.h_sr if channels.h_sr.ndim == 2 else [channels.h_sr]
+        calls.append((tuple(row.tobytes() for row in rows), tuple(noises)))
+        return original(channels, power, noises, *args, **kwargs)
+
+    monkeypatch.setattr(harness, name, recorded)
+    return calls
+
+
+def _solved_once(calls):
+    """Every trial of ``calls`` solved in exactly one of them."""
+    trials = [trial for solved, _ in calls for trial in solved]
+    return len(trials) == len(set(trials))
+
+
+BATCHED = (
+    "ais_max_rp_batch",
+    "nsp_max_rp_mrc_batch",
+    "second_slot_optimize_batch",
+    "irses_max_rp_mrc_per_noise",
+)
+
+
 def test_shared_draws_and_second_slots_change_no_record(monkeypatch):
+    check_shared_solves(monkeypatch, chunk=None)
+
+
+def test_shared_solves_run_once_per_chunk_and_key(monkeypatch):
+    # chunks of 2 trials: the 3 trials take two batched calls per key
+    check_shared_solves(monkeypatch, chunk=2)
+
+
+def check_shared_solves(monkeypatch, chunk):
     methods = ("ais", "nsp", "irses", "ais-fixed-phase", "baseline-single-antenna")
     configs = [small_config(method=m, m=8, n=32, trials=3) for m in methods]
     alone = [collect_trials(c) for c in configs]
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_chunk_trials", lambda configs: chunk)
+    chunks = -(-3 // (chunk or harness._chunk_trials(configs)))
     draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: (s, m))
-    solves = _count_calls(
-        monkeypatch,
-        "second_slot_optimize_per_noise",
-        lambda ch, p, noises, *_: (ch.h_rd.tobytes(), noises),
-    )
+    batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
     together = collect_trials(configs)
     assert together == alone
-    # one draw per (trial, m) and one noise-free second slot per (trial, m):
-    # m=8 for the first four methods, m=1 for the single-antenna baseline
+    # one draw per (trial, m): m=8 for the first four methods, m=1 for the
+    # single-antenna baseline
     assert sorted(draws.values()) == [1] * 6
-    assert sorted(solves.values()) == [1] * 6
-    assert {noises for _, noises in solves} == {(configs[0].noise_variance_watt,)}
+    # every (trial, key) solved exactly once, by one batched call per
+    # (chunk, key) with the key's one noise level; the ais key and the
+    # second slot have one key per m, irses solves trial by trial
+    noise = (configs[0].noise_variance_watt,)
+    for name, keys in (
+        ("ais_max_rp_batch", 2),
+        ("nsp_max_rp_mrc_batch", 1),
+        ("second_slot_optimize_batch", 2),
+    ):
+        assert len(batches[name]) == keys * chunks
+        assert sum(len(solved) for solved, _ in batches[name]) == keys * 3
+    irses = batches["irses_max_rp_mrc_per_noise"]
+    assert [len(solved) for solved, _ in irses] == [1] * 3
+    for calls in batches.values():
+        assert _solved_once(calls)
+        assert {noises for _, noises in calls} == {noise}
 
 
 def test_sweep_shares_draws_across_snr_points(monkeypatch):
@@ -208,21 +262,31 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         for method in spec.methods
     ]
     draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: s)
-    solves = {
-        name: _count_calls(monkeypatch, name, lambda ch, p, noises, *_: noises)
-        for name in ("ais_max_rp_per_noise", "second_slot_optimize_per_noise")
-    }
+    batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
     partitions = _count_calls(monkeypatch, "irses_partition", lambda n, m, s: s)
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
             for p in together] == alone
     assert sorted(draws.values()) == [1] * 3  # one draw per trial
-    # one noise-free solve per trial serves both SNR points
+    # one noise-free solve per trial serves both SNR points: the three
+    # trials make one chunk, solved by one batched call per key; irses
+    # solves each trial once for both points
     noises = tuple(
         point_config(spec, v, "ais").noise_variance_watt for v in spec.values
     )
-    for counts in solves.values():
-        assert counts == {noises: 3}
+    for name in ("ais_max_rp_batch", "second_slot_optimize_batch"):
+        assert len(batches[name]) == 1
+    assert len(batches["irses_max_rp_mrc_per_noise"]) == 3
+    assert not batches["nsp_max_rp_mrc_batch"]
+    for name in (
+        "ais_max_rp_batch",
+        "second_slot_optimize_batch",
+        "irses_max_rp_mrc_per_noise",
+    ):
+        calls = batches[name]
+        assert _solved_once(calls)
+        assert sum(len(solved) for solved, _ in calls) == 3
+        assert {levels for _, levels in calls} == {noises}
     assert sorted(partitions.values()) == [1] * 3  # one partition per trial
 
 

@@ -2,10 +2,12 @@
 
 No iterate of ``ais``, ``nsp`` or the second slot reads the noise variance, so
 the ``_per_noise`` solvers run one alternation and stop each level at its own
-iterate.  Every field of each level's solution must equal, bit for bit, what
-the scalar solver returns at that level alone.
+iterate; ``irses`` computes its noise-free part once.  Every field of each
+level's solution must equal, bit for bit, what the scalar solver returns at
+that level alone.
 """
 
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +17,8 @@ from irsrelay.beamforming import (
     PhaseShiftVector,
     ais_max_rp,
     ais_max_rp_per_noise,
+    irses_max_rp_mrc_per_noise,
+    irses_partition,
     nsp_max_rp_mrc,
     nsp_max_rp_mrc_per_noise,
     second_slot_optimize,
@@ -135,3 +139,65 @@ def test_per_noise_solve_needs_a_noise_level(name):
     channels = make_channels(*solver.shape, seed=0)
     with pytest.raises(ConfigError):
         solver.per_noise(channels, solver.power, (), 1e-4, 50, **solver.options)
+
+
+#: per options: (rate_r, receive power) as float.hex() and a digest of the
+#: phases and MRC weights at 0 dB, 30 dB and one per-antenna level, from the
+#: scalar irses solver before it became the one-level case of the per-noise
+#: one (make_channels(4, 16, seed=1), irses_partition(16, 4, 1)); after a
+#: change meant to move irses numbers, recompute them and state the drift
+IRSES_PINNED = {
+    "idealized": (
+        ("0x1.1a51b382f340bp-9", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
+        ("0x1.518a89e534994p+0", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
+        ("0x1.56b44a14f1460p+0", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
+    ),
+    "full": (
+        ("0x1.03b86dd7b329fp-9", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
+        ("0x1.3f612478b48cfp+0", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
+        ("0x1.423ec145d8dbep+0", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
+    ),
+    "printed": (
+        ("0x1.4c6e02b163d29p-11", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
+        ("0x1.0d237260970b5p-1", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
+        ("0x1.a2ac569ea490bp-2", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
+    ),
+    "fixed-phases": (
+        ("0x1.7f56ccc28025dp-10", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
+        ("0x1.0299198434eaep+0", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
+        ("0x1.f20f652655408p-1", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
+    ),
+}
+
+IRSES_OPTIONS = {
+    "idealized": {},
+    "full": {"interference_mode": "full"},
+    "printed": {"combining": "printed"},
+    "fixed-phases": {"phases": PhaseShiftVector(np.zeros(16))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRSES_OPTIONS))
+def test_irses_per_noise_solutions_equal_pinned_scalar_ones(name):
+    # closed form: the noise-free alignment, amplitudes and weights are
+    # computed once for every level, and each level must keep the bits the
+    # scalar solver gave it
+    options = IRSES_OPTIONS[name]
+    levels = (*noise_levels(0, 30), np.linspace(0.01, 0.04, 4))
+    channels = make_channels(4, 16, seed=1)
+    partition = irses_partition(16, 4, 1)
+    together = irses_max_rp_mrc_per_noise(channels, P_S, levels, partition, **options)
+    got = []
+    for solution in together:
+        assert solution.trace == (solution.rate_r,)
+        parts = solution.theta1.angles.tobytes() + solution.mrc_weights.tobytes()
+        got.append(
+            (
+                solution.rate_r.hex(),
+                float(solution.receive_power_watt).hex(),
+                hashlib.sha256(parts).hexdigest()[:16],
+            )
+        )
+    assert tuple(got) == IRSES_PINNED[name]
+    with pytest.raises(ConfigError):
+        irses_max_rp_mrc_per_noise(channels, P_S, (), partition, **options)
