@@ -17,17 +17,20 @@ the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
 grid oracle for small instances, used by the test suite.
 
 No iterate of an alternation reads the noise variance: it enters only the
-rate trace and the stop.  There is one loop per solver family, and it runs
-on a stack of trials (a :class:`~irsrelay.channel.ChannelSet` with a leading
-trial axis) for several noise variances at once: each (trial, noise level)
-stops at its own iterate, and a trial leaves the stack once all its levels
-have stopped.  The ``_batch`` solvers expose it; the ``_per_noise`` forms
-are its one-trial view and the scalar solvers its one-trial, one-level view.
-Every batched operation runs the same floating-point operations per trial
-as the one-trial case (the same BLAS call per slice, the same elementwise
-loops), so a trial's solution does not depend on what it is stacked with.
-:func:`irses_max_rp_mrc` is closed-form; its ``_per_noise`` form computes
-the noise-free part once.
+rate trace and the stop.  Every solver runs on a stack of trials (a
+:class:`~irsrelay.channel.ChannelSet` with a leading trial axis) for several
+noise variances at once.  There is one loop per solver family: each (trial,
+noise level) stops at its own iterate, and a trial leaves the stack once
+all its levels have stopped.  The closed-form steps are stacked calls too:
+NSP's projectors off the direct links, its relaxed start phases and its
+direct branch at every stopped iterate, and all of
+:func:`irses_max_rp_mrc`, whose noise-free part is computed once for every
+level.  The ``_batch`` solvers expose this; the ``_per_noise`` forms are
+their one-trial view and the scalar solvers their one-trial, one-level
+view.  Every stacked operation runs the same floating-point operations per
+trial as the one-trial case (the same BLAS or LAPACK call per slice, the
+same elementwise loops), so a trial's solution does not depend on what it
+is stacked with.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +62,13 @@ PINV_RCOND = 1e-12
 
 #: slack allowed when validating that an alternation trace never decreases
 TRACE_SLACK = 1e-12
+
+#: NSP's relaxed start phases make (T, m, n) temporaries of a stack of T
+#: trials; they are built for as many trials at a time as keep one of them
+#: within this many bytes (3 trials at (16, 160), a whole chunk of 32 at
+#: (4, 16)).  Whole chunks of 4 trials at (16, 160) left a table's peak
+#: memory about 0.35 MB higher.
+START_PHASE_BYTES = 120_000
 
 #: rate tolerance (bits/s/Hz) that stops an alternation, and its iteration cap
 DEFAULT_EPSILON = 1e-4
@@ -379,7 +389,8 @@ class _Stops:
     Each iterate appends to the trace of every running (trial, noise level)
     the rate ``log2(1 + power / noise)`` of its trial's power.  A level
     stops once its last two rates differ by at most ``epsilon``, or on the
-    ``max_iter``-th, and keeps that iterate and its trace in ``stopped``;
+    ``max_iter``-th, and keeps that iterate and its trace in ``stopped``
+    (the levels of a trial that stop on one iterate share one copy of it);
     a trial leaves the running ``rows`` once all its levels have stopped.
     The traces are floats, as in the one-trial rule: a stack of one checks
     its few rates faster on floats than any array bookkeeping would.
@@ -434,11 +445,15 @@ class _Stops:
                     stops.append((row, entry))
         if not stops:
             return None
+        copies: dict[int, tuple] = {}
         for row, entry in stops:
             level, trace = entry
-            # a copy, so that the iterate's arrays of the stack can go
-            parts = [part[row].copy() for part in iterate]
-            self.stopped[self.rows[row]][level] = ((*parts, powers[row]), tuple(trace))
+            if row not in copies:
+                # one copy per row, shared by the levels that stop on this
+                # iterate, so that the iterate's arrays of the stack can go
+                parts = [part[row].copy() for part in iterate]
+                copies[row] = (*parts, powers[row])
+            self.stopped[self.rows[row]][level] = (copies[row], tuple(trace))
             self.live[row].remove(entry)
         keep = [row for row, live in enumerate(self.live) if live]
         if len(keep) == len(self.rows):
@@ -584,15 +599,25 @@ def nsp_projector(A: np.ndarray) -> np.ndarray:
         A = A[:, np.newaxis]
     if A.ndim != 2:
         raise ConfigError("projector input must be a vector or matrix")
-    m = A.shape[0]
-    gram_inv = np.linalg.pinv(np.conj(A.T) @ A, rcond=PINV_RCOND)
-    return np.eye(m, dtype=np.complex128) - A @ gram_inv @ np.conj(A.T)
+    return _projectors(A[np.newaxis])[0]
+
+
+def _projectors(A: np.ndarray) -> np.ndarray:
+    """:func:`nsp_projector` of each matrix of a stack, shape (T, m, k).
+
+    ``pinv``, ``@`` and the transposes act slice by slice, with the same
+    LAPACK and BLAS call per matrix as on one matrix.
+    """
+    gram_inv = np.linalg.pinv(np.conj(A.mT) @ A, rcond=PINV_RCOND)
+    # I - A gram_inv A^H, subtracted in place: a stack holds one such array
+    spanned = A @ gram_inv @ np.conj(A.mT)
+    return np.subtract(np.eye(A.shape[-2], dtype=np.complex128), spanned, out=spanned)
 
 
 def _nsp_start_phases(
     H: np.ndarray, h: np.ndarray, direct_null: np.ndarray
-) -> PhaseShiftVector:
-    """Start phases of the null-space alternation on one trial.
+) -> np.ndarray:
+    """Checked start phases of the null-space alternation on a stack of trials.
 
     The reflected branch at phasors v is ||B v|| with B = P H diag(h).
     B's principal right singular vector maximizes it without the
@@ -601,15 +626,18 @@ def _nsp_start_phases(
     flat phases the other.  The larger branch wins, flat phases on a tie,
     so the start is never below the flat-phase branch.
     """
-    relaxed = direct_null @ (H * h)
+    relaxed = direct_null @ (H * h[:, np.newaxis])
+    relaxed_h = np.conj(relaxed.mT)
     # B^H times the principal eigenvector of the m x m Gram matrix B B^H is
     # the principal right singular vector up to scale, without an n x n SVD
-    gram = relaxed @ np.conj(relaxed.T)
-    v = np.conj(relaxed.T) @ np.linalg.eigh(gram)[1][:, -1]
-    angles = np.angle(v) - np.angle(v[np.argmax(np.abs(v))])
-    singular = np.linalg.norm(relaxed @ np.exp(1j * angles))
-    flat = np.linalg.norm(relaxed.sum(axis=1))
-    return PhaseShiftVector(angles if singular > flat else np.zeros(h.shape[0]))
+    v = np.matvec(relaxed_h, np.linalg.eigh(relaxed @ relaxed_h)[1][..., -1])
+    del relaxed_h  # one (T, m, n) temporary fewer for the rest
+    peak = v[np.arange(len(v)), np.argmax(np.abs(v), axis=-1)]
+    angles = np.angle(v) - np.angle(peak)[:, np.newaxis]
+    singular = _norms(np.matvec(relaxed, np.exp(1j * angles)))
+    flat = _norms(relaxed.sum(axis=-1))
+    wins = np.array([s > f for s, f in zip(singular, flat)])
+    return _checked_angles(np.where(wins[:, np.newaxis], angles, 0.0))
 
 
 def nsp_max_rp_mrc(
@@ -711,7 +739,12 @@ def _nsp(
     combining: str,
     phases: PhaseShiftVector | None,
 ) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`nsp_max_rp_mrc`'s loop on the first hop of a stack of trials."""
+    """:func:`nsp_max_rp_mrc` on the first hop of a stack of trials.
+
+    The projectors off the direct links and the start phases are built for
+    the whole stack, the reflected branch iterates in one loop, and
+    :func:`_nsp_solutions` closes out every stopped (trial, level) at once.
+    """
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
@@ -731,15 +764,18 @@ def _nsp(
     if phases is not None and len(phases) != n:
         raise ConfigError("fixed phase vector length must equal n")
 
-    direct_null = np.empty((trials, m, m), dtype=np.complex128)
-    angles = np.empty((trials, n))
-    for trial in range(trials):
-        direct_null[trial] = nsp_projector(h_sr[trial])
-        if phases is None:
-            start = _nsp_start_phases(H_ir[trial], h_si[trial], direct_null[trial])
-            angles[trial] = start.angles
-        else:
-            angles[trial] = phases.angles
+    direct_null = _projectors(h_sr[:, :, np.newaxis])
+    if phases is None:
+        step = max(1, START_PHASE_BYTES // H_ir[0].nbytes)
+        parts = (H_ir, h_si, direct_null)
+        angles = np.concatenate(
+            [
+                _nsp_start_phases(*(part[t : t + step] for part in parts))
+                for t in range(0, trials, step)
+            ]
+        )
+    else:
+        angles = np.broadcast_to(phases.angles, (trials, n))
     # the reflected branch alone: no direct term in the cascade
     cascade = np.matvec(H_ir, np.exp(1j * angles) * h_si)
     if phases is not None:
@@ -760,68 +796,79 @@ def _nsp(
                 if not keep:
                     break
                 H, h, null, cascade = H[keep], h[keep], null[keep], cascade[keep]
+    return _nsp_solutions(hop, p_s_watt, stops, mode, combining)
 
+
+def _nsp_solutions(
+    hop: tuple, p_s_watt: float, stops: _Stops, mode: str, combining: str
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`nsp_max_rp_mrc`'s solutions at the stopped reflected-branch iterates.
+
+    Each stopped iterate holds the reflected branch's (angles, receive
+    vector, cascade, power), shared by the levels that stopped on it.  The
+    direct branch's beamformer is built off the reflected signal for every
+    distinct iterate of the stack at once, and both branches are combined.
+    The branch amplitudes are ``abs`` of Python complex numbers, as in the
+    one-trial rule: numpy's complex ``abs`` can differ in the last bit.
+    """
+    h_sr, H_ir, _ = hop
+    # the distinct stopped iterates, and the trial of each, in (trial,
+    # level) order: the order the one-trial rule raises in
+    distinct: dict[int, tuple] = {}
+    for trial, levels in enumerate(stops.stopped):
+        for iterate, _ in levels:
+            distinct.setdefault(id(iterate), (trial, iterate))
+    trials = [trial for trial, _ in distinct.values()]
+    iterates = [iterate for _, iterate in distinct.values()]
+    direct = h_sr[trials]
+    u_ri = np.stack([iterate[1] for iterate in iterates])
+    cascade = np.stack([iterate[2] for iterate in iterates])
+    if mode == "literal":
+        # off the whole surface matrix: one direct branch per trial
+        surface_null = _projectors(H_ir)
+        direct_raw = np.matvec(surface_null, np.matvec(surface_null, h_sr))[trials]
+    else:
+        direct_raw = np.matvec(_projectors(cascade[:, :, np.newaxis]), direct)
+    for raw, reference in zip(_norms(direct_raw), _norms(direct)):
+        if raw < 1e-12 * reference:
+            raise ProjectorDegenerateError(
+                "direct channel lies inside the projected-off subspace"
+            )
+        if raw < ZERO_NORM:
+            break  # _unit rejects it, as the one-trial rule did next
+    u_rs = _unit(direct_raw)
+    branches = zip(np.vecdot(u_rs, direct).tolist(), np.vecdot(u_ri, cascade).tolist())
+    closed = {}
+    for iterate, u_s, (branch_s, branch_i) in zip(iterates, u_rs, branches):
+        amp_s = abs(branch_s)
+        amp_i = abs(branch_i)
+        if combining == "snr-sum":
+            power_eff = p_s_watt * (amp_s**2 + amp_i**2)
+        else:
+            merged = abs(branch_s + branch_i) ** 2
+            if merged < ZERO_NORM:
+                raise DegenerateChannelError("both separated branches vanished")
+            power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
+        angles, u_i = iterate[:2]
+        closed[id(iterate)] = dict(
+            theta1=PhaseShiftVector(angles),
+            receive_power_watt=power_eff,
+            u_rs=Beamformer(u_s),
+            u_ri=Beamformer(u_i),
+        )
     return [
         tuple(
-            _nsp_solution(
-                h_sr[trial], H_ir[trial], p_s_watt, iterate, trace, noise, mode,
-                combining,
-            )
-            for (iterate, trace), noise in zip(levels, noise_variances)
+            _nsp_solution(closed[id(iterate)], trace, noise)
+            for (iterate, trace), noise in zip(levels, stops.noise)
         )
-        for trial, levels in enumerate(stops.stopped)
+        for levels in stops.stopped
     ]
 
 
-def _nsp_solution(
-    h_sr: np.ndarray,
-    H_ir: np.ndarray,
-    p_s_watt: float,
-    iterate: tuple,
-    trace: tuple[float, ...],
-    noise_variance_watt: float,
-    mode: str,
-    combining: str,
-) -> FirstSlotSolution:
-    """:func:`nsp_max_rp_mrc`'s solution at one trial's reflected-branch iterate.
-
-    ``iterate`` holds the reflected branch's (angles, receive vector,
-    cascade); the direct branch's beamformer is built here, off the
-    reflected signal, and both branches are combined.
-    """
-    angles, u_ri, cascade, _ = iterate
-    if mode == "literal":
-        surface_null = nsp_projector(H_ir)
-        direct_raw = surface_null @ (surface_null @ h_sr)
-    else:
-        cascade_null = nsp_projector(cascade)
-        direct_raw = cascade_null @ h_sr
-    if float(np.linalg.norm(direct_raw)) < 1e-12 * float(np.linalg.norm(h_sr)):
-        raise ProjectorDegenerateError(
-            "direct channel lies inside the projected-off subspace"
-        )
-    u_rs = Beamformer.normalized(direct_raw)
-
-    branch_s = complex(np.vdot(u_rs.weights, h_sr))
-    branch_i = complex(np.vdot(u_ri, cascade))
-    amp_s = abs(branch_s)
-    amp_i = abs(branch_i)
-    if combining == "snr-sum":
-        power_eff = p_s_watt * (amp_s**2 + amp_i**2)
-    else:
-        merged = abs(branch_s + branch_i) ** 2
-        if merged < ZERO_NORM:
-            raise DegenerateChannelError("both separated branches vanished")
-        power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
-    return FirstSlotSolution(
-        method="nsp",
-        theta1=PhaseShiftVector(angles),
-        receive_power_watt=power_eff,
-        rate_r=rate_from_power(power_eff, noise_variance_watt),
-        trace=trace,
-        u_rs=u_rs,
-        u_ri=Beamformer(u_ri),
-    )
+def _nsp_solution(closed: dict, trace: tuple, noise: float) -> FirstSlotSolution:
+    """One level's solution from its iterate's closed-out fields."""
+    rate_r = rate_from_power(closed["receive_power_watt"], noise)
+    return FirstSlotSolution(method="nsp", rate_r=rate_r, trace=trace, **closed)
 
 
 def irses_partition(n: int, m: int, seed: int) -> Partition:
@@ -885,7 +932,48 @@ def irses_max_rp_mrc_per_noise(
 
     The alignment, the per-antenna amplitudes and the MRC weights do not
     read the noise, so they are computed once; each level's solution equals
-    the one :func:`irses_max_rp_mrc` returns at it, bit for bit.
+    the one :func:`irses_max_rp_mrc` returns at it, bit for bit.  This is
+    :func:`irses_max_rp_mrc_batch` on one trial.
+    """
+    hop = _hop(channels, _FIRST_HOP, stack=False)
+    options = (interference_mode, combining, phases)
+    return _irses(hop, p_s_watt, noise_variances, [partition], *options)[0]
+
+
+def irses_max_rp_mrc_batch(
+    channels: ChannelSet,
+    p_s_watt: float,
+    noise_variances: tuple,
+    partitions: Sequence[Partition],
+    interference_mode: str = IRSES_MODES[0],
+    combining: str = COMBINING_MODES[0],
+    phases: PhaseShiftVector | None = None,
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`irses_max_rp_mrc_per_noise` on each trial of a stack, with its partition.
+
+    Returns one tuple of per-level solutions per trial; each equals what
+    the one-trial solver returns on that trial, bit for bit.
+    """
+    hop = _hop(channels, _FIRST_HOP, stack=True)
+    options = (interference_mode, combining, phases)
+    return _irses(hop, p_s_watt, noise_variances, partitions, *options)
+
+
+def _irses(
+    hop: tuple,
+    p_s_watt: float,
+    noise_variances: tuple,
+    partitions: Sequence[Partition],
+    interference_mode: str,
+    combining: str,
+    phases: PhaseShiftVector | None,
+) -> list[tuple[FirstSlotSolution, ...]]:
+    """:func:`irses_max_rp_mrc`'s closed form on the first hop of a stack of trials.
+
+    Trial ``t`` reads element ``i`` of antenna ``partitions[t]`` through
+    (trial, antenna) fancy indices, and ``np.add.at`` adds each antenna's
+    elements in element order, as on one trial.  A row's sum over the
+    antennas is the one-trial sum of that row, bit for bit.
     """
     noise_variances = tuple(noise_variances)
     _check_noise_levels(noise_variances)
@@ -893,12 +981,18 @@ def irses_max_rp_mrc_per_noise(
         raise ConfigError(f"unknown interference_mode {interference_mode!r}")
     if combining not in COMBINING_MODES:
         raise ConfigError(f"unknown combining {combining!r}")
-    m, n = channels.m, channels.n
-    if partition.n != n or partition.m != m:
+    h_sr, H_ir, h_si = hop
+    trials, m, n = H_ir.shape
+    if len(partitions) != trials:
         raise ConfigError(
-            f"partition for (m={partition.m}, n={partition.n}) does not match "
-            f"channels (m={m}, n={n})"
+            f"need one partition per trial, got {len(partitions)} for {trials}"
         )
+    for partition in partitions:
+        if partition.n != n or partition.m != m:
+            raise ConfigError(
+                f"partition for (m={partition.m}, n={partition.n}) does not match "
+                f"channels (m={m}, n={n})"
+            )
     sigma2s = [
         np.broadcast_to(np.asarray(noise, dtype=np.float64), (m,)).copy()
         for noise in noise_variances
@@ -907,66 +1001,74 @@ def irses_max_rp_mrc_per_noise(
         if np.any(sigma2 <= 0.0):
             raise ConfigError("noise variance must be positive")
 
-    antenna = partition.assignment
-    element = np.arange(n)
+    trial = np.arange(trials)[:, np.newaxis]
+    antenna = np.stack([partition.assignment for partition in partitions])
+    own_paths = H_ir[trial, antenna, np.arange(n)]
     if phases is None:
-        angles = (
-            np.angle(channels.h_sr)[antenna]
-            - np.angle(channels.H_ir[antenna, element])
-            - np.angle(channels.h_si)
+        angles = _checked_angles(
+            np.angle(h_sr)[trial, antenna] - np.angle(own_paths) - np.angle(h_si)
         )
-        theta = PhaseShiftVector(angles)
+        thetas = [PhaseShiftVector(row) for row in angles]
     else:
         if len(phases) != n:
             raise ConfigError("fixed phase vector length must equal n")
-        theta = phases
+        angles = phases.angles
+        thetas = [phases] * trials
 
-    contrib = channels.H_ir[antenna, element] * theta.phasors * channels.h_si
-    own = channels.h_sr.copy()
-    np.add.at(own, antenna, contrib)
+    own = h_sr.copy()
+    np.add.at(own, (trial, antenna), own_paths * np.exp(1j * angles) * h_si)
     if interference_mode == "idealized":
         amplitudes = np.abs(own)
     else:
-        hop = (channels.h_sr, channels.H_ir, channels.h_si)
-        amplitudes = np.abs(_hop_channel(hop, theta.angles))
+        amplitudes = np.abs(_hop_channel(hop, angles))
 
-    weights = np.ones(m, dtype=np.complex128)
+    weights = np.ones((trials, m), dtype=np.complex128)
     usable = np.abs(own) >= ZERO_NORM
     weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
-    if not np.all(usable):
-        warnings.warn(
-            f"{int((~usable).sum())} antenna(s) with zero combined signal; "
-            "MRC weight set to 1",
-            DegenerateElementWarning,
-            stacklevel=2,
-        )
+    unusable = (m - np.count_nonzero(usable, axis=-1)).tolist()
+
+    squares = amplitudes**2
+    square_sums = squares.sum(axis=-1).tolist()
+    if combining == "snr-sum":
+        snrs = [(squares / sigma2).sum(axis=-1).tolist() for sigma2 in sigma2s]
+    else:
+        fourth_sums = (amplitudes**4).sum(axis=-1).tolist()
+        denoms = [(squares * sigma2).sum(axis=-1).tolist() for sigma2 in sigma2s]
 
     solutions = []
-    for sigma2 in sigma2s:
-        if combining == "snr-sum":
-            snr = p_s_watt * float(np.sum(amplitudes**2 / sigma2))
-            power_eff = p_s_watt * float(np.sum(amplitudes**2))
-        else:
-            denom = float(np.sum(amplitudes**2 * sigma2))
-            if denom < ZERO_NORM:
-                raise DegenerateChannelError("all antennas received zero signal")
-            snr = p_s_watt * float(np.sum(amplitudes**4)) / denom
-            power_eff = p_s_watt * float(np.sum(amplitudes**4)) / float(
-                np.sum(amplitudes**2)
+    for row in range(trials):
+        if unusable[row]:
+            warnings.warn(
+                f"{unusable[row]} antenna(s) with zero combined signal; "
+                "MRC weight set to 1",
+                DegenerateElementWarning,
+                stacklevel=3,
             )
-        rate_r = float(np.log2(1.0 + snr))
-        solutions.append(
-            FirstSlotSolution(
-                method="irses",
-                theta1=theta,
-                receive_power_watt=power_eff,
-                rate_r=rate_r,
-                trace=(rate_r,),
-                mrc_weights=weights,
-                partition=partition,
+        levels = []
+        for level in range(len(sigma2s)):
+            if combining == "snr-sum":
+                snr = p_s_watt * snrs[level][row]
+                power_eff = p_s_watt * square_sums[row]
+            else:
+                denom = denoms[level][row]
+                if denom < ZERO_NORM:
+                    raise DegenerateChannelError("all antennas received zero signal")
+                snr = p_s_watt * fourth_sums[row] / denom
+                power_eff = p_s_watt * fourth_sums[row] / square_sums[row]
+            rate_r = float(np.log2(1.0 + snr))
+            levels.append(
+                FirstSlotSolution(
+                    method="irses",
+                    theta1=thetas[row],
+                    receive_power_watt=power_eff,
+                    rate_r=rate_r,
+                    trace=(rate_r,),
+                    mrc_weights=weights[row],
+                    partition=partitions[row],
+                )
             )
-        )
-    return tuple(solutions)
+        solutions.append(tuple(levels))
+    return solutions
 
 
 def second_slot_optimize(

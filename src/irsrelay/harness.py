@@ -12,9 +12,11 @@ evaluated together, chunk-major: the trial indices are cut into chunks, and
 for each chunk every distinct channel draw is made once and held once, in a
 stack of the chunk's trials of which each trial's channels are a view.  Each
 solve shared by several configurations (same solver and inputs but the
-noise) then runs once per chunk, as one batched loop over the chunk's
-trials and for every noise level it serves (every SNR point of a sweep),
-each (trial, level) stopping at its own iterate.  A chunk holds as many
+noise) then runs once per chunk on that stack, for every noise level it
+serves (every SNR point of a sweep): the alternations as one batched loop,
+each (trial, level) stopping at its own iterate, and the closed forms
+(``irses``, the fixed-phase slots) as stacked calls.  The records are then
+assembled from what the chunk solved.  A chunk holds as many
 trials as keep its stacked draws within :data:`CHUNK_BYTES` of what one
 trial holds, and at most :data:`CHUNK_TRIALS`: a property of the draws'
 sizes, not a setting, that bounds the memory a chunk holds.  Every result
@@ -40,22 +42,15 @@ from .beamforming import (
     NSP_MODES,
     PhaseShiftVector,
     _check_iteration_controls,
+    _hop_channel,
+    _norms,
+    _powers,
+    _unit,
     ais_max_rp_batch,
-    irses_max_rp_mrc_per_noise,
+    irses_max_rp_mrc_batch,
     irses_partition,
     nsp_max_rp_mrc_batch,
     second_slot_optimize_batch,
-    ur_update_ais,
-)
-
-# The benchmark's trace points (perfbench/tracing.py) wrap the scalar solvers
-# under these names; the trial engine calls their batched and ``_per_noise``
-# forms.
-from .beamforming import (  # noqa: F401
-    ais_max_rp,
-    irses_max_rp_mrc,
-    nsp_max_rp_mrc,
-    second_slot_optimize,
 )
 from .channel import (
     LINK_STREAMS,
@@ -67,13 +62,19 @@ from .channel import (
     stream_seed,
 )
 from .errors import ConfigError
-from .metrics import (
-    RateResult,
-    noise_variance_for_snr,
-    rate_from_power,
-    receive_power_ais,
-    system_rate,
+from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system_rate
+
+# The benchmark's trace points (perfbench/tracing.py) wrap the scalar solvers
+# and the one-trial fixed-phase helpers under these names; the trial engine
+# calls the batched solvers and evaluates fixed phases on a chunk's stack.
+from .beamforming import (  # noqa: F401
+    ais_max_rp,
+    irses_max_rp_mrc,
+    nsp_max_rp_mrc,
+    second_slot_optimize,
+    ur_update_ais,
 )
+from .metrics import receive_power_ais  # noqa: F401
 
 
 class Method(NamedTuple):
@@ -197,13 +198,52 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return stream_seed(base_seed, trial_index)
 
 
-def _fixed_second_slot_rate(
-    channels: ChannelSet, p_r_watt: float, noise_variance_watt: float
-) -> float:
-    # identity reflection phases; the transmit beamformer is still matched
-    combined = channels.h_rd + channels.H_ri @ channels.h_id
-    power = p_r_watt * float(np.linalg.norm(combined)) ** 2
-    return rate_from_power(power, noise_variance_watt)
+class FixedFirstSlot(NamedTuple):
+    """A fixed-phase first slot at one noise level: one closed-form step."""
+
+    rate_r: float
+    iterations: int = 1
+
+
+class FixedSecondSlot(NamedTuple):
+    """A fixed-phase second slot at one noise level: one closed-form step."""
+
+    rate_d: float
+    iterations: int = 1
+
+
+def _fixed_first_slot(
+    channels: ChannelSet, p_s_watt: float, noises: tuple[float, ...]
+) -> list[tuple[FixedFirstSlot, ...]]:
+    """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
+
+    Identity reflection phases; the receive beamformer is the matched
+    filter to the resulting first-hop channel.
+    """
+    hop = (channels.h_sr, channels.H_ir, channels.h_si)
+    combined = _hop_channel(hop, np.zeros(channels.n))
+    return [
+        tuple(FixedFirstSlot(rate_from_power(power, noise)) for noise in noises)
+        for power in _powers(p_s_watt, _unit(combined), combined)
+    ]
+
+
+def _fixed_second_slot(
+    channels: ChannelSet, p_r_watt: float, noises: tuple[float, ...]
+) -> list[tuple[FixedSecondSlot, ...]]:
+    """The fixed-phase second slot on a stack of trials, per noise level.
+
+    Identity reflection phases; the transmit beamformer is still matched,
+    so the power is that of the whole second-hop channel.
+    """
+    hop = (channels.h_rd, channels.H_ri, channels.h_id)
+    return [
+        tuple(
+            FixedSecondSlot(rate_from_power(p_r_watt * norm**2, noise))
+            for noise in noises
+        )
+        for norm in _norms(_hop_channel(hop, np.zeros(channels.n)))
+    ]
 
 
 #: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
@@ -281,12 +321,15 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
     """The solves in one trial of ``config``, by kind.
 
     ``"first"`` and ``"second"`` are the first- and second-slot solves of a
-    two-hop method.  Each is a (key, run) pair: ``run(shared, seeds,
-    noises)`` solves the drawn trials ``seeds`` at once and returns, per
-    trial, one solution per noise variance; the key, led by the solver's
+    two-hop method, the closed-form fixed-phase slots included.  Each is a
+    (key, run) pair: ``run(shared, seeds, noises)`` solves the drawn trials
+    ``seeds`` at once, on their stacked channels, and returns, per trial,
+    one solution per noise variance (an object with the slot's ``rate_r``
+    or ``rate_d`` and its ``iterations``); the key, led by the solver's
     name, holds every input of the solve except the trial seed and the
     noise.  Configurations with equal keys share one solve per trial for
-    all their noise levels.
+    all their noise levels: the three fixed-phase methods, for one, share
+    their second slot.
     """
     method = METHODS[config.method]
     if method.trial != "two-hop":
@@ -295,12 +338,23 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
     eps, max_iter = config.epsilon, config.max_iter
     p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
     zeros = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
+
+    def stack(shared: dict, seeds: list[int]) -> ChannelSet:
+        return _stacked(shared, seeds, channels)
+
     solves = {}
-    if method.first_slot == "ais" and not method.fixed_phase:
+    if method.first_slot == "ais" and method.fixed_phase:
+        solves["first"] = (
+            ("ais-fixed-phase", channels),
+            lambda shared, seeds, noises: _fixed_first_slot(
+                stack(shared, seeds), p_s, noises
+            ),
+        )
+    elif method.first_slot == "ais":
         solves["first"] = (
             ("ais", channels, eps, max_iter),
             lambda shared, seeds, noises: ais_max_rp_batch(
-                _stacked(shared, seeds, channels), p_s, noises, eps, max_iter
+                stack(shared, seeds), p_s, noises, eps, max_iter
             ),
         )
     elif method.first_slot == "nsp":
@@ -309,7 +363,7 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
         solves["first"] = (
             ("nsp", channels, eps, max_iter, *variant),
             lambda shared, seeds, noises: nsp_max_rp_mrc_batch(
-                _stacked(shared, seeds, channels), p_s, noises, eps, max_iter, **options
+                stack(shared, seeds), p_s, noises, eps, max_iter, **options
             ),
         )
     elif method.first_slot == "irses":
@@ -322,22 +376,26 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
         variant = (config.irses_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("irses", channels, *variant),
-            lambda shared, seeds, noises: [
-                irses_max_rp_mrc_per_noise(
-                    shared[(seed, *channels)],
-                    p_s,
-                    noises,
-                    _partition(shared, seed, n, m),
-                    **options,
-                )
-                for seed in seeds
-            ],
+            lambda shared, seeds, noises: irses_max_rp_mrc_batch(
+                stack(shared, seeds),
+                p_s,
+                noises,
+                [_partition(shared, seed, n, m) for seed in seeds],
+                **options,
+            ),
         )
-    if not method.fixed_phase:
+    if method.fixed_phase:
+        solves["second"] = (
+            ("fixed-second", channels),
+            lambda shared, seeds, noises: _fixed_second_slot(
+                stack(shared, seeds), p_r, noises
+            ),
+        )
+    else:
         solves["second"] = (
             ("second", channels, eps, max_iter),
             lambda shared, seeds, noises: second_slot_optimize_batch(
-                _stacked(shared, seeds, channels), p_r, noises, eps, max_iter
+                stack(shared, seeds), p_r, noises, eps, max_iter
             ),
         )
     return solves
@@ -394,26 +452,6 @@ def _evaluate_chunk(jobs: Sequence[tuple], shared: dict) -> None:
                 shared.setdefault((seed, key), {}).update(zip(levels, solutions))
 
 
-def _first_slot(
-    config: ScenarioConfig,
-    method: Method,
-    channels: ChannelSet,
-    seed: int,
-    noise: float,
-    shared: dict,
-    plan: dict[str, tuple],
-) -> tuple[float, int]:
-    """First-hop rate and iteration count of a two-hop method's solver."""
-    if method.first_slot == "ais" and method.fixed_phase:
-        p_s = config.budget.p_s_watt
-        phases = PhaseShiftVector(np.zeros(config.n))
-        u_r = ur_update_ais(channels, phases)
-        power = receive_power_ais(channels, phases.angles, u_r.weights, p_s)
-        return rate_from_power(power, noise), 1
-    first = shared[(seed, plan["first"][0])][noise]
-    return first.rate_r, first.iterations
-
-
 def run_trial(
     config: ScenarioConfig,
     trial_index: int,
@@ -457,16 +495,10 @@ def run_trial(
         rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
         iterations = (1, 1)
     else:
-        rate_r, iterations_1 = _first_slot(
-            config, method, channels, seed, noise, shared, plan
-        )
-        if method.fixed_phase:
-            rate_d = _fixed_second_slot_rate(channels, p_r, noise)
-            iterations = (iterations_1, 1)
-        else:
-            second = shared[(seed, plan["second"][0])][noise]
-            rate_d = second.rate_d
-            iterations = (iterations_1, second.iterations)
+        first = shared[(seed, plan["first"][0])][noise]
+        second = shared[(seed, plan["second"][0])][noise]
+        rate_r, rate_d = first.rate_r, second.rate_d
+        iterations = (first.iterations, second.iterations)
     result = RateResult(
         config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
     )

@@ -1,21 +1,30 @@
 """Batched solvers and chunked evaluation equal one trial at a time, bit for bit.
 
 ``ais``, ``nsp`` and the second slot iterate on stacks of trials, each
-(trial, noise level) stopping on its own rule; ``collect_trials`` draws and
-solves the trials chunk by chunk.  Neither may change a bit of any record,
-and the checks of the one-trial loop (warnings on zero paths, errors on
-non-finite or zero channels) must hold inside a stack.
+(trial, noise level) stopping on its own rule; NSP's set-up and direct
+branch, ``irses`` and the fixed-phase slots are closed forms on the same
+stacks; ``collect_trials`` draws and solves the trials chunk by chunk.  None
+of it may change a bit of any record, and the checks of the one-trial rules
+(warnings on zero paths, errors on non-finite or zero channels) must hold
+inside a stack.
 """
 
+import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from irsrelay import harness
+from irsrelay import beamforming, harness
 from irsrelay.beamforming import (
+    PhaseShiftVector,
+    _Stops,
     ais_max_rp_batch,
     ais_max_rp_per_noise,
+    irses_max_rp_mrc_batch,
+    irses_max_rp_mrc_per_noise,
+    irses_partition,
     nsp_max_rp_mrc_batch,
     nsp_max_rp_mrc_per_noise,
     second_slot_optimize_batch,
@@ -30,19 +39,24 @@ from irsrelay.errors import (
 from irsrelay.harness import ScenarioConfig, collect_trials, run_trial
 
 from conftest import NOISE_30DB, P_S, make_channels
-from test_per_noise import assert_identical
+from test_per_noise import assert_identical, noise_levels
 
-#: (method, m, n, options): both nsp modes (literal needs m > n) and fixed
-#: phases, irses, the fixed-phase and single-hop baselines, and the
-#: single-antenna baseline at m = 1
+#: (method, m, n, options): both nsp modes (literal needs m > n), both
+#: combinings and fixed phases, both irses modes and fixed phases, the
+#: fixed-phase and single-hop baselines, and the single-antenna baseline at
+#: m = 1
 METHODS = (
     ("ais", 8, 16, {}),
     ("nsp", 8, 16, {}),
     ("nsp", 8, 4, {"nsp_mode": "literal"}),
+    ("nsp", 8, 16, {"combining": "printed"}),
     ("nsp-fixed-phase", 8, 16, {}),
     ("irses", 8, 16, {}),
+    ("irses", 8, 16, {"irses_mode": "full"}),
+    ("irses-fixed-phase", 8, 16, {}),
     ("ais-fixed-phase", 8, 16, {}),
     ("baseline-single-antenna", 8, 16, {}),
+    ("baseline-irs-only", 8, 16, {}),
     ("baseline-relay-only", 8, 16, {}),
 )
 
@@ -195,3 +209,219 @@ def test_chunk_holds_the_trials_its_limits_allow():
     assert size(base, ScenarioConfig(m=8, n=64, base_seed=1)) == (
         1 + harness.CHUNK_BYTES // (2 * 18688)
     )
+
+
+def test_a_stopped_row_is_copied_once_for_all_its_levels():
+    # levels that stop on one iterate of a row share one copy of it, and
+    # the copy owns its data: the stack's arrays may change or go
+    stops = _Stops(2, (1.0, 2.0, 4.0), 1e-4, max_iter=1)
+    live = np.arange(6.0).reshape(2, 3)
+    assert stops.record([1.0, 2.0], (live,)) == []
+    for row, levels in enumerate(stops.stopped):
+        iterates = {id(iterate) for iterate, _ in levels}
+        assert len(iterates) == 1
+        (part, power), _ = levels[0]
+        assert part.base is None and power == [1.0, 2.0][row]
+    live[...] = -1.0
+    assert stops.stopped[1][0][0][0].tolist() == [3.0, 4.0, 5.0]
+
+
+def test_levels_share_a_solution_array_exactly_when_they_stop_together():
+    grid = noise_levels(0, 5, 10, 15, 20, 25, 30)
+    sets = [make_channels(4, 16, seed=seed) for seed in range(3)]
+    for levels in ais_max_rp_batch(stack_channels(sets), P_S, grid, 1e-6, 6):
+        weights = {id(solution.u_r.weights) for solution in levels}
+        assert len(weights) == len({solution.iterations for solution in levels})
+        assert all(solution.u_r.weights.base is None for solution in levels)
+
+
+#: stacked nsp and irses: per case, trial 0's rate and receive power at its
+#: last level as float.hex(), and a digest of every rate, power, trace,
+#: phase and weight of trials 0..31 (make_channels(m, n, seed=trial),
+#: irses_partition(n, m, trial)) at 0 dB and 30 dB, irses also at one
+#: per-antenna level.  Computed by the one-trial solvers before NSP's
+#: set-up, its direct branch and irses ran on stacks; after a change meant
+#: to move these numbers, recompute them and state the drift.
+STACKED_PINNED = {
+    "nsp-effective": (
+        "0x1.30f3fdc9aed6ap+0", "0x1.a490a06ffec4fp-6", "a0cfa49b3524a83c",
+    ),
+    "nsp-effective-printed": (
+        "0x1.f198d2eb9aa5ep-2", "0x1.067789a7f2de8p-7", "3ce4e73ca8ade31e",
+    ),
+    "nsp-literal": ("0x1.f167432e45f8bp-1", "0x1.3adb4864297cfp-6", "8d92140dfd23c884"),
+    "nsp-literal-printed": (
+        "0x1.3478abb6cefc4p-1", "0x1.53b0f2ae1772ap-7", "a64771bd0dcef19d",
+    ),
+    "nsp-fixed-phases": (
+        "0x1.9c82ebd94c7afp-1", "0x1.ea31bf3f019a4p-7", "b858aef5d544f643",
+    ),
+    "irses-idealized": (
+        "0x1.0d2cd6e03740dp+0", "0x1.b5976e3a9a0cap-6", "5786eb27e4572ffe",
+    ),
+    "irses-full": ("0x1.cf9a0c571c20ep-1", "0x1.66696d1c0a2d8p-6", "00a10cad2d0d1a5c"),
+    "irses-printed": (
+        "0x1.9f880d90c7cd3p-2", "0x1.27e8a3451f9f8p-7", "a764a8f7dbc1538d",
+    ),
+    "irses-fixed-phases": (
+        "0x1.8dae2efcaf417p-1", "0x1.14c89710a276dp-6", "bf07ac9bf30e95a0",
+    ),
+}
+
+#: (solver, (m, n), options) of each pinned case; literal mode needs m > n
+STACKED_CASES = {
+    "nsp-effective": ("nsp", (4, 16), {}),
+    "nsp-effective-printed": ("nsp", (4, 16), {"combining": "printed"}),
+    "nsp-literal": ("nsp", (8, 4), {"mode": "literal"}),
+    "nsp-literal-printed": (
+        "nsp", (8, 4), {"mode": "literal", "combining": "printed"},
+    ),
+    "nsp-fixed-phases": ("nsp", (4, 16), {"phases": PhaseShiftVector(np.zeros(16))}),
+    "irses-idealized": ("irses", (4, 16), {}),
+    "irses-full": ("irses", (4, 16), {"interference_mode": "full"}),
+    "irses-printed": ("irses", (4, 16), {"combining": "printed"}),
+    "irses-fixed-phases": ("irses", (4, 16), {"phases": PhaseShiftVector(np.zeros(16))}),
+}
+
+PINNED_TRIALS = 32
+
+
+def solution_digest(per_trial):
+    digest = hashlib.sha256()
+    for levels in per_trial:
+        for solution in levels:
+            digest.update(solution.rate_r.hex().encode())
+            digest.update(float(solution.receive_power_watt).hex().encode())
+            digest.update("".join(rate.hex() for rate in solution.trace).encode())
+            digest.update(solution.theta1.angles.tobytes())
+            for beamformer in (solution.u_rs, solution.u_ri):
+                if beamformer is not None:
+                    digest.update(beamformer.weights.tobytes())
+            if solution.mrc_weights is not None:
+                digest.update(solution.mrc_weights.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("stack", [1, 3, 32])
+@pytest.mark.parametrize("name", STACKED_CASES)
+def test_stacked_closed_forms_keep_the_pinned_bits(name, stack):
+    # trials 0..31 solved in stacks of ``stack`` (the last one shorter)
+    solver, (m, n), options = STACKED_CASES[name]
+    sets = [make_channels(m, n, seed=trial) for trial in range(PINNED_TRIALS)]
+    levels = noise_levels(0, 30)
+    solutions = []
+    for start in range(0, PINNED_TRIALS, stack):
+        rows = range(start, min(start + stack, PINNED_TRIALS))
+        channels = stack_channels([sets[trial] for trial in rows])
+        if solver == "nsp":
+            solutions += nsp_max_rp_mrc_batch(channels, P_S, levels, **options)
+        else:
+            partitions = [irses_partition(n, m, trial) for trial in rows]
+            per_antenna = (*levels, np.linspace(0.01, 0.04, m))
+            solutions += irses_max_rp_mrc_batch(
+                channels, P_S, per_antenna, partitions, **options
+            )
+    last = solutions[0][-1]
+    power = float(last.receive_power_watt)
+    got = (last.rate_r.hex(), power.hex(), solution_digest(solutions))
+    assert got == STACKED_PINNED[name]
+
+
+def zero_antenna(channels, antenna):
+    """``channels`` with no first-hop signal at relay antenna ``antenna``."""
+    blocks = {key: np.array(getattr(channels, key)) for key in LINK_STREAMS}
+    blocks["h_sr"][antenna] = 0.0
+    blocks["H_ir"][antenna] = 0.0
+    return ChannelSet(**blocks)
+
+
+def test_irses_zero_antenna_warns_once_per_affected_trial_in_a_stack():
+    sets = [make_channels(4, 16, seed=seed) for seed in range(4)]
+    sets[0], sets[2] = zero_antenna(sets[0], 1), zero_antenna(sets[2], 3)
+    partitions = [irses_partition(16, 4, seed) for seed in range(4)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        together = irses_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS, partitions)
+    assert [str(w.message) for w in caught] == [
+        "1 antenna(s) with zero combined signal; MRC weight set to 1"
+    ] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateElementWarning)
+        for channels, partition, solutions in zip(sets, partitions, together):
+            alone = irses_max_rp_mrc_per_noise(channels, P_S, LEVELS, partition)
+            for mixed, single in zip(solutions, alone):
+                assert_identical(mixed, single)
+                assert np.array_equal(mixed.mrc_weights, single.mrc_weights)
+
+
+def test_irses_batch_needs_one_partition_per_trial():
+    sets = [make_channels(4, 16, seed=seed) for seed in range(2)]
+    with pytest.raises(ConfigError):
+        irses_max_rp_mrc_batch(
+            stack_channels(sets), P_S, LEVELS, [irses_partition(16, 4, 0)]
+        )
+
+
+def count_calls(monkeypatch, module, name, record):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_every_method_solves_once_per_chunk_and_key(chunk, monkeypatch):
+    # all nine methods: nsp and irses with and without fixed phases are two
+    # keys each, the fixed-phase methods share one fixed second slot, and
+    # no trial is evaluated alone
+    from irsrelay import metrics
+
+    cases = [
+        ScenarioConfig(method=method, m=8, n=16, trials=1, epsilon=EPSILON)
+        for method in harness.METHODS
+    ]
+    size = harness._chunk_trials(cases)
+    assert size > 1
+    cases = [dataclasses.replace(config, trials=2 * size + 1) for config in cases]
+    stacked = lambda channels, *rest: len(channels.h_sr)  # noqa: E731
+    solves = {
+        name: count_calls(monkeypatch, harness, name, stacked)
+        for name in (
+            "nsp_max_rp_mrc_batch",
+            "irses_max_rp_mrc_batch",
+            "_fixed_first_slot",
+            "_fixed_second_slot",
+        )
+    }
+    alone = [
+        count_calls(monkeypatch, module, name, lambda *args: 1)
+        for module, name in (
+            (harness, "ur_update_ais"),
+            (harness, "receive_power_ais"),
+            (beamforming, "ur_update_ais"),
+            (metrics, "receive_power_ais"),
+        )
+    ]
+    collect_trials(cases)
+    chunks = [size, size, 1]
+    assert sorted(solves["nsp_max_rp_mrc_batch"]) == sorted(2 * chunks)
+    assert sorted(solves["irses_max_rp_mrc_batch"]) == sorted(2 * chunks)
+    assert solves["_fixed_first_slot"] == chunks
+    assert solves["_fixed_second_slot"] == chunks
+    assert not any(alone)
+
+
+def test_nsp_start_phases_in_slices_of_the_stack_change_no_bit(monkeypatch):
+    # the relaxed start phases are built a few trials at a time when a
+    # trial's surface matrix is large; slices of 2 of a stack of 5 here
+    sets = [make_channels(4, 16, seed=seed) for seed in range(5)]
+    whole = nsp_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS)
+    monkeypatch.setattr(beamforming, "START_PHASE_BYTES", 2 * sets[0].H_ir.nbytes)
+    sliced = nsp_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS)
+    for one, other in zip(whole, sliced):
+        for a, b in zip(one, other):
+            assert_identical(a, b)

@@ -206,7 +206,7 @@ BATCHED = (
     "ais_max_rp_batch",
     "nsp_max_rp_mrc_batch",
     "second_slot_optimize_batch",
-    "irses_max_rp_mrc_per_noise",
+    "irses_max_rp_mrc_batch",
 )
 
 
@@ -235,17 +235,16 @@ def check_shared_solves(monkeypatch, chunk):
     assert sorted(draws.values()) == [1] * 6
     # every (trial, key) solved exactly once, by one batched call per
     # (chunk, key) with the key's one noise level; the ais key and the
-    # second slot have one key per m, irses solves trial by trial
+    # second slot have one key per m
     noise = (configs[0].noise_variance_watt,)
     for name, keys in (
         ("ais_max_rp_batch", 2),
         ("nsp_max_rp_mrc_batch", 1),
+        ("irses_max_rp_mrc_batch", 1),
         ("second_slot_optimize_batch", 2),
     ):
         assert len(batches[name]) == keys * chunks
         assert sum(len(solved) for solved, _ in batches[name]) == keys * 3
-    irses = batches["irses_max_rp_mrc_per_noise"]
-    assert [len(solved) for solved, _ in irses] == [1] * 3
     for calls in batches.values():
         assert _solved_once(calls)
         assert {noises for _, noises in calls} == {noise}
@@ -269,19 +268,21 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
             for p in together] == alone
     assert sorted(draws.values()) == [1] * 3  # one draw per trial
     # one noise-free solve per trial serves both SNR points: the three
-    # trials make one chunk, solved by one batched call per key; irses
-    # solves each trial once for both points
+    # trials make one chunk, solved by one batched call per key
     noises = tuple(
         point_config(spec, v, "ais").noise_variance_watt for v in spec.values
     )
-    for name in ("ais_max_rp_batch", "second_slot_optimize_batch"):
+    for name in (
+        "ais_max_rp_batch",
+        "second_slot_optimize_batch",
+        "irses_max_rp_mrc_batch",
+    ):
         assert len(batches[name]) == 1
-    assert len(batches["irses_max_rp_mrc_per_noise"]) == 3
     assert not batches["nsp_max_rp_mrc_batch"]
     for name in (
         "ais_max_rp_batch",
         "second_slot_optimize_batch",
-        "irses_max_rp_mrc_per_noise",
+        "irses_max_rp_mrc_batch",
     ):
         calls = batches[name]
         assert _solved_once(calls)
