@@ -231,12 +231,14 @@ class Partition:
 
 
 def _validated_trace(trace: tuple[float, ...]) -> tuple[float, ...]:
-    values = np.asarray(trace, dtype=np.float64)
-    if values.size == 0:
+    # solvers build their traces as Python floats: checking the steps on
+    # floats makes the same IEEE subtraction as an array diff would
+    values = tuple(float(v) for v in trace)
+    if not values:
         raise ConfigError("solution trace must contain at least one entry")
-    if np.any(np.diff(values) < -TRACE_SLACK):
+    if any(b - a < -TRACE_SLACK for a, b in zip(values, values[1:])):
         raise TraceDipError("alternation trace decreased beyond tolerance")
-    return tuple(float(v) for v in values)
+    return values
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ antennas, a passive reflecting surface IRS with ``n`` elements, and a
 destination D.  Every link is modeled as flat Rayleigh fading: independent
 circularly-symmetric complex Gaussian entries of unit variance, scaled by a
 distance-based amplitude attenuation and by the endpoint antenna gains.
+
+:func:`sample_channels_batch` draws several trials at once, as one stack of
+all six links with a leading trial axis; each trial's rows are bit for bit
+what :func:`sample_channels`, its one-trial view, draws for that seed alone.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -163,7 +166,7 @@ class ChannelSet:
         if self.H_ir.shape != (*lead, m, n) or self.H_ri.shape != (*lead, m, n):
             raise ConfigError("H_ir and H_ri must have shape (m, n)")
         for name in LINK_STREAMS:
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"channel block {name} contains non-finite entries")
 
     @property
@@ -181,9 +184,10 @@ class ChannelSet:
         """
         if self.h_sr.ndim != 2:
             raise ConfigError("only a stack of trials has trials to view")
-        view = copy.copy(self)
-        for name in LINK_STREAMS:
-            setattr(view, name, getattr(self, name)[index])
+        view = object.__new__(type(self))
+        view.__dict__.update(
+            (name, getattr(self, name)[index]) for name in LINK_STREAMS
+        )
         return view
 
 
@@ -221,6 +225,65 @@ def dbi_to_amplitude_gain(gain_tx_dbi: float, gain_rx_dbi: float) -> float:
     return 10.0 ** ((gain_tx_dbi + gain_rx_dbi) / 20.0)
 
 
+def sample_channels_batch(
+    geometry: Geometry,
+    budget: LinkBudget,
+    m: int,
+    n: int,
+    seeds: Sequence[int],
+) -> ChannelSet:
+    """Draw one Rayleigh realization of all six links per seed, as one stack.
+
+    Row ``k`` of every block is what :func:`sample_channels` draws for
+    ``seeds[k]``, bit for bit.  Each (seed, link) keeps its own substream,
+    which fills that seed's row of the link's stack; the draws of all six
+    links share one buffer, and the scaling ``scale * (re + 1j * im) /
+    sqrt(2)`` runs on it a step at a time, in place, each link's scale on
+    its own stack.  The stack is checked once.
+    """
+    if m < 1:
+        raise ConfigError(f"antenna count m must be >= 1, got {m}")
+    if n < 1:
+        raise ConfigError(f"element count n must be >= 1, got {n}")
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
+    links = {
+        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
+        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
+        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi, (n,)),
+        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi, (m,)),
+        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
+        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
+    }
+    # each link's stack is a contiguous run of the buffer, trial-major
+    trials = len(seeds)
+    spans, stop = {}, 0
+    for name, (*_, shape) in links.items():
+        spans[name] = slice(stop, stop + trials * math.prod(shape))
+        stop = spans[name].stop
+    draws = np.empty((stop, 2))
+    for name, (*_, shape) in links.items():
+        rows = draws[spans[name]].reshape(trials, *shape, 2)
+        for row, seed in enumerate(seeds):
+            ss = np.random.SeedSequence((int(seed), LINK_STREAMS[name]))
+            rng = np.random.Generator(np.random.Philox(ss))
+            # interleaved real/imag draws keep leading entries stable when m grows
+            rng.standard_normal(shape + (2,), out=rows[row])
+    # im * 1j, then += re: complex products and sums commute bit for bit, so
+    # this is re + 1j * im
+    values = draws[:, 1] * 1j
+    values += draws[:, 0]
+    del draws
+    blocks: dict[str, np.ndarray] = {}
+    for name, (dist, g_tx, g_rx, shape) in links.items():
+        block = values[spans[name]]
+        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(g_tx, g_rx)
+        blocks[name] = block.reshape(trials, *shape)
+    values /= np.sqrt(2.0)
+    return ChannelSet(**blocks)
+
+
 def sample_channels(
     geometry: Geometry,
     budget: LinkBudget,
@@ -233,6 +296,7 @@ def sample_channels(
     Each link uses its own counter-based substream derived from
     ``(seed, link index)``, so the realization is reproducible bit-for-bit
     and individual links do not shift when unrelated dimensions change.
+    This is :func:`sample_channels_batch` on one seed, viewed as one trial.
 
     Args:
         geometry: node positions.
@@ -245,27 +309,4 @@ def sample_channels(
         A :class:`ChannelSet` with entries of per-link standard deviation
         ``pathloss_amplitude(d, alpha) * dbi_to_amplitude_gain(g_tx, g_rx)``.
     """
-    if m < 1:
-        raise ConfigError(f"antenna count m must be >= 1, got {m}")
-    if n < 1:
-        raise ConfigError(f"element count n must be >= 1, got {n}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-
-    links = {
-        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
-        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
-        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi, (n,)),
-        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi, (m,)),
-        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
-        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
-    }
-    blocks: dict[str, np.ndarray] = {}
-    for name, (dist, g_tx, g_rx, shape) in links.items():
-        scale = pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(g_tx, g_rx)
-        ss = np.random.SeedSequence((int(seed), LINK_STREAMS[name]))
-        rng = np.random.Generator(np.random.Philox(ss))
-        # interleaved real/imag draws keep leading entries stable when m grows
-        draws = rng.standard_normal(shape + (2,))
-        blocks[name] = scale * (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
-    return ChannelSet(**blocks)
+    return sample_channels_batch(geometry, budget, m, n, [seed]).trial(0)

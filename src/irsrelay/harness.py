@@ -9,14 +9,16 @@ rate and standard error per axis value and method.
 
 Several configurations (the methods of a table, the points of a sweep) are
 evaluated together, chunk-major: the trial indices are cut into chunks, and
-for each chunk every distinct channel draw is made once and held once, in a
-stack of the chunk's trials of which each trial's channels are a view.  Each
+for each chunk every distinct channel draw is made once and held once, by
+one :func:`~irsrelay.channel.sample_channels_batch` call that draws a stack
+of the chunk's trials of which each trial's channels are a view.  Each
 solve shared by several configurations (same solver and inputs but the
 noise) then runs once per chunk on that stack, for every noise level it
 serves (every SNR point of a sweep): the alternations as one batched loop,
 each (trial, level) stopping at its own iterate, and the closed forms
 (``irses``, the fixed-phase slots) as stacked calls.  The records are then
-assembled from what the chunk solved.  A chunk holds as many
+assembled from what the chunk solved, nothing drawn or solved again.  A
+chunk holds as many
 trials as keep its stacked draws within :data:`CHUNK_BYTES` of what one
 trial holds, and at most :data:`CHUNK_TRIALS`: a property of the draws'
 sizes, not a setting, that bounds the memory a chunk holds.  Every result
@@ -53,20 +55,21 @@ from .beamforming import (
     second_slot_optimize_batch,
 )
 from .channel import (
-    LINK_STREAMS,
     ChannelSet,
     Geometry,
     LinkBudget,
-    sample_channels,
+    sample_channels_batch,
     stack_channels,
     stream_seed,
 )
 from .errors import ConfigError
 from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system_rate
 
-# The benchmark's trace points (perfbench/tracing.py) wrap the scalar solvers
-# and the one-trial fixed-phase helpers under these names; the trial engine
-# calls the batched solvers and evaluates fixed phases on a chunk's stack.
+# The benchmark's trace points (perfbench/tracing.py) wrap the one-trial
+# sampler, the scalar solvers and the one-trial fixed-phase helpers under
+# these names; the trial engine draws with sample_channels_batch, calls the
+# batched solvers and evaluates fixed phases on a chunk's stack.
+from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
     ais_max_rp,
     irses_max_rp_mrc,
@@ -289,21 +292,11 @@ def _partition(shared: dict, seed: int, n: int, m: int):
 def _draw(shared: dict, channels: tuple, seeds: list[int]) -> None:
     """Draw trials ``seeds`` once at ``channels`` (:func:`_channel_inputs`).
 
-    The draws are stacked, and each trial's ChannelSet is a view of its
-    rows of the stack.
+    One :func:`~irsrelay.channel.sample_channels_batch` call draws them as
+    one stack, and each trial's ChannelSet is a view of its rows.
     """
     m, n, geometry, budget = channels
-    blocks: dict[str, np.ndarray] = {}
-    for row, seed in enumerate(seeds):
-        # each draw is copied into the stack and dropped, so a chunk's
-        # draws are held once
-        draw = sample_channels(geometry, budget, m, n, seed)
-        for name in LINK_STREAMS:
-            block = getattr(draw, name)
-            if not row:
-                blocks[name] = np.empty((len(seeds), *block.shape), block.dtype)
-            blocks[name][row] = block
-    stack = ChannelSet(**blocks)
+    stack = sample_channels_batch(geometry, budget, m, n, seeds)
     shared[("stack", *channels)] = (stack, seeds)
     for row, seed in enumerate(seeds):
         shared[(seed, *channels)] = stack.trial(row)
@@ -420,16 +413,22 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[dict[str, tuple]]:
     ]
 
 
-def _evaluate_chunk(jobs: Sequence[tuple], shared: dict) -> None:
-    """Draw and solve a chunk of trials into ``shared``.
+def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
+    """Draw and solve a chunk of trials; what was shared, by key.
 
     ``jobs`` holds (configuration, its plan, its trial indices) triples.
     Each distinct draw is made once, and each planned key is solved once
-    for all the drawn trials that need it and all its noise levels.
+    for all the drawn trials that need it and all its noise levels.  The
+    result holds the trial seeds, the channel draws, keyed by everything
+    they depend on, the element partitions of ``irses`` methods, and the
+    solves on those channels, keyed by their inputs without the noise.
     """
+    shared: dict = {}
     draws: dict[tuple, dict[int, None]] = {}
     solves: dict[tuple, tuple] = {}
     for config, plan, indices in jobs:
+        if not indices:
+            continue
         channels = _channel_inputs(config)
         seeds = dict.fromkeys(
             _trial_seed(shared, config.base_seed, k) for k in indices
@@ -438,59 +437,38 @@ def _evaluate_chunk(jobs: Sequence[tuple], shared: dict) -> None:
         for key, levels, run in plan.values():
             solves.setdefault(key, (levels, run, {}))[2].update(seeds)
     for channels, seeds in draws.items():
-        missing = [seed for seed in seeds if (seed, *channels) not in shared]
-        if missing:
-            _draw(shared, channels, missing)
+        _draw(shared, channels, list(seeds))
     for key, (levels, run, seeds) in solves.items():
-        missing = [
-            seed
-            for seed in seeds
-            if not shared.get((seed, key), {}).keys() >= set(levels)
-        ]
-        if missing:
-            for seed, solutions in zip(missing, run(shared, missing, levels)):
-                shared.setdefault((seed, key), {}).update(zip(levels, solutions))
+        seeds = list(seeds)
+        for seed, solutions in zip(seeds, run(shared, seeds, levels)):
+            shared[(seed, key)] = dict(zip(levels, solutions))
+    return shared
 
 
-def run_trial(
-    config: ScenarioConfig,
-    trial_index: int,
-    *,
-    shared: dict | None = None,
-    plan: dict[str, tuple] | None = None,
+def _record(
+    config: ScenarioConfig, plan: dict[str, tuple], trial_index: int, shared: dict
 ) -> TrialRecord:
-    """Evaluate one Monte Carlo trial of the configured method.
+    """Trial ``trial_index`` of ``config``, assembled from ``shared``.
 
-    ``shared`` holds what :func:`collect_trials` drew and solved for the
-    trial's chunk: the channel draws, keyed by everything they depend on,
-    the element partitions of ``irses`` methods, and the solves on those
-    channels, keyed by their inputs without the noise.  ``plan`` is the
-    configuration's entry of :func:`solve_plans` (by default, planned
-    alone).  What ``shared`` lacks of the trial is drawn and solved here,
-    alone (a chunk of one), for every noise level its plan lists.  A result
-    does not depend on whether, or with which trials and noise levels,
-    anything was shared.
+    ``shared`` is what :func:`_evaluate_chunk` drew and solved for the
+    trial's chunk under ``plan``, the configuration's entry of
+    :func:`solve_plans`; it is only read here.
     """
-    if trial_index < 0:
-        raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
-    shared = {} if shared is None else shared
-    plan = solve_plans([config])[0] if plan is None else plan
     method = METHODS[config.method]
-    seed = _trial_seed(shared, config.base_seed, trial_index)
-    # draws and solves what ``shared`` lacks, on this trial alone
-    _evaluate_chunk([(config, plan, [trial_index])], shared)
-    channels = shared[(seed, *_channel_inputs(config))]
+    seed = shared[("seed", config.base_seed, trial_index)]
     noise = config.noise_variance_watt
     p_s = config.budget.p_s_watt
     p_r = config.budget.p_r_watt
     if method.trial == "irs-only":
         # one hop S -> IRS -> D with element-wise alignment: no 1/2 pre-log,
         # and the per-hop fields all equal the single-hop rate
+        channels = shared[(seed, *_channel_inputs(config))]
         amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
         rate = rate_from_power(p_s * amplitude**2, noise)
         result = RateResult(config.method, rate, rate, rate, (1, 1))
         return TrialRecord(trial_index, seed, result)
     if method.trial == "relay-only":
+        channels = shared[(seed, *_channel_inputs(config))]
         rate_r = rate_from_power(p_s * float(np.linalg.norm(channels.h_sr)) ** 2, noise)
         rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
         iterations = (1, 1)
@@ -505,6 +483,20 @@ def run_trial(
     return TrialRecord(trial_index, seed, result)
 
 
+def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
+    """Evaluate one Monte Carlo trial of the configured method.
+
+    The trial is drawn and solved alone, as a chunk of one, for its own
+    noise level; its record is what :func:`collect_trials` makes of the same
+    trial evaluated with any others.
+    """
+    if trial_index < 0:
+        raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
+    plan = solve_plans([config])[0]
+    shared = _evaluate_chunk([(config, plan, [trial_index])])
+    return _record(config, plan, trial_index, shared)
+
+
 def collect_trials(
     config: ScenarioConfig | Sequence[ScenarioConfig], workers: int | None = None
 ) -> list[TrialRecord] | list[list[TrialRecord]]:
@@ -516,9 +508,10 @@ def collect_trials(
     chunks of :func:`_chunk_trials` trials, and for each chunk every
     distinct channel draw is made once, stacked, and each planned solve
     runs once over the chunk's trials that need it, for all the noise
-    levels that share it (the SNR points of a sweep, say).  Then
-    :func:`run_trial` assembles each record of the chunk from what was
-    shared.  Sharing and chunking change no bit of any record.
+    levels that share it (the SNR points of a sweep, say).  Each record of
+    the chunk is then assembled from what was shared, without drawing or
+    solving anything again.  Sharing and chunking change no bit of any
+    record.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.
@@ -532,18 +525,18 @@ def collect_trials(
     size = _chunk_trials(configs)
     for start in range(0, trials, size):
         indices = range(start, min(start + size, trials))
-        shared: dict = {}
-        _evaluate_chunk(
+        shared = _evaluate_chunk(
             [
                 (cfg, plan, [k for k in indices if k < cfg.trials])
                 for cfg, plan in zip(configs, plans)
-            ],
-            shared,
+            ]
         )
         for trial_index in indices:
             for cfg, plan, out in zip(configs, plans, records):
                 if trial_index < cfg.trials:
-                    out.append(run_trial(cfg, trial_index, shared=shared, plan=plan))
+                    out.append(_record(cfg, plan, trial_index, shared))
+        # the next chunk is drawn and solved once this one is dropped
+        del shared
     return records[0] if isinstance(config, ScenarioConfig) else records
 
 

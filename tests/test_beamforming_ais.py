@@ -142,6 +142,27 @@ def test_dipping_trace_is_a_runtime_error():
     assert not isinstance(excinfo.value, ConfigError)
 
 
+def _first_slot(trace):
+    return FirstSlotSolution(
+        method="ais",
+        theta1=PhaseShiftVector(np.zeros(2)),
+        receive_power_watt=1.0,
+        rate_r=0.5,
+        trace=trace,
+    )
+
+
+def test_trace_check_allows_only_its_slack():
+    # a dip beyond TRACE_SLACK (1e-12) is a fault; rounding below it is not
+    with pytest.raises(TraceDipError):
+        _first_slot((1.0, 1.0 - 2e-12))
+    kept = _first_slot((1.0, 1.0 - 5e-13, np.float64(1.5)))
+    assert kept.trace == (1.0, 1.0 - 5e-13, 1.5)
+    assert all(type(value) is float for value in kept.trace)
+    with pytest.raises(ConfigError):
+        _first_slot(())
+
+
 def test_ais_respects_iteration_controls():
     ch = make_channels(m=4, n=8, seed=3)
     sol = ais_max_rp(ch, P_S, NOISE_30DB, max_iter=1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,15 +6,18 @@ import pytest
 from scipy import stats
 
 from irsrelay.channel import (
+    LINK_STREAMS,
     ChannelSet,
     Geometry,
     LinkBudget,
     dbi_to_amplitude_gain,
     pathloss_amplitude,
     sample_channels,
+    sample_channels_batch,
     stream_seed,
 )
 from irsrelay.errors import ConfigError
+from irsrelay.harness import trial_seed
 
 from conftest import make_channels
 
@@ -178,3 +182,55 @@ def test_real_imag_parts_independent_scale():
     half = EXPECTED_SECOND_MOMENT["h_sr"] / 2.0
     assert abs(re_sum / trials - half) / half < 0.05
     assert abs(im_sum / trials - half) / half < 0.05
+
+
+# sha256 over the six stacked blocks' bytes (in LINK_STREAMS order) of the
+# stack of trials 0..k-1 of base seed 0, by ((m, n), k), as drawn one trial
+# at a time by sample_channels before draws were stacked
+PINNED_STACKS = {
+    ((1, 16), 1): "4fd01df6f6b102c16d3880a84f4df07555923d0f22ee2ec582ae8a436f657887",
+    ((1, 16), 3): "9ece3184745f734a2528c4e29728dd0673eabd786958430a8ea997c84b9607f8",
+    ((1, 16), 32): "450276285118a0e7571fbc2786b23e46932eaf5aa16194afa9fc4e6b1d852379",
+    ((3, 7), 1): "ae36246fdef175f627445e19d8753ea64b1611867df382a26e7d953d34c60ada",
+    ((3, 7), 3): "026e99679b108820fac81896e487c4d963b4293336a1b69fb5e1fde1000f90d9",
+    ((3, 7), 32): "8089222205b888d1e5ec9cce233e2ee48272ded781b9a42fc56815d575829031",
+    ((4, 16), 1): "963bf9934cdb84e68684097e082d3a51d6dac927a668e8d80e41ddfdde0487ff",
+    ((4, 16), 3): "4c785075bcca0021add79690263ee73bdf2d066337f9bfebabe71e0ba03323e2",
+    ((4, 16), 32): "369913bb1e9c025335047198dfb0b1430984226e005edc80a7235b5ec28daf72",
+    ((16, 160), 1): "cb50daf9e7423c89a9cf84bbfeadbf07f2f6016503f716a830d7402cdb1cc392",
+    ((16, 160), 3): "a127d9b15b11cbf9def5f04319cac1fcf7f055d1b8fc79599abad6e981f949d9",
+    ((16, 160), 32): "cec1ad7f4ffa8b034f723a32763ad716dfd2d57b5f15cd69c4065d7645f83ec1",
+    ((50, 200), 1): "19415d5c134f831cf6eba6089c60f52ddba577465ef457cf379bda2eb2bd5011",
+    ((50, 200), 3): "a31b8f71ce8a931a59cd1e583ffa2f1d5246e50ad62b9fd4c876cc1d97df42c4",
+    ((50, 200), 32): "f8d6b404e435967773c85fea8f05c41e61e605657c6f9f472d44643311533038",
+}
+
+#: h_sr[0] of trial 0, the same at every m
+PINNED_H_SR_0 = ("0x1.8795ddbe0823fp-6", "-0x1.d3947652d2661p-6")
+
+
+@pytest.mark.parametrize("m, n, trials", [(*size, k) for size, k in PINNED_STACKS])
+def test_stacked_draws_are_pinned_and_equal_one_trial_draws(m, n, trials):
+    seeds = [trial_seed(0, t) for t in range(trials)]
+    stack = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    digest = hashlib.sha256()
+    for name in LINK_STREAMS:
+        digest.update(getattr(stack, name).tobytes())
+    assert digest.hexdigest() == PINNED_STACKS[(m, n), trials]
+    first = complex(stack.h_sr[0, 0])
+    assert (first.real.hex(), first.imag.hex()) == PINNED_H_SR_0
+    for row, seed in enumerate(seeds):
+        alone = sample_channels(Geometry(), LinkBudget(), m, n, seed)
+        for name in LINK_STREAMS:
+            block = getattr(alone, name)
+            assert block.shape == getattr(stack, name).shape[1:]
+            assert block.tobytes() == getattr(stack, name)[row].tobytes()
+
+
+@pytest.mark.parametrize("m, n, seed", [(0, 3, 0), (3, 0, 0), (3, 3, -1)])
+def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
+    with pytest.raises(ConfigError) as alone:
+        sample_channels(Geometry(), LinkBudget(), m, n, seed)
+    with pytest.raises(ConfigError) as stacked:
+        sample_channels_batch(Geometry(), LinkBudget(), m, n, [5, seed])
+    assert str(stacked.value) == str(alone.value)

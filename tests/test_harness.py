@@ -178,6 +178,25 @@ def _count_calls(monkeypatch, name, key):
     return counts
 
 
+def _record_draws(monkeypatch):
+    """Record the (m, seeds) of each ``harness.sample_channels_batch`` call."""
+    calls = []
+    original = harness.sample_channels_batch
+
+    def recorded(geometry, budget, m, n, seeds):
+        calls.append((m, tuple(seeds)))
+        return original(geometry, budget, m, n, seeds)
+
+    monkeypatch.setattr(harness, "sample_channels_batch", recorded)
+    return calls
+
+
+def _drawn_once(calls, count):
+    """``count`` distinct (seed, m) pairs drawn, each in exactly one call."""
+    drawn = [(seed, m) for m, seeds in calls for seed in seeds]
+    return len(drawn) == len(set(drawn)) == count
+
+
 def _record_batches(monkeypatch, name):
     """Record (trials solved, noise levels) of each call of ``harness.<name>``.
 
@@ -226,13 +245,14 @@ def check_shared_solves(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(harness, "_chunk_trials", lambda configs: chunk)
     chunks = -(-3 // (chunk or harness._chunk_trials(configs)))
-    draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: (s, m))
+    draws = _record_draws(monkeypatch)
     batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
     together = collect_trials(configs)
     assert together == alone
-    # one draw per (trial, m): m=8 for the first four methods, m=1 for the
-    # single-antenna baseline
-    assert sorted(draws.values()) == [1] * 6
+    # one stacked draw per (chunk, m): m=8 for the first four methods, m=1
+    # for the single-antenna baseline; each (trial, m) drawn in one of them
+    assert len(draws) == 2 * chunks
+    assert _drawn_once(draws, 6)
     # every (trial, key) solved exactly once, by one batched call per
     # (chunk, key) with the key's one noise level; the ais key and the
     # second slot have one key per m
@@ -260,13 +280,14 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         for value in spec.values
         for method in spec.methods
     ]
-    draws = _count_calls(monkeypatch, "sample_channels", lambda g, b, m, n, s: s)
+    draws = _record_draws(monkeypatch)
     batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
     partitions = _count_calls(monkeypatch, "irses_partition", lambda n, m, s: s)
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
             for p in together] == alone
-    assert sorted(draws.values()) == [1] * 3  # one draw per trial
+    # the three trials make one chunk: one stacked draw of every trial
+    assert len(draws) == 1 and _drawn_once(draws, 3)
     # one noise-free solve per trial serves both SNR points: the three
     # trials make one chunk, solved by one batched call per key
     noises = tuple(
