@@ -65,7 +65,7 @@ TRACE_SLACK = 1e-12
 
 #: NSP's relaxed start phases make (T, m, n) temporaries of a stack of T
 #: trials; they are built for as many trials at a time as keep one of them
-#: within this many bytes (3 trials at (16, 160), a whole chunk of 32 at
+#: within this many bytes (2 trials at (16, 160), a whole chunk of 32 at
 #: (4, 16)).  Whole chunks of 4 trials at (16, 160) left a table's peak
 #: memory about 0.35 MB higher.
 START_PHASE_BYTES = 120_000
@@ -305,7 +305,9 @@ def _path_row(H: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``H^T conj(u)`` on the transposed view runs the BLAS gemv of the
     one-trial ``conj(u) @ H`` on each trial (``np.vecmat`` does not).
     """
-    return np.matvec(H.mT, np.conj(u)) * h
+    row = np.matvec(H.mT, np.conj(u))
+    row *= h
+    return row
 
 
 def _phase(z: np.ndarray) -> np.ndarray:
@@ -325,7 +327,8 @@ def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarr
     once per row.
     """
     zero = np.abs(rows) < ZERO_NORM
-    angles = reference - _phase(rows)
+    angles = _phase(rows)
+    np.subtract(reference, angles, out=angles)
     if np.count_nonzero(zero):
         angles[zero] = 0.0
         counts = zero.sum(axis=-1, keepdims=True)
@@ -339,9 +342,11 @@ def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarr
         raise ConfigError("phase vector contains non-finite angles")
     # two phases in [-pi, pi] differ by at most 2*pi, where the fmod inside
     # np.mod is exact: wrap_angles reduces to adding 2*pi below zero (and
-    # 0 elsewhere, which turns -0 into +0), bit for bit
-    wrapped = angles + np.where(angles < 0.0, TWO_PI, 0.0)
-    return np.where(wrapped >= TWO_PI, 0.0, wrapped)
+    # 0 elsewhere, which turns -0 into +0), bit for bit; in place, so that
+    # an iterate of a loop holds fewer (trials, n) temporaries
+    angles += np.where(angles < 0.0, TWO_PI, 0.0)
+    angles[angles >= TWO_PI] = 0.0
+    return angles
 
 
 def _align(hop: tuple, u: np.ndarray) -> np.ndarray:
@@ -471,6 +476,24 @@ def _check_power(p_watt: float) -> None:
         raise ValueError(f"power must be non-negative, got {p_watt}")
 
 
+def _compact(blocks: tuple, keep: list[int], owned: bool) -> tuple:
+    """Rows ``keep`` (ascending) of each block of a running stack, in order.
+
+    A loop's first compaction copies them out of its input (``owned``
+    false), which may be a shared read-only stack; later ones move them
+    forward inside that copy and view its front, so no block is ever held
+    twice.  Row ``keep[i] >= i`` is read before row ``i`` is written, and
+    no later row reads row ``i``.
+    """
+    if not owned:
+        return tuple(block[keep] for block in blocks)
+    for block in blocks:
+        for row, source in enumerate(keep):
+            if row != source:
+                block[row] = block[source]
+    return tuple(block[: len(keep)] for block in blocks)
+
+
 def _alternate(
     hop: tuple,
     p_watt: float,
@@ -488,6 +511,7 @@ def _alternate(
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
     _check_power(p_watt)
     u = _unit(direct)  # the matched filter to each direct link
+    owned = False
     for _ in range(max_iter):
         angles = _align((direct, H, h), u)
         combined = _hop_channel((direct, H, h), angles)
@@ -496,7 +520,8 @@ def _alternate(
         if keep is not None:
             if not keep:
                 break
-            direct, H, h, u = direct[keep], H[keep], h[keep], u[keep]
+            direct, H, h = _compact((direct, H, h), keep, owned)
+            owned, u = True, u[keep]
     return stops
 
 
@@ -784,7 +809,10 @@ def _nsp(
         u_ri = _unit(np.matvec(direct_null, np.matvec(direct_null, cascade)))
         stops.record(_powers(p_s_watt, u_ri, cascade), (angles, u_ri, cascade))
     else:
+        # the projectors are this loop's own: they move forward in place
+        # from the first compaction on, the stack's rows once copied
         H, h, null = H_ir, h_si, direct_null
+        owned = False
         for _ in range(max_iter):
             # projector applied twice as defined; idempotence makes it one
             u_ri = _unit(np.matvec(null, np.matvec(null, cascade)))
@@ -797,7 +825,11 @@ def _nsp(
             if keep is not None:
                 if not keep:
                     break
-                H, h, null, cascade = H[keep], h[keep], null[keep], cascade[keep]
+                H, h = _compact((H, h), keep, owned)
+                (null,) = _compact((null,), keep, owned=True)
+                owned, cascade = True, cascade[keep]
+        # the direct branch needs none of the running rows
+        del H, h, null, direct_null, parts
     return _nsp_solutions(hop, p_s_watt, stops, mode, combining)
 
 

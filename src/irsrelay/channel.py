@@ -236,10 +236,12 @@ def sample_channels_batch(
 
     Row ``k`` of every block is what :func:`sample_channels` draws for
     ``seeds[k]``, bit for bit.  Each (seed, link) keeps its own substream,
-    which fills that seed's row of the link's stack; the draws of all six
-    links share one buffer, and the scaling ``scale * (re + 1j * im) /
-    sqrt(2)`` runs on it a step at a time, in place, each link's scale on
-    its own stack.  The stack is checked once.
+    which fills that seed's row of the link's stack.  All six links live in
+    one complex buffer, and the draws go straight into its real and
+    imaginary parts, so no second buffer of float draws is ever held; the
+    scaling ``scale * (re + 1j * im) / sqrt(2)`` runs on it a step at a
+    time, in place, each link's scale on its own stack.  The stack is
+    checked once.
     """
     if m < 1:
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
@@ -262,19 +264,16 @@ def sample_channels_batch(
     for name, (*_, shape) in links.items():
         spans[name] = slice(stop, stop + trials * math.prod(shape))
         stop = spans[name].stop
-    draws = np.empty((stop, 2))
+    values = np.empty(stop, dtype=np.complex128)
+    # each complex entry is its (re, im) pair of floats
+    parts = values.view(np.float64).reshape(stop, 2)
     for name, (*_, shape) in links.items():
-        rows = draws[spans[name]].reshape(trials, *shape, 2)
+        rows = parts[spans[name]].reshape(trials, *shape, 2)
         for row, seed in enumerate(seeds):
             ss = np.random.SeedSequence((int(seed), LINK_STREAMS[name]))
             rng = np.random.Generator(np.random.Philox(ss))
             # interleaved real/imag draws keep leading entries stable when m grows
             rng.standard_normal(shape + (2,), out=rows[row])
-    # im * 1j, then += re: complex products and sums commute bit for bit, so
-    # this is re + 1j * im
-    values = draws[:, 1] * 1j
-    values += draws[:, 0]
-    del draws
     blocks: dict[str, np.ndarray] = {}
     for name, (dist, g_tx, g_rx, shape) in links.items():
         block = values[spans[name]]

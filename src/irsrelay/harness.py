@@ -18,10 +18,11 @@ serves (every SNR point of a sweep): the alternations as one batched loop,
 each (trial, level) stopping at its own iterate, and the closed forms
 (``irses``, the fixed-phase slots) as stacked calls.  The records are then
 assembled from what the chunk solved, nothing drawn or solved again.  A
-chunk holds as many
-trials as keep its stacked draws within :data:`CHUNK_BYTES` of what one
-trial holds, and at most :data:`CHUNK_TRIALS`: a property of the draws'
-sizes, not a setting, that bounds the memory a chunk holds.  Every result
+chunk holds at most as many trials as keep its stacked draws within
+:data:`CHUNK_BYTES` of what one trial holds, and at most
+:data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting, that
+bounds the memory a chunk holds.  The trials are cut into as few chunks as
+that limit allows, of lengths at most one apart.  Every result
 is a pure function of the configuration and trial index, so tables are
 reproducible bit for bit whatever else is evaluated alongside, whatever the
 chunk and whatever the worker count.
@@ -252,12 +253,14 @@ def _fixed_second_slot(
 #: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
 #: trial holds too, a chunk may hold CHUNK_BYTES of stacked draws; a trial at
 #: (m, n) stacks 16 (2m + 2n + 2mn) bytes per distinct draw, so a chunk holds
-#: 4 trials at (16, 160) and 2 at (50, 200).  Small draws are bounded by the
-#: trial count instead, as every solution of a chunk (a few kB each) is held
-#: until its records are made.  Longer stacks iterate faster but raise the
-#: peak memory of a table build: at (16, 160), 4 trials add about 0.3 MB, 6
-#: about 0.8 MB.
-CHUNK_BYTES = 330_000
+#: up to 8 trials at (16, 160) and 3 at (50, 200).  Small draws are bounded by
+#: the trial count instead, as every solution of a chunk (a few kB each) is
+#: held until its records are made.  Longer stacks iterate faster but raise
+#: the peak memory of a table build.  The draw holds one copy of its stack
+#: and a loop one copy of its running rows: 8 trials at (16, 160) add about
+#: 0.2 MB to a table's peak over 4 trials held twice, 4 held once 0.25 MB
+#: less.
+CHUNK_BYTES = 660_000
 CHUNK_TRIALS = 32
 
 
@@ -268,7 +271,7 @@ def _channel_inputs(config: ScenarioConfig) -> tuple:
 
 
 def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
-    """Trials per chunk: as many as keep the chunk within its limits."""
+    """The most trials a chunk may hold: as many as keep it within its limits."""
     draws = {(config.base_seed, *_channel_inputs(config)) for config in configs}
     itemsize = np.dtype(np.complex128).itemsize
     per_trial = sum(itemsize * 2 * (m + n + m * n) for _, m, n, *_ in draws)
@@ -289,28 +292,28 @@ def _partition(shared: dict, seed: int, n: int, m: int):
     return shared[key]
 
 
-def _draw(shared: dict, channels: tuple, seeds: list[int]) -> None:
-    """Draw trials ``seeds`` once at ``channels`` (:func:`_channel_inputs`).
+def _draw(shared: dict, draw: int, channels: tuple, seeds: list[int]) -> None:
+    """Draw trials ``seeds`` once at ``channels``, the inputs numbered ``draw``.
 
     One :func:`~irsrelay.channel.sample_channels_batch` call draws them as
     one stack, and each trial's ChannelSet is a view of its rows.
     """
     m, n, geometry, budget = channels
     stack = sample_channels_batch(geometry, budget, m, n, seeds)
-    shared[("stack", *channels)] = (stack, seeds)
+    shared[("stack", draw)] = (stack, seeds)
     for row, seed in enumerate(seeds):
-        shared[(seed, *channels)] = stack.trial(row)
+        shared[(seed, draw)] = stack.trial(row)
 
 
-def _stacked(shared: dict, seeds: list[int], channels: tuple) -> ChannelSet:
-    """The drawn channels of trials ``seeds`` at ``channels``, as one stack."""
-    stack, drawn = shared.get(("stack", *channels), (None, None))
+def _stacked(shared: dict, seeds: list[int], draw: int) -> ChannelSet:
+    """The channels of trials ``seeds`` drawn as ``draw``, as one stack."""
+    stack, drawn = shared.get(("stack", draw), (None, None))
     if seeds == drawn:
         return stack
-    return stack_channels([shared[(seed, *channels)] for seed in seeds])
+    return stack_channels([shared[(seed, draw)] for seed in seeds])
 
 
-def _solves(config: ScenarioConfig) -> dict[str, tuple]:
+def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     """The solves in one trial of ``config``, by kind.
 
     ``"first"`` and ``"second"`` are the first- and second-slot solves of a
@@ -320,32 +323,32 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
     one solution per noise variance (an object with the slot's ``rate_r``
     or ``rate_d`` and its ``iterations``); the key, led by the solver's
     name, holds every input of the solve except the trial seed and the
-    noise.  Configurations with equal keys share one solve per trial for
-    all their noise levels: the three fixed-phase methods, for one, share
-    their second slot.
+    noise, the channel inputs as the number ``draw`` they have among the
+    configurations planned together.  Configurations with equal keys share
+    one solve per trial for all their noise levels: the three fixed-phase
+    methods, for one, share their second slot.
     """
     method = METHODS[config.method]
     if method.trial != "two-hop":
         return {}
-    channels = _channel_inputs(config)
     eps, max_iter = config.epsilon, config.max_iter
     p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
     zeros = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
 
     def stack(shared: dict, seeds: list[int]) -> ChannelSet:
-        return _stacked(shared, seeds, channels)
+        return _stacked(shared, seeds, draw)
 
     solves = {}
     if method.first_slot == "ais" and method.fixed_phase:
         solves["first"] = (
-            ("ais-fixed-phase", channels),
+            ("ais-fixed-phase", draw),
             lambda shared, seeds, noises: _fixed_first_slot(
                 stack(shared, seeds), p_s, noises
             ),
         )
     elif method.first_slot == "ais":
         solves["first"] = (
-            ("ais", channels, eps, max_iter),
+            ("ais", draw, eps, max_iter),
             lambda shared, seeds, noises: ais_max_rp_batch(
                 stack(shared, seeds), p_s, noises, eps, max_iter
             ),
@@ -354,13 +357,13 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
         options = dict(mode=config.nsp_mode, combining=config.combining, phases=zeros)
         variant = (config.nsp_mode, config.combining, method.fixed_phase)
         solves["first"] = (
-            ("nsp", channels, eps, max_iter, *variant),
+            ("nsp", draw, eps, max_iter, *variant),
             lambda shared, seeds, noises: nsp_max_rp_mrc_batch(
                 stack(shared, seeds), p_s, noises, eps, max_iter, **options
             ),
         )
     elif method.first_slot == "irses":
-        m, n = channels[:2]
+        m, n = _channel_inputs(config)[:2]
         options = dict(
             interference_mode=config.irses_mode,
             combining=config.combining,
@@ -368,7 +371,7 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
         )
         variant = (config.irses_mode, config.combining, method.fixed_phase)
         solves["first"] = (
-            ("irses", channels, *variant),
+            ("irses", draw, *variant),
             lambda shared, seeds, noises: irses_max_rp_mrc_batch(
                 stack(shared, seeds),
                 p_s,
@@ -379,14 +382,14 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
         )
     if method.fixed_phase:
         solves["second"] = (
-            ("fixed-second", channels),
+            ("fixed-second", draw),
             lambda shared, seeds, noises: _fixed_second_slot(
                 stack(shared, seeds), p_r, noises
             ),
         )
     else:
         solves["second"] = (
-            ("second", channels, eps, max_iter),
+            ("second", draw, eps, max_iter),
             lambda shared, seeds, noises: second_slot_optimize_batch(
                 stack(shared, seeds), p_r, noises, eps, max_iter
             ),
@@ -394,22 +397,48 @@ def _solves(config: ScenarioConfig) -> dict[str, tuple]:
     return solves
 
 
-def solve_plans(configs: Sequence[ScenarioConfig]) -> list[dict[str, tuple]]:
-    """Each configuration's solves, planned across ``configs``.
+class Plan(NamedTuple):
+    """A configuration's draw and solves, planned with other configurations.
 
-    One dict per configuration maps each kind of :func:`_solves` to the
-    solve's (key, noise levels, run): the levels are the noise variances
-    its key serves among ``configs``, its own among them.  Nothing here
-    depends on the trial, so one plan serves every trial.
+    ``draw`` numbers its channel inputs ``channels`` (:func:`_channel_inputs`)
+    among the distinct ones of the configurations planned together; the
+    drawn channels and the solve keys name them by that number, so that
+    assembling a record hashes no configuration.  ``solves`` maps each kind
+    of :func:`_solves` to the solve's (key, noise levels, run): the levels
+    are the noise variances its key serves among the configurations,
+    ``noise`` among them.
     """
-    solves = [_solves(config) for config in configs]
+
+    noise: float
+    draw: int
+    channels: tuple
+    solves: dict[str, tuple]
+
+
+def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
+    """Each configuration's :class:`Plan`, planned across ``configs``.
+
+    Nothing here depends on the trial, so one plan serves every trial.
+    """
+    draws: dict[tuple, int] = {}
+    inputs = [_channel_inputs(config) for config in configs]
+    solves = [
+        _solves(config, draws.setdefault(channels, len(draws)))
+        for config, channels in zip(configs, inputs)
+    ]
+    noises = [config.noise_variance_watt for config in configs]
     levels: dict[tuple, dict[float, None]] = {}
-    for config, kinds in zip(configs, solves):
+    for noise, kinds in zip(noises, solves):
         for key, _ in kinds.values():
-            levels.setdefault(key, {})[config.noise_variance_watt] = None
+            levels.setdefault(key, {})[noise] = None
     return [
-        {kind: (key, tuple(levels[key]), run) for kind, (key, run) in kinds.items()}
-        for kinds in solves
+        Plan(
+            noise,
+            draws[channels],
+            channels,
+            {kind: (key, tuple(levels[key]), run) for kind, (key, run) in kinds.items()},
+        )
+        for noise, channels, kinds in zip(noises, inputs, solves)
     ]
 
 
@@ -419,25 +448,25 @@ def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
     ``jobs`` holds (configuration, its plan, its trial indices) triples.
     Each distinct draw is made once, and each planned key is solved once
     for all the drawn trials that need it and all its noise levels.  The
-    result holds the trial seeds, the channel draws, keyed by everything
-    they depend on, the element partitions of ``irses`` methods, and the
-    solves on those channels, keyed by their inputs without the noise.
+    result holds the trial seeds, the element partitions of ``irses``
+    methods, and the channel draws and the solves on them, keyed by the
+    trial seed and the plan's draw number or solve key, which stand for
+    every other input (the noise aside).
     """
     shared: dict = {}
-    draws: dict[tuple, dict[int, None]] = {}
+    draws: dict[int, tuple] = {}
     solves: dict[tuple, tuple] = {}
     for config, plan, indices in jobs:
         if not indices:
             continue
-        channels = _channel_inputs(config)
         seeds = dict.fromkeys(
             _trial_seed(shared, config.base_seed, k) for k in indices
         )
-        draws.setdefault(channels, {}).update(seeds)
-        for key, levels, run in plan.values():
+        draws.setdefault(plan.draw, (plan.channels, {}))[1].update(seeds)
+        for key, levels, run in plan.solves.values():
             solves.setdefault(key, (levels, run, {}))[2].update(seeds)
-    for channels, seeds in draws.items():
-        _draw(shared, channels, list(seeds))
+    for draw, (channels, seeds) in draws.items():
+        _draw(shared, draw, channels, list(seeds))
     for key, (levels, run, seeds) in solves.items():
         seeds = list(seeds)
         for seed, solutions in zip(seeds, run(shared, seeds, levels)):
@@ -446,7 +475,7 @@ def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
 
 
 def _record(
-    config: ScenarioConfig, plan: dict[str, tuple], trial_index: int, shared: dict
+    config: ScenarioConfig, plan: Plan, trial_index: int, shared: dict
 ) -> TrialRecord:
     """Trial ``trial_index`` of ``config``, assembled from ``shared``.
 
@@ -456,25 +485,25 @@ def _record(
     """
     method = METHODS[config.method]
     seed = shared[("seed", config.base_seed, trial_index)]
-    noise = config.noise_variance_watt
+    noise = plan.noise
     p_s = config.budget.p_s_watt
     p_r = config.budget.p_r_watt
     if method.trial == "irs-only":
         # one hop S -> IRS -> D with element-wise alignment: no 1/2 pre-log,
         # and the per-hop fields all equal the single-hop rate
-        channels = shared[(seed, *_channel_inputs(config))]
+        channels = shared[(seed, plan.draw)]
         amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
         rate = rate_from_power(p_s * amplitude**2, noise)
         result = RateResult(config.method, rate, rate, rate, (1, 1))
         return TrialRecord(trial_index, seed, result)
     if method.trial == "relay-only":
-        channels = shared[(seed, *_channel_inputs(config))]
+        channels = shared[(seed, plan.draw)]
         rate_r = rate_from_power(p_s * float(np.linalg.norm(channels.h_sr)) ** 2, noise)
         rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
         iterations = (1, 1)
     else:
-        first = shared[(seed, plan["first"][0])][noise]
-        second = shared[(seed, plan["second"][0])][noise]
+        first = shared[(seed, plan.solves["first"][0])][noise]
+        second = shared[(seed, plan.solves["second"][0])][noise]
         rate_r, rate_d = first.rate_r, second.rate_d
         iterations = (first.iterations, second.iterations)
     result = RateResult(
@@ -504,8 +533,9 @@ def collect_trials(
 
     Given one configuration, returns its records in trial order.  Given a
     sequence, returns one such list per configuration, in sequence order.
-    Evaluation is serial and chunk-major: the trial indices are cut into
-    chunks of :func:`_chunk_trials` trials, and for each chunk every
+    Evaluation is serial and chunk-major: the trial indices are cut into as
+    few chunks as :func:`_chunk_trials` allows, of lengths at most one
+    apart, and for each chunk every
     distinct channel draw is made once, stacked, and each planned solve
     runs once over the chunk's trials that need it, for all the noise
     levels that share it (the SNR points of a sweep, say).  Each record of
@@ -522,9 +552,9 @@ def collect_trials(
     plans = solve_plans(configs)
     records: list[list[TrialRecord]] = [[] for _ in configs]
     trials = max((c.trials for c in configs), default=0)
-    size = _chunk_trials(configs)
-    for start in range(0, trials, size):
-        indices = range(start, min(start + size, trials))
+    chunks = -(-trials // _chunk_trials(configs))
+    for chunk in range(chunks):
+        indices = range(chunk * trials // chunks, (chunk + 1) * trials // chunks)
         shared = _evaluate_chunk(
             [
                 (cfg, plan, [k for k in indices if k < cfg.trials])

@@ -93,9 +93,11 @@ def test_collect_trials_equals_one_plan_less_run_trial_per_trial(chunk, count):
     alone = [[run_trial(config, k) for k in range(trials)] for config in cases]
     assert together == alone
     if trials > 1:
-        # the first chunk holds trials that stop at different iterations
-        # and on the cap, first slot and second
-        first_chunk = [r.result.iterations for r in together[len(METHODS)][:chunk]]
+        # the first chunk (the shorter of two, if the trials do not split
+        # evenly) holds trials that stop at different iterations and on the
+        # cap, first slot and second
+        first = trials // -(-trials // chunk)
+        first_chunk = [r.result.iterations for r in together[len(METHODS)][:first]]
         for slot in (0, 1):
             stops = {iterations[slot] for iterations in first_chunk}
             assert MAX_ITER in stops and len(stops) >= 2
@@ -196,19 +198,39 @@ def test_chunk_holds_the_trials_its_limits_allow():
     def size(*configs):
         return harness._chunk_trials(configs)
 
-    assert size(ScenarioConfig(m=16, n=160)) == 4
-    assert size(ScenarioConfig(m=50, n=200)) == 2
+    assert size(ScenarioConfig(m=16, n=160)) == 8
+    assert size(ScenarioConfig(m=50, n=200)) == 3
     assert size(ScenarioConfig(m=4, n=16)) == harness.CHUNK_TRIALS
     assert size(ScenarioConfig(m=64, n=1024)) == 1
     # every distinct draw of a trial counts: m = 1 for the single-antenna
     # baseline, another base seed draws again
-    base = ScenarioConfig(m=8, n=64)
-    assert size(base) == 1 + harness.CHUNK_BYTES // 18688
-    single = ScenarioConfig(m=8, n=64, method="baseline-single-antenna")
-    assert size(base, single) == 1 + harness.CHUNK_BYTES // (18688 + 4128)
-    assert size(base, ScenarioConfig(m=8, n=64, base_seed=1)) == (
-        1 + harness.CHUNK_BYTES // (2 * 18688)
+    base = ScenarioConfig(m=8, n=128)
+    assert size(base) == 1 + harness.CHUNK_BYTES // 37120
+    single = ScenarioConfig(m=8, n=128, method="baseline-single-antenna")
+    assert size(base, single) == 1 + harness.CHUNK_BYTES // (37120 + 8224)
+    assert size(base, ScenarioConfig(m=8, n=128, base_seed=1)) == (
+        1 + harness.CHUNK_BYTES // (2 * 37120)
     )
+
+
+@pytest.mark.parametrize("full_chunks", [1, 2])
+def test_chunks_are_as_few_and_even_as_the_limit_allows(monkeypatch, full_chunks):
+    # one trial more than ``full_chunks`` chunks hold: one chunk more, and
+    # the trials spread over all of them, no two lengths more than one apart
+    methods = ("ais", "nsp", "baseline-single-antenna", "baseline-relay-only")
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 30_000)
+    cases = [config for config in configs(1) if config.method in methods]
+    limit = harness._chunk_trials(cases)
+    assert limit > 2
+    trials = full_chunks * limit + 1
+    cases = [dataclasses.replace(config, trials=trials) for config in cases]
+    longest = lambda jobs: max(len(indices) for *_, indices in jobs)  # noqa: E731
+    lengths = count_calls(monkeypatch, harness, "_evaluate_chunk", longest)
+    together = collect_trials(cases)
+    lengths = lengths[:]  # run_trial below evaluates chunks of its own
+    assert len(lengths) == full_chunks + 1 and sum(lengths) == trials
+    assert max(lengths) <= limit and max(lengths) - min(lengths) <= 1
+    assert together == [[run_trial(config, k) for k in range(trials)] for config in cases]
 
 
 def test_a_stopped_row_is_copied_once_for_all_its_levels():
@@ -407,7 +429,9 @@ def test_every_method_solves_once_per_chunk_and_key(chunk, monkeypatch):
         )
     ]
     collect_trials(cases)
-    chunks = [size, size, 1]
+    # 2 * size + 1 trials take three chunks, shortest first, their lengths
+    # at most one apart
+    chunks = [(2 * size + 1 + k) // 3 for k in range(3)]
     assert sorted(solves["nsp_max_rp_mrc_batch"]) == sorted(2 * chunks)
     assert sorted(solves["irses_max_rp_mrc_batch"]) == sorted(2 * chunks)
     assert solves["_fixed_first_slot"] == chunks
