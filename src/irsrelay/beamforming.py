@@ -31,6 +31,17 @@ view.  Every stacked operation runs the same floating-point operations per
 trial as the one-trial case (the same BLAS or LAPACK call per slice, the
 same elementwise loops), so a trial's solution does not depend on what it
 is stacked with.
+
+Each loop also has a private rates form, which the trial engine calls:
+``_alternate`` (``ais`` on the first hop, the second slot on the second),
+``_nsp`` and ``_irses`` on one hop's blocks of a stack of trials.  It runs
+the same loop and the same checks on every iterate (finite angles in
+:func:`_aligned_angles`, unit norms in :func:`_unit`, no dip of a rate
+trace in ``_Stops``), but returns only a (rate, iterations) pair per
+(trial, level): it builds no :class:`PhaseShiftVector`, :class:`Beamformer`
+or solution object, and a stop copies no iterate, bar NSP's receive vector
+and cascade, which its direct branch needs.  Each pair equals the rate and
+iteration count of the solution the ``_batch`` form returns, bit for bit.
 """
 
 from __future__ import annotations
@@ -394,13 +405,15 @@ class _Stops:
     """The rate traces of a batched alternation and where each one stops.
 
     Each iterate appends to the trace of every running (trial, noise level)
-    the rate ``log2(1 + power / noise)`` of its trial's power.  A level
-    stops once its last two rates differ by at most ``epsilon``, or on the
-    ``max_iter``-th, and keeps that iterate and its trace in ``stopped``
-    (the levels of a trial that stop on one iterate share one copy of it);
-    a trial leaves the running ``rows`` once all its levels have stopped.
-    The traces are floats, as in the one-trial rule: a stack of one checks
-    its few rates faster on floats than any array bookkeeping would.
+    the rate ``log2(1 + power / noise)`` of its trial's power, and raises
+    :class:`TraceDipError` if that rate falls more than ``TRACE_SLACK``
+    below the one before.  A level stops once its last two rates differ by
+    at most ``epsilon``, or on the ``max_iter``-th, and keeps the parts of
+    that iterate its loop asks for and its trace in ``stopped`` (the levels
+    of a trial that stop on one iterate share one copy of them); a trial
+    leaves the running ``rows`` once all its levels have stopped.  The
+    traces are floats, as in the one-trial rule: a stack of one checks its
+    few rates faster on floats than any array bookkeeping would.
     """
 
     def __init__(
@@ -428,9 +441,10 @@ class _Stops:
     def record(self, powers: list[float], iterate: tuple) -> list[int] | None:
         """Take one iterate of the running rows, with a power per row.
 
-        ``iterate`` holds per-row arrays; a level that stops keeps its row
-        of each, and the row's power.  Returns the rows that keep running
-        when some leave (none once every level has stopped), else None.
+        ``iterate`` holds per-row arrays, none for a loop that needs only
+        the rates; a level that stops keeps its row of each, and the row's
+        power.  Returns the rows that keep running when some leave (none
+        once every level has stopped), else None.
         """
         if len(self.rows) == 1:
             # one array call per iterate would cost more than a few floats
@@ -445,6 +459,8 @@ class _Stops:
             for entry in live:
                 level, trace = entry
                 rate = row_rates[level]
+                if trace and rate - trace[-1] < -TRACE_SLACK:
+                    raise TraceDipError("alternation trace decreased beyond tolerance")
                 trace.append(rate)
                 if len(trace) == max_iter or (
                     len(trace) > 1 and abs(rate - trace[-2]) <= epsilon
@@ -460,7 +476,7 @@ class _Stops:
                 # iterate, so that the iterate's arrays of the stack can go
                 parts = [part[row].copy() for part in iterate]
                 copies[row] = (*parts, powers[row])
-            self.stopped[self.rows[row]][level] = (copies[row], tuple(trace))
+            self.stopped[self.rows[row]][level] = (copies[row], trace)
             self.live[row].remove(entry)
         keep = [row for row, live in enumerate(self.live) if live]
         if len(keep) == len(self.rows):
@@ -468,6 +484,23 @@ class _Stops:
         self.rows = [self.rows[row] for row in keep]
         self.live = [self.live[row] for row in keep]
         return keep
+
+    def results(self, solution=None) -> list[tuple]:
+        """Per trial, one result per level, from where each level stopped.
+
+        ``solution(iterate, trace)`` builds a level's result from its
+        stopped iterate and its trace; without one, a level's result is its
+        (rate, iterations) pair: the last rate of its trace and its length.
+        """
+        if solution is None:
+            return [
+                tuple((trace[-1], len(trace)) for _, trace in levels)
+                for levels in self.stopped
+            ]
+        return [
+            tuple(solution(iterate, tuple(trace)) for iterate, trace in levels)
+            for levels in self.stopped
+        ]
 
 
 def _check_power(p_watt: float) -> None:
@@ -500,12 +533,16 @@ def _alternate(
     noise_variances: tuple[float, ...],
     epsilon: float,
     max_iter: int,
-) -> _Stops:
+    solution=None,
+) -> list[tuple]:
     """:func:`ais_max_rp`'s loop on one hop of a stack of trials.
 
     ``hop`` holds the (direct, H, h) blocks with a leading trial axis.  No
     iterate reads the noise, which enters only each level's rate trace and
-    its stop.  Each stop keeps the iterate's (angles, weights, power).
+    its stop.  Returns, per trial, one result per level: its (rate,
+    iterations) pair, or ``solution(iterate, trace)`` built from the
+    iterate's (angles, weights, power) when ``solution`` is given; only
+    then does a stop keep a copy of its iterate.
     """
     direct, H, h = hop
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
@@ -516,13 +553,15 @@ def _alternate(
         angles = _align((direct, H, h), u)
         combined = _hop_channel((direct, H, h), angles)
         u = _unit(combined)
-        keep = stops.record(_powers(p_watt, u, combined), (angles, u))
+        keep = stops.record(
+            _powers(p_watt, u, combined), (angles, u) if solution is not None else ()
+        )
         if keep is not None:
             if not keep:
                 break
             direct, H, h = _compact((direct, H, h), keep, owned)
             owned, u = True, u[keep]
-    return stops
+    return stops.results(solution)
 
 
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
@@ -575,8 +614,9 @@ def ais_max_rp_per_noise(
     for bit.  This is :func:`ais_max_rp_batch` on one trial.
     """
     hop = _hop(channels, _FIRST_HOP, stack=False)
-    stops = _alternate(hop, p_s_watt, noise_variances, epsilon, max_iter)
-    return _ais_solutions(stops)[0]
+    return _alternate(
+        hop, p_s_watt, noise_variances, epsilon, max_iter, _ais_solution
+    )[0]
 
 
 def ais_max_rp_batch(
@@ -592,25 +632,21 @@ def ais_max_rp_batch(
     the one-trial solver returns on that trial, bit for bit.
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
-    stops = _alternate(hop, p_s_watt, noise_variances, epsilon, max_iter)
-    return _ais_solutions(stops)
+    return _alternate(
+        hop, p_s_watt, noise_variances, epsilon, max_iter, _ais_solution
+    )
 
 
-def _ais_solutions(stops: _Stops) -> list[tuple[FirstSlotSolution, ...]]:
-    return [
-        tuple(
-            FirstSlotSolution(
-                method="ais",
-                theta1=PhaseShiftVector(angles),
-                receive_power_watt=float(power),
-                rate_r=trace[-1],
-                trace=trace,
-                u_r=Beamformer(u),
-            )
-            for (angles, u, power), trace in levels
-        )
-        for levels in stops.stopped
-    ]
+def _ais_solution(iterate: tuple, trace: tuple[float, ...]) -> FirstSlotSolution:
+    angles, u, power = iterate
+    return FirstSlotSolution(
+        method="ais",
+        theta1=PhaseShiftVector(angles),
+        receive_power_watt=float(power),
+        rate_r=trace[-1],
+        trace=trace,
+        u_r=Beamformer(u),
+    )
 
 
 def nsp_projector(A: np.ndarray) -> np.ndarray:
@@ -733,7 +769,9 @@ def nsp_max_rp_mrc_per_noise(
     """
     hop = _hop(channels, _FIRST_HOP, stack=False)
     options = (mode, combining, phases)
-    return _nsp(hop, p_s_watt, noise_variances, epsilon, max_iter, *options)[0]
+    return _nsp(
+        hop, p_s_watt, noise_variances, epsilon, max_iter, *options, solutions=True
+    )[0]
 
 
 def nsp_max_rp_mrc_batch(
@@ -753,7 +791,9 @@ def nsp_max_rp_mrc_batch(
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
     options = (mode, combining, phases)
-    return _nsp(hop, p_s_watt, noise_variances, epsilon, max_iter, *options)
+    return _nsp(
+        hop, p_s_watt, noise_variances, epsilon, max_iter, *options, solutions=True
+    )
 
 
 def _nsp(
@@ -765,12 +805,17 @@ def _nsp(
     mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-) -> list[tuple[FirstSlotSolution, ...]]:
+    solutions: bool = False,
+) -> list[tuple]:
     """:func:`nsp_max_rp_mrc` on the first hop of a stack of trials.
 
     The projectors off the direct links and the start phases are built for
     the whole stack, the reflected branch iterates in one loop, and
-    :func:`_nsp_solutions` closes out every stopped (trial, level) at once.
+    :func:`_nsp_results` closes out every stopped (trial, level) at once.
+    Returns, per trial, one (rate, iterations) pair per level, or one
+    :class:`FirstSlotSolution` per level with ``solutions``; a stop keeps
+    its iterate's receive vector and cascade, and its angles only for a
+    solution.
     """
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
@@ -807,7 +852,10 @@ def _nsp(
     cascade = np.matvec(H_ir, np.exp(1j * angles) * h_si)
     if phases is not None:
         u_ri = _unit(np.matvec(direct_null, np.matvec(direct_null, cascade)))
-        stops.record(_powers(p_s_watt, u_ri, cascade), (angles, u_ri, cascade))
+        stops.record(
+            _powers(p_s_watt, u_ri, cascade),
+            (u_ri, cascade, angles) if solutions else (u_ri, cascade),
+        )
     else:
         # the projectors are this loop's own: they move forward in place
         # from the first compaction on, the stack's rows once copied
@@ -821,7 +869,9 @@ def _nsp(
             # the next iteration starts from this cascade
             cascade = np.matvec(H, np.exp(1j * angles) * h)
             powers = _powers(p_s_watt, u_ri, cascade)
-            keep = stops.record(powers, (angles, u_ri, cascade))
+            keep = stops.record(
+                powers, (u_ri, cascade, angles) if solutions else (u_ri, cascade)
+            )
             if keep is not None:
                 if not keep:
                     break
@@ -830,20 +880,26 @@ def _nsp(
                 owned, cascade = True, cascade[keep]
         # the direct branch needs none of the running rows
         del H, h, null, direct_null, parts
-    return _nsp_solutions(hop, p_s_watt, stops, mode, combining)
+    return _nsp_results(hop, p_s_watt, stops, mode, combining, solutions)
 
 
-def _nsp_solutions(
-    hop: tuple, p_s_watt: float, stops: _Stops, mode: str, combining: str
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`nsp_max_rp_mrc`'s solutions at the stopped reflected-branch iterates.
+def _nsp_results(
+    hop: tuple,
+    p_s_watt: float,
+    stops: _Stops,
+    mode: str,
+    combining: str,
+    solutions: bool,
+) -> list[tuple]:
+    """:func:`nsp_max_rp_mrc`'s results at the stopped reflected-branch iterates.
 
-    Each stopped iterate holds the reflected branch's (angles, receive
-    vector, cascade, power), shared by the levels that stopped on it.  The
-    direct branch's beamformer is built off the reflected signal for every
-    distinct iterate of the stack at once, and both branches are combined.
-    The branch amplitudes are ``abs`` of Python complex numbers, as in the
-    one-trial rule: numpy's complex ``abs`` can differ in the last bit.
+    Each stopped iterate holds the reflected branch's (receive vector,
+    cascade), its angles for a solution, and its power, shared by the
+    levels that stopped on it.  The direct branch's beamformer is built off
+    the reflected signal for every distinct iterate of the stack at once,
+    and both branches are combined.  The branch amplitudes are ``abs`` of
+    Python complex numbers, as in the one-trial rule: numpy's complex
+    ``abs`` can differ in the last bit.
     """
     h_sr, H_ir, _ = hop
     # the distinct stopped iterates, and the trial of each, in (trial,
@@ -855,8 +911,8 @@ def _nsp_solutions(
     trials = [trial for trial, _ in distinct.values()]
     iterates = [iterate for _, iterate in distinct.values()]
     direct = h_sr[trials]
-    u_ri = np.stack([iterate[1] for iterate in iterates])
-    cascade = np.stack([iterate[2] for iterate in iterates])
+    u_ri = np.stack([iterate[0] for iterate in iterates])
+    cascade = np.stack([iterate[1] for iterate in iterates])
     if mode == "literal":
         # off the whole surface matrix: one direct branch per trial
         surface_null = _projectors(H_ir)
@@ -883,16 +939,27 @@ def _nsp_solutions(
             if merged < ZERO_NORM:
                 raise DegenerateChannelError("both separated branches vanished")
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
-        angles, u_i = iterate[:2]
-        closed[id(iterate)] = dict(
-            theta1=PhaseShiftVector(angles),
-            receive_power_watt=power_eff,
-            u_rs=Beamformer(u_s),
-            u_ri=Beamformer(u_i),
-        )
+        if solutions:
+            u_i, _, angles = iterate[:3]
+            closed[id(iterate)] = dict(
+                theta1=PhaseShiftVector(angles),
+                receive_power_watt=power_eff,
+                u_rs=Beamformer(u_s),
+                u_ri=Beamformer(u_i),
+            )
+        else:
+            closed[id(iterate)] = power_eff
+    if not solutions:
+        return [
+            tuple(
+                (rate_from_power(closed[id(iterate)], noise), len(trace))
+                for (iterate, trace), noise in zip(levels, stops.noise)
+            )
+            for levels in stops.stopped
+        ]
     return [
         tuple(
-            _nsp_solution(closed[id(iterate)], trace, noise)
+            _nsp_solution(closed[id(iterate)], tuple(trace), noise)
             for (iterate, trace), noise in zip(levels, stops.noise)
         )
         for levels in stops.stopped
@@ -971,7 +1038,9 @@ def irses_max_rp_mrc_per_noise(
     """
     hop = _hop(channels, _FIRST_HOP, stack=False)
     options = (interference_mode, combining, phases)
-    return _irses(hop, p_s_watt, noise_variances, [partition], *options)[0]
+    return _irses(
+        hop, p_s_watt, noise_variances, [partition], *options, solutions=True
+    )[0]
 
 
 def irses_max_rp_mrc_batch(
@@ -990,7 +1059,9 @@ def irses_max_rp_mrc_batch(
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
     options = (interference_mode, combining, phases)
-    return _irses(hop, p_s_watt, noise_variances, partitions, *options)
+    return _irses(
+        hop, p_s_watt, noise_variances, partitions, *options, solutions=True
+    )
 
 
 def _irses(
@@ -1001,13 +1072,16 @@ def _irses(
     interference_mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-) -> list[tuple[FirstSlotSolution, ...]]:
+    solutions: bool = False,
+) -> list[tuple]:
     """:func:`irses_max_rp_mrc`'s closed form on the first hop of a stack of trials.
 
     Trial ``t`` reads element ``i`` of antenna ``partitions[t]`` through
     (trial, antenna) fancy indices, and ``np.add.at`` adds each antenna's
     elements in element order, as on one trial.  A row's sum over the
-    antennas is the one-trial sum of that row, bit for bit.
+    antennas is the one-trial sum of that row, bit for bit.  Returns, per
+    trial, one (rate, 1) pair per level, or one :class:`FirstSlotSolution`
+    per level with ``solutions``.
     """
     noise_variances = tuple(noise_variances)
     _check_noise_levels(noise_variances)
@@ -1042,12 +1116,10 @@ def _irses(
         angles = _checked_angles(
             np.angle(h_sr)[trial, antenna] - np.angle(own_paths) - np.angle(h_si)
         )
-        thetas = [PhaseShiftVector(row) for row in angles]
     else:
         if len(phases) != n:
             raise ConfigError("fixed phase vector length must equal n")
         angles = phases.angles
-        thetas = [phases] * trials
 
     own = h_sr.copy()
     np.add.at(own, (trial, antenna), own_paths * np.exp(1j * angles) * h_si)
@@ -1056,10 +1128,11 @@ def _irses(
     else:
         amplitudes = np.abs(_hop_channel(hop, angles))
 
-    weights = np.ones((trials, m), dtype=np.complex128)
     usable = np.abs(own) >= ZERO_NORM
-    weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
     unusable = (m - np.count_nonzero(usable, axis=-1)).tolist()
+    if solutions:
+        weights = np.ones((trials, m), dtype=np.complex128)
+        weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
 
     squares = amplitudes**2
     square_sums = squares.sum(axis=-1).tolist()
@@ -1069,7 +1142,7 @@ def _irses(
         fourth_sums = (amplitudes**4).sum(axis=-1).tolist()
         denoms = [(squares * sigma2).sum(axis=-1).tolist() for sigma2 in sigma2s]
 
-    solutions = []
+    results = []
     for row in range(trials):
         if unusable[row]:
             warnings.warn(
@@ -1078,6 +1151,8 @@ def _irses(
                 DegenerateElementWarning,
                 stacklevel=3,
             )
+        if solutions:
+            theta = PhaseShiftVector(angles[row]) if phases is None else phases
         levels = []
         for level in range(len(sigma2s)):
             if combining == "snr-sum":
@@ -1090,10 +1165,13 @@ def _irses(
                 snr = p_s_watt * fourth_sums[row] / denom
                 power_eff = p_s_watt * fourth_sums[row] / square_sums[row]
             rate_r = float(np.log2(1.0 + snr))
+            if not solutions:
+                levels.append((rate_r, 1))
+                continue
             levels.append(
                 FirstSlotSolution(
                     method="irses",
-                    theta1=thetas[row],
+                    theta1=theta,
                     receive_power_watt=power_eff,
                     rate_r=rate_r,
                     trace=(rate_r,),
@@ -1101,8 +1179,8 @@ def _irses(
                     partition=partitions[row],
                 )
             )
-        solutions.append(tuple(levels))
-    return solutions
+        results.append(tuple(levels))
+    return results
 
 
 def second_slot_optimize(
@@ -1137,8 +1215,8 @@ def second_slot_optimize_per_noise(
     one trial.
     """
     hop = _hop(channels, _SECOND_HOP, stack=False)
-    return _second_slot_solutions(
-        _alternate(hop, p_r_watt, noise_variances, epsilon, max_iter)
+    return _alternate(
+        hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution
     )[0]
 
 
@@ -1151,24 +1229,21 @@ def second_slot_optimize_batch(
 ) -> list[tuple[SecondSlotSolution, ...]]:
     """:func:`second_slot_optimize_per_noise` on each trial of a stack, in one loop."""
     hop = _hop(channels, _SECOND_HOP, stack=True)
-    return _second_slot_solutions(
-        _alternate(hop, p_r_watt, noise_variances, epsilon, max_iter)
+    return _alternate(
+        hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution
     )
 
 
-def _second_slot_solutions(stops: _Stops) -> list[tuple[SecondSlotSolution, ...]]:
-    return [
-        tuple(
-            SecondSlotSolution(
-                theta2=PhaseShiftVector(-angles),
-                u_t=Beamformer(u),
-                rate_d=trace[-1],
-                trace=trace,
-            )
-            for (angles, u, _), trace in levels
-        )
-        for levels in stops.stopped
-    ]
+def _second_slot_solution(
+    iterate: tuple, trace: tuple[float, ...]
+) -> SecondSlotSolution:
+    angles, u, _ = iterate
+    return SecondSlotSolution(
+        theta2=PhaseShiftVector(-angles),
+        u_t=Beamformer(u),
+        rate_d=trace[-1],
+        trace=trace,
+    )
 
 
 class OracleResult(NamedTuple):

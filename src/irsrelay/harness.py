@@ -8,24 +8,27 @@ reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
 rate and standard error per axis value and method.
 
 Several configurations (the methods of a table, the points of a sweep) are
-evaluated together, chunk-major: the trial indices are cut into chunks, and
-for each chunk every distinct channel draw is made once and held once, by
-one :func:`~irsrelay.channel.sample_channels_batch` call that draws a stack
-of the chunk's trials of which each trial's channels are a view.  Each
-solve shared by several configurations (same solver and inputs but the
-noise) then runs once per chunk on that stack, for every noise level it
-serves (every SNR point of a sweep): the alternations as one batched loop,
-each (trial, level) stopping at its own iterate, and the closed forms
-(``irses``, the fixed-phase slots) as stacked calls.  The records are then
-assembled from what the chunk solved, nothing drawn or solved again.  A
-chunk holds at most as many trials as keep its stacked draws within
-:data:`CHUNK_BYTES` of what one trial holds, and at most
+evaluated together, chunk-major and, within a chunk, draw-major: the trial
+indices are cut into chunks, and for each chunk every distinct set of
+channel inputs is drawn in turn, by one
+:func:`~irsrelay.channel.sample_channels_batch` call that draws a stack of
+the chunk's trials.  Every solve keyed on that draw (same solver and inputs
+but the noise, shared by several configurations) then runs once on the
+stack, for every noise level it serves (every SNR point of a sweep): the
+alternations as one batched loop, each (trial, level) stopping at its own
+iterate, and the closed forms (``irses``, the fixed-phase slots, the
+baselines' hops) as stacked calls.  The solvers' private rates forms keep
+only a rate and an iteration count per (trial, level), which is all a
+record reads, and the stack is dropped before the next draw is made.  The
+records are then assembled from those rates, nothing drawn or solved
+again.  A chunk holds at most as many trials as keep its largest draw's
+stack within :data:`CHUNK_BYTES` of what one trial holds, and at most
 :data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting, that
 bounds the memory a chunk holds.  The trials are cut into as few chunks as
-that limit allows, of lengths at most one apart.  Every result
-is a pure function of the configuration and trial index, so tables are
-reproducible bit for bit whatever else is evaluated alongside, whatever the
-chunk and whatever the worker count.
+that limit allows, of lengths at most one apart.  Every result is a pure
+function of the configuration and trial index, so tables are reproducible
+bit for bit whatever else is evaluated alongside, whatever the chunk and
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -38,22 +41,23 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .beamforming import (
+    _FIRST_HOP,
+    _SECOND_HOP,
     COMBINING_MODES,
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
     IRSES_MODES,
     NSP_MODES,
     PhaseShiftVector,
+    _alternate,
     _check_iteration_controls,
     _hop_channel,
+    _irses,
     _norms,
+    _nsp,
     _powers,
     _unit,
-    ais_max_rp_batch,
-    irses_max_rp_mrc_batch,
     irses_partition,
-    nsp_max_rp_mrc_batch,
-    second_slot_optimize_batch,
 )
 from .channel import (
     ChannelSet,
@@ -69,7 +73,7 @@ from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system
 # The benchmark's trace points (perfbench/tracing.py) wrap the one-trial
 # sampler, the scalar solvers and the one-trial fixed-phase helpers under
 # these names; the trial engine draws with sample_channels_batch, calls the
-# batched solvers and evaluates fixed phases on a chunk's stack.
+# solvers' rates forms and evaluates fixed phases on a chunk's stack.
 from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
     ais_max_rp,
@@ -202,66 +206,84 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return stream_seed(base_seed, trial_index)
 
 
-class FixedFirstSlot(NamedTuple):
-    """A fixed-phase first slot at one noise level: one closed-form step."""
+def _closed_rates(powers: list[float], noises: tuple[float, ...]) -> list[tuple]:
+    """A closed form's results on a stack of trials, from each trial's power.
 
-    rate_r: float
-    iterations: int = 1
-
-
-class FixedSecondSlot(NamedTuple):
-    """A fixed-phase second slot at one noise level: one closed-form step."""
-
-    rate_d: float
-    iterations: int = 1
+    One (rate, iterations) pair per trial and noise level, as the batched
+    solvers' rates forms give them; a closed form takes one step.
+    """
+    return [
+        tuple((rate_from_power(power, noise), 1) for noise in noises)
+        for power in powers
+    ]
 
 
 def _fixed_first_slot(
     channels: ChannelSet, p_s_watt: float, noises: tuple[float, ...]
-) -> list[tuple[FixedFirstSlot, ...]]:
+) -> list[tuple]:
     """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
 
     Identity reflection phases; the receive beamformer is the matched
     filter to the resulting first-hop channel.
     """
-    hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    combined = _hop_channel(hop, np.zeros(channels.n))
-    return [
-        tuple(FixedFirstSlot(rate_from_power(power, noise)) for noise in noises)
-        for power in _powers(p_s_watt, _unit(combined), combined)
-    ]
+    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(channels.n))
+    return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
 
 
 def _fixed_second_slot(
     channels: ChannelSet, p_r_watt: float, noises: tuple[float, ...]
-) -> list[tuple[FixedSecondSlot, ...]]:
+) -> list[tuple]:
     """The fixed-phase second slot on a stack of trials, per noise level.
 
     Identity reflection phases; the transmit beamformer is still matched,
     so the power is that of the whole second-hop channel.
     """
-    hop = (channels.h_rd, channels.H_ri, channels.h_id)
-    return [
-        tuple(
-            FixedSecondSlot(rate_from_power(p_r_watt * norm**2, noise))
-            for noise in noises
-        )
-        for norm in _norms(_hop_channel(hop, np.zeros(channels.n)))
+    combined = _hop_channel(_SECOND_HOP(channels), np.zeros(channels.n))
+    return _closed_rates([p_r_watt * norm**2 for norm in _norms(combined)], noises)
+
+
+def _matched_direct(
+    direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
+) -> list[tuple]:
+    """One hop of ``baseline-relay-only`` on a stack of direct links, per level.
+
+    Without the surface, the matched filter collects the direct link's
+    whole power.
+    """
+    return _closed_rates([p_watt * norm**2 for norm in _norms(direct)], noises)
+
+
+def _irs_only(
+    channels: ChannelSet, p_s_watt: float, noises: tuple[float, ...]
+) -> list[tuple]:
+    """``baseline-irs-only`` on a stack of trials, per noise level.
+
+    One hop S -> IRS -> D with element-wise alignment: every cascaded path
+    adds in phase, so the amplitude is the sum of the path magnitudes,
+    taken one trial at a time as on one trial.
+    """
+    amplitudes = [
+        float(np.sum(np.abs(h_id) * np.abs(h_si)))
+        for h_id, h_si in zip(channels.h_id, channels.h_si)
     ]
+    return _closed_rates([p_s_watt * amplitude**2 for amplitude in amplitudes], noises)
 
 
 #: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
-#: trial holds too, a chunk may hold CHUNK_BYTES of stacked draws; a trial at
-#: (m, n) stacks 16 (2m + 2n + 2mn) bytes per distinct draw, so a chunk holds
-#: up to 8 trials at (16, 160) and 3 at (50, 200).  Small draws are bounded by
-#: the trial count instead, as every solution of a chunk (a few kB each) is
-#: held until its records are made.  Longer stacks iterate faster but raise
-#: the peak memory of a table build.  The draw holds one copy of its stack
-#: and a loop one copy of its running rows: 8 trials at (16, 160) add about
-#: 0.2 MB to a table's peak over 4 trials held twice, 4 held once 0.25 MB
-#: less.
+#: trial holds too, a chunk may hold CHUNK_BYTES of one draw's stack: a
+#: chunk draws its channel inputs one at a time, solves everything keyed on
+#: that draw and drops its stack before the next, keeping only a rate and an
+#: iteration count per (trial, solve, noise level).  A trial at (m, n)
+#: stacks 16 (2m + 2n + 2mn) bytes per draw, once per base seed drawn at
+#: those inputs, so a chunk holds up to 8 trials at (16, 160) and 3 at
+#: (50, 200), however many geometries a sweep draws.  Small draws are
+#: bounded by the trial count instead, as a chunk's loops and records still
+#: hold some Python objects per trial: 60 trials at (4, 16), with all nine
+#: methods, keep a table's peak within the bound of tests/test_memory.py,
+#: while one chunk of 120 trials does not.  Longer stacks iterate faster but
+#: raise the peak memory of a table build.
 CHUNK_BYTES = 660_000
-CHUNK_TRIALS = 32
+CHUNK_TRIALS = 60
 
 
 def _channel_inputs(config: ScenarioConfig) -> tuple:
@@ -271,10 +293,22 @@ def _channel_inputs(config: ScenarioConfig) -> tuple:
 
 
 def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
-    """The most trials a chunk may hold: as many as keep it within its limits."""
-    draws = {(config.base_seed, *_channel_inputs(config)) for config in configs}
+    """The most trials a chunk may hold: as many as keep it within its limits.
+
+    The largest draw sets the limit: a draw's stack holds a row per trial
+    and base seed drawn at its channel inputs.
+    """
+    base_seeds: dict[tuple, set[int]] = {}
+    for config in configs:
+        base_seeds.setdefault(_channel_inputs(config), set()).add(config.base_seed)
     itemsize = np.dtype(np.complex128).itemsize
-    per_trial = sum(itemsize * 2 * (m + n + m * n) for _, m, n, *_ in draws)
+    per_trial = max(
+        (
+            len(seeds) * itemsize * 2 * (m + n + m * n)
+            for (m, n, *_), seeds in base_seeds.items()
+        ),
+        default=0,
+    )
     return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
 
 
@@ -292,106 +326,100 @@ def _partition(shared: dict, seed: int, n: int, m: int):
     return shared[key]
 
 
-def _draw(shared: dict, draw: int, channels: tuple, seeds: list[int]) -> None:
-    """Draw trials ``seeds`` once at ``channels``, the inputs numbered ``draw``.
-
-    One :func:`~irsrelay.channel.sample_channels_batch` call draws them as
-    one stack, and each trial's ChannelSet is a view of its rows.
-    """
-    m, n, geometry, budget = channels
-    stack = sample_channels_batch(geometry, budget, m, n, seeds)
-    shared[("stack", draw)] = (stack, seeds)
-    for row, seed in enumerate(seeds):
-        shared[(seed, draw)] = stack.trial(row)
-
-
-def _stacked(shared: dict, seeds: list[int], draw: int) -> ChannelSet:
-    """The channels of trials ``seeds`` drawn as ``draw``, as one stack."""
-    stack, drawn = shared.get(("stack", draw), (None, None))
-    if seeds == drawn:
-        return stack
-    return stack_channels([shared[(seed, draw)] for seed in seeds])
-
-
 def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     """The solves in one trial of ``config``, by kind.
 
     ``"first"`` and ``"second"`` are the first- and second-slot solves of a
-    two-hop method, the closed-form fixed-phase slots included.  Each is a
-    (key, run) pair: ``run(shared, seeds, noises)`` solves the drawn trials
-    ``seeds`` at once, on their stacked channels, and returns, per trial,
-    one solution per noise variance (an object with the slot's ``rate_r``
-    or ``rate_d`` and its ``iterations``); the key, led by the solver's
-    name, holds every input of the solve except the trial seed and the
-    noise, the channel inputs as the number ``draw`` they have among the
+    two-hop method, the closed-form fixed-phase slots included, and the
+    hops of ``baseline-relay-only``; ``baseline-irs-only`` has one
+    ``"first"`` solve, its single hop.  Each is a (key, run) pair:
+    ``run(shared, seeds, channels, noises)`` solves the trials ``seeds`` at
+    once on their stacked ``channels`` and returns, per trial, one (rate,
+    iterations) pair per noise variance; the key, led by the solver's name,
+    holds every input of the solve except the trial seed and the noise, the
+    channel inputs as the number ``draw`` they have among the
     configurations planned together.  Configurations with equal keys share
     one solve per trial for all their noise levels: the three fixed-phase
     methods, for one, share their second slot.
     """
     method = METHODS[config.method]
-    if method.trial != "two-hop":
-        return {}
-    eps, max_iter = config.epsilon, config.max_iter
     p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
+    if method.trial == "irs-only":
+        return {
+            "first": (
+                ("irs-only", draw),
+                lambda shared, seeds, channels, noises: _irs_only(
+                    channels, p_s, noises
+                ),
+            )
+        }
+    if method.trial == "relay-only":
+        return {
+            "first": (
+                ("relay-first", draw),
+                lambda shared, seeds, channels, noises: _matched_direct(
+                    channels.h_sr, p_s, noises
+                ),
+            ),
+            "second": (
+                ("relay-second", draw),
+                lambda shared, seeds, channels, noises: _matched_direct(
+                    channels.h_rd, p_r, noises
+                ),
+            ),
+        }
+    eps, max_iter = config.epsilon, config.max_iter
     zeros = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
-
-    def stack(shared: dict, seeds: list[int]) -> ChannelSet:
-        return _stacked(shared, seeds, draw)
-
     solves = {}
     if method.first_slot == "ais" and method.fixed_phase:
         solves["first"] = (
             ("ais-fixed-phase", draw),
-            lambda shared, seeds, noises: _fixed_first_slot(
-                stack(shared, seeds), p_s, noises
+            lambda shared, seeds, channels, noises: _fixed_first_slot(
+                channels, p_s, noises
             ),
         )
     elif method.first_slot == "ais":
         solves["first"] = (
             ("ais", draw, eps, max_iter),
-            lambda shared, seeds, noises: ais_max_rp_batch(
-                stack(shared, seeds), p_s, noises, eps, max_iter
+            lambda shared, seeds, channels, noises: _alternate(
+                _FIRST_HOP(channels), p_s, noises, eps, max_iter
             ),
         )
     elif method.first_slot == "nsp":
-        options = dict(mode=config.nsp_mode, combining=config.combining, phases=zeros)
+        options = (config.nsp_mode, config.combining, zeros)
         variant = (config.nsp_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("nsp", draw, eps, max_iter, *variant),
-            lambda shared, seeds, noises: nsp_max_rp_mrc_batch(
-                stack(shared, seeds), p_s, noises, eps, max_iter, **options
+            lambda shared, seeds, channels, noises: _nsp(
+                _FIRST_HOP(channels), p_s, noises, eps, max_iter, *options
             ),
         )
     elif method.first_slot == "irses":
         m, n = _channel_inputs(config)[:2]
-        options = dict(
-            interference_mode=config.irses_mode,
-            combining=config.combining,
-            phases=zeros,
-        )
+        options = (config.irses_mode, config.combining, zeros)
         variant = (config.irses_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("irses", draw, *variant),
-            lambda shared, seeds, noises: irses_max_rp_mrc_batch(
-                stack(shared, seeds),
+            lambda shared, seeds, channels, noises: _irses(
+                _FIRST_HOP(channels),
                 p_s,
                 noises,
                 [_partition(shared, seed, n, m) for seed in seeds],
-                **options,
+                *options,
             ),
         )
     if method.fixed_phase:
         solves["second"] = (
             ("fixed-second", draw),
-            lambda shared, seeds, noises: _fixed_second_slot(
-                stack(shared, seeds), p_r, noises
+            lambda shared, seeds, channels, noises: _fixed_second_slot(
+                channels, p_r, noises
             ),
         )
     else:
         solves["second"] = (
             ("second", draw, eps, max_iter),
-            lambda shared, seeds, noises: second_slot_optimize_batch(
-                stack(shared, seeds), p_r, noises, eps, max_iter
+            lambda shared, seeds, channels, noises: _alternate(
+                _SECOND_HOP(channels), p_r, noises, eps, max_iter
             ),
         )
     return solves
@@ -443,34 +471,44 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
 
 
 def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
-    """Draw and solve a chunk of trials; what was shared, by key.
+    """Draw and solve a chunk of trials, draw by draw; what was shared, by key.
 
     ``jobs`` holds (configuration, its plan, its trial indices) triples.
-    Each distinct draw is made once, and each planned key is solved once
-    for all the drawn trials that need it and all its noise levels.  The
-    result holds the trial seeds, the element partitions of ``irses``
-    methods, and the channel draws and the solves on them, keyed by the
-    trial seed and the plan's draw number or solve key, which stand for
-    every other input (the noise aside).
+    Each distinct draw is made once, as one stack, and every planned key on
+    it is solved once for all the drawn trials that need it and all its
+    noise levels; the stack is then dropped before the next draw is made.
+    The result holds the trial seeds, the element partitions of ``irses``
+    methods, and each solve's (rate, iterations) per noise level, keyed by
+    the trial seed and the plan's solve key, which stands for every other
+    input (the noise aside).
     """
     shared: dict = {}
     draws: dict[int, tuple] = {}
-    solves: dict[tuple, tuple] = {}
     for config, plan, indices in jobs:
         if not indices:
             continue
         seeds = dict.fromkeys(
             _trial_seed(shared, config.base_seed, k) for k in indices
         )
-        draws.setdefault(plan.draw, (plan.channels, {}))[1].update(seeds)
+        _, drawn, solves = draws.setdefault(plan.draw, (plan.channels, {}, {}))
+        drawn.update(seeds)
         for key, levels, run in plan.solves.values():
             solves.setdefault(key, (levels, run, {}))[2].update(seeds)
-    for draw, (channels, seeds) in draws.items():
-        _draw(shared, draw, channels, list(seeds))
-    for key, (levels, run, seeds) in solves.items():
-        seeds = list(seeds)
-        for seed, solutions in zip(seeds, run(shared, seeds, levels)):
-            shared[(seed, key)] = dict(zip(levels, solutions))
+    for (m, n, geometry, budget), drawn, solves in draws.values():
+        drawn = list(drawn)
+        stack = sample_channels_batch(geometry, budget, m, n, drawn)
+        for key, (levels, run, seeds) in solves.items():
+            seeds = list(seeds)
+            if seeds == drawn:
+                channels = stack
+            else:
+                rows = {seed: row for row, seed in enumerate(drawn)}
+                channels = stack_channels([stack.trial(rows[seed]) for seed in seeds])
+            for seed, rates in zip(seeds, run(shared, seeds, channels, levels)):
+                shared[(seed, key)] = dict(zip(levels, rates))
+            del channels
+        # the next draw is made once this one is dropped
+        del stack
     return shared
 
 
@@ -479,33 +517,20 @@ def _record(
 ) -> TrialRecord:
     """Trial ``trial_index`` of ``config``, assembled from ``shared``.
 
-    ``shared`` is what :func:`_evaluate_chunk` drew and solved for the
-    trial's chunk under ``plan``, the configuration's entry of
-    :func:`solve_plans`; it is only read here.
+    ``shared`` is what :func:`_evaluate_chunk` solved for the trial's chunk
+    under ``plan``, the configuration's entry of :func:`solve_plans`; it is
+    only read here.
     """
-    method = METHODS[config.method]
     seed = shared[("seed", config.base_seed, trial_index)]
     noise = plan.noise
-    p_s = config.budget.p_s_watt
-    p_r = config.budget.p_r_watt
-    if method.trial == "irs-only":
-        # one hop S -> IRS -> D with element-wise alignment: no 1/2 pre-log,
-        # and the per-hop fields all equal the single-hop rate
-        channels = shared[(seed, plan.draw)]
-        amplitude = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
-        rate = rate_from_power(p_s * amplitude**2, noise)
-        result = RateResult(config.method, rate, rate, rate, (1, 1))
+    rate_r, iterations_r = shared[(seed, plan.solves["first"][0])][noise]
+    if "second" not in plan.solves:
+        # baseline-irs-only: one hop S -> IRS -> D, no 1/2 pre-log, and the
+        # per-hop fields all equal the single-hop rate
+        result = RateResult(config.method, rate_r, rate_r, rate_r, (1, 1))
         return TrialRecord(trial_index, seed, result)
-    if method.trial == "relay-only":
-        channels = shared[(seed, plan.draw)]
-        rate_r = rate_from_power(p_s * float(np.linalg.norm(channels.h_sr)) ** 2, noise)
-        rate_d = rate_from_power(p_r * float(np.linalg.norm(channels.h_rd)) ** 2, noise)
-        iterations = (1, 1)
-    else:
-        first = shared[(seed, plan.solves["first"][0])][noise]
-        second = shared[(seed, plan.solves["second"][0])][noise]
-        rate_r, rate_d = first.rate_r, second.rate_d
-        iterations = (first.iterations, second.iterations)
+    rate_d, iterations_d = shared[(seed, plan.solves["second"][0])][noise]
+    iterations = (iterations_r, iterations_d)
     result = RateResult(
         config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
     )
@@ -535,13 +560,13 @@ def collect_trials(
     sequence, returns one such list per configuration, in sequence order.
     Evaluation is serial and chunk-major: the trial indices are cut into as
     few chunks as :func:`_chunk_trials` allows, of lengths at most one
-    apart, and for each chunk every
-    distinct channel draw is made once, stacked, and each planned solve
-    runs once over the chunk's trials that need it, for all the noise
-    levels that share it (the SNR points of a sweep, say).  Each record of
-    the chunk is then assembled from what was shared, without drawing or
-    solving anything again.  Sharing and chunking change no bit of any
-    record.
+    apart, and for each chunk every distinct channel draw is made once,
+    stacked, and in turn: each planned solve on it runs once over the
+    chunk's trials that need it, for all the noise levels that share it
+    (the SNR points of a sweep, say), keeping a rate and an iteration count
+    per (trial, level), before the stack is dropped.  Each record of the
+    chunk is then assembled from those rates, without drawing or solving
+    anything again.  Sharing and chunking change no bit of any record.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.

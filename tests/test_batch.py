@@ -35,6 +35,7 @@ from irsrelay.errors import (
     ConfigError,
     DegenerateChannelError,
     DegenerateElementWarning,
+    TraceDipError,
 )
 from irsrelay.harness import ScenarioConfig, collect_trials, run_trial
 
@@ -193,8 +194,8 @@ def test_batched_solvers_take_stacks_and_one_trial_solvers_one_trial():
 
 
 def test_chunk_holds_the_trials_its_limits_allow():
-    # beyond one trial, 16 (2m + 2n + 2mn) bytes per trial and draw within
-    # CHUNK_BYTES, and at most CHUNK_TRIALS trials
+    # beyond one trial, 16 (2m + 2n + 2mn) bytes per trial of the largest
+    # draw within CHUNK_BYTES, and at most CHUNK_TRIALS trials
     def size(*configs):
         return harness._chunk_trials(configs)
 
@@ -202,12 +203,20 @@ def test_chunk_holds_the_trials_its_limits_allow():
     assert size(ScenarioConfig(m=50, n=200)) == 3
     assert size(ScenarioConfig(m=4, n=16)) == harness.CHUNK_TRIALS
     assert size(ScenarioConfig(m=64, n=1024)) == 1
-    # every distinct draw of a trial counts: m = 1 for the single-antenna
-    # baseline, another base seed draws again
+    # a chunk holds one draw at a time: m = 1 for the single-antenna
+    # baseline is a smaller draw beside the m = 8 one, and so are other
+    # geometries; another base seed at the same inputs adds rows to the draw
     base = ScenarioConfig(m=8, n=128)
     assert size(base) == 1 + harness.CHUNK_BYTES // 37120
     single = ScenarioConfig(m=8, n=128, method="baseline-single-antenna")
-    assert size(base, single) == 1 + harness.CHUNK_BYTES // (37120 + 8224)
+    assert size(base, single) == size(single, base) == size(base)
+    distances = [
+        harness.point_config(
+            harness.SweepSpec(base, "distance_d", (20.0, 40.0, 60.0)), d, "ais"
+        )
+        for d in (20.0, 40.0, 60.0)
+    ]
+    assert size(*distances) == size(base)
     assert size(base, ScenarioConfig(m=8, n=128, base_seed=1)) == (
         1 + harness.CHUNK_BYTES // (2 * 37120)
     )
@@ -349,6 +358,107 @@ def test_stacked_closed_forms_keep_the_pinned_bits(name, stack):
     assert got == STACKED_PINNED[name]
 
 
+#: every rates form the trial engine calls, by case: (solver, (m, n),
+#: options); literal mode needs m > n
+RATES_CASES = {
+    "ais": ("ais", (4, 16), {}),
+    "second-slot": ("second-slot", (4, 16), {}),
+    **STACKED_CASES,
+    "irses-full-printed": (
+        "irses", (4, 16), {"interference_mode": "full", "combining": "printed"},
+    ),
+    "nsp-literal-fixed-phases": (
+        "nsp", (8, 4), {"mode": "literal", "phases": PhaseShiftVector(np.zeros(4))},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RATES_CASES)
+def test_rates_forms_equal_their_solutions_bit_for_bit(name):
+    # the engine's rates forms against the rate and iteration count of
+    # each (trial, level)'s solution object; at epsilon 1e-6 and 8
+    # iterations the levels of a trial stop on different iterates, some on
+    # the cap
+    solver, (m, n), options = RATES_CASES[name]
+    channels = stack_channels([make_channels(m, n, seed=seed) for seed in range(8)])
+    levels = noise_levels(0, 10, 20, 30)
+    first_hop = beamforming._FIRST_HOP(channels)
+    if solver == "ais":
+        objects = ais_max_rp_batch(channels, P_S, levels, EPSILON, MAX_ITER)
+        rates = beamforming._alternate(first_hop, P_S, levels, EPSILON, MAX_ITER)
+    elif solver == "second-slot":
+        objects = second_slot_optimize_batch(channels, P_S, levels, EPSILON, MAX_ITER)
+        second_hop = beamforming._SECOND_HOP(channels)
+        rates = beamforming._alternate(second_hop, P_S, levels, EPSILON, MAX_ITER)
+    elif solver == "nsp":
+        args = (P_S, levels, EPSILON, MAX_ITER)
+        objects = nsp_max_rp_mrc_batch(channels, *args, **options)
+        variant = (
+            options.get("mode", "effective"), options.get("combining", "snr-sum")
+        )
+        rates = beamforming._nsp(first_hop, *args, *variant, options.get("phases"))
+    else:
+        partitions = [irses_partition(n, m, seed) for seed in range(8)]
+        objects = irses_max_rp_mrc_batch(channels, P_S, levels, partitions, **options)
+        variant = (
+            options.get("interference_mode", "idealized"),
+            options.get("combining", "snr-sum"),
+            options.get("phases"),
+        )
+        rates = beamforming._irses(first_hop, P_S, levels, partitions, *variant)
+    expected = [
+        [
+            (s.rate_d if solver == "second-slot" else s.rate_r, s.iterations)
+            for s in solutions
+        ]
+        for solutions in objects
+    ]
+    assert [[(rate.hex(), count) for rate, count in trial] for trial in rates] == [
+        [(rate.hex(), count) for rate, count in trial] for trial in expected
+    ]
+    if solver in ("ais", "second-slot", "nsp") and "phases" not in options:
+        counts = {count for trial in rates for _, count in trial}
+        assert MAX_ITER in counts and len(counts) >= 3
+        assert any(len({count for _, count in trial}) > 1 for trial in rates)
+
+
+def dip_one_trial(monkeypatch):
+    """Make ``beamforming._powers`` report a falling power for one trial.
+
+    From its second call on, the first row's power is halved on every call,
+    so that row's trace dips on its second iterate.
+    """
+    original = beamforming._powers
+    calls = []
+
+    def dipping(p_watt, weights, channels):
+        powers = original(p_watt, weights, channels)
+        calls.append(None)
+        if len(calls) > 1:
+            powers[0] *= 0.5 ** len(calls)
+        return powers
+
+    monkeypatch.setattr(beamforming, "_powers", dipping)
+
+
+def test_a_dipping_trace_fails_collect_trials(monkeypatch):
+    dip_one_trial(monkeypatch)
+    config = ScenarioConfig(method="ais", m=4, n=16, trials=3, epsilon=1e-12)
+    with pytest.raises(TraceDipError):
+        collect_trials(config)
+
+
+def test_a_dipping_trace_exits_with_the_runtime_error_code(monkeypatch, capsys):
+    from irsrelay import cli
+
+    args = ["run", "--set", "m=4", "--set", "n=16", "--set", "trials=3"]
+    assert cli.main(args) == 0  # the same run, without the dip
+    capsys.readouterr()
+    dip_one_trial(monkeypatch)
+    assert cli.main(args) == 2
+    assert "trace decreased" in capsys.readouterr().err
+
+
 def zero_antenna(channels, antenna):
     """``channels`` with no first-hop signal at relay antenna ``antenna``."""
     blocks = {key: np.array(getattr(channels, key)) for key in LINK_STREAMS}
@@ -409,14 +519,17 @@ def test_every_method_solves_once_per_chunk_and_key(chunk, monkeypatch):
     size = harness._chunk_trials(cases)
     assert size > 1
     cases = [dataclasses.replace(config, trials=2 * size + 1) for config in cases]
+    # the rates forms take one hop's blocks, the fixed slots the channels
+    hop_rows = lambda hop, *rest: len(hop[0])  # noqa: E731
     stacked = lambda channels, *rest: len(channels.h_sr)  # noqa: E731
     solves = {
-        name: count_calls(monkeypatch, harness, name, stacked)
-        for name in (
-            "nsp_max_rp_mrc_batch",
-            "irses_max_rp_mrc_batch",
-            "_fixed_first_slot",
-            "_fixed_second_slot",
+        name: count_calls(monkeypatch, harness, name, rows)
+        for name, rows in (
+            ("_alternate", hop_rows),
+            ("_nsp", hop_rows),
+            ("_irses", hop_rows),
+            ("_fixed_first_slot", stacked),
+            ("_fixed_second_slot", stacked),
         )
     }
     alone = [
@@ -432,8 +545,11 @@ def test_every_method_solves_once_per_chunk_and_key(chunk, monkeypatch):
     # 2 * size + 1 trials take three chunks, shortest first, their lengths
     # at most one apart
     chunks = [(2 * size + 1 + k) // 3 for k in range(3)]
-    assert sorted(solves["nsp_max_rp_mrc_batch"]) == sorted(2 * chunks)
-    assert sorted(solves["irses_max_rp_mrc_batch"]) == sorted(2 * chunks)
+    # ais and the second slot once per m: 8, and 1 for the single-antenna
+    # baseline
+    assert sorted(solves["_alternate"]) == sorted(4 * chunks)
+    assert sorted(solves["_nsp"]) == sorted(2 * chunks)
+    assert sorted(solves["_irses"]) == sorted(2 * chunks)
     assert solves["_fixed_first_slot"] == chunks
     assert solves["_fixed_second_slot"] == chunks
     assert not any(alone)

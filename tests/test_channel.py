@@ -147,18 +147,26 @@ def test_leading_entries_stable_as_array_grows():
     assert np.array_equal(small.h_id, large.h_id)
 
 
+#: seeds per stacked draw of the moment tests: each seed's row is what
+#: make_channels draws for it alone (test_stacked_draws_are_pinned_...)
+MOMENT_STACK = 4_000
+
+
+def one_by_one_draws(trials):
+    """Draws m = n = 1 of seeds 0..trials-1, as stacks of MOMENT_STACK seeds."""
+    for start in range(0, trials, MOMENT_STACK):
+        seeds = range(start, min(start + MOMENT_STACK, trials))
+        yield sample_channels_batch(Geometry(), LinkBudget(), 1, 1, seeds)
+
+
 def test_second_moment_matches_link_budget():
     trials = 100_000
     sums = {name: 0.0 for name in EXPECTED_SECOND_MOMENT}
-    counts = {name: 0 for name in EXPECTED_SECOND_MOMENT}
-    for seed in range(trials):
-        ch = make_channels(m=1, n=1, seed=seed)
+    for stack in one_by_one_draws(trials):
         for name in sums:
-            block = getattr(ch, name)
-            sums[name] += float(np.sum(np.abs(block) ** 2))
-            counts[name] += block.size
+            sums[name] += float(np.sum(np.abs(getattr(stack, name)) ** 2))
     for name, expected in EXPECTED_SECOND_MOMENT.items():
-        mean = sums[name] / counts[name]
+        mean = sums[name] / trials
         assert abs(mean - expected) / expected < 0.02, (
             f"{name}: empirical {mean:.6e} vs closed form {expected:.6e}"
         )
@@ -175,10 +183,9 @@ def test_real_imag_parts_independent_scale():
     # each entry is CN(0, s^2): real and imag parts each carry s^2 / 2
     trials = 20_000
     re_sum = im_sum = 0.0
-    for seed in range(trials):
-        ch = make_channels(m=1, n=1, seed=seed)
-        re_sum += float(ch.h_sr[0].real ** 2)
-        im_sum += float(ch.h_sr[0].imag ** 2)
+    for stack in one_by_one_draws(trials):
+        re_sum += float(np.sum(stack.h_sr.real ** 2))
+        im_sum += float(np.sum(stack.h_sr.imag ** 2))
     half = EXPECTED_SECOND_MOMENT["h_sr"] / 2.0
     assert abs(re_sum / trials - half) / half < 0.05
     assert abs(im_sum / trials - half) / half < 0.05

@@ -179,16 +179,22 @@ def _count_calls(monkeypatch, name, key):
 
 
 def _record_draws(monkeypatch):
-    """Record the (m, seeds) of each ``harness.sample_channels_batch`` call."""
-    calls = []
+    """Record the (m, seeds) of each ``harness.sample_channels_batch`` call.
+
+    Returns the calls and the bytes of every first-hop direct link drawn,
+    which tell a first-hop solve from a second-hop one.
+    """
+    calls, first_links = [], set()
     original = harness.sample_channels_batch
 
     def recorded(geometry, budget, m, n, seeds):
         calls.append((m, tuple(seeds)))
-        return original(geometry, budget, m, n, seeds)
+        stack = original(geometry, budget, m, n, seeds)
+        first_links.update(row.tobytes() for row in stack.h_sr)
+        return stack
 
     monkeypatch.setattr(harness, "sample_channels_batch", recorded)
-    return calls
+    return calls, first_links
 
 
 def _drawn_once(calls, count):
@@ -197,21 +203,27 @@ def _drawn_once(calls, count):
     return len(drawn) == len(set(drawn)) == count
 
 
-def _record_batches(monkeypatch, name):
-    """Record (trials solved, noise levels) of each call of ``harness.<name>``.
+def _record_solves(monkeypatch, first_links):
+    """Record (trials solved, noise levels) of each solve the engine runs.
 
-    A trial is told by the bytes of its direct link; a stack holds one per
-    row, a single trial's channels one.
+    The engine calls the rates forms ``_alternate`` (``ais`` on the first
+    hop, the second slot on the second), ``_nsp`` and ``_irses``, each on
+    one hop's blocks of a stack of trials.  A trial is told by the bytes of
+    its direct link, one per row; calls are listed by solve.
     """
-    calls = []
-    original = getattr(harness, name)
+    calls = {"ais": [], "nsp": [], "irses": [], "second": []}
+    for name in ("_alternate", "_nsp", "_irses"):
+        original = getattr(harness, name)
 
-    def recorded(channels, power, noises, *args, **kwargs):
-        rows = channels.h_sr if channels.h_sr.ndim == 2 else [channels.h_sr]
-        calls.append((tuple(row.tobytes() for row in rows), tuple(noises)))
-        return original(channels, power, noises, *args, **kwargs)
+        def recorded(hop, power, noises, *args, name=name, original=original):
+            trials = tuple(row.tobytes() for row in hop[0])
+            solve = name[1:]
+            if name == "_alternate":
+                solve = "ais" if trials[0] in first_links else "second"
+            calls[solve].append((trials, tuple(noises)))
+            return original(hop, power, noises, *args)
 
-    monkeypatch.setattr(harness, name, recorded)
+        monkeypatch.setattr(harness, name, recorded)
     return calls
 
 
@@ -219,14 +231,6 @@ def _solved_once(calls):
     """Every trial of ``calls`` solved in exactly one of them."""
     trials = [trial for solved, _ in calls for trial in solved]
     return len(trials) == len(set(trials))
-
-
-BATCHED = (
-    "ais_max_rp_batch",
-    "nsp_max_rp_mrc_batch",
-    "second_slot_optimize_batch",
-    "irses_max_rp_mrc_batch",
-)
 
 
 def test_shared_draws_and_second_slots_change_no_record(monkeypatch):
@@ -245,8 +249,8 @@ def check_shared_solves(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(harness, "_chunk_trials", lambda configs: chunk)
     chunks = -(-3 // (chunk or harness._chunk_trials(configs)))
-    draws = _record_draws(monkeypatch)
-    batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
+    draws, first_links = _record_draws(monkeypatch)
+    solves = _record_solves(monkeypatch, first_links)
     together = collect_trials(configs)
     assert together == alone
     # one stacked draw per (chunk, m): m=8 for the first four methods, m=1
@@ -257,15 +261,10 @@ def check_shared_solves(monkeypatch, chunk):
     # (chunk, key) with the key's one noise level; the ais key and the
     # second slot have one key per m
     noise = (configs[0].noise_variance_watt,)
-    for name, keys in (
-        ("ais_max_rp_batch", 2),
-        ("nsp_max_rp_mrc_batch", 1),
-        ("irses_max_rp_mrc_batch", 1),
-        ("second_slot_optimize_batch", 2),
-    ):
-        assert len(batches[name]) == keys * chunks
-        assert sum(len(solved) for solved, _ in batches[name]) == keys * 3
-    for calls in batches.values():
+    for solve, keys in (("ais", 2), ("nsp", 1), ("irses", 1), ("second", 2)):
+        assert len(solves[solve]) == keys * chunks
+        assert sum(len(solved) for solved, _ in solves[solve]) == keys * 3
+    for calls in solves.values():
         assert _solved_once(calls)
         assert {noises for _, noises in calls} == {noise}
 
@@ -280,8 +279,8 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         for value in spec.values
         for method in spec.methods
     ]
-    draws = _record_draws(monkeypatch)
-    batches = {name: _record_batches(monkeypatch, name) for name in BATCHED}
+    draws, first_links = _record_draws(monkeypatch)
+    solves = _record_solves(monkeypatch, first_links)
     partitions = _count_calls(monkeypatch, "irses_partition", lambda n, m, s: s)
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
@@ -293,19 +292,10 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
     noises = tuple(
         point_config(spec, v, "ais").noise_variance_watt for v in spec.values
     )
-    for name in (
-        "ais_max_rp_batch",
-        "second_slot_optimize_batch",
-        "irses_max_rp_mrc_batch",
-    ):
-        assert len(batches[name]) == 1
-    assert not batches["nsp_max_rp_mrc_batch"]
-    for name in (
-        "ais_max_rp_batch",
-        "second_slot_optimize_batch",
-        "irses_max_rp_mrc_batch",
-    ):
-        calls = batches[name]
+    assert not solves["nsp"]
+    for solve in ("ais", "second", "irses"):
+        calls = solves[solve]
+        assert len(calls) == 1
         assert _solved_once(calls)
         assert sum(len(solved) for solved, _ in calls) == 3
         assert {levels for _, levels in calls} == {noises}
