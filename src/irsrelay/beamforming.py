@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, keyed_generators, seed_states
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -972,18 +972,39 @@ def _nsp_solution(closed: dict, trace: tuple, noise: float) -> FirstSlotSolution
     return FirstSlotSolution(method="nsp", rate_r=rate_r, trace=trace, **closed)
 
 
-def irses_partition(n: int, m: int, seed: int) -> Partition:
-    """Uniformly random even assignment of ``n`` elements to ``m`` antennas."""
+def _check_partition_sizes(n: int, m: int) -> None:
     if m < 1 or n < 1:
         raise ConfigError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if n % m != 0:
         raise ConfigError(f"antenna count {m} must divide element count {n}")
+
+
+def irses_partition(n: int, m: int, seed: int) -> Partition:
+    """Uniformly random even assignment of ``n`` elements to ``m`` antennas.
+
+    The permutation is drawn from ``Generator(Philox(SeedSequence(seed)))``.
+    """
+    _check_partition_sizes(n, m)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    assignment = np.empty(n, dtype=np.intp)
-    assignment[rng.permutation(n)] = np.repeat(np.arange(m, dtype=np.intp), n // m)
-    return Partition(assignment)
+    return irses_partitions(n, m, seed_states([seed], 2))[0]
+
+
+def irses_partitions(n: int, m: int, keys: np.ndarray) -> list[Partition]:
+    """:func:`irses_partition` for several seeds, given their Philox keys.
+
+    Row ``k`` of ``keys`` is ``seed_states([seed], 2)`` of the ``k``-th
+    seed, so that the keys of many trials are hashed at once; one generator
+    is re-keyed per partition (:func:`~irsrelay.channel.keyed_generators`).
+    """
+    _check_partition_sizes(n, m)
+    groups = np.repeat(np.arange(m, dtype=np.intp), n // m)
+    partitions = []
+    for rng in keyed_generators(keys):
+        assignment = np.empty(n, dtype=np.intp)
+        assignment[rng.permutation(n)] = groups
+        partitions.append(Partition(assignment))
+    return partitions
 
 
 def irses_max_rp_mrc(

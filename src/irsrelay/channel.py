@@ -9,13 +9,23 @@ distance-based amplitude attenuation and by the endpoint antenna gains.
 :func:`sample_channels_batch` draws several trials at once, as one stack of
 all six links with a leading trial axis; each trial's rows are bit for bit
 what :func:`sample_channels`, its one-trial view, draws for that seed alone.
+
+Every random stream is keyed by numpy's ``SeedSequence`` hash of integer
+parts: a trial seed by ``(base seed, trial index)``, a link's stream by
+``(trial seed, link index)``.  :func:`seed_states` computes that hash for
+many keys in one vectorised pass, bit for bit what ``SeedSequence`` gives
+one key at a time, and :func:`keyed_generators` re-keys one Philox
+generator per key instead of building a ``SeedSequence``, a ``Philox`` and
+a ``Generator`` per stream: counter-based generators need no per-stream
+object (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011).  The draws are the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,17 +44,192 @@ LINK_STREAMS = {
 }
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words mixed from the entropy words, then expanded into the state
+_MASK32 = 0xFFFF_FFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first ``count`` (xor, multiplier) pairs of a hash-constant sequence.
+
+    Each hash step xors with the running constant, advances it by ``mult``
+    and multiplies by the advanced one; the sequence depends on no data.
+    """
+    pairs, const = [], init
+    for _ in range(count):
+        advanced = const * mult & _MASK32
+        pairs.append((const, advanced))
+        const = advanced
+    return np.array(pairs, dtype=np.uint32).T
+
+
+_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
+
+
+def _cross_mix_constants() -> list[np.ndarray]:
+    """Per source word, the constants mixing it into the other three words.
+
+    Its own column gets (0, 0); the caller restores that column.
+    """
+    out = []
+    for src in range(_POOL_WORDS):
+        pairs = np.zeros((2, _POOL_WORDS), dtype=np.uint32)
+        others = [dst for dst in range(_POOL_WORDS) if dst != src]
+        start = _POOL_WORDS + (_POOL_WORDS - 1) * src
+        pairs[:, others] = _POOL_CONSTANTS[:, start : start + _POOL_WORDS - 1]
+        out.append(pairs)
+    return out
+
+
+_CROSS_MIX = _cross_mix_constants()
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ (values >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+def _part_words(part) -> tuple[np.ndarray, int | np.ndarray]:
+    """One part's 32-bit words, least significant first, and how many count.
+
+    ``SeedSequence`` splits an integer into its words up to the highest
+    nonzero one (0 is one word).  An int gives a (words,) row shared by
+    every key; a sequence gives a (keys, words) array and a count per key,
+    or one count when every key has the same.
+    """
+    if isinstance(part, (int, np.integer)):
+        value = int(part)
+        if value < 0:
+            raise ConfigError("seed components must be non-negative integers")
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return np.array(words, dtype=np.uint32), len(words)
+    if isinstance(part, np.ndarray):
+        if part.dtype.kind not in "iu" or part.dtype.kind == "i" and (part < 0).any():
+            raise ConfigError("seed components must be non-negative integers")
+        values = part.astype(np.uint64)
+    else:
+        try:
+            values = np.asarray(part, dtype=np.uint64)
+        except OverflowError:
+            # a value of 2**64 or more, or a negative one: split them one by one
+            ints = [int(v) for v in part]
+            if min(ints) < 0:
+                raise ConfigError("seed components must be non-negative integers")
+            counts = np.array([max(1, -(-v.bit_length() // 32)) for v in ints])
+            width = int(counts.max())
+            words = [[v >> 32 * i & _MASK32 for i in range(width)] for v in ints]
+            return np.array(words, dtype=np.uint32), counts
+    high = values >> 32
+    if not high.any():
+        return values.astype(np.uint32)[:, None], 1
+    words = np.stack([values, high], axis=1).astype(np.uint32)
+    return words, 2 if high.all() else 1 + (high != 0)
+
+
+def seed_states(parts: Sequence, words: int = 1) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(words, uint64)`` for many keys.
+
+    Each of ``parts`` is a non-negative int, shared by every key, or a
+    sequence of them, one per key; key ``k``'s entropy is the tuple of each
+    part's value for ``k``.  Returns a (keys, words) uint64 array whose row
+    ``k`` is, bit for bit, what numpy's ``SeedSequence`` gives key ``k``,
+    computed in one vectorised pass over all keys: an entropy of at most four
+    words is its zero-padded four-word form, and the words past the fourth
+    are mixed in per key.
+
+    Raises:
+        ConfigError: if a part is negative or not an integer.
+    """
+    columns = [_part_words(part) for part in parts]
+    keys = max((len(w) for w, _ in columns if w.ndim == 2), default=1)
+    width = sum(w.shape[-1] for w, _ in columns)
+    entropy = np.zeros((keys, max(_POOL_WORDS, width)), dtype=np.uint32)
+    lengths: int | np.ndarray = width
+    if all(isinstance(count, int) and count == w.shape[-1] for w, count in columns):
+        start = 0
+        for w, count in columns:
+            entropy[:, start : start + count] = w
+            start += count
+    else:
+        # each key's words in order, its uncounted (zero) words moved last
+        joined, counted = [], []
+        for w, count in columns:
+            shape = (keys, w.shape[-1])
+            joined.append(np.broadcast_to(w, shape))
+            counts = np.reshape(count, (-1, 1))
+            counted.append(np.broadcast_to(np.arange(shape[1]) < counts, shape))
+        counted = np.concatenate(counted, axis=1)
+        order = np.argsort(~counted, axis=1, kind="stable")
+        entropy[:, :width] = np.take_along_axis(np.hstack(joined), order, axis=1)
+        lengths = counted.sum(axis=1)
+    pool = _hashmix(entropy[:, :_POOL_WORDS], *_POOL_CONSTANTS[:, :_POOL_WORDS])
+    for src, constants in enumerate(_CROSS_MIX):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    if width > _POOL_WORDS:
+        tail = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * width)
+        for src in range(_POOL_WORDS, width):
+            step = slice(_POOL_WORDS * src, _POOL_WORDS * (src + 1))
+            mixed = _mix(pool, _hashmix(entropy[:, src, None], *tail[:, step]))
+            pool = np.where(np.reshape(lengths > src, (-1, 1)), mixed, pool)
+    state = _hashmix(
+        pool[:, np.arange(2 * words) % _POOL_WORDS],
+        *_hash_constants(_INIT_B, _MULT_B, 2 * words),
+    )
+    # pairs of 32-bit words, little-endian, as SeedSequence packs them
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
 def stream_seed(*parts: int) -> int:
     """Mix integer parts into a single 64-bit seed.
 
-    Used to derive per-trial (and, inside :func:`sample_channels`, per-link)
-    seeds from a base seed without correlated streams.
+    Used to derive per-trial seeds from a base seed without correlated
+    streams: ``SeedSequence(parts).generate_state(1, uint64)``, through
+    :func:`seed_states`.
     """
-    for part in parts:
-        if part < 0:
-            raise ConfigError("seed components must be non-negative integers")
-    ss = np.random.SeedSequence(tuple(int(p) for p in parts))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_states(parts)[0, 0])
+
+
+def keyed_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
+    """One generator, re-keyed to each row of ``keys`` in turn.
+
+    A row is a Philox key, two uint64 words: at that step the generator is
+    ``Generator(Philox(seed_sequence))`` for any ``seed_sequence`` whose
+    ``generate_state(2, uint64)`` is the row, that is Philox at counter 0
+    with an empty buffer.  One ``Philox`` and one ``Generator`` are made
+    per call, so concurrent calls share no state, and each key costs one
+    state assignment.  Take each generator's draws before the next step.
+    """
+    if not len(keys):
+        return
+    bit_generator = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bit_generator)
+    empty = np.zeros(4, dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": empty, "key": keys[0]},
+        "buffer": empty,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for key in keys:
+        state["state"]["key"] = key
+        bit_generator.state = state
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -190,6 +375,36 @@ class ChannelSet:
         )
         return view
 
+    def rows(self, index: slice | Sequence[int], m: int | None = None) -> "ChannelSet":
+        """Trials ``index`` of a stack, and of each only the first ``m`` antennas.
+
+        A slice of trials with every antenna views the stack's rows; other
+        rows are contiguous, read-only copies, which keep no part of the
+        stack alive.  A stack drawn at
+        more antennas gives, bit for bit, the draw at ``m`` of the same
+        seeds (:func:`sample_channels_batch`).  The rows of a checked stack
+        need no second check.
+        """
+        if self.h_sr.ndim != 2:
+            raise ConfigError("only a stack of trials has trials to take")
+        antennas = slice(m)
+        blocks = {
+            "h_sr": self.h_sr[index, antennas],
+            "H_ir": self.H_ir[index, antennas],
+            "h_si": self.h_si[index],
+            "h_rd": self.h_rd[index, antennas],
+            "h_id": self.h_id[index],
+            "H_ri": self.H_ri[index, antennas],
+        }
+        if m is not None or not isinstance(index, slice):
+            for name, block in blocks.items():
+                block = block.copy()
+                block.flags.writeable = False
+                blocks[name] = block
+        view = object.__new__(type(self))
+        view.__dict__.update(blocks)
+        return view
+
 
 def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
     """Several trials' channels as one stack, each block on a leading trial axis."""
@@ -236,20 +451,26 @@ def sample_channels_batch(
 
     Row ``k`` of every block is what :func:`sample_channels` draws for
     ``seeds[k]``, bit for bit.  Each (seed, link) keeps its own substream,
-    which fills that seed's row of the link's stack.  All six links live in
-    one complex buffer, and the draws go straight into its real and
-    imaginary parts, so no second buffer of float draws is ever held; the
-    scaling ``scale * (re + 1j * im) / sqrt(2)`` runs on it a step at a
-    time, in place, each link's scale on its own stack.  The stack is
-    checked once.
+    keyed by ``SeedSequence((seed, link index))``, which fills that seed's
+    row of the link's stack: every key of the call is hashed at once
+    (:func:`seed_states`) and one generator is re-keyed per stream
+    (:func:`keyed_generators`).  All six links live in one complex buffer,
+    and the draws go straight into its real and imaginary parts, so no
+    second buffer of float draws is ever held; the scaling
+    ``scale * (re + 1j * im) / sqrt(2)`` runs on it a step at a time, in
+    place, each link's scale on its own stack.  The stack is checked once.
+
+    A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
+    for bit, the leading ``m`` antennas of a draw at more
+    (:meth:`ChannelSet.rows`).
     """
     if m < 1:
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
     if n < 1:
         raise ConfigError(f"element count n must be >= 1, got {n}")
-    for seed in seeds:
-        if seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {seed}")
+    lowest = min(seeds, default=0)
+    if lowest < 0:
+        raise ConfigError(f"seed must be non-negative, got {lowest}")
     links = {
         "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
         "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
@@ -267,17 +488,26 @@ def sample_channels_batch(
     values = np.empty(stop, dtype=np.complex128)
     # each complex entry is its (re, im) pair of floats
     parts = values.view(np.float64).reshape(stop, 2)
+    # one key per (link, seed), link-major
+    keys = seed_states(
+        [
+            list(seeds) * len(links),
+            np.repeat(np.array([LINK_STREAMS[name] for name in links]), trials),
+        ],
+        2,
+    )
+    streams = keyed_generators(keys)
     for name, (*_, shape) in links.items():
         rows = parts[spans[name]].reshape(trials, *shape, 2)
-        for row, seed in enumerate(seeds):
-            ss = np.random.SeedSequence((int(seed), LINK_STREAMS[name]))
-            rng = np.random.Generator(np.random.Philox(ss))
+        for row, rng in zip(rows, streams):
             # interleaved real/imag draws keep leading entries stable when m grows
-            rng.standard_normal(shape + (2,), out=rows[row])
+            rng.standard_normal(shape + (2,), out=row)
     blocks: dict[str, np.ndarray] = {}
     for name, (dist, g_tx, g_rx, shape) in links.items():
         block = values[spans[name]]
-        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(g_tx, g_rx)
+        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
+            g_tx, g_rx
+        )
         blocks[name] = block.reshape(trials, *shape)
     values /= np.sqrt(2.0)
     return ChannelSet(**blocks)

@@ -29,13 +29,26 @@ that limit allows, of lengths at most one apart.  Every result is a pure
 function of the configuration and trial index, so tables are reproducible
 bit for bit whatever else is evaluated alongside, whatever the chunk and
 whatever the worker count.
+
+Setting up random streams costs per table and per draw, not per trial or
+link: a table's trial seeds are hashed in one vectorised
+:func:`~irsrelay.channel.seed_states` call per base seed, and the
+``irses`` partition keys of all its trials in two; each draw hashes its
+(trial seed, link) keys in one call and re-keys one generator per stream.
+Every seed and key is bit for bit what numpy's ``SeedSequence`` gives it
+alone.  A one-antenna draw (``baseline-single-antenna``) is not drawn when
+another draw of the chunk has the same trials and other inputs at more
+antennas: it is the leading antenna of that stack, served as a copy of
+those rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,27 +70,29 @@ from .beamforming import (
     _nsp,
     _powers,
     _unit,
-    irses_partition,
+    irses_partitions,
 )
 from .channel import (
     ChannelSet,
     Geometry,
     LinkBudget,
     sample_channels_batch,
-    stack_channels,
+    seed_states,
     stream_seed,
 )
 from .errors import ConfigError
 from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system_rate
 
 # The benchmark's trace points (perfbench/tracing.py) wrap the one-trial
-# sampler, the scalar solvers and the one-trial fixed-phase helpers under
-# these names; the trial engine draws with sample_channels_batch, calls the
-# solvers' rates forms and evaluates fixed phases on a chunk's stack.
+# sampler, the scalar solvers, the one-seed partition and the one-trial
+# fixed-phase helpers under these names; the trial engine draws with
+# sample_channels_batch, calls the solvers' rates forms, makes partitions
+# with irses_partitions and evaluates fixed phases on a chunk's stack.
 from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
     ais_max_rp,
     irses_max_rp_mrc,
+    irses_partition,
     nsp_max_rp_mrc,
     second_slot_optimize,
     ur_update_ais,
@@ -312,18 +327,63 @@ def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
     return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
 
 
-def _trial_seed(shared: dict, base_seed: int, trial_index: int) -> int:
-    key = ("seed", base_seed, trial_index)
-    if key not in shared:
-        shared[key] = trial_seed(base_seed, trial_index)
-    return shared[key]
+class _Streams(NamedTuple):
+    """The keys of a table's random streams, each kind hashed once per table.
+
+    ``seeds`` maps (base seed, trial index) to the trial seed, and
+    ``partition_rows`` maps the seed of a trial that an ``irses`` method
+    evaluates to its row of ``partition_keys``: the Philox key of its
+    element partition.
+    """
+
+    seeds: dict[tuple[int, int], int]
+    partition_rows: dict[int, int]
+    partition_keys: np.ndarray
 
 
-def _partition(shared: dict, seed: int, n: int, m: int):
-    key = ("partition", seed, n, m)
-    if key not in shared:
-        shared[key] = irses_partition(n, m, stream_seed(seed, PARTITION_STREAM))
-    return shared[key]
+def _streams(trials: Sequence[tuple[ScenarioConfig, Sequence[int]]]) -> _Streams:
+    """The stream keys of ``trials``, (configuration, trial indices) pairs.
+
+    Each is what the per-key functions give, bit for bit: the trial seeds
+    are :func:`trial_seed`, one :func:`~irsrelay.channel.seed_states` call
+    per base seed, and the partition keys those of
+    ``irses_partition(n, m, stream_seed(seed, PARTITION_STREAM))``, two
+    calls for all the trials of ``irses`` methods.  A table pays these
+    fixed costs once, not per chunk.
+    """
+    indices: dict[int, dict[int, None]] = {}
+    partitioned: dict[int, None] = {}
+    for config, ks in trials:
+        indices.setdefault(config.base_seed, {}).update(dict.fromkeys(ks))
+        if METHODS[config.method].first_slot == "irses":
+            partitioned[config.base_seed] = None
+    seeds: dict[tuple[int, int], int] = {}
+    for base, ks in indices.items():
+        values = seed_states([base, list(ks)])[:, 0].tolist()
+        seeds.update(zip(((base, k) for k in ks), values))
+    trial_seeds = [seeds[base, k] for base in partitioned for k in indices[base]]
+    rows = {seed: row for row, seed in enumerate(trial_seeds)}
+    if not trial_seeds:
+        return _Streams(seeds, rows, np.empty((0, 2), dtype=np.uint64))
+    partition_seeds = seed_states([trial_seeds, PARTITION_STREAM])[:, 0]
+    return _Streams(seeds, rows, seed_states([partition_seeds], 2))
+
+
+def _partitions(
+    streams: _Streams, made: dict, seeds: Sequence[int], n: int, m: int
+) -> list:
+    """The ``irses`` element partitions of trials ``seeds`` at (n, m).
+
+    Each is made once per chunk, from the table's partition keys, and kept
+    in ``made`` for the other solves of the chunk that use it.
+    """
+    missing = [seed for seed in seeds if (seed, n, m) not in made]
+    if missing:
+        keys = streams.partition_keys[[streams.partition_rows[s] for s in missing]]
+        made.update(
+            zip([(seed, n, m) for seed in missing], irses_partitions(n, m, keys))
+        )
+    return [made[seed, n, m] for seed in seeds]
 
 
 def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
@@ -333,8 +393,9 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     two-hop method, the closed-form fixed-phase slots included, and the
     hops of ``baseline-relay-only``; ``baseline-irs-only`` has one
     ``"first"`` solve, its single hop.  Each is a (key, run) pair:
-    ``run(shared, seeds, channels, noises)`` solves the trials ``seeds`` at
-    once on their stacked ``channels`` and returns, per trial, one (rate,
+    ``run(partitions, seeds, channels, noises)`` solves the trials ``seeds``
+    at once on their stacked ``channels`` (``partitions(seeds, n, m)`` gives
+    their ``irses`` element partitions) and returns, per trial, one (rate,
     iterations) pair per noise variance; the key, led by the solver's name,
     holds every input of the solve except the trial seed and the noise, the
     channel inputs as the number ``draw`` they have among the
@@ -348,7 +409,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         return {
             "first": (
                 ("irs-only", draw),
-                lambda shared, seeds, channels, noises: _irs_only(
+                lambda partitions, seeds, channels, noises: _irs_only(
                     channels, p_s, noises
                 ),
             )
@@ -357,13 +418,13 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         return {
             "first": (
                 ("relay-first", draw),
-                lambda shared, seeds, channels, noises: _matched_direct(
+                lambda partitions, seeds, channels, noises: _matched_direct(
                     channels.h_sr, p_s, noises
                 ),
             ),
             "second": (
                 ("relay-second", draw),
-                lambda shared, seeds, channels, noises: _matched_direct(
+                lambda partitions, seeds, channels, noises: _matched_direct(
                     channels.h_rd, p_r, noises
                 ),
             ),
@@ -374,14 +435,14 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     if method.first_slot == "ais" and method.fixed_phase:
         solves["first"] = (
             ("ais-fixed-phase", draw),
-            lambda shared, seeds, channels, noises: _fixed_first_slot(
+            lambda partitions, seeds, channels, noises: _fixed_first_slot(
                 channels, p_s, noises
             ),
         )
     elif method.first_slot == "ais":
         solves["first"] = (
             ("ais", draw, eps, max_iter),
-            lambda shared, seeds, channels, noises: _alternate(
+            lambda partitions, seeds, channels, noises: _alternate(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter
             ),
         )
@@ -390,7 +451,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         variant = (config.nsp_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("nsp", draw, eps, max_iter, *variant),
-            lambda shared, seeds, channels, noises: _nsp(
+            lambda partitions, seeds, channels, noises: _nsp(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter, *options
             ),
         )
@@ -400,25 +461,25 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         variant = (config.irses_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("irses", draw, *variant),
-            lambda shared, seeds, channels, noises: _irses(
+            lambda partitions, seeds, channels, noises: _irses(
                 _FIRST_HOP(channels),
                 p_s,
                 noises,
-                [_partition(shared, seed, n, m) for seed in seeds],
+                partitions(seeds, n, m),
                 *options,
             ),
         )
     if method.fixed_phase:
         solves["second"] = (
             ("fixed-second", draw),
-            lambda shared, seeds, channels, noises: _fixed_second_slot(
+            lambda partitions, seeds, channels, noises: _fixed_second_slot(
                 channels, p_r, noises
             ),
         )
     else:
         solves["second"] = (
             ("second", draw, eps, max_iter),
-            lambda shared, seeds, channels, noises: _alternate(
+            lambda partitions, seeds, channels, noises: _alternate(
                 _SECOND_HOP(channels), p_r, noises, eps, max_iter
             ),
         )
@@ -432,12 +493,11 @@ class Plan(NamedTuple):
     among the distinct ones of the configurations planned together; the
     drawn channels and the solve keys name them by that number, so that
     assembling a record hashes no configuration.  ``solves`` maps each kind
-    of :func:`_solves` to the solve's (key, noise levels, run): the levels
-    are the noise variances its key serves among the configurations,
-    ``noise`` among them.
+    of :func:`_solves` to the solve's (key, noise levels, run, level): the
+    levels are the noise variances its key serves among the configurations,
+    and ``levels[level]`` is the configuration's own.
     """
 
-    noise: float
     draw: int
     channels: tuple
     solves: dict[str, tuple]
@@ -461,75 +521,142 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
             levels.setdefault(key, {})[noise] = None
     return [
         Plan(
-            noise,
             draws[channels],
             channels,
-            {kind: (key, tuple(levels[key]), run) for kind, (key, run) in kinds.items()},
+            {
+                kind: (key, tuple(levels[key]), run, list(levels[key]).index(noise))
+                for kind, (key, run) in kinds.items()
+            },
         )
         for noise, channels, kinds in zip(noises, inputs, solves)
     ]
 
 
-def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
-    """Draw and solve a chunk of trials, draw by draw; what was shared, by key.
+def _rows(drawn: list[int], seeds: list[int]) -> slice | list[int]:
+    """The rows of a stack drawn for trials ``drawn`` that hold trials ``seeds``.
 
-    ``jobs`` holds (configuration, its plan, its trial indices) triples.
-    Each distinct draw is made once, as one stack, and every planned key on
-    it is solved once for all the drawn trials that need it and all its
-    noise levels; the stack is then dropped before the next draw is made.
-    The result holds the trial seeds, the element partitions of ``irses``
-    methods, and each solve's (rate, iterations) per noise level, keyed by
-    the trial seed and the plan's solve key, which stands for every other
-    input (the noise aside).
+    A run of consecutive rows is a slice, so that it views the stack.
     """
-    shared: dict = {}
+    start = drawn.index(seeds[0])
+    if drawn[start : start + len(seeds)] == seeds:
+        return slice(start, start + len(seeds))
+    row = {seed: k for k, seed in enumerate(drawn)}
+    return [row[seed] for seed in seeds]
+
+
+def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
+    """The one-antenna draws that another draw serves: by source, the served.
+
+    A draw at m = 1 is, bit for bit, the leading antenna of a draw at more
+    antennas of the same seeds and other inputs
+    (:func:`~irsrelay.channel.sample_channels_batch`): the single-antenna
+    baseline's trials are served from the other methods' draw, as a copy of
+    those rows, instead of drawn again.  Making the copy holds it beside its
+    source, and at m = 1 it is a small part of it.
+    """
+    serves = {}
+    for number, ((m, *inputs), seeds, _) in draws.items():
+        if m != 1:
+            continue
+        for source, ((m_source, *inputs_source), drawn, _) in draws.items():
+            covered = seeds.keys() <= drawn.keys()
+            if m_source > 1 and inputs_source == inputs and covered:
+                serves[source] = number
+                break
+    return serves
+
+
+def _leading_antenna(
+    stack: ChannelSet, drawn: list[int], seeds: list[int]
+) -> ChannelSet:
+    """The m = 1 draw of trials ``seeds``, served from a stack drawn for ``drawn``."""
+    return stack.rows(_rows(drawn, seeds), m=1)
+
+
+def _solve_draw(
+    stack: ChannelSet, drawn: list[int], solves: dict, partitions, shared: dict
+) -> None:
+    """Run every solve keyed on one draw, each once for all its trials and levels.
+
+    A solve of a subset of the drawn trials takes their rows of the stack, a
+    view when they are consecutive rows (other base seeds, shorter tables).
+    """
+    for key, (levels, run, seeds) in solves.items():
+        seeds = list(seeds)
+        channels = stack if seeds == drawn else stack.rows(_rows(drawn, seeds))
+        rates = run(partitions, seeds, channels, levels)
+        shared.update(zip(zip(seeds, repeat(key)), rates))
+        del channels
+
+
+def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
+    """Draw and solve a chunk of trials, draw by draw; each solve's rates, by key.
+
+    ``jobs`` holds (configuration, its plan, its trial indices) triples, and
+    ``streams`` the table's stream keys (:func:`_streams`).  Each distinct
+    draw is made once, as one stack, and every planned key on it is solved
+    once for all the drawn trials that need it and all its noise levels; the
+    stack is then dropped before the next draw is made.  A one-antenna draw
+    is served from a larger one instead (:func:`_served_draws`).  The result
+    holds each solve's (rate, iterations) pairs, one per noise level in the
+    order of the plan's levels, keyed by the trial seed and the plan's solve
+    key, which stands for every other input (the noise aside).
+    """
     draws: dict[int, tuple] = {}
     for config, plan, indices in jobs:
         if not indices:
             continue
-        seeds = dict.fromkeys(
-            _trial_seed(shared, config.base_seed, k) for k in indices
-        )
+        seeds = dict.fromkeys(streams.seeds[config.base_seed, k] for k in indices)
         _, drawn, solves = draws.setdefault(plan.draw, (plan.channels, {}, {}))
         drawn.update(seeds)
-        for key, levels, run in plan.solves.values():
+        for key, levels, run, _ in plan.solves.values():
             solves.setdefault(key, (levels, run, {}))[2].update(seeds)
-    for (m, n, geometry, budget), drawn, solves in draws.values():
+    serves = _served_draws(draws)
+    served = set(serves.values())
+    shared: dict = {}
+    partitions = functools.partial(_partitions, streams, {})
+    for number, ((m, n, geometry, budget), drawn, solves) in draws.items():
+        if number in served:
+            continue
         drawn = list(drawn)
         stack = sample_channels_batch(geometry, budget, m, n, drawn)
-        for key, (levels, run, seeds) in solves.items():
+        if number in serves:
+            # the served copy is solved and dropped before its source's solves
+            # run, so that the source's working memory is not added to it
+            _, seeds, served_solves = draws[serves[number]]
             seeds = list(seeds)
-            if seeds == drawn:
-                channels = stack
-            else:
-                rows = {seed: row for row, seed in enumerate(drawn)}
-                channels = stack_channels([stack.trial(rows[seed]) for seed in seeds])
-            for seed, rates in zip(seeds, run(shared, seeds, channels, levels)):
-                shared[(seed, key)] = dict(zip(levels, rates))
-            del channels
+            copy = _leading_antenna(stack, drawn, seeds)
+            _solve_draw(copy, seeds, served_solves, partitions, shared)
+            del copy
+        _solve_draw(stack, drawn, solves, partitions, shared)
         # the next draw is made once this one is dropped
         del stack
     return shared
 
 
 def _record(
-    config: ScenarioConfig, plan: Plan, trial_index: int, shared: dict
+    config: ScenarioConfig,
+    plan: Plan,
+    trial_index: int,
+    streams: _Streams,
+    shared: dict,
 ) -> TrialRecord:
     """Trial ``trial_index`` of ``config``, assembled from ``shared``.
 
     ``shared`` is what :func:`_evaluate_chunk` solved for the trial's chunk
-    under ``plan``, the configuration's entry of :func:`solve_plans`; it is
-    only read here.
+    under ``plan``, the configuration's entry of :func:`solve_plans`, and
+    ``streams`` holds the trial's seed; both are only read here.
     """
-    seed = shared[("seed", config.base_seed, trial_index)]
-    noise = plan.noise
-    rate_r, iterations_r = shared[(seed, plan.solves["first"][0])][noise]
+    seed = streams.seeds[config.base_seed, trial_index]
+    key, _, _, level = plan.solves["first"]
+    rate_r, iterations_r = shared[seed, key][level]
     if "second" not in plan.solves:
         # baseline-irs-only: one hop S -> IRS -> D, no 1/2 pre-log, and the
         # per-hop fields all equal the single-hop rate
         result = RateResult(config.method, rate_r, rate_r, rate_r, (1, 1))
         return TrialRecord(trial_index, seed, result)
-    rate_d, iterations_d = shared[(seed, plan.solves["second"][0])][noise]
+    key, _, _, level = plan.solves["second"]
+    rate_d, iterations_d = shared[seed, key][level]
     iterations = (iterations_r, iterations_d)
     result = RateResult(
         config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
@@ -547,8 +674,9 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     plan = solve_plans([config])[0]
-    shared = _evaluate_chunk([(config, plan, [trial_index])])
-    return _record(config, plan, trial_index, shared)
+    streams = _streams([(config, [trial_index])])
+    shared = _evaluate_chunk([(config, plan, [trial_index])], streams)
+    return _record(config, plan, trial_index, streams, shared)
 
 
 def collect_trials(
@@ -575,6 +703,7 @@ def collect_trials(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = [config] if isinstance(config, ScenarioConfig) else list(config)
     plans = solve_plans(configs)
+    streams = _streams([(cfg, range(cfg.trials)) for cfg in configs])
     records: list[list[TrialRecord]] = [[] for _ in configs]
     trials = max((c.trials for c in configs), default=0)
     chunks = -(-trials // _chunk_trials(configs))
@@ -584,12 +713,13 @@ def collect_trials(
             [
                 (cfg, plan, [k for k in indices if k < cfg.trials])
                 for cfg, plan in zip(configs, plans)
-            ]
+            ],
+            streams,
         )
         for trial_index in indices:
             for cfg, plan, out in zip(configs, plans, records):
                 if trial_index < cfg.trials:
-                    out.append(_record(cfg, plan, trial_index, shared))
+                    out.append(_record(cfg, plan, trial_index, streams, shared))
         # the next chunk is drawn and solved once this one is dropped
         del shared
     return records[0] if isinstance(config, ScenarioConfig) else records

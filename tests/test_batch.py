@@ -233,7 +233,7 @@ def test_chunks_are_as_few_and_even_as_the_limit_allows(monkeypatch, full_chunks
     assert limit > 2
     trials = full_chunks * limit + 1
     cases = [dataclasses.replace(config, trials=trials) for config in cases]
-    longest = lambda jobs: max(len(indices) for *_, indices in jobs)  # noqa: E731
+    longest = lambda jobs, streams: max(len(i) for *_, i in jobs)  # noqa: E731
     lengths = count_calls(monkeypatch, harness, "_evaluate_chunk", longest)
     together = collect_trials(cases)
     lengths = lengths[:]  # run_trial below evaluates chunks of its own

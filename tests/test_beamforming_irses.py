@@ -6,8 +6,9 @@ from irsrelay.beamforming import (
     PhaseShiftVector,
     irses_max_rp_mrc,
     irses_partition,
+    irses_partitions,
 )
-from irsrelay.channel import ChannelSet
+from irsrelay.channel import ChannelSet, seed_states
 from irsrelay.errors import ConfigError
 
 from conftest import NOISE_30DB, P_S, make_channels, manual_channels
@@ -37,6 +38,19 @@ def test_partition_deterministic_in_seed():
     assert np.array_equal(a.assignment, b.assignment)
     others = [irses_partition(n=12, m=3, seed=s).assignment for s in range(6, 12)]
     assert any(not np.array_equal(a.assignment, o) for o in others)
+
+
+def test_partitions_are_drawn_as_from_one_seed_sequence_each():
+    # the reference: one SeedSequence, Philox and Generator per seed
+    seeds = [0, 1, 5, 2**32, 2**63, 2**64 - 1, 2**70]
+    for n, m in ((4, 2), (16, 4), (160, 16)):
+        batched = irses_partitions(n, m, seed_states([seeds], 2))
+        for seed, partition in zip(seeds, batched):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            expected = np.empty(n, dtype=np.intp)
+            expected[rng.permutation(n)] = np.repeat(np.arange(m), n // m)
+            assert partition.assignment.tolist() == expected.tolist()
+            assert irses_partition(n, m, seed).assignment.tolist() == expected.tolist()
 
 
 def test_partition_requires_divisibility():

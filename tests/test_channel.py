@@ -1,19 +1,28 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import irsrelay
+from irsrelay import harness
 from irsrelay.channel import (
     LINK_STREAMS,
     ChannelSet,
     Geometry,
     LinkBudget,
     dbi_to_amplitude_gain,
+    keyed_generators,
     pathloss_amplitude,
     sample_channels,
     sample_channels_batch,
+    seed_states,
     stream_seed,
 )
 from irsrelay.errors import ConfigError
@@ -241,3 +250,144 @@ def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
     with pytest.raises(ConfigError) as stacked:
         sample_channels_batch(Geometry(), LinkBudget(), m, n, [5, seed])
     assert str(stacked.value) == str(alone.value)
+
+
+def numpy_states(entropy, words):
+    return np.random.SeedSequence(entropy).generate_state(words, np.uint64)
+
+
+#: entropies of 1 to 6 words, with the edge values of a word and of a seed
+EDGE_ENTROPIES = [
+    (0,),
+    (2**32 - 1,),
+    (2**32,),
+    (2**64 - 1,),
+    (2**200,),  # seven words
+    (5, 0),
+    (2**64 - 1, 6),
+    (2**32, 2**32 - 1, 1),
+    (2**96, 7),  # a base seed of four words: five words in all
+    (1, 2, 3, 4, 5, 6),
+    (2**64 - 1, 2**64 - 1, 2**64 - 1),
+    (),
+]
+
+
+@pytest.mark.parametrize("entropy", EDGE_ENTROPIES)
+@pytest.mark.parametrize("words", [1, 2])
+def test_batched_hash_equals_seed_sequence_on_edge_values(entropy, words):
+    states = seed_states(list(entropy), words)
+    assert states.shape == (1, words) and states.dtype == np.uint64
+    assert states[0].tolist() == numpy_states(entropy, words).tolist()
+
+
+def test_batched_hash_equals_seed_sequence_on_random_keys():
+    # 2,400 keys in each layout the engine and the public functions hash:
+    # per-key parts of one or two words mixed in one call, a shared part of
+    # any size, and per-key values of 2**64 or more
+    rng = np.random.default_rng(20261019)
+    seeds = rng.integers(0, 2**64, 2_400, dtype=np.uint64)
+    seeds[::7] >>= 32  # one-word seeds among two-word ones
+    seeds[::11] = 0
+    small = rng.integers(0, 2**40, 2_400, dtype=np.uint64)
+    huge = [int(seed) << int(shift) for seed, shift in zip(seeds, small % 150)]
+    layouts = [
+        [seeds],
+        [seeds, 6],
+        [seeds, small],
+        [2**100 + 3, small],
+        [seeds, 2**70, small.tolist()],
+        [huge, small],
+    ]
+    for parts in layouts:
+        for words in (1, 2):
+            states = seed_states(parts, words)
+            for k, state in enumerate(states):
+                entropy = tuple(p if isinstance(p, int) else int(p[k]) for p in parts)
+                assert state.tolist() == numpy_states(entropy, words).tolist(), entropy
+
+
+@pytest.mark.parametrize(
+    "parts", [[-1], [0, -1], [[3, -1]], [np.array([2, -1])], [np.array([1.0])]]
+)
+def test_batched_hash_rejects_negative_and_non_integer_parts(parts):
+    with pytest.raises(ConfigError):
+        seed_states(parts)
+
+
+def test_stream_seed_is_the_batched_hash_of_one_key():
+    for entropy in EDGE_ENTROPIES:
+        assert stream_seed(*entropy) == int(numpy_states(entropy, 1)[0])
+
+
+def test_keyed_generators_are_philox_seeded_by_their_key_states():
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    keys = seed_states([seeds, 4], 2)
+    for seed, rng in zip(seeds, keyed_generators(keys)):
+        fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 4))))
+        assert rng.standard_normal(9).tobytes() == fresh.standard_normal(9).tobytes()
+        assert rng.permutation(13).tolist() == fresh.permutation(13).tolist()
+
+
+def test_importing_the_cli_loads_no_random_module():
+    # the generators are made inside each call: a module-level one would
+    # load numpy.random, and its start-up cost, into every process
+    code = "import sys, irsrelay.cli; print('numpy.random' in sys.modules)"
+    package_root = str(Path(irsrelay.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_concurrent_draws_get_the_serial_bits():
+    seeds = list(range(40, 52))
+    serial = sample_channels_batch(Geometry(), LinkBudget(), 4, 16, seeds)
+    expected = {name: getattr(serial, name).tobytes() for name in LINK_STREAMS}
+    results, errors = [], []
+    barrier = threading.Barrier(2)
+
+    def draw():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(25):
+                stack = sample_channels_batch(Geometry(), LinkBudget(), 4, 16, seeds)
+                results.append(
+                    {name: getattr(stack, name).tobytes() for name in LINK_STREAMS}
+                )
+        except Exception as error:  # reported below, from the main thread
+            errors.append(error)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(results) == 50 and all(result == expected for result in results)
+
+
+@pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
+def test_a_served_one_antenna_draw_equals_its_own_draw(m, n):
+    seeds = [harness.trial_seed(3, k) for k in range(6)]
+    stack = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    for subset in (seeds, seeds[1:4], [seeds[4], seeds[0]]):
+        served = harness._leading_antenna(stack, seeds, subset)
+        drawn = sample_channels_batch(Geometry(), LinkBudget(), 1, n, subset)
+        for name in LINK_STREAMS:
+            block = getattr(served, name)
+            assert block.tobytes() == getattr(drawn, name).tobytes()
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert not np.shares_memory(block, getattr(stack, name))

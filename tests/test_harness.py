@@ -165,13 +165,13 @@ def test_collect_trials_worker_count_invariant():
     assert [r.trial_index for r in serial] == list(range(8))
 
 
-def _count_calls(monkeypatch, name, key):
-    """Count calls of ``harness.<name>`` by ``key(*args)``."""
+def _count_calls(monkeypatch, name, keys):
+    """Count what calls of ``harness.<name>`` serve, by each of ``keys(*args)``."""
     counts = Counter()
     original = getattr(harness, name)
 
     def counted(*args, **kwargs):
-        counts[key(*args)] += 1
+        counts.update(keys(*args))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, name, counted)
@@ -179,27 +179,36 @@ def _count_calls(monkeypatch, name, key):
 
 
 def _record_draws(monkeypatch):
-    """Record the (m, seeds) of each ``harness.sample_channels_batch`` call.
+    """Record the (m, seeds, served) of each stack the engine solves on.
 
-    Returns the calls and the bytes of every first-hop direct link drawn,
-    which tell a first-hop solve from a second-hop one.
+    A stack is drawn by ``harness.sample_channels_batch`` or, at m = 1,
+    served from a larger draw by ``harness._leading_antenna`` (``served``
+    is true).  Returns the calls and the bytes of every first-hop direct
+    link drawn or served, which tell a first-hop solve from a second-hop
+    one.
     """
     calls, first_links = [], set()
-    original = harness.sample_channels_batch
+    draw, serve = harness.sample_channels_batch, harness._leading_antenna
 
-    def recorded(geometry, budget, m, n, seeds):
-        calls.append((m, tuple(seeds)))
-        stack = original(geometry, budget, m, n, seeds)
+    def record(m, seeds, stack, served):
+        calls.append((m, tuple(seeds), served))
         first_links.update(row.tobytes() for row in stack.h_sr)
         return stack
 
-    monkeypatch.setattr(harness, "sample_channels_batch", recorded)
+    def drawn(geometry, budget, m, n, seeds):
+        return record(m, seeds, draw(geometry, budget, m, n, seeds), False)
+
+    def leading(stack, drawn, seeds):
+        return record(1, seeds, serve(stack, drawn, seeds), True)
+
+    monkeypatch.setattr(harness, "sample_channels_batch", drawn)
+    monkeypatch.setattr(harness, "_leading_antenna", leading)
     return calls, first_links
 
 
 def _drawn_once(calls, count):
-    """``count`` distinct (seed, m) pairs drawn, each in exactly one call."""
-    drawn = [(seed, m) for m, seeds in calls for seed in seeds]
+    """``count`` distinct (seed, m) pairs drawn or served, each in one call."""
+    drawn = [(seed, m) for m, seeds, _ in calls for seed in seeds]
     return len(drawn) == len(set(drawn)) == count
 
 
@@ -253,9 +262,10 @@ def check_shared_solves(monkeypatch, chunk):
     solves = _record_solves(monkeypatch, first_links)
     together = collect_trials(configs)
     assert together == alone
-    # one stacked draw per (chunk, m): m=8 for the first four methods, m=1
-    # for the single-antenna baseline; each (trial, m) drawn in one of them
-    assert len(draws) == 2 * chunks
+    # one stacked draw per chunk, at m=8 for the first four methods; the
+    # single-antenna baseline's m=1 stack is served from it, as its leading
+    # antenna; each (trial, m) drawn or served in one of them
+    assert [(m, served) for m, _, served in draws] == [(8, False), (1, True)] * chunks
     assert _drawn_once(draws, 6)
     # every (trial, key) solved exactly once, by one batched call per
     # (chunk, key) with the key's one noise level; the ais key and the
@@ -281,7 +291,9 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
     ]
     draws, first_links = _record_draws(monkeypatch)
     solves = _record_solves(monkeypatch, first_links)
-    partitions = _count_calls(monkeypatch, "irses_partition", lambda n, m, s: s)
+    partitions = _count_calls(
+        monkeypatch, "irses_partitions", lambda n, m, keys: [k.tobytes() for k in keys]
+    )
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
             for p in together] == alone

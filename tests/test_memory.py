@@ -109,3 +109,20 @@ def test_multi_geometry_table_holds_one_draw_at_a_time():
     )
     _, peak = traced_peak(lambda: collect_trials(configs))
     assert peak <= 1.75 * one_draw < 3 * one_draw
+
+
+def test_a_shorter_table_solves_on_a_view_of_the_longer_ones_rows():
+    # an irses table of 7 trials beside an ais table of 8 solves its first
+    # slot on trials 0..6 of the 8-trial draw: a slice of the stack's rows,
+    # not a copy of them beside it (1.42 MB against 1.07 MB when copied)
+    def table(irses_trials):
+        return [
+            ScenarioConfig(method="ais", m=M, n=N, trials=8),
+            ScenarioConfig(method="irses", m=M, n=N, trials=irses_trials),
+        ]
+
+    collect_trials([dataclasses.replace(c, trials=1) for c in table(8)])  # set-up
+    assert harness._chunk_trials(table(8)) == 8
+    _, both_eight = traced_peak(lambda: collect_trials(table(8)))
+    _, shorter = traced_peak(lambda: collect_trials(table(7)))
+    assert shorter <= 1.05 * both_eight
