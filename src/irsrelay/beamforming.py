@@ -42,6 +42,12 @@ trace in ``_Stops``), but returns only a (rate, iterations) pair per
 or solution object, and a stop copies no iterate, bar NSP's receive vector
 and cascade, which its direct branch needs.  Each pair equals the rate and
 iteration count of the solution the ``_batch`` form returns, bit for bit.
+
+A loop's input stack may be shared, read-only, with other solves.  The loop
+multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
+(or they hold at most :data:`COPY_BYTES`), the stopped rows multiplying
+zeros, and only then copies the running rows; every check and warning reads
+the running rows alone.
 """
 
 from __future__ import annotations
@@ -80,6 +86,19 @@ TRACE_SLACK = 1e-12
 #: (4, 16)).  Whole chunks of 4 trials at (16, 160) left a table's peak
 #: memory about 0.35 MB higher.
 START_PHASE_BYTES = 120_000
+
+#: a loop copies its running rows out of its input, a stack that other
+#: solves share, once they are at most COPY_SHARE of it or hold at most
+#: COPY_BYTES; until then it multiplies the whole stack, which costs more
+#: time than a copy but no memory.  On a (16, 160) table of 16-trial chunks
+#: (in-process, alternating, one BLAS thread), a share of 1/2 peaked at
+#: 1.16 MB (tracemalloc), 3/8 at 1.07 MB and 1/4 at 0.98 MB; 3/8 and 1/2
+#: ran 1-3% slower than copying at the first compaction, 1/4 5%, and never
+#: copying 7%.  A small copy costs no memory worth saving: on the 60-trial
+#: stacks of a (4, 16) table, 1 kB per trial, the loops ran 1-2% slower
+#: when they multiplied around their finished rows.
+COPY_SHARE = 0.375
+COPY_BYTES = 64 * 1024
 
 #: rate tolerance (bits/s/Hz) that stops an alternation, and its iteration cap
 DEFAULT_EPSILON = 1e-4
@@ -310,13 +329,32 @@ def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _path_row(H: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _matvec(H: np.ndarray, x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``H x`` per trial, or per running row ``rows`` of a whole stack ``H``.
+
+    ``x`` holds a vector per running row.  With ``rows``, the product runs
+    on the whole stack, the rows that no longer run multiplying zeros, so
+    that a loop need not copy its running rows out of a stack that other
+    solves share; each running row's product is the same BLAS call as on a
+    stack of the running rows alone.
+    """
+    if rows is None:
+        return np.matvec(H, x)
+    full = np.zeros((len(H), x.shape[-1]), dtype=x.dtype)
+    full[rows] = x
+    return np.matvec(H, full)[rows]
+
+
+def _path_row(
+    H: np.ndarray, h: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Per-element response (u^H H)_i * h_i of a hop's reflected paths.
 
     ``H^T conj(u)`` on the transposed view runs the BLAS gemv of the
     one-trial ``conj(u) @ H`` on each trial (``np.vecmat`` does not).
+    ``rows`` are the rows of ``H`` that ``h`` and ``u`` hold (:func:`_matvec`).
     """
-    row = np.matvec(H.mT, np.conj(u))
+    row = _matvec(H.mT, np.conj(u), rows)
     row *= h
     return row
 
@@ -360,26 +398,34 @@ def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarr
     return angles
 
 
-def _align(hop: tuple, u: np.ndarray) -> np.ndarray:
+def _align(hop: tuple, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Phases aligning each reflected path with the direct path at ``u``.
 
     ``hop`` is one hop's (direct link, surface matrix H, element link h),
-    for one trial or with a leading trial axis.
+    for one trial or with a leading trial axis; with ``rows``, ``H`` is a
+    whole stack and the others its rows ``rows`` (:func:`_matvec`).
     """
     direct, H, h = hop
     reference = _phase(np.vecdot(u, direct))[..., np.newaxis]
-    return _aligned_angles(reference, _path_row(H, h, u))
+    return _aligned_angles(reference, _path_row(H, h, u, rows))
 
 
-def _hop_channel(hop: tuple, angles: np.ndarray) -> np.ndarray:
-    """A hop's effective channel direct + H diag(exp(j*angles)) h."""
+def _hop_channel(
+    hop: tuple, angles: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """A hop's effective channel direct + H diag(exp(j*angles)) h.
+
+    ``rows`` are as in :func:`_align`.
+    """
     direct, H, h = hop
-    return direct + np.matvec(H, np.exp(1j * angles) * h)
+    return direct + _matvec(H, np.exp(1j * angles) * h, rows)
 
 
 #: the first and second hop's (direct link, surface matrix, element link)
-_FIRST_HOP = operator.attrgetter("h_sr", "H_ir", "h_si")
-_SECOND_HOP = operator.attrgetter("h_rd", "H_ri", "h_id")
+_FIRST_LINKS = ("h_sr", "H_ir", "h_si")
+_SECOND_LINKS = ("h_rd", "H_ri", "h_id")
+_FIRST_HOP = operator.attrgetter(*_FIRST_LINKS)
+_SECOND_HOP = operator.attrgetter(*_SECOND_LINKS)
 
 
 def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tuple:
@@ -509,22 +555,46 @@ def _check_power(p_watt: float) -> None:
         raise ValueError(f"power must be non-negative, got {p_watt}")
 
 
-def _compact(blocks: tuple, keep: list[int], owned: bool) -> tuple:
-    """Rows ``keep`` (ascending) of each block of a running stack, in order.
+def _compact(block: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Rows ``keep`` (ascending) of a loop's own array, moved to its front.
 
-    A loop's first compaction copies them out of its input (``owned``
-    false), which may be a shared read-only stack; later ones move them
-    forward inside that copy and view its front, so no block is ever held
-    twice.  Row ``keep[i] >= i`` is read before row ``i`` is written, and
-    no later row reads row ``i``.
+    The front is a view, so the array is never held twice.  Row
+    ``keep[i] >= i`` is read before row ``i`` is written, and no later row
+    reads row ``i``.
     """
-    if not owned:
-        return tuple(block[keep] for block in blocks)
-    for block in blocks:
-        for row, source in enumerate(keep):
-            if row != source:
-                block[row] = block[source]
-    return tuple(block[: len(keep)] for block in blocks)
+    for row, source in enumerate(keep):
+        if row != source:
+            block[row] = block[source]
+    return block[: len(keep)]
+
+
+class _Surface(NamedTuple):
+    """A loop's surface matrices: the stack ``H`` and which of its rows run.
+
+    While ``rows`` is an index, ``H`` is the loop's input, a read-only stack
+    that other solves may share, and the loop multiplies the whole of it
+    (:func:`_matvec`); once ``rows`` is None, ``H`` holds exactly the
+    running rows.
+    """
+
+    H: np.ndarray
+    rows: np.ndarray | None = None
+    owned: bool = False
+
+    def keep(self, keep: list[int]) -> "_Surface":
+        """The surface once only rows ``keep`` of the running ones run.
+
+        The running rows are copied out of the input once they are at most
+        :data:`COPY_SHARE` of it or hold at most :data:`COPY_BYTES`; later
+        compactions move them forward inside that copy.
+        """
+        if self.owned:
+            return _Surface(_compact(self.H, keep), None, True)
+        rows = np.array(keep) if self.rows is None else self.rows[keep]
+        share = len(rows) <= COPY_SHARE * len(self.H)
+        if share or len(rows) * self.H[0].nbytes <= COPY_BYTES:
+            return _Surface(self.H[rows], None, True)
+        return _Surface(self.H, rows)
 
 
 def _alternate(
@@ -548,10 +618,10 @@ def _alternate(
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
     _check_power(p_watt)
     u = _unit(direct)  # the matched filter to each direct link
-    owned = False
+    surface = _Surface(H)
     for _ in range(max_iter):
-        angles = _align((direct, H, h), u)
-        combined = _hop_channel((direct, H, h), angles)
+        angles = _align((direct, surface.H, h), u, surface.rows)
+        combined = _hop_channel((direct, surface.H, h), angles, surface.rows)
         u = _unit(combined)
         keep = stops.record(
             _powers(p_watt, u, combined), (angles, u) if solution is not None else ()
@@ -559,8 +629,8 @@ def _alternate(
         if keep is not None:
             if not keep:
                 break
-            direct, H, h = _compact((direct, H, h), keep, owned)
-            owned, u = True, u[keep]
+            direct, h, u = direct[keep], h[keep], u[keep]
+            surface = surface.keep(keep)
     return stops.results(solution)
 
 
@@ -858,16 +928,14 @@ def _nsp(
         )
     else:
         # the projectors are this loop's own: they move forward in place
-        # from the first compaction on, the stack's rows once copied
-        H, h, null = H_ir, h_si, direct_null
-        owned = False
+        h, null, surface = h_si, direct_null, _Surface(H_ir)
         for _ in range(max_iter):
             # projector applied twice as defined; idempotence makes it one
             u_ri = _unit(np.matvec(null, np.matvec(null, cascade)))
             # aligned to phase 0, as the direct path is projected off
-            angles = _aligned_angles(0.0, _path_row(H, h, u_ri))
+            angles = _aligned_angles(0.0, _path_row(surface.H, h, u_ri, surface.rows))
             # the next iteration starts from this cascade
-            cascade = np.matvec(H, np.exp(1j * angles) * h)
+            cascade = _matvec(surface.H, np.exp(1j * angles) * h, surface.rows)
             powers = _powers(p_s_watt, u_ri, cascade)
             keep = stops.record(
                 powers, (u_ri, cascade, angles) if solutions else (u_ri, cascade)
@@ -875,11 +943,11 @@ def _nsp(
             if keep is not None:
                 if not keep:
                     break
-                H, h = _compact((H, h), keep, owned)
-                (null,) = _compact((null,), keep, owned=True)
-                owned, cascade = True, cascade[keep]
+                h, cascade = h[keep], cascade[keep]
+                null = _compact(null, keep)
+                surface = surface.keep(keep)
         # the direct branch needs none of the running rows
-        del H, h, null, direct_null, parts
+        del h, null, surface, direct_null, parts
     return _nsp_results(hop, p_s_watt, stops, mode, combining, solutions)
 
 

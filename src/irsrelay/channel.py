@@ -9,6 +9,10 @@ distance-based amplitude attenuation and by the endpoint antenna gains.
 :func:`sample_channels_batch` draws several trials at once, as one stack of
 all six links with a leading trial axis; each trial's rows are bit for bit
 what :func:`sample_channels`, its one-trial view, draws for that seed alone.
+:func:`sample_links` draws some of those links, as :class:`Links`, from
+keys hashed once by :func:`link_keys`: the trial engine draws a stack a hop
+at a time, so that it never holds both surface matrices, and every block
+is bit for bit the whole draw's.
 
 Every random stream is keyed by numpy's ``SeedSequence`` hash of integer
 parts: a trial seed by ``(base seed, trial index)``, a link's stream by
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -147,13 +152,24 @@ def seed_states(parts: Sequence, words: int = 1) -> np.ndarray:
     ``k`` is, bit for bit, what numpy's ``SeedSequence`` gives key ``k``,
     computed in one vectorised pass over all keys: an entropy of at most four
     words is its zero-padded four-word form, and the words past the fourth
-    are mixed in per key.
+    are mixed in per key.  One key is hashed by ``SeedSequence`` itself.
 
     Raises:
         ConfigError: if a part is negative or not an integer.
     """
     columns = [_part_words(part) for part in parts]
     keys = max((len(w) for w, _ in columns if w.ndim == 2), default=1)
+    if keys == 1:
+        # numpy's own hash of one key costs a fifth of the vectorised pass
+        counted = [w.reshape(-1)[: int(np.max(count))] for w, count in columns]
+        entropy = np.concatenate([np.empty(0, dtype=np.uint32), *counted])
+        state = np.random.SeedSequence(entropy).generate_state(words, np.uint64)
+        return state[np.newaxis]
+    return _hashed_states(columns, keys, words)
+
+
+def _hashed_states(columns: list, keys: int, words: int) -> np.ndarray:
+    """:func:`seed_states` of several keys, from their parts' words, in one pass."""
     width = sum(w.shape[-1] for w, _ in columns)
     entropy = np.zeros((keys, max(_POOL_WORDS, width)), dtype=np.uint32)
     lengths: int | np.ndarray = width
@@ -362,6 +378,13 @@ class ChannelSet:
     def n(self) -> int:
         return self.h_si.shape[-1]
 
+    @classmethod
+    def _of(cls, blocks: dict) -> "ChannelSet":
+        """A ChannelSet of checked, read-only blocks, which need no second check."""
+        view = object.__new__(cls)
+        view.__dict__.update(blocks)
+        return view
+
     def trial(self, index: int) -> "ChannelSet":
         """Trial ``index`` of a stack, as a ChannelSet viewing its rows.
 
@@ -369,41 +392,55 @@ class ChannelSet:
         """
         if self.h_sr.ndim != 2:
             raise ConfigError("only a stack of trials has trials to view")
-        view = object.__new__(type(self))
-        view.__dict__.update(
-            (name, getattr(self, name)[index]) for name in LINK_STREAMS
-        )
-        return view
+        return self._of({name: getattr(self, name)[index] for name in LINK_STREAMS})
 
     def rows(self, index: slice | Sequence[int], m: int | None = None) -> "ChannelSet":
         """Trials ``index`` of a stack, and of each only the first ``m`` antennas.
 
-        A slice of trials with every antenna views the stack's rows; other
-        rows are contiguous, read-only copies, which keep no part of the
-        stack alive.  A stack drawn at
-        more antennas gives, bit for bit, the draw at ``m`` of the same
-        seeds (:func:`sample_channels_batch`).  The rows of a checked stack
-        need no second check.
+        As :meth:`Links.rows`, on all six links.  The rows of a checked
+        stack need no second check.
         """
         if self.h_sr.ndim != 2:
             raise ConfigError("only a stack of trials has trials to take")
-        antennas = slice(m)
-        blocks = {
-            "h_sr": self.h_sr[index, antennas],
-            "H_ir": self.H_ir[index, antennas],
-            "h_si": self.h_si[index],
-            "h_rd": self.h_rd[index, antennas],
-            "h_id": self.h_id[index],
-            "H_ri": self.H_ri[index, antennas],
-        }
-        if m is not None or not isinstance(index, slice):
-            for name, block in blocks.items():
+        return self._of(_rows(vars(self), index, m))
+
+
+class Links(SimpleNamespace):
+    """Some links of a stack of trials, by name (:data:`LINK_STREAMS`).
+
+    Each is a checked, read-only block with a leading trial axis, as a
+    :class:`ChannelSet` holds it: :func:`sample_links` draws them a few
+    links at a time, so that a stack need not hold both surface matrices.
+    """
+
+    def rows(self, index: slice | Sequence[int], m: int | None = None) -> "Links":
+        """Trials ``index`` of each link, and of each only the first ``m`` antennas.
+
+        A slice of trials with every antenna views the stack's rows; other
+        rows are contiguous, read-only copies, which keep no part of the
+        stack alive.  A stack drawn at more antennas gives, bit for bit, the
+        draw at ``m`` of the same seeds (:func:`sample_links`).
+        """
+        return Links(**_rows(vars(self), index, m))
+
+
+#: the links with an antenna axis, after the trial axis
+_ANTENNA_LINKS = frozenset(("h_sr", "H_ir", "h_rd", "H_ri"))
+
+
+def _rows(blocks: dict, index: slice | Sequence[int], m: int | None) -> dict:
+    """Trials ``index`` of each stacked block, of the first ``m`` antennas."""
+    taken = {
+        name: block[index, :m] if name in _ANTENNA_LINKS else block[index]
+        for name, block in blocks.items()
+    }
+    if m is not None or not isinstance(index, slice):
+        for name, block in taken.items():
+            if block.base is not None:  # a view, not a fancy index's copy
                 block = block.copy()
-                block.flags.writeable = False
-                blocks[name] = block
-        view = object.__new__(type(self))
-        view.__dict__.update(blocks)
-        return view
+            block.flags.writeable = False
+            taken[name] = block
+    return taken
 
 
 def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
@@ -440,6 +477,80 @@ def dbi_to_amplitude_gain(gain_tx_dbi: float, gain_rx_dbi: float) -> float:
     return 10.0 ** ((gain_tx_dbi + gain_rx_dbi) / 20.0)
 
 
+def link_keys(seeds: Sequence[int]) -> np.ndarray:
+    """The Philox key of every (seed, link) stream, hashed in one call.
+
+    Returns a (links, seeds, 2) uint64 array, the links in
+    :data:`LINK_STREAMS` order: entry ``[link, k]`` is
+    ``seed_states([seeds[k], link], 2)``, the key of that link's stream.
+    """
+    trials = len(seeds)
+    links = np.repeat(np.arange(len(LINK_STREAMS)), trials)
+    return seed_states([list(seeds) * len(LINK_STREAMS), links], 2).reshape(
+        len(LINK_STREAMS), trials, 2
+    )
+
+
+def sample_links(
+    geometry: Geometry,
+    budget: LinkBudget,
+    m: int,
+    n: int,
+    keys: np.ndarray,
+    names: Sequence[str],
+) -> Links:
+    """Draw links ``names`` of one Rayleigh realization per keyed seed.
+
+    ``keys`` is :func:`link_keys` of the seeds, so that the links of one
+    draw may be drawn in several calls with one hash.  Row ``k`` of each
+    link is, bit for bit, what :func:`sample_channels_batch` draws for the
+    ``k``-th seed: each (seed, link) fills its row from its own stream, one
+    generator re-keyed per stream (:func:`keyed_generators`).  Each link is
+    its own complex buffer, so that a caller may drop one and keep the
+    others; the draws go straight into its real and imaginary parts, so no
+    second buffer of float draws is ever held, and the scaling
+    ``scale * (re + 1j * im) / sqrt(2)`` runs on it in place.  Each block is
+    checked once and returned read-only.
+
+    A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
+    for bit, the leading ``m`` antennas of a draw at more
+    (:meth:`Links.rows`).
+    """
+    if m < 1:
+        raise ConfigError(f"antenna count m must be >= 1, got {m}")
+    if n < 1:
+        raise ConfigError(f"element count n must be >= 1, got {n}")
+    links = {
+        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
+        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
+        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi, (n,)),
+        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi, (m,)),
+        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
+        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
+    }
+    trials = keys.shape[1]
+    streams = keyed_generators(
+        keys[[LINK_STREAMS[name] for name in names]].reshape(-1, 2)
+    )
+    blocks = {}
+    for name in names:
+        dist, g_tx, g_rx, shape = links[name]
+        block = np.empty((trials, *shape), dtype=np.complex128)
+        # each complex entry is its (re, im) pair of floats
+        for row, rng in zip(block.view(np.float64).reshape(trials, *shape, 2), streams):
+            # interleaved real/imag draws keep leading entries stable when m grows
+            rng.standard_normal(shape + (2,), out=row)
+        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
+            g_tx, g_rx
+        )
+        block /= np.sqrt(2.0)
+        if not np.isfinite(block).all():
+            raise ConfigError(f"channel block {name} contains non-finite entries")
+        block.flags.writeable = False
+        blocks[name] = block
+    return Links(**blocks)
+
+
 def sample_channels_batch(
     geometry: Geometry,
     budget: LinkBudget,
@@ -451,14 +562,9 @@ def sample_channels_batch(
 
     Row ``k`` of every block is what :func:`sample_channels` draws for
     ``seeds[k]``, bit for bit.  Each (seed, link) keeps its own substream,
-    keyed by ``SeedSequence((seed, link index))``, which fills that seed's
-    row of the link's stack: every key of the call is hashed at once
-    (:func:`seed_states`) and one generator is re-keyed per stream
-    (:func:`keyed_generators`).  All six links live in one complex buffer,
-    and the draws go straight into its real and imaginary parts, so no
-    second buffer of float draws is ever held; the scaling
-    ``scale * (re + 1j * im) / sqrt(2)`` runs on it a step at a time, in
-    place, each link's scale on its own stack.  The stack is checked once.
+    keyed by ``SeedSequence((seed, link index))``: every key of the call is
+    hashed at once (:func:`link_keys`) and the links are drawn by
+    :func:`sample_links`, each block checked once.
 
     A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
     for bit, the leading ``m`` antennas of a draw at more
@@ -471,46 +577,8 @@ def sample_channels_batch(
     lowest = min(seeds, default=0)
     if lowest < 0:
         raise ConfigError(f"seed must be non-negative, got {lowest}")
-    links = {
-        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
-        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
-        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi, (n,)),
-        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi, (m,)),
-        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
-        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
-    }
-    # each link's stack is a contiguous run of the buffer, trial-major
-    trials = len(seeds)
-    spans, stop = {}, 0
-    for name, (*_, shape) in links.items():
-        spans[name] = slice(stop, stop + trials * math.prod(shape))
-        stop = spans[name].stop
-    values = np.empty(stop, dtype=np.complex128)
-    # each complex entry is its (re, im) pair of floats
-    parts = values.view(np.float64).reshape(stop, 2)
-    # one key per (link, seed), link-major
-    keys = seed_states(
-        [
-            list(seeds) * len(links),
-            np.repeat(np.array([LINK_STREAMS[name] for name in links]), trials),
-        ],
-        2,
-    )
-    streams = keyed_generators(keys)
-    for name, (*_, shape) in links.items():
-        rows = parts[spans[name]].reshape(trials, *shape, 2)
-        for row, rng in zip(rows, streams):
-            # interleaved real/imag draws keep leading entries stable when m grows
-            rng.standard_normal(shape + (2,), out=row)
-    blocks: dict[str, np.ndarray] = {}
-    for name, (dist, g_tx, g_rx, shape) in links.items():
-        block = values[spans[name]]
-        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
-            g_tx, g_rx
-        )
-        blocks[name] = block.reshape(trials, *shape)
-    values /= np.sqrt(2.0)
-    return ChannelSet(**blocks)
+    links = sample_links(geometry, budget, m, n, link_keys(seeds), tuple(LINK_STREAMS))
+    return ChannelSet._of(vars(links))
 
 
 def sample_channels(

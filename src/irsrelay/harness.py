@@ -8,21 +8,27 @@ reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
 rate and standard error per axis value and method.
 
 Several configurations (the methods of a table, the points of a sweep) are
-evaluated together, chunk-major and, within a chunk, draw-major: the trial
-indices are cut into chunks, and for each chunk every distinct set of
-channel inputs is drawn in turn, by one
-:func:`~irsrelay.channel.sample_channels_batch` call that draws a stack of
-the chunk's trials.  Every solve keyed on that draw (same solver and inputs
-but the noise, shared by several configurations) then runs once on the
-stack, for every noise level it serves (every SNR point of a sweep): the
-alternations as one batched loop, each (trial, level) stopping at its own
-iterate, and the closed forms (``irses``, the fixed-phase slots, the
-baselines' hops) as stacked calls.  The solvers' private rates forms keep
-only a rate and an iteration count per (trial, level), which is all a
-record reads, and the stack is dropped before the next draw is made.  The
-records are then assembled from those rates, nothing drawn or solved
-again.  A chunk holds at most as many trials as keep its largest draw's
-stack within :data:`CHUNK_BYTES` of what one trial holds, and at most
+evaluated together, chunk-major and, within a chunk, draw-major and
+hop-major: the trial indices are cut into chunks, and for each chunk every
+distinct set of channel inputs is drawn in turn, a stack of the chunk's
+trials, in two passes (:func:`~irsrelay.channel.sample_links`).  The first
+draws the links that the solves reading no ``H_ri`` need (the first slots,
+``baseline-irs-only``, ``baseline-relay-only``) and runs them; then every
+block the second pass does not read, ``H_ir`` above all, is dropped, and
+the second draws ``H_ri`` for the second slots.  Each solve keyed on the
+draw (same solver and inputs but the noise, shared by several
+configurations) runs once on the stack, for every noise level it serves
+(every SNR point of a sweep): the alternations as one batched loop, each
+(trial, level) stopping at its own iterate, and the closed forms
+(``irses``, the fixed-phase slots, the baselines' hops) as stacked calls.
+A loop multiplies the shared stack until at most
+:data:`~irsrelay.beamforming.COPY_SHARE` of its rows run, and copies only
+those.  The solvers' private rates forms keep only a rate and an iteration
+count per (trial, level), which is all a record reads, and the stack is
+dropped before the next draw is made.  The records are then assembled from
+those rates, nothing drawn or solved again.  A chunk holds at most as many
+trials as keep one hop of its largest draw, and the loops' copy of it,
+within :data:`CHUNK_BYTES` of what one trial holds, and at most
 :data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting, that
 bounds the memory a chunk holds.  The trials are cut into as few chunks as
 that limit allows, of lengths at most one apart.  Every result is a pure
@@ -34,12 +40,13 @@ Setting up random streams costs per table and per draw, not per trial or
 link: a table's trial seeds are hashed in one vectorised
 :func:`~irsrelay.channel.seed_states` call per base seed, and the
 ``irses`` partition keys of all its trials in two; each draw hashes its
-(trial seed, link) keys in one call and re-keys one generator per stream.
-Every seed and key is bit for bit what numpy's ``SeedSequence`` gives it
-alone.  A one-antenna draw (``baseline-single-antenna``) is not drawn when
-another draw of the chunk has the same trials and other inputs at more
-antennas: it is the leading antenna of that stack, served as a copy of
-those rows.
+(trial seed, link) keys in one call for both passes and re-keys one
+generator per stream.  Every seed and key is bit for bit what numpy's
+``SeedSequence`` gives it alone, and a call of one key, as a trial alone
+makes, is hashed by ``SeedSequence`` itself.  A one-antenna draw
+(``baseline-single-antenna``) is not drawn when another draw of the chunk
+has the same trials and other inputs at more antennas: it is the leading
+antenna of that stack, served as a copy of those rows, pass by pass.
 """
 
 from __future__ import annotations
@@ -54,8 +61,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .beamforming import (
+    COPY_SHARE,
     _FIRST_HOP,
+    _FIRST_LINKS,
     _SECOND_HOP,
+    _SECOND_LINKS,
     COMBINING_MODES,
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITER,
@@ -73,10 +83,12 @@ from .beamforming import (
     irses_partitions,
 )
 from .channel import (
-    ChannelSet,
+    LINK_STREAMS,
     Geometry,
     LinkBudget,
-    sample_channels_batch,
+    Links,
+    link_keys,
+    sample_links,
     seed_states,
     stream_seed,
 )
@@ -86,7 +98,7 @@ from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system
 # The benchmark's trace points (perfbench/tracing.py) wrap the one-trial
 # sampler, the scalar solvers, the one-seed partition and the one-trial
 # fixed-phase helpers under these names; the trial engine draws with
-# sample_channels_batch, calls the solvers' rates forms, makes partitions
+# sample_links, calls the solvers' rates forms, makes partitions
 # with irses_partitions and evaluates fixed phases on a chunk's stack.
 from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
@@ -234,26 +246,28 @@ def _closed_rates(powers: list[float], noises: tuple[float, ...]) -> list[tuple]
 
 
 def _fixed_first_slot(
-    channels: ChannelSet, p_s_watt: float, noises: tuple[float, ...]
+    channels: Links, p_s_watt: float, noises: tuple[float, ...]
 ) -> list[tuple]:
     """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
 
     Identity reflection phases; the receive beamformer is the matched
     filter to the resulting first-hop channel.
     """
-    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(channels.n))
+    n = channels.h_si.shape[-1]
+    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(n))
     return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
 
 
 def _fixed_second_slot(
-    channels: ChannelSet, p_r_watt: float, noises: tuple[float, ...]
+    channels: Links, p_r_watt: float, noises: tuple[float, ...]
 ) -> list[tuple]:
     """The fixed-phase second slot on a stack of trials, per noise level.
 
     Identity reflection phases; the transmit beamformer is still matched,
     so the power is that of the whole second-hop channel.
     """
-    combined = _hop_channel(_SECOND_HOP(channels), np.zeros(channels.n))
+    n = channels.h_id.shape[-1]
+    combined = _hop_channel(_SECOND_HOP(channels), np.zeros(n))
     return _closed_rates([p_r_watt * norm**2 for norm in _norms(combined)], noises)
 
 
@@ -269,7 +283,7 @@ def _matched_direct(
 
 
 def _irs_only(
-    channels: ChannelSet, p_s_watt: float, noises: tuple[float, ...]
+    channels: Links, p_s_watt: float, noises: tuple[float, ...]
 ) -> list[tuple]:
     """``baseline-irs-only`` on a stack of trials, per noise level.
 
@@ -285,19 +299,22 @@ def _irs_only(
 
 
 #: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
-#: trial holds too, a chunk may hold CHUNK_BYTES of one draw's stack: a
-#: chunk draws its channel inputs one at a time, solves everything keyed on
-#: that draw and drops its stack before the next, keeping only a rate and an
-#: iteration count per (trial, solve, noise level).  A trial at (m, n)
-#: stacks 16 (2m + 2n + 2mn) bytes per draw, once per base seed drawn at
-#: those inputs, so a chunk holds up to 8 trials at (16, 160) and 3 at
-#: (50, 200), however many geometries a sweep draws.  Small draws are
-#: bounded by the trial count instead, as a chunk's loops and records still
-#: hold some Python objects per trial: 60 trials at (4, 16), with all nine
-#: methods, keep a table's peak within the bound of tests/test_memory.py,
-#: while one chunk of 120 trials does not.  Longer stacks iterate faster but
-#: raise the peak memory of a table build.
-CHUNK_BYTES = 660_000
+#: trial holds too, a chunk may hold CHUNK_BYTES of one hop of one draw and
+#: the loops' working rows: a chunk draws its channel inputs one at a time
+#: and each hop by hop, solves everything keyed on that hop and drops its
+#: surface matrix before the next is drawn, keeping only a rate and an
+#: iteration count per (trial, solve, noise level).  A loop multiplies the
+#: shared matrix until at most COPY_SHARE of its rows run, then copies
+#: those.  So a trial at (m, n) takes 16 ((1 + COPY_SHARE) mn + 2m + 2n)
+#: bytes, one surface matrix, the loops' copy and four vectors, once per
+#: base seed drawn at those inputs: a chunk holds up to 16 trials at
+#: (16, 160) and 5 at (50, 200), however many geometries a sweep draws.
+#: Small draws are bounded by the trial count instead, as a chunk's loops
+#: and records still hold some Python objects per trial: 60 trials at
+#: (4, 16), with all nine methods, keep a table's peak within the bound of
+#: tests/test_memory.py, while one chunk of 120 trials does not.  Longer
+#: stacks iterate faster but raise the peak memory of a table build.
+CHUNK_BYTES = 960_000
 CHUNK_TRIALS = 60
 
 
@@ -319,7 +336,7 @@ def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
     itemsize = np.dtype(np.complex128).itemsize
     per_trial = max(
         (
-            len(seeds) * itemsize * 2 * (m + n + m * n)
+            len(seeds) * itemsize * (int((1 + COPY_SHARE) * m * n) + 2 * (m + n))
             for (m, n, *_), seeds in base_seeds.items()
         ),
         default=0,
@@ -392,16 +409,17 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     ``"first"`` and ``"second"`` are the first- and second-slot solves of a
     two-hop method, the closed-form fixed-phase slots included, and the
     hops of ``baseline-relay-only``; ``baseline-irs-only`` has one
-    ``"first"`` solve, its single hop.  Each is a (key, run) pair:
+    ``"first"`` solve, its single hop.  Each is a (key, links, run) triple:
     ``run(partitions, seeds, channels, noises)`` solves the trials ``seeds``
-    at once on their stacked ``channels`` (``partitions(seeds, n, m)`` gives
-    their ``irses`` element partitions) and returns, per trial, one (rate,
-    iterations) pair per noise variance; the key, led by the solver's name,
-    holds every input of the solve except the trial seed and the noise, the
-    channel inputs as the number ``draw`` they have among the
-    configurations planned together.  Configurations with equal keys share
-    one solve per trial for all their noise levels: the three fixed-phase
-    methods, for one, share their second slot.
+    at once on their stacked ``channels``, which hold at least the links
+    named in ``links`` (``partitions(seeds, n, m)`` gives their ``irses``
+    element partitions), and returns, per trial, one (rate, iterations)
+    pair per noise variance; the key, led by the solver's name, holds every
+    input of the solve except the trial seed and the noise, the channel
+    inputs as the number ``draw`` they have among the configurations
+    planned together.  Configurations with equal keys share one solve per
+    trial for all their noise levels: the three fixed-phase methods, for
+    one, share their second slot.
     """
     method = METHODS[config.method]
     p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
@@ -409,6 +427,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         return {
             "first": (
                 ("irs-only", draw),
+                ("h_si", "h_id"),
                 lambda partitions, seeds, channels, noises: _irs_only(
                     channels, p_s, noises
                 ),
@@ -418,12 +437,14 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         return {
             "first": (
                 ("relay-first", draw),
+                ("h_sr",),
                 lambda partitions, seeds, channels, noises: _matched_direct(
                     channels.h_sr, p_s, noises
                 ),
             ),
             "second": (
                 ("relay-second", draw),
+                ("h_rd",),
                 lambda partitions, seeds, channels, noises: _matched_direct(
                     channels.h_rd, p_r, noises
                 ),
@@ -435,6 +456,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     if method.first_slot == "ais" and method.fixed_phase:
         solves["first"] = (
             ("ais-fixed-phase", draw),
+            _FIRST_LINKS,
             lambda partitions, seeds, channels, noises: _fixed_first_slot(
                 channels, p_s, noises
             ),
@@ -442,6 +464,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     elif method.first_slot == "ais":
         solves["first"] = (
             ("ais", draw, eps, max_iter),
+            _FIRST_LINKS,
             lambda partitions, seeds, channels, noises: _alternate(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter
             ),
@@ -451,6 +474,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         variant = (config.nsp_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("nsp", draw, eps, max_iter, *variant),
+            _FIRST_LINKS,
             lambda partitions, seeds, channels, noises: _nsp(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter, *options
             ),
@@ -461,6 +485,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         variant = (config.irses_mode, config.combining, method.fixed_phase)
         solves["first"] = (
             ("irses", draw, *variant),
+            _FIRST_LINKS,
             lambda partitions, seeds, channels, noises: _irses(
                 _FIRST_HOP(channels),
                 p_s,
@@ -472,6 +497,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     if method.fixed_phase:
         solves["second"] = (
             ("fixed-second", draw),
+            _SECOND_LINKS,
             lambda partitions, seeds, channels, noises: _fixed_second_slot(
                 channels, p_r, noises
             ),
@@ -479,6 +505,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     else:
         solves["second"] = (
             ("second", draw, eps, max_iter),
+            _SECOND_LINKS,
             lambda partitions, seeds, channels, noises: _alternate(
                 _SECOND_HOP(channels), p_r, noises, eps, max_iter
             ),
@@ -493,9 +520,9 @@ class Plan(NamedTuple):
     among the distinct ones of the configurations planned together; the
     drawn channels and the solve keys name them by that number, so that
     assembling a record hashes no configuration.  ``solves`` maps each kind
-    of :func:`_solves` to the solve's (key, noise levels, run, level): the
-    levels are the noise variances its key serves among the configurations,
-    and ``levels[level]`` is the configuration's own.
+    of :func:`_solves` to the solve's (key, noise levels, links, run,
+    level): the levels are the noise variances its key serves among the
+    configurations, and ``levels[level]`` is the configuration's own.
     """
 
     draw: int
@@ -517,15 +544,21 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     noises = [config.noise_variance_watt for config in configs]
     levels: dict[tuple, dict[float, None]] = {}
     for noise, kinds in zip(noises, solves):
-        for key, _ in kinds.values():
+        for key, *_ in kinds.values():
             levels.setdefault(key, {})[noise] = None
     return [
         Plan(
             draws[channels],
             channels,
             {
-                kind: (key, tuple(levels[key]), run, list(levels[key]).index(noise))
-                for kind, (key, run) in kinds.items()
+                kind: (
+                    key,
+                    tuple(levels[key]),
+                    links,
+                    run,
+                    list(levels[key]).index(noise),
+                )
+                for kind, (key, links, run) in kinds.items()
             },
         )
         for noise, channels, kinds in zip(noises, inputs, solves)
@@ -549,9 +582,9 @@ def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
 
     A draw at m = 1 is, bit for bit, the leading antenna of a draw at more
     antennas of the same seeds and other inputs
-    (:func:`~irsrelay.channel.sample_channels_batch`): the single-antenna
-    baseline's trials are served from the other methods' draw, as a copy of
-    those rows, instead of drawn again.  Making the copy holds it beside its
+    (:func:`~irsrelay.channel.sample_links`): the single-antenna baseline's
+    trials are served from the other methods' draw, as a copy of those
+    rows, pass by pass, instead of drawn again.  Making the copy holds it beside its
     source, and at m = 1 it is a small part of it.
     """
     serves = {}
@@ -566,41 +599,62 @@ def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
     return serves
 
 
-def _leading_antenna(
-    stack: ChannelSet, drawn: list[int], seeds: list[int]
-) -> ChannelSet:
+def _leading_antenna(stack: Links, drawn: list[int], seeds: list[int]) -> Links:
     """The m = 1 draw of trials ``seeds``, served from a stack drawn for ``drawn``."""
     return stack.rows(_rows(drawn, seeds), m=1)
 
 
+def _passes(solves: dict) -> tuple[dict, dict]:
+    """``solves`` in the order they run on a draw, one hop's matrix at a time.
+
+    The first pass holds every solve that reads no ``H_ri``: the first
+    slots, ``baseline-irs-only`` and ``baseline-relay-only``; the second,
+    the second slots, which do.
+    """
+    return tuple(
+        {key: solve for key, solve in solves.items() if ("H_ri" in solve[1]) == second}
+        for second in (False, True)
+    )
+
+
 def _solve_draw(
-    stack: ChannelSet, drawn: list[int], solves: dict, partitions, shared: dict
+    stack: Links, drawn: list[int], solves: dict, partitions, shared: dict
 ) -> None:
     """Run every solve keyed on one draw, each once for all its trials and levels.
 
-    A solve of a subset of the drawn trials takes their rows of the stack, a
-    view when they are consecutive rows (other base seeds, shorter tables).
+    A solve of a subset of the drawn trials takes their rows of the links
+    it reads, a view when they are consecutive rows (other base seeds,
+    shorter tables).
     """
-    for key, (levels, run, seeds) in solves.items():
+    for key, (levels, links, run, seeds) in solves.items():
         seeds = list(seeds)
-        channels = stack if seeds == drawn else stack.rows(_rows(drawn, seeds))
+        if seeds == drawn:
+            channels = stack
+        else:
+            own = Links(**{name: getattr(stack, name) for name in links})
+            channels = own.rows(_rows(drawn, seeds))
         rates = run(partitions, seeds, channels, levels)
         shared.update(zip(zip(seeds, repeat(key)), rates))
         del channels
 
 
 def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
-    """Draw and solve a chunk of trials, draw by draw; each solve's rates, by key.
+    """Draw and solve a chunk of trials, draw by draw and hop by hop.
 
     ``jobs`` holds (configuration, its plan, its trial indices) triples, and
     ``streams`` the table's stream keys (:func:`_streams`).  Each distinct
-    draw is made once, as one stack, and every planned key on it is solved
-    once for all the drawn trials that need it and all its noise levels; the
-    stack is then dropped before the next draw is made.  A one-antenna draw
-    is served from a larger one instead (:func:`_served_draws`).  The result
-    holds each solve's (rate, iterations) pairs, one per noise level in the
-    order of the plan's levels, keyed by the trial seed and the plan's solve
-    key, which stands for every other input (the noise aside).
+    draw's stream keys are hashed once, and it is drawn and solved in two
+    passes (:func:`_passes`): the first draws the links its solves read but
+    ``H_ri`` and runs them, then drops every block the second does not read,
+    ``H_ir`` first of all, before drawing ``H_ri`` for the second slots.
+    Each block is bit for bit the one the whole draw holds.  Every planned
+    key is solved once for all the drawn trials that need it and all its
+    noise levels, and a draw is dropped before the next is made.  A
+    one-antenna draw is served from a larger one, pass by pass
+    (:func:`_served_draws`).  The result holds each solve's (rate,
+    iterations) pairs, one per noise level in the order of the plan's
+    levels, keyed by the trial seed and the plan's solve key, which stands
+    for every other input (the noise aside).
     """
     draws: dict[int, tuple] = {}
     for config, plan, indices in jobs:
@@ -609,8 +663,8 @@ def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
         seeds = dict.fromkeys(streams.seeds[config.base_seed, k] for k in indices)
         _, drawn, solves = draws.setdefault(plan.draw, (plan.channels, {}, {}))
         drawn.update(seeds)
-        for key, levels, run, _ in plan.solves.values():
-            solves.setdefault(key, (levels, run, {}))[2].update(seeds)
+        for key, levels, links, run, _ in plan.solves.values():
+            solves.setdefault(key, (levels, links, run, {}))[3].update(seeds)
     serves = _served_draws(draws)
     served = set(serves.values())
     shared: dict = {}
@@ -619,18 +673,30 @@ def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
         if number in served:
             continue
         drawn = list(drawn)
-        stack = sample_channels_batch(geometry, budget, m, n, drawn)
-        if number in serves:
-            # the served copy is solved and dropped before its source's solves
-            # run, so that the source's working memory is not added to it
-            _, seeds, served_solves = draws[serves[number]]
-            seeds = list(seeds)
-            copy = _leading_antenna(stack, drawn, seeds)
-            _solve_draw(copy, seeds, served_solves, partitions, shared)
-            del copy
-        _solve_draw(stack, drawn, solves, partitions, shared)
+        keys = link_keys(drawn)  # hashed once for both passes
+        _, seeds, served_solves = draws.get(serves.get(number), (None, {}, {}))
+        seeds = list(seeds)
+        blocks: dict[str, np.ndarray] = {}
+        for own, other in zip(_passes(solves), _passes(served_solves)):
+            reads = [links for _, links, *_ in (*own.values(), *other.values())]
+            read = [name for name in LINK_STREAMS if any(name in r for r in reads)]
+            # what this pass does not read goes before its draw is made: the
+            # first pass's surface matrix above all
+            blocks = {name: blocks[name] for name in read if name in blocks}
+            missing = [name for name in read if name not in blocks]
+            blocks.update(vars(sample_links(geometry, budget, m, n, keys, missing)))
+            stack = Links(**blocks)
+            if other:
+                # the served copy is solved and dropped before its source's
+                # solves run, so that the source's working memory is not
+                # added to it
+                copy = _leading_antenna(stack, drawn, seeds)
+                _solve_draw(copy, seeds, other, partitions, shared)
+                del copy
+            _solve_draw(stack, drawn, own, partitions, shared)
+            del stack
         # the next draw is made once this one is dropped
-        del stack
+        del blocks
     return shared
 
 
@@ -648,14 +714,14 @@ def _record(
     ``streams`` holds the trial's seed; both are only read here.
     """
     seed = streams.seeds[config.base_seed, trial_index]
-    key, _, _, level = plan.solves["first"]
+    key, _, _, _, level = plan.solves["first"]
     rate_r, iterations_r = shared[seed, key][level]
     if "second" not in plan.solves:
         # baseline-irs-only: one hop S -> IRS -> D, no 1/2 pre-log, and the
         # per-hop fields all equal the single-hop rate
         result = RateResult(config.method, rate_r, rate_r, rate_r, (1, 1))
         return TrialRecord(trial_index, seed, result)
-    key, _, _, level = plan.solves["second"]
+    key, _, _, _, level = plan.solves["second"]
     rate_d, iterations_d = shared[seed, key][level]
     iterations = (iterations_r, iterations_d)
     result = RateResult(
@@ -689,12 +755,17 @@ def collect_trials(
     Evaluation is serial and chunk-major: the trial indices are cut into as
     few chunks as :func:`_chunk_trials` allows, of lengths at most one
     apart, and for each chunk every distinct channel draw is made once,
-    stacked, and in turn: each planned solve on it runs once over the
+    stacked, and in turn, in two hop-major passes: each planned solve that
+    reads no ``H_ri`` runs on the first, then ``H_ir`` is dropped and
+    ``H_ri`` drawn for the second slots.  Each solve runs once over the
     chunk's trials that need it, for all the noise levels that share it
     (the SNR points of a sweep, say), keeping a rate and an iteration count
-    per (trial, level), before the stack is dropped.  Each record of the
-    chunk is then assembled from those rates, without drawing or solving
-    anything again.  Sharing and chunking change no bit of any record.
+    per (trial, level); a loop defers its first compaction, multiplying the
+    whole shared stack until at most ``COPY_SHARE`` (3/8) of its rows run,
+    and copies only those.  The stack is dropped before the next draw.  Each record of
+    the chunk is then assembled from those rates, without drawing or
+    solving anything again.  Sharing and chunking change no bit of any
+    record.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.

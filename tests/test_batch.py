@@ -79,8 +79,8 @@ def configs(trials):
 
 @pytest.fixture
 def chunk(monkeypatch):
-    """A byte budget that makes chunks of a few trials; their count."""
-    monkeypatch.setattr(harness, "CHUNK_BYTES", 30_000)
+    """A byte budget that makes chunks of a few trials (7); their count."""
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 22_000)
     size = harness._chunk_trials(configs(1))
     assert 1 < size < 10
     return size
@@ -154,6 +154,33 @@ def test_zero_path_in_one_trial_warns_and_leaves_the_others_alone(solver):
                 assert_identical(mixed, single)
 
 
+def one_path(block):
+    block[1:] = 0.0
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_trial_that_stopped_before_the_copy_warns_no_more(solver):
+    # the middle trial keeps one reflected path: each iterate it runs warns
+    # once about the others, and it stops on the second while the other two
+    # run on; with more than 3/8 of the stack still running, the loop
+    # multiplies the whole stack, the stopped row among it, and copies
+    # nothing, but checks and warns on the running rows alone
+    batch, alone, element_link, _ = SOLVERS[solver]
+    sets = trials_with(element_link, one_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        together = batch(stack_channels(sets), P_S, LEVELS)
+    stopped = max(solution.iterations for solution in together[1])
+    running = [max(s.iterations for s in levels) for levels in together[::2]]
+    assert stopped == 2 < min(running)
+    assert [w.category for w in caught] == [DegenerateElementWarning] * stopped
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateElementWarning)
+        for channels, solutions in zip(sets, together):
+            for mixed, single in zip(solutions, alone(channels, P_S, LEVELS)):
+                assert_identical(mixed, single)
+
+
 def test_non_finite_block_in_a_stack_raises_config_error():
     sets = [make_channels(4, 16, seed=seed) for seed in range(3)]
     blocks = {key: np.stack([getattr(c, key) for c in sets]) for key in LINK_STREAMS}
@@ -194,20 +221,21 @@ def test_batched_solvers_take_stacks_and_one_trial_solvers_one_trial():
 
 
 def test_chunk_holds_the_trials_its_limits_allow():
-    # beyond one trial, 16 (2m + 2n + 2mn) bytes per trial of the largest
-    # draw within CHUNK_BYTES, and at most CHUNK_TRIALS trials
+    # beyond one trial, 16 (11mn / 8 + 2m + 2n) bytes per trial of the
+    # largest draw within CHUNK_BYTES: one hop's surface matrix, the 3/8 of
+    # it a loop copies, and four vectors; at most CHUNK_TRIALS trials
     def size(*configs):
         return harness._chunk_trials(configs)
 
-    assert size(ScenarioConfig(m=16, n=160)) == 8
-    assert size(ScenarioConfig(m=50, n=200)) == 3
+    assert size(ScenarioConfig(m=16, n=160)) == 16
+    assert size(ScenarioConfig(m=50, n=200)) == 5
     assert size(ScenarioConfig(m=4, n=16)) == harness.CHUNK_TRIALS
     assert size(ScenarioConfig(m=64, n=1024)) == 1
     # a chunk holds one draw at a time: m = 1 for the single-antenna
     # baseline is a smaller draw beside the m = 8 one, and so are other
     # geometries; another base seed at the same inputs adds rows to the draw
     base = ScenarioConfig(m=8, n=128)
-    assert size(base) == 1 + harness.CHUNK_BYTES // 37120
+    assert size(base) == 1 + harness.CHUNK_BYTES // 26880
     single = ScenarioConfig(m=8, n=128, method="baseline-single-antenna")
     assert size(base, single) == size(single, base) == size(base)
     distances = [
@@ -218,7 +246,7 @@ def test_chunk_holds_the_trials_its_limits_allow():
     ]
     assert size(*distances) == size(base)
     assert size(base, ScenarioConfig(m=8, n=128, base_seed=1)) == (
-        1 + harness.CHUNK_BYTES // (2 * 37120)
+        1 + harness.CHUNK_BYTES // (2 * 26880)
     )
 
 
@@ -519,17 +547,19 @@ def test_every_method_solves_once_per_chunk_and_key(chunk, monkeypatch):
     size = harness._chunk_trials(cases)
     assert size > 1
     cases = [dataclasses.replace(config, trials=2 * size + 1) for config in cases]
-    # the rates forms take one hop's blocks, the fixed slots the channels
+    # the rates forms take one hop's blocks, the fixed slots the links of
+    # their hop
     hop_rows = lambda hop, *rest: len(hop[0])  # noqa: E731
-    stacked = lambda channels, *rest: len(channels.h_sr)  # noqa: E731
+    first_rows = lambda channels, *rest: len(channels.h_sr)  # noqa: E731
+    second_rows = lambda channels, *rest: len(channels.h_rd)  # noqa: E731
     solves = {
         name: count_calls(monkeypatch, harness, name, rows)
         for name, rows in (
             ("_alternate", hop_rows),
             ("_nsp", hop_rows),
             ("_irses", hop_rows),
-            ("_fixed_first_slot", stacked),
-            ("_fixed_second_slot", stacked),
+            ("_fixed_first_slot", first_rows),
+            ("_fixed_second_slot", second_rows),
         )
     }
     alone = [

@@ -17,11 +17,14 @@ from irsrelay.channel import (
     ChannelSet,
     Geometry,
     LinkBudget,
+    Links,
     dbi_to_amplitude_gain,
     keyed_generators,
+    link_keys,
     pathloss_amplitude,
     sample_channels,
     sample_channels_batch,
+    sample_links,
     seed_states,
     stream_seed,
 )
@@ -279,6 +282,10 @@ def test_batched_hash_equals_seed_sequence_on_edge_values(entropy, words):
     states = seed_states(list(entropy), words)
     assert states.shape == (1, words) and states.dtype == np.uint64
     assert states[0].tolist() == numpy_states(entropy, words).tolist()
+    # one key is hashed by SeedSequence itself; two take the vectorised pass
+    if entropy:
+        twice = seed_states([[part, part] for part in entropy], words)
+        assert twice.tolist() == 2 * [numpy_states(entropy, words).tolist()]
 
 
 def test_batched_hash_equals_seed_sequence_on_random_keys():
@@ -391,3 +398,35 @@ def test_a_served_one_antenna_draw_equals_its_own_draw(m, n):
             assert block.tobytes() == getattr(drawn, name).tobytes()
             assert block.flags.c_contiguous and not block.flags.writeable
             assert not np.shares_memory(block, getattr(stack, name))
+
+
+@pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
+def test_links_drawn_a_hop_at_a_time_equal_the_whole_draw(m, n):
+    # the trial engine draws a draw's links in two calls, on one hash of
+    # its stream keys: what the first slots read, then H_ri; each block is
+    # the whole draw's, bit for bit, in a buffer of its own
+    seeds = [trial_seed(5, k) for k in range(7)]
+    whole = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    keys = link_keys(seeds)
+    assert keys.shape == (len(LINK_STREAMS), len(seeds), 2)
+    hops = [("h_sr", "H_ir", "h_si", "h_rd", "h_id"), ("H_ri",)]
+    drawn = [
+        sample_links(Geometry(), LinkBudget(), m, n, keys, names) for names in hops
+    ]
+    both = {**vars(drawn[0]), **vars(drawn[1])}
+    assert list(both) == list(LINK_STREAMS)
+    for name, block in both.items():
+        assert block.tobytes() == getattr(whole, name).tobytes()
+        assert block.base is None and not block.flags.writeable
+    # the one-antenna draw served from them: the leading antenna of every
+    # link, on consecutive rows and on others, in either hop's call
+    links = Links(**both)
+    for rows in (slice(1, 4), [4, 0]):
+        picked = seeds[rows] if isinstance(rows, slice) else [seeds[k] for k in rows]
+        served = links.rows(rows, m=1)
+        alone = sample_channels_batch(Geometry(), LinkBudget(), 1, n, picked)
+        for name in LINK_STREAMS:
+            block = getattr(served, name)
+            assert block.tobytes() == getattr(alone, name).tobytes()
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert not np.shares_memory(block, both[name])

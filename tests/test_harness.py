@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from irsrelay.channel import Geometry
+from irsrelay.channel import Geometry, LinkBudget, sample_channels_batch
 from irsrelay import harness
 from irsrelay.errors import ConfigError
 from irsrelay.harness import (
@@ -179,37 +179,56 @@ def _count_calls(monkeypatch, name, keys):
 
 
 def _record_draws(monkeypatch):
-    """Record the (m, seeds, served) of each stack the engine solves on.
+    """Record the (m, seeds, served, links) of each stack the engine solves on.
 
-    A stack is drawn by ``harness.sample_channels_batch`` or, at m = 1,
-    served from a larger draw by ``harness._leading_antenna`` (``served``
-    is true).  Returns the calls and the bytes of every first-hop direct
-    link drawn or served, which tell a first-hop solve from a second-hop
-    one.
+    A draw's links are drawn by ``harness.sample_links``, for the seeds
+    whose stream keys ``harness.link_keys`` hashed, a hop at a time; at
+    m = 1 they are served from a larger draw by ``harness._leading_antenna``
+    (``served`` is true).  Returns the calls and the bytes of every
+    first-hop direct link drawn or served, which tell a first-hop solve from
+    a second-hop one.
     """
-    calls, first_links = [], set()
-    draw, serve = harness.sample_channels_batch, harness._leading_antenna
+    calls, first_links, keyed = [], set(), {}
+    keys_of, draw = harness.link_keys, harness.sample_links
+    serve = harness._leading_antenna
 
     def record(m, seeds, stack, served):
-        calls.append((m, tuple(seeds), served))
-        first_links.update(row.tobytes() for row in stack.h_sr)
+        calls.append((m, tuple(seeds), served, frozenset(vars(stack))))
+        first_links.update(row.tobytes() for row in getattr(stack, "h_sr", ()))
         return stack
 
-    def drawn(geometry, budget, m, n, seeds):
-        return record(m, seeds, draw(geometry, budget, m, n, seeds), False)
+    def hashed(seeds):
+        keys = keys_of(seeds)
+        keyed[id(keys)] = list(seeds)
+        return keys
+
+    def drawn(geometry, budget, m, n, keys, names):
+        links = draw(geometry, budget, m, n, keys, names)
+        return record(m, keyed[id(keys)], links, False)
 
     def leading(stack, drawn, seeds):
         return record(1, seeds, serve(stack, drawn, seeds), True)
 
-    monkeypatch.setattr(harness, "sample_channels_batch", drawn)
+    monkeypatch.setattr(harness, "link_keys", hashed)
+    monkeypatch.setattr(harness, "sample_links", drawn)
     monkeypatch.setattr(harness, "_leading_antenna", leading)
     return calls, first_links
 
 
 def _drawn_once(calls, count):
-    """``count`` distinct (seed, m) pairs drawn or served, each in one call."""
-    drawn = [(seed, m) for m, seeds, _ in calls for seed in seeds]
-    return len(drawn) == len(set(drawn)) == count
+    """``count`` distinct (seed, m) pairs drawn or served, each link in one call.
+
+    No call holds both surface matrices: a draw holds one hop's at a time.
+    """
+    drawn = [
+        (seed, m, link)
+        for m, seeds, _, links in calls
+        for seed in seeds
+        for link in links
+    ]
+    pairs = {(seed, m) for seed, m, _ in drawn}
+    one_matrix = not any({"H_ir", "H_ri"} <= links for *_, links in calls)
+    return len(drawn) == len(set(drawn)) and len(pairs) == count and one_matrix
 
 
 def _record_solves(monkeypatch, first_links):
@@ -262,10 +281,11 @@ def check_shared_solves(monkeypatch, chunk):
     solves = _record_solves(monkeypatch, first_links)
     together = collect_trials(configs)
     assert together == alone
-    # one stacked draw per chunk, at m=8 for the first four methods; the
-    # single-antenna baseline's m=1 stack is served from it, as its leading
-    # antenna; each (trial, m) drawn or served in one of them
-    assert [(m, served) for m, _, served in draws] == [(8, False), (1, True)] * chunks
+    # one stacked draw per chunk and hop, at m=8 for the first four methods;
+    # the single-antenna baseline's m=1 stack is served from it, as its
+    # leading antenna; each (trial, m, link) drawn or served in one of them
+    hop = [(8, False), (1, True)]
+    assert [(m, served) for m, _, served, _ in draws] == 2 * hop * chunks
     assert _drawn_once(draws, 6)
     # every (trial, key) solved exactly once, by one batched call per
     # (chunk, key) with the key's one noise level; the ais key and the
@@ -277,6 +297,69 @@ def check_shared_solves(monkeypatch, chunk):
     for calls in solves.values():
         assert _solved_once(calls)
         assert {noises for _, noises in calls} == {noise}
+
+
+def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch):
+    # every block a chunk draws, or serves at m = 1, is that of the whole
+    # draw of its trials, bit for bit; the first pass holds no H_ri and the
+    # second no H_ir, and the second reads the element links of the first
+    methods = ("ais", "irses", "baseline-single-antenna", "baseline-irs-only")
+    configs = [small_config(method=m, m=4, n=16, trials=5) for m in methods]
+    blocks, keyed = [], {}
+    keys_of, draw = harness.link_keys, harness.sample_links
+    serve = harness._leading_antenna
+
+    def hashed(seeds):
+        keys = keys_of(seeds)
+        keyed[id(keys)] = list(seeds)
+        return keys
+
+    def drawn(geometry, budget, m, n, keys, names):
+        links = draw(geometry, budget, m, n, keys, names)
+        blocks.append((m, keyed[id(keys)], vars(links)))
+        return links
+
+    def leading(stack, drawn, seeds):
+        served = serve(stack, drawn, seeds)
+        blocks.append((1, seeds, vars(served)))
+        return served
+
+    monkeypatch.setattr(harness, "link_keys", hashed)
+    monkeypatch.setattr(harness, "sample_links", drawn)
+    monkeypatch.setattr(harness, "_leading_antenna", leading)
+    collect_trials(configs)
+    assert [(m, sorted(links)) for m, _, links in blocks] == [
+        (4, ["H_ir", "h_id", "h_si", "h_sr"]),
+        (1, ["H_ir", "h_id", "h_si", "h_sr"]),
+        (4, ["H_ri", "h_rd"]),
+        (1, ["H_ri", "h_id", "h_rd"]),
+    ]
+    for m, seeds, links in blocks:
+        whole = sample_channels_batch(Geometry(), LinkBudget(), m, 16, seeds)
+        for name, block in links.items():
+            assert block.tobytes() == getattr(whole, name).tobytes()
+
+
+def test_a_trial_alone_hashes_its_one_key_streams_with_seed_sequence(monkeypatch):
+    # run_trial hashes one trial's seed, its partition seed and its
+    # partition key, one key each, by SeedSequence, and only its six link
+    # keys in a vectorised pass: one pass per trial, where it made four;
+    # the records are those of the trials hashed together
+    from irsrelay import channel
+
+    config = small_config(method="irses", m=4, n=16, trials=3)
+    together = collect_trials(config)
+    passes = []
+    vectorised = channel._hashed_states
+
+    def counted(columns, keys, words):
+        passes.append(keys)
+        return vectorised(columns, keys, words)
+
+    monkeypatch.setattr(channel, "_hashed_states", counted)
+    alone = [run_trial(config, k) for k in range(3)]
+    assert alone == together
+    assert passes == [6, 6, 6]
 
 
 def test_sweep_shares_draws_across_snr_points(monkeypatch):
@@ -297,8 +380,8 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)
             for p in together] == alone
-    # the three trials make one chunk: one stacked draw of every trial
-    assert len(draws) == 1 and _drawn_once(draws, 3)
+    # the three trials make one chunk: one stacked draw of every trial per hop
+    assert len(draws) == 2 and _drawn_once(draws, 3)
     # one noise-free solve per trial serves both SNR points: the three
     # trials make one chunk, solved by one batched call per key
     noises = tuple(
