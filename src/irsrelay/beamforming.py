@@ -25,12 +25,11 @@ all its levels have stopped.  The closed-form steps are stacked calls too:
 NSP's projectors off the direct links, its relaxed start phases and its
 direct branch at every stopped iterate, and all of
 :func:`irses_max_rp_mrc`, whose noise-free part is computed once for every
-level.  The ``_batch`` solvers expose this; the ``_per_noise`` forms are
-their one-trial view and the scalar solvers their one-trial, one-level
-view.  Every stacked operation runs the same floating-point operations per
-trial as the one-trial case (the same BLAS or LAPACK call per slice, the
-same elementwise loops), so a trial's solution does not depend on what it
-is stacked with.
+level.  The ``_batch`` solvers expose this, and each scalar solver is the
+same loop on one trial at one noise level.  Every stacked operation runs
+the same floating-point operations per trial as the one-trial case (the
+same BLAS or LAPACK call per slice, the same elementwise loops), so a
+trial's solution does not depend on what it is stacked with.
 
 Each loop also has a private rates form, which the trial engine calls:
 ``_alternate`` (``ais`` on the first hop, the second slot on the second),
@@ -442,11 +441,6 @@ def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tupl
     return (direct, H, h) if stack else (direct[None], H[None], h[None])
 
 
-def _check_noise_levels(noise_variances: tuple) -> None:
-    if not noise_variances:
-        raise ConfigError("need at least one noise variance")
-
-
 class _Stops:
     """The rate traces of a batched alternation and where each one stops.
 
@@ -470,10 +464,6 @@ class _Stops:
         max_iter: int,
     ) -> None:
         _check_iteration_controls(epsilon, max_iter)
-        _check_noise_levels(noise_variances)
-        for noise in noise_variances:
-            if noise <= 0.0:
-                raise ValueError(f"noise variance must be positive, got {noise}")
         self.noise = noise_variances
         self.epsilon = epsilon
         self.max_iter = max_iter
@@ -549,10 +539,23 @@ class _Stops:
         ]
 
 
-def _check_power(p_watt: float) -> None:
-    # a trace's power is p_watt times a square
-    if p_watt < 0.0:
-        raise ValueError(f"power must be non-negative, got {p_watt}")
+def _check_levels(noise_variances: tuple, p_watt: float) -> None:
+    """Reject a solve's noise levels or power that no rate can be made of.
+
+    There must be at least one level, each finite and positive (a scalar,
+    or ``irses``' per-antenna vector), and the power finite and
+    non-negative.  Each loop checks once per solve, never per iterate.
+    """
+    if not noise_variances:
+        raise ConfigError("need at least one noise variance")
+    for noise in noise_variances:
+        levels = np.asarray(noise, dtype=np.float64)
+        if not (np.isfinite(levels).all() and (levels > 0.0).all()):
+            raise ConfigError(
+                f"noise variance must be finite and positive, got {noise}"
+            )
+    if not (np.isfinite(p_watt) and p_watt >= 0.0):
+        raise ConfigError(f"power must be finite and non-negative, got {p_watt}")
 
 
 def _compact(block: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -616,7 +619,7 @@ def _alternate(
     """
     direct, H, h = hop
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
-    _check_power(p_watt)
+    _check_levels(stops.noise, p_watt)
     u = _unit(direct)  # the matched filter to each direct link
     surface = _Surface(H)
     for _ in range(max_iter):
@@ -665,28 +668,10 @@ def ais_max_rp(
     reached).  Each half-step is the exact maximizer given the other block,
     so the rate trace never decreases.
     """
-    return ais_max_rp_per_noise(
-        channels, p_s_watt, (noise_variance_watt,), epsilon, max_iter
-    )[0]
-
-
-def ais_max_rp_per_noise(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[FirstSlotSolution, ...]:
-    """:func:`ais_max_rp` at each noise variance, from one alternation.
-
-    The iterates do not depend on the noise, so they are computed once; each
-    level's solution equals the one :func:`ais_max_rp` returns at it, bit
-    for bit.  This is :func:`ais_max_rp_batch` on one trial.
-    """
     hop = _hop(channels, _FIRST_HOP, stack=False)
     return _alternate(
-        hop, p_s_watt, noise_variances, epsilon, max_iter, _ais_solution
-    )[0]
+        hop, p_s_watt, (noise_variance_watt,), epsilon, max_iter, _ais_solution
+    )[0][0]
 
 
 def ais_max_rp_batch(
@@ -696,10 +681,12 @@ def ais_max_rp_batch(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`ais_max_rp_per_noise` on each trial of a stack, in one loop.
+    """:func:`ais_max_rp` on each trial of a stack at each noise variance.
 
-    Returns one tuple of per-level solutions per trial; each equals what
-    the one-trial solver returns on that trial, bit for bit.
+    The iterates do not depend on the noise, so one loop serves every
+    level, and each (trial, level) stops at its own iterate.  Returns one
+    tuple of per-level solutions per trial; each equals what
+    :func:`ais_max_rp` returns on that trial at that level, bit for bit.
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
     return _alternate(
@@ -808,40 +795,10 @@ def nsp_max_rp_mrc(
     ``trace`` records the reflected-branch rate the alternation maximizes;
     the returned ``rate_r`` is the MRC-combined rate of both branches.
     """
-    return nsp_max_rp_mrc_per_noise(
-        channels,
-        p_s_watt,
-        (noise_variance_watt,),
-        epsilon,
-        max_iter,
-        mode=mode,
-        combining=combining,
-        phases=phases,
-    )[0]
-
-
-def nsp_max_rp_mrc_per_noise(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = NSP_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> tuple[FirstSlotSolution, ...]:
-    """:func:`nsp_max_rp_mrc` at each noise variance, from one alternation.
-
-    The start phases, the projector off the direct channel and the
-    iterates are computed once, and each level stops at its own iterate.
-    Each level's solution equals the one :func:`nsp_max_rp_mrc` returns at
-    it, bit for bit.  This is :func:`nsp_max_rp_mrc_batch` on one trial.
-    """
     hop = _hop(channels, _FIRST_HOP, stack=False)
+    noise = (noise_variance_watt,)
     options = (mode, combining, phases)
-    return _nsp(
-        hop, p_s_watt, noise_variances, epsilon, max_iter, *options, solutions=True
-    )[0]
+    return _nsp(hop, p_s_watt, noise, epsilon, max_iter, *options, solutions=True)[0][0]
 
 
 def nsp_max_rp_mrc_batch(
@@ -854,10 +811,13 @@ def nsp_max_rp_mrc_batch(
     combining: str = COMBINING_MODES[0],
     phases: PhaseShiftVector | None = None,
 ) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`nsp_max_rp_mrc_per_noise` on each trial of a stack, in one loop.
+    """:func:`nsp_max_rp_mrc` on each trial of a stack at each noise variance.
 
-    Returns one tuple of per-level solutions per trial; each equals what
-    the one-trial solver returns on that trial, bit for bit.
+    The projectors off the direct links, the start phases and the iterates
+    are computed once for every level, and each (trial, level) stops at its
+    own iterate.  Returns one tuple of per-level solutions per trial; each
+    equals what :func:`nsp_max_rp_mrc` returns on that trial at that level,
+    bit for bit.
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
     options = (mode, combining, phases)
@@ -891,7 +851,7 @@ def _nsp(
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
     stops = _Stops(trials, noise_variances, epsilon, max_iter if phases is None else 1)
-    _check_power(p_s_watt)
+    _check_levels(noise_variances, p_s_watt)
     if m < 2:
         raise ConfigError("null-space separation needs at least 2 relay antennas")
     if mode not in NSP_MODES:
@@ -1098,38 +1058,10 @@ def irses_max_rp_mrc(
 
     This method is closed-form, so the trace always has length 1.
     """
-    return irses_max_rp_mrc_per_noise(
-        channels,
-        p_s_watt,
-        (noise_variance_watt,),
-        partition,
-        interference_mode=interference_mode,
-        combining=combining,
-        phases=phases,
-    )[0]
-
-
-def irses_max_rp_mrc_per_noise(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple,
-    partition: Partition,
-    interference_mode: str = IRSES_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> tuple[FirstSlotSolution, ...]:
-    """:func:`irses_max_rp_mrc` at each noise variance (scalar or per antenna).
-
-    The alignment, the per-antenna amplitudes and the MRC weights do not
-    read the noise, so they are computed once; each level's solution equals
-    the one :func:`irses_max_rp_mrc` returns at it, bit for bit.  This is
-    :func:`irses_max_rp_mrc_batch` on one trial.
-    """
     hop = _hop(channels, _FIRST_HOP, stack=False)
+    noise = (noise_variance_watt,)
     options = (interference_mode, combining, phases)
-    return _irses(
-        hop, p_s_watt, noise_variances, [partition], *options, solutions=True
-    )[0]
+    return _irses(hop, p_s_watt, noise, [partition], *options, solutions=True)[0][0]
 
 
 def irses_max_rp_mrc_batch(
@@ -1141,10 +1073,14 @@ def irses_max_rp_mrc_batch(
     combining: str = COMBINING_MODES[0],
     phases: PhaseShiftVector | None = None,
 ) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`irses_max_rp_mrc_per_noise` on each trial of a stack, with its partition.
+    """:func:`irses_max_rp_mrc` on each trial of a stack, with its partition.
 
-    Returns one tuple of per-level solutions per trial; each equals what
-    the one-trial solver returns on that trial, bit for bit.
+    Each noise variance is a scalar or a per-antenna vector.  The
+    alignment, the per-antenna amplitudes and the MRC weights do not read
+    the noise, so they are computed once for every level.  Returns one
+    tuple of per-level solutions per trial; each equals what
+    :func:`irses_max_rp_mrc` returns on that trial at that level, bit for
+    bit.
     """
     hop = _hop(channels, _FIRST_HOP, stack=True)
     options = (interference_mode, combining, phases)
@@ -1173,7 +1109,7 @@ def _irses(
     per level with ``solutions``.
     """
     noise_variances = tuple(noise_variances)
-    _check_noise_levels(noise_variances)
+    _check_levels(noise_variances, p_s_watt)
     if interference_mode not in IRSES_MODES:
         raise ConfigError(f"unknown interference_mode {interference_mode!r}")
     if combining not in COMBINING_MODES:
@@ -1194,9 +1130,6 @@ def _irses(
         np.broadcast_to(np.asarray(noise, dtype=np.float64), (m,)).copy()
         for noise in noise_variances
     ]
-    for sigma2 in sigma2s:
-        if np.any(sigma2 <= 0.0):
-            raise ConfigError("noise variance must be positive")
 
     trial = np.arange(trials)[:, np.newaxis]
     antenna = np.stack([partition.assignment for partition in partitions])
@@ -1285,28 +1218,10 @@ def second_slot_optimize(
     links.  The surface applies exp(-j*theta2), so ``theta2`` holds the
     negated alignment phases.
     """
-    return second_slot_optimize_per_noise(
-        channels, p_r_watt, (noise_variance_watt,), epsilon, max_iter
-    )[0]
-
-
-def second_slot_optimize_per_noise(
-    channels: ChannelSet,
-    p_r_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[SecondSlotSolution, ...]:
-    """:func:`second_slot_optimize` at each noise variance, from one alternation.
-
-    As in :func:`ais_max_rp_per_noise`, each level's solution equals the
-    scalar one bit for bit.  This is :func:`second_slot_optimize_batch` on
-    one trial.
-    """
     hop = _hop(channels, _SECOND_HOP, stack=False)
     return _alternate(
-        hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution
-    )[0]
+        hop, p_r_watt, (noise_variance_watt,), epsilon, max_iter, _second_slot_solution
+    )[0][0]
 
 
 def second_slot_optimize_batch(
@@ -1316,7 +1231,11 @@ def second_slot_optimize_batch(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[tuple[SecondSlotSolution, ...]]:
-    """:func:`second_slot_optimize_per_noise` on each trial of a stack, in one loop."""
+    """:func:`second_slot_optimize` on each trial of a stack at each noise variance.
+
+    As in :func:`ais_max_rp_batch`, one loop serves every level, and each
+    (trial, level)'s solution equals the scalar one bit for bit.
+    """
     hop = _hop(channels, _SECOND_HOP, stack=True)
     return _alternate(
         hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution

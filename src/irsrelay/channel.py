@@ -394,15 +394,9 @@ class ChannelSet:
             raise ConfigError("only a stack of trials has trials to view")
         return self._of({name: getattr(self, name)[index] for name in LINK_STREAMS})
 
-    def rows(self, index: slice | Sequence[int], m: int | None = None) -> "ChannelSet":
-        """Trials ``index`` of a stack, and of each only the first ``m`` antennas.
 
-        As :meth:`Links.rows`, on all six links.  The rows of a checked
-        stack need no second check.
-        """
-        if self.h_sr.ndim != 2:
-            raise ConfigError("only a stack of trials has trials to take")
-        return self._of(_rows(vars(self), index, m))
+#: the links with an antenna axis, after the trial axis
+_ANTENNA_LINKS = frozenset(("h_sr", "H_ir", "h_rd", "H_ri"))
 
 
 class Links(SimpleNamespace):
@@ -421,26 +415,17 @@ class Links(SimpleNamespace):
         stack alive.  A stack drawn at more antennas gives, bit for bit, the
         draw at ``m`` of the same seeds (:func:`sample_links`).
         """
-        return Links(**_rows(vars(self), index, m))
-
-
-#: the links with an antenna axis, after the trial axis
-_ANTENNA_LINKS = frozenset(("h_sr", "H_ir", "h_rd", "H_ri"))
-
-
-def _rows(blocks: dict, index: slice | Sequence[int], m: int | None) -> dict:
-    """Trials ``index`` of each stacked block, of the first ``m`` antennas."""
-    taken = {
-        name: block[index, :m] if name in _ANTENNA_LINKS else block[index]
-        for name, block in blocks.items()
-    }
-    if m is not None or not isinstance(index, slice):
-        for name, block in taken.items():
-            if block.base is not None:  # a view, not a fancy index's copy
-                block = block.copy()
-            block.flags.writeable = False
-            taken[name] = block
-    return taken
+        taken = {
+            name: block[index, :m] if name in _ANTENNA_LINKS else block[index]
+            for name, block in vars(self).items()
+        }
+        if m is not None or not isinstance(index, slice):
+            for name, block in taken.items():
+                if block.base is not None:  # a view, not a fancy index's copy
+                    block = block.copy()
+                block.flags.writeable = False
+                taken[name] = block
+        return Links(**taken)
 
 
 def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
@@ -567,13 +552,9 @@ def sample_channels_batch(
     :func:`sample_links`, each block checked once.
 
     A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
-    for bit, the leading ``m`` antennas of a draw at more
-    (:meth:`ChannelSet.rows`).
+    for bit, the leading ``m`` antennas of a draw at more.  :func:`sample_links`
+    checks ``m`` and ``n``.
     """
-    if m < 1:
-        raise ConfigError(f"antenna count m must be >= 1, got {m}")
-    if n < 1:
-        raise ConfigError(f"element count n must be >= 1, got {n}")
     lowest = min(seeds, default=0)
     if lowest < 0:
         raise ConfigError(f"seed must be non-negative, got {lowest}")

@@ -117,7 +117,8 @@ class Method(NamedTuple):
 
     ``trial`` is "two-hop", "irs-only" (one hop via the surface alone) or
     "relay-only" (both hops without the surface).  ``first_slot`` names the
-    solver of a two-hop trial; it is looked up in this module at call time.
+    solver of a two-hop trial ("ais", "nsp" or "irses"); :func:`_solves`
+    picks that solver's rates form by this name.
     """
 
     trial: str
@@ -258,6 +259,18 @@ def _fixed_first_slot(
     return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
 
 
+def _matched_direct(
+    direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
+) -> list[tuple]:
+    """A matched-filter hop's rates on a stack of its channels, per level.
+
+    The matched filter collects each channel's whole power: a direct link of
+    ``baseline-relay-only``, which has no surface, or a hop channel at fixed
+    phases.
+    """
+    return _closed_rates([p_watt * norm**2 for norm in _norms(direct)], noises)
+
+
 def _fixed_second_slot(
     channels: Links, p_r_watt: float, noises: tuple[float, ...]
 ) -> list[tuple]:
@@ -267,19 +280,9 @@ def _fixed_second_slot(
     so the power is that of the whole second-hop channel.
     """
     n = channels.h_id.shape[-1]
-    combined = _hop_channel(_SECOND_HOP(channels), np.zeros(n))
-    return _closed_rates([p_r_watt * norm**2 for norm in _norms(combined)], noises)
-
-
-def _matched_direct(
-    direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
-) -> list[tuple]:
-    """One hop of ``baseline-relay-only`` on a stack of direct links, per level.
-
-    Without the surface, the matched filter collects the direct link's
-    whole power.
-    """
-    return _closed_rates([p_watt * norm**2 for norm in _norms(direct)], noises)
+    return _matched_direct(
+        _hop_channel(_SECOND_HOP(channels), np.zeros(n)), p_r_watt, noises
+    )
 
 
 def _irs_only(

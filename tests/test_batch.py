@@ -20,15 +20,15 @@ from irsrelay import beamforming, harness
 from irsrelay.beamforming import (
     PhaseShiftVector,
     _Stops,
+    ais_max_rp,
     ais_max_rp_batch,
-    ais_max_rp_per_noise,
+    irses_max_rp_mrc,
     irses_max_rp_mrc_batch,
-    irses_max_rp_mrc_per_noise,
     irses_partition,
+    nsp_max_rp_mrc,
     nsp_max_rp_mrc_batch,
-    nsp_max_rp_mrc_per_noise,
+    second_slot_optimize,
     second_slot_optimize_batch,
-    second_slot_optimize_per_noise,
 )
 from irsrelay.channel import LINK_STREAMS, ChannelSet, stack_channels
 from irsrelay.errors import (
@@ -122,12 +122,21 @@ def with_block(channels, name, change):
     return ChannelSet(**blocks)
 
 
+def per_level(scalar):
+    """``scalar`` on one trial at each noise level: its per-level solutions."""
+
+    def solve(channels, power, levels):
+        return tuple(scalar(channels, power, noise) for noise in levels)
+
+    return solve
+
+
 #: (batched solver, one-trial solver, element link, direct link) per hop
 SOLVERS = {
-    "ais": (ais_max_rp_batch, ais_max_rp_per_noise, "h_si", "h_sr"),
-    "nsp": (nsp_max_rp_mrc_batch, nsp_max_rp_mrc_per_noise, "h_si", "h_sr"),
+    "ais": (ais_max_rp_batch, per_level(ais_max_rp), "h_si", "h_sr"),
+    "nsp": (nsp_max_rp_mrc_batch, per_level(nsp_max_rp_mrc), "h_si", "h_sr"),
     "second-slot": (
-        second_slot_optimize_batch, second_slot_optimize_per_noise, "h_id", "h_rd",
+        second_slot_optimize_batch, per_level(second_slot_optimize), "h_id", "h_rd",
     ),
 }
 
@@ -217,7 +226,7 @@ def test_batched_solvers_take_stacks_and_one_trial_solvers_one_trial():
     with pytest.raises(ConfigError):
         ais_max_rp_batch(channels, P_S, LEVELS)
     with pytest.raises(ConfigError):
-        ais_max_rp_per_noise(stack_channels([channels]), P_S, LEVELS)
+        ais_max_rp(stack_channels([channels]), P_S, NOISE_30DB)
 
 
 def test_chunk_holds_the_trials_its_limits_allow():
@@ -508,8 +517,8 @@ def test_irses_zero_antenna_warns_once_per_affected_trial_in_a_stack():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateElementWarning)
         for channels, partition, solutions in zip(sets, partitions, together):
-            alone = irses_max_rp_mrc_per_noise(channels, P_S, LEVELS, partition)
-            for mixed, single in zip(solutions, alone):
+            for noise, mixed in zip(LEVELS, solutions):
+                single = irses_max_rp_mrc(channels, P_S, noise, partition)
                 assert_identical(mixed, single)
                 assert np.array_equal(mixed.mrc_weights, single.mrc_weights)
 

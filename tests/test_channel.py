@@ -388,8 +388,9 @@ def test_concurrent_draws_get_the_serial_bits():
 
 @pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
 def test_a_served_one_antenna_draw_equals_its_own_draw(m, n):
+    # the engine serves the m = 1 draw from the Links of a multi-antenna one
     seeds = [harness.trial_seed(3, k) for k in range(6)]
-    stack = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    stack = Links(**vars(sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)))
     for subset in (seeds, seeds[1:4], [seeds[4], seeds[0]]):
         served = harness._leading_antenna(stack, seeds, subset)
         drawn = sample_channels_batch(Geometry(), LinkBudget(), 1, n, subset)

@@ -7,7 +7,6 @@ it on how many iterates.  numpy reports its array buffers to tracemalloc,
 so a peak counts every array made during the call.
 """
 
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -125,14 +124,15 @@ def test_a_shorter_table_solves_on_a_view_of_the_longer_ones_rows():
     # an irses table of 15 trials beside an ais table of 16 solves its
     # first slot on trials 0..14 of the 16-trial draw: a slice of the
     # stack's rows, not a copy of them beside it (1.07 MB against 1.56 MB
-    # when copied)
+    # when copied).  The set-up builds the measured table, as in
+    # test_small_table_peak_bounds_the_chunk_length
     def table(irses_trials):
         return [
             ScenarioConfig(method="ais", m=M, n=N, trials=16),
             ScenarioConfig(method="irses", m=M, n=N, trials=irses_trials),
         ]
 
-    collect_trials([dataclasses.replace(c, trials=1) for c in table(16)])  # set-up
+    collect_trials(table(16))  # set-up
     assert harness._chunk_trials(table(16)) == 16
     _, both_sixteen = traced_peak(lambda: collect_trials(table(16)))
     _, shorter = traced_peak(lambda: collect_trials(table(15)))
@@ -143,12 +143,14 @@ def test_a_default_table_runs_16_trial_chunks_below_the_8_trial_peak():
     # 60 trials of ais, nsp and irses at (16, 160) run four chunks of 15:
     # one hop's matrix at a time, and loops that copy at most 3/8 of it,
     # peak at 1.07 MB, where 8-trial chunks that held both matrices and
-    # copied the running rows at their first compaction peaked at 1.18 MB
+    # copied the running rows at their first compaction peaked at 1.18 MB.
+    # The set-up builds the measured table, as in
+    # test_small_table_peak_bounds_the_chunk_length
     configs = [
         ScenarioConfig(method=method, m=M, n=N, trials=60)
         for method in ("ais", "nsp", "irses")
     ]
-    collect_trials([dataclasses.replace(c, trials=2) for c in configs])  # set-up
+    collect_trials(configs)  # set-up
     assert harness._chunk_trials(configs) == 16
     _, peak = traced_peak(lambda: collect_trials(configs))
     assert peak <= 1_180_000

@@ -1,10 +1,10 @@
 """One alternation for several noise levels equals one scalar solve per level.
 
 No iterate of ``ais``, ``nsp`` or the second slot reads the noise variance, so
-the ``_per_noise`` solvers run one alternation and stop each level at its own
-iterate; ``irses`` computes its noise-free part once.  Every field of each
-level's solution must equal, bit for bit, what the scalar solver returns at
-that level alone.
+the ``_batch`` solvers run one alternation and stop each level at its own
+iterate; ``irses`` computes its noise-free part once.  On a stack of one
+trial, every field of each level's solution must equal, bit for bit, what
+the scalar solver returns at that level alone.
 """
 
 import hashlib
@@ -16,18 +16,20 @@ import pytest
 from irsrelay.beamforming import (
     PhaseShiftVector,
     ais_max_rp,
-    ais_max_rp_per_noise,
-    irses_max_rp_mrc_per_noise,
+    ais_max_rp_batch,
+    irses_max_rp_mrc,
+    irses_max_rp_mrc_batch,
     irses_partition,
     nsp_max_rp_mrc,
-    nsp_max_rp_mrc_per_noise,
+    nsp_max_rp_mrc_batch,
     second_slot_optimize,
-    second_slot_optimize_per_noise,
+    second_slot_optimize_batch,
 )
+from irsrelay.channel import stack_channels
 from irsrelay.errors import ConfigError
 from irsrelay.metrics import noise_variance_for_snr
 
-from conftest import P_R, P_S, make_channels
+from conftest import NOISE_30DB, P_R, P_S, make_channels
 
 
 def noise_levels(*snr_db):
@@ -46,8 +48,17 @@ CASES = {
 }
 
 
+def one_trial(batch):
+    """``batch`` on a stack of one trial: that trial's per-level solutions."""
+
+    def solve(channels, *args, **options):
+        return batch(stack_channels([channels]), *args, **options)[0]
+
+    return solve
+
+
 class Solver(NamedTuple):
-    per_noise: object
+    levels: object
     scalar: object
     power: float
     shape: tuple[int, int]
@@ -55,13 +66,13 @@ class Solver(NamedTuple):
 
 
 SOLVERS = {
-    "ais": Solver(ais_max_rp_per_noise, ais_max_rp, P_S, (4, 16)),
+    "ais": Solver(one_trial(ais_max_rp_batch), ais_max_rp, P_S, (4, 16)),
     "second-slot": Solver(
-        second_slot_optimize_per_noise, second_slot_optimize, P_R, (4, 16)
+        one_trial(second_slot_optimize_batch), second_slot_optimize, P_R, (4, 16)
     ),
     **{
         f"nsp-{mode}-{combining}": Solver(
-            nsp_max_rp_mrc_per_noise,
+            one_trial(nsp_max_rp_mrc_batch),
             nsp_max_rp_mrc,
             P_S,
             # literal mode projects off the whole surface matrix: needs m > n
@@ -72,7 +83,7 @@ SOLVERS = {
         for combining in ("snr-sum", "printed")
     },
     "nsp-fixed-phases": Solver(
-        nsp_max_rp_mrc_per_noise,
+        one_trial(nsp_max_rp_mrc_batch),
         nsp_max_rp_mrc,
         P_S,
         (4, 16),
@@ -105,7 +116,7 @@ def test_per_noise_solve_equals_one_scalar_solve_per_level(name, case):
     levels, epsilon, max_iter = CASES[case]
     for seed in range(4):
         channels = make_channels(*solver.shape, seed=seed)
-        together = solver.per_noise(
+        together = solver.levels(
             channels, solver.power, levels, epsilon, max_iter, **solver.options
         )
         assert len(together) == len(levels)
@@ -124,8 +135,8 @@ def test_mixed_case_stops_on_both_rules(name):
     levels, epsilon, max_iter = CASES["mixed-stops"]
 
     def mixed(channels):
-        capped = solver.per_noise(channels, solver.power, levels, epsilon, max_iter)
-        free = solver.per_noise(channels, solver.power, levels, epsilon, 50)
+        capped = solver.levels(channels, solver.power, levels, epsilon, max_iter)
+        free = solver.levels(channels, solver.power, levels, epsilon, 50)
         return min(s.iterations for s in capped) < max_iter and any(
             c.iterations == max_iter < f.iterations for c, f in zip(capped, free)
         )
@@ -138,14 +149,15 @@ def test_per_noise_solve_needs_a_noise_level(name):
     solver = SOLVERS[name]
     channels = make_channels(*solver.shape, seed=0)
     with pytest.raises(ConfigError):
-        solver.per_noise(channels, solver.power, (), 1e-4, 50, **solver.options)
+        solver.levels(channels, solver.power, (), 1e-4, 50, **solver.options)
 
 
 #: per options: (rate_r, receive power) as float.hex() and a digest of the
 #: phases and MRC weights at 0 dB, 30 dB and one per-antenna level, from the
-#: scalar irses solver before it became the one-level case of the per-noise
-#: one (make_channels(4, 16, seed=1), irses_partition(16, 4, 1)); after a
-#: change meant to move irses numbers, recompute them and state the drift
+#: scalar irses solver before it became the one-level case of a solve for
+#: several levels (make_channels(4, 16, seed=1), irses_partition(16, 4, 1));
+#: after a change meant to move irses numbers, recompute them and state the
+#: drift
 IRSES_PINNED = {
     "idealized": (
         ("0x1.1a51b382f340bp-9", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
@@ -181,14 +193,18 @@ IRSES_OPTIONS = {
 def test_irses_per_noise_solutions_equal_pinned_scalar_ones(name):
     # closed form: the noise-free alignment, amplitudes and weights are
     # computed once for every level, and each level must keep the bits the
-    # scalar solver gave it
+    # scalar solver gave it, on a stack of one trial and alone
     options = IRSES_OPTIONS[name]
     levels = (*noise_levels(0, 30), np.linspace(0.01, 0.04, 4))
     channels = make_channels(4, 16, seed=1)
     partition = irses_partition(16, 4, 1)
-    together = irses_max_rp_mrc_per_noise(channels, P_S, levels, partition, **options)
+    stack = stack_channels([channels])
+    together = irses_max_rp_mrc_batch(stack, P_S, levels, [partition], **options)[0]
     got = []
-    for solution in together:
+    for noise, solution in zip(levels, together):
+        assert_identical(
+            solution, irses_max_rp_mrc(channels, P_S, noise, partition, **options)
+        )
         assert solution.trace == (solution.rate_r,)
         parts = solution.theta1.angles.tobytes() + solution.mrc_weights.tobytes()
         got.append(
@@ -200,4 +216,59 @@ def test_irses_per_noise_solutions_equal_pinned_scalar_ones(name):
         )
     assert tuple(got) == IRSES_PINNED[name]
     with pytest.raises(ConfigError):
-        irses_max_rp_mrc_per_noise(channels, P_S, (), partition, **options)
+        irses_max_rp_mrc_batch(stack, P_S, (), [partition], **options)
+
+
+def solves_of_one_trial():
+    """Each scalar solver and ``_batch`` form on one draw, by name: (power, noise)."""
+    channels = make_channels(4, 16, seed=0)
+    stack = stack_channels([channels])
+    partition = irses_partition(16, 4, 0)
+    return {
+        "ais": lambda p, noise: ais_max_rp(channels, p, noise),
+        "ais-batch": lambda p, noise: ais_max_rp_batch(stack, p, (noise,)),
+        "nsp": lambda p, noise: nsp_max_rp_mrc(channels, p, noise),
+        "nsp-batch": lambda p, noise: nsp_max_rp_mrc_batch(stack, p, (noise,)),
+        "irses": lambda p, noise: irses_max_rp_mrc(channels, p, noise, partition),
+        "irses-batch": lambda p, noise: irses_max_rp_mrc_batch(
+            stack, p, (noise,), [partition]
+        ),
+        "second-slot": lambda p, noise: second_slot_optimize(channels, p, noise),
+        "second-slot-batch": lambda p, noise: second_slot_optimize_batch(
+            stack, p, (noise,)
+        ),
+    }
+
+
+ONE_TRIAL = solves_of_one_trial()
+
+#: (power, noise) pairs that no rate can be made of
+BAD_INPUTS = {
+    "power=-1": (-1.0, NOISE_30DB),
+    "power=nan": (np.nan, NOISE_30DB),
+    "power=inf": (np.inf, NOISE_30DB),
+    "noise=0": (P_S, 0.0),
+    "noise=-1": (P_S, -1.0),
+    "noise=nan": (P_S, np.nan),
+    "noise=inf": (P_S, np.inf),
+}
+
+
+@pytest.mark.parametrize(
+    "solver, power, noise",
+    [
+        pytest.param(solver, *BAD_INPUTS[bad], id=f"{solver}-{bad}")
+        for solver in ONE_TRIAL
+        for bad in BAD_INPUTS
+    ]
+    + [
+        # irses also takes a per-antenna noise vector
+        pytest.param(
+            solver, P_S, np.array([0.01, np.nan, 0.02, 0.03]), id=f"{solver}-vector-nan"
+        )
+        for solver in ("irses", "irses-batch")
+    ],
+)
+def test_solvers_reject_non_finite_or_negative_power_and_noise(solver, power, noise):
+    with pytest.raises(ConfigError):
+        ONE_TRIAL[solver](power, noise)
