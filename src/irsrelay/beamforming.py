@@ -36,11 +36,14 @@ Each loop also has a private rates form, which the trial engine calls:
 ``_nsp`` and ``_irses`` on one hop's blocks of a stack of trials.  It runs
 the same loop and the same checks on every iterate (finite angles in
 :func:`_aligned_angles`, unit norms in :func:`_unit`, no dip of a rate
-trace in ``_Stops``), but returns only a (rate, iterations) pair per
-(trial, level): it builds no :class:`PhaseShiftVector`, :class:`Beamformer`
-or solution object, and a stop copies no iterate, bar NSP's receive vector
-and cascade, which its direct branch needs.  Each pair equals the rate and
-iteration count of the solution the ``_batch`` form returns, bit for bit.
+trace in ``_Stops``), but returns only a ``(trials, levels)`` array of
+rates and one of iteration counts: it builds no :class:`PhaseShiftVector`,
+:class:`Beamformer` or solution object, and a stop copies no iterate, bar
+NSP's receive vector and cascade, which its direct branch needs.  Each
+(trial, level) entry equals the rate and iteration count of the solution
+the ``_batch`` form returns, bit for bit.  ``_irses`` takes the trials'
+element partitions as one array of assignments
+(:func:`_irses_assignments`), not as :class:`Partition` objects.
 
 A loop's input stack may be shared, read-only, with other solves.  The loop
 multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
@@ -66,7 +69,7 @@ from .errors import (
     ProjectorDegenerateError,
     TraceDipError,
 )
-from .metrics import rate_from_power, receive_power_ais
+from .metrics import _check_levels, rate_from_power, receive_power_ais
 
 TWO_PI = 2.0 * np.pi
 
@@ -521,41 +524,27 @@ class _Stops:
         self.live = [self.live[row] for row in keep]
         return keep
 
-    def results(self, solution=None) -> list[tuple]:
+    def iterations(self) -> np.ndarray:
+        """The ``(trials, levels)`` array of iteration counts, each trace's length."""
+        return np.array([[len(trace) for _, trace in ls] for ls in self.stopped])
+
+    def results(self, solution=None) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
         """Per trial, one result per level, from where each level stopped.
 
         ``solution(iterate, trace)`` builds a level's result from its
-        stopped iterate and its trace; without one, a level's result is its
-        (rate, iterations) pair: the last rate of its trace and its length.
+        stopped iterate and its trace.  Without one, the results are a
+        ``(trials, levels)`` array of rates, the last of each trace, and one
+        of iteration counts, the length of each trace.
         """
         if solution is None:
-            return [
-                tuple((trace[-1], len(trace)) for _, trace in levels)
-                for levels in self.stopped
-            ]
+            return (
+                np.array([[trace[-1] for _, trace in ls] for ls in self.stopped]),
+                self.iterations(),
+            )
         return [
             tuple(solution(iterate, tuple(trace)) for iterate, trace in levels)
             for levels in self.stopped
         ]
-
-
-def _check_levels(noise_variances: tuple, p_watt: float) -> None:
-    """Reject a solve's noise levels or power that no rate can be made of.
-
-    There must be at least one level, each finite and positive (a scalar,
-    or ``irses``' per-antenna vector), and the power finite and
-    non-negative.  Each loop checks once per solve, never per iterate.
-    """
-    if not noise_variances:
-        raise ConfigError("need at least one noise variance")
-    for noise in noise_variances:
-        levels = np.asarray(noise, dtype=np.float64)
-        if not (np.isfinite(levels).all() and (levels > 0.0).all()):
-            raise ConfigError(
-                f"noise variance must be finite and positive, got {noise}"
-            )
-    if not (np.isfinite(p_watt) and p_watt >= 0.0):
-        raise ConfigError(f"power must be finite and non-negative, got {p_watt}")
 
 
 def _compact(block: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -607,15 +596,16 @@ def _alternate(
     epsilon: float,
     max_iter: int,
     solution=None,
-) -> list[tuple]:
+) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`ais_max_rp`'s loop on one hop of a stack of trials.
 
     ``hop`` holds the (direct, H, h) blocks with a leading trial axis.  No
     iterate reads the noise, which enters only each level's rate trace and
-    its stop.  Returns, per trial, one result per level: its (rate,
-    iterations) pair, or ``solution(iterate, trace)`` built from the
-    iterate's (angles, weights, power) when ``solution`` is given; only
-    then does a stop keep a copy of its iterate.
+    its stop.  Returns ``(trials, levels)`` arrays of rates and iteration
+    counts, or, when ``solution`` is given, per trial one
+    ``solution(iterate, trace)`` per level, built from the iterate's
+    (angles, weights, power); only then does a stop keep a copy of its
+    iterate.
     """
     direct, H, h = hop
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
@@ -836,16 +826,16 @@ def _nsp(
     combining: str,
     phases: PhaseShiftVector | None,
     solutions: bool = False,
-) -> list[tuple]:
+) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`nsp_max_rp_mrc` on the first hop of a stack of trials.
 
     The projectors off the direct links and the start phases are built for
     the whole stack, the reflected branch iterates in one loop, and
     :func:`_nsp_results` closes out every stopped (trial, level) at once.
-    Returns, per trial, one (rate, iterations) pair per level, or one
-    :class:`FirstSlotSolution` per level with ``solutions``; a stop keeps
-    its iterate's receive vector and cascade, and its angles only for a
-    solution.
+    Returns ``(trials, levels)`` arrays of rates and iteration counts, or,
+    with ``solutions``, per trial one :class:`FirstSlotSolution` per level;
+    a stop keeps its iterate's receive vector and cascade, and its angles
+    only for a solution.
     """
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
@@ -918,7 +908,7 @@ def _nsp_results(
     mode: str,
     combining: str,
     solutions: bool,
-) -> list[tuple]:
+) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`nsp_max_rp_mrc`'s results at the stopped reflected-branch iterates.
 
     Each stopped iterate holds the reflected branch's (receive vector,
@@ -927,7 +917,8 @@ def _nsp_results(
     the reflected signal for every distinct iterate of the stack at once,
     and both branches are combined.  The branch amplitudes are ``abs`` of
     Python complex numbers, as in the one-trial rule: numpy's complex
-    ``abs`` can differ in the last bit.
+    ``abs`` can differ in the last bit.  Every (trial, level)'s rate
+    ``log2(1 + power / noise)`` is one array operation.
     """
     h_sr, H_ir, _ = hop
     # the distinct stopped iterates, and the trial of each, in (trial,
@@ -956,7 +947,7 @@ def _nsp_results(
             break  # _unit rejects it, as the one-trial rule did next
     u_rs = _unit(direct_raw)
     branches = zip(np.vecdot(u_rs, direct).tolist(), np.vecdot(u_ri, cascade).tolist())
-    closed = {}
+    power_of, fields = {}, {}
     for iterate, u_s, (branch_s, branch_i) in zip(iterates, u_rs, branches):
         amp_s = abs(branch_s)
         amp_i = abs(branch_i)
@@ -967,37 +958,33 @@ def _nsp_results(
             if merged < ZERO_NORM:
                 raise DegenerateChannelError("both separated branches vanished")
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
+        power_of[id(iterate)] = power_eff
         if solutions:
             u_i, _, angles = iterate[:3]
-            closed[id(iterate)] = dict(
+            fields[id(iterate)] = dict(
                 theta1=PhaseShiftVector(angles),
                 receive_power_watt=power_eff,
                 u_rs=Beamformer(u_s),
                 u_ri=Beamformer(u_i),
             )
-        else:
-            closed[id(iterate)] = power_eff
+    powers = np.array(
+        [[power_of[id(iterate)] for iterate, _ in levels] for levels in stops.stopped]
+    )
+    rates = np.log2(1.0 + powers / np.array(stops.noise))
     if not solutions:
-        return [
-            tuple(
-                (rate_from_power(closed[id(iterate)], noise), len(trace))
-                for (iterate, trace), noise in zip(levels, stops.noise)
-            )
-            for levels in stops.stopped
-        ]
+        return rates, stops.iterations()
     return [
         tuple(
-            _nsp_solution(closed[id(iterate)], tuple(trace), noise)
-            for (iterate, trace), noise in zip(levels, stops.noise)
+            FirstSlotSolution(
+                method="nsp",
+                rate_r=rate,
+                trace=tuple(trace),
+                **fields[id(iterate)],
+            )
+            for (iterate, trace), rate in zip(levels, trial_rates)
         )
-        for levels in stops.stopped
+        for levels, trial_rates in zip(stops.stopped, rates.tolist())
     ]
-
-
-def _nsp_solution(closed: dict, trace: tuple, noise: float) -> FirstSlotSolution:
-    """One level's solution from its iterate's closed-out fields."""
-    rate_r = rate_from_power(closed["receive_power_watt"], noise)
-    return FirstSlotSolution(method="nsp", rate_r=rate_r, trace=trace, **closed)
 
 
 def _check_partition_sizes(n: int, m: int) -> None:
@@ -1025,14 +1012,21 @@ def irses_partitions(n: int, m: int, keys: np.ndarray) -> list[Partition]:
     seed, so that the keys of many trials are hashed at once; one generator
     is re-keyed per partition (:func:`~irsrelay.channel.keyed_generators`).
     """
+    return [Partition(assignment) for assignment in _irses_assignments(n, m, keys)]
+
+
+def _irses_assignments(n: int, m: int, keys: np.ndarray) -> np.ndarray:
+    """The assignments of :func:`irses_partitions`, one ``(len(keys), n)`` array.
+
+    Row ``k`` is the ``k``-th partition's assignment, bit for bit; no
+    :class:`Partition` is built, as the trial engine reads only the rows.
+    """
     _check_partition_sizes(n, m)
     groups = np.repeat(np.arange(m, dtype=np.intp), n // m)
-    partitions = []
-    for rng in keyed_generators(keys):
-        assignment = np.empty(n, dtype=np.intp)
+    assignments = np.empty((len(keys), n), dtype=np.intp)
+    for assignment, rng in zip(assignments, keyed_generators(keys)):
         assignment[rng.permutation(n)] = groups
-        partitions.append(Partition(assignment))
-    return partitions
+    return assignments
 
 
 def irses_max_rp_mrc(
@@ -1093,20 +1087,24 @@ def _irses(
     hop: tuple,
     p_s_watt: float,
     noise_variances: tuple,
-    partitions: Sequence[Partition],
+    partitions: Sequence[Partition] | np.ndarray,
     interference_mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
     solutions: bool = False,
-) -> list[tuple]:
+) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`irses_max_rp_mrc`'s closed form on the first hop of a stack of trials.
 
     Trial ``t`` reads element ``i`` of antenna ``partitions[t]`` through
     (trial, antenna) fancy indices, and ``np.add.at`` adds each antenna's
     elements in element order, as on one trial.  A row's sum over the
-    antennas is the one-trial sum of that row, bit for bit.  Returns, per
-    trial, one (rate, 1) pair per level, or one :class:`FirstSlotSolution`
-    per level with ``solutions``.
+    antennas is the one-trial sum of that row, bit for bit, and every
+    (trial, level)'s rate is one array operation.  With ``solutions``,
+    ``partitions`` holds a :class:`Partition` per trial and the result is,
+    per trial, one :class:`FirstSlotSolution` per level; otherwise it holds
+    their assignments as one ``(trials, n)`` array
+    (:func:`_irses_assignments`), and the result is ``(trials, levels)``
+    arrays of rates and of iteration counts, all 1.
     """
     noise_variances = tuple(noise_variances)
     _check_levels(noise_variances, p_s_watt)
@@ -1120,19 +1118,31 @@ def _irses(
         raise ConfigError(
             f"need one partition per trial, got {len(partitions)} for {trials}"
         )
-    for partition in partitions:
-        if partition.n != n or partition.m != m:
+    if solutions:
+        for partition in partitions:
+            if partition.n != n or partition.m != m:
+                raise ConfigError(
+                    f"partition for (m={partition.m}, n={partition.n}) does not "
+                    f"match channels (m={m}, n={n})"
+                )
+        antenna = np.stack([partition.assignment for partition in partitions])
+    else:
+        antenna = partitions
+        if antenna.shape != (trials, n):
             raise ConfigError(
-                f"partition for (m={partition.m}, n={partition.n}) does not match "
-                f"channels (m={m}, n={n})"
+                f"need a (trials, n) = {(trials, n)} assignment, got {antenna.shape}"
             )
-    sigma2s = [
-        np.broadcast_to(np.asarray(noise, dtype=np.float64), (m,)).copy()
-        for noise in noise_variances
-    ]
+    sigma2s = []
+    for noise in noise_variances:
+        sigma2 = np.asarray(noise, dtype=np.float64)
+        if sigma2.shape not in ((), (1,), (m,)):
+            raise ConfigError(
+                f"a per-antenna noise variance needs m={m} values, "
+                f"got {sigma2.size} (shape {sigma2.shape})"
+            )
+        sigma2s.append(np.broadcast_to(sigma2, (m,)).copy())
 
     trial = np.arange(trials)[:, np.newaxis]
-    antenna = np.stack([partition.assignment for partition in partitions])
     own_paths = H_ir[trial, antenna, np.arange(n)]
     if phases is None:
         angles = _checked_angles(
@@ -1152,45 +1162,46 @@ def _irses(
 
     usable = np.abs(own) >= ZERO_NORM
     unusable = (m - np.count_nonzero(usable, axis=-1)).tolist()
-    if solutions:
-        weights = np.ones((trials, m), dtype=np.complex128)
-        weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
 
     squares = amplitudes**2
-    square_sums = squares.sum(axis=-1).tolist()
+    square_sums = squares.sum(axis=-1)
     if combining == "snr-sum":
-        snrs = [(squares / sigma2).sum(axis=-1).tolist() for sigma2 in sigma2s]
+        snrs = np.stack([(squares / s2).sum(axis=-1) for s2 in sigma2s], axis=-1)
+        snr = p_s_watt * snrs
+        degenerate = trials
     else:
-        fourth_sums = (amplitudes**4).sum(axis=-1).tolist()
-        denoms = [(squares * sigma2).sum(axis=-1).tolist() for sigma2 in sigma2s]
-
-    results = []
-    for row in range(trials):
-        if unusable[row]:
+        fourth_sums = (amplitudes**4).sum(axis=-1)
+        denoms = np.stack([(squares * s2).sum(axis=-1) for s2 in sigma2s], axis=-1)
+        # the first trial with a level that no antenna serves raises, after
+        # the warnings of the trials before it and its own
+        vanished = np.flatnonzero((denoms < ZERO_NORM).any(axis=-1))
+        degenerate = int(vanished[0]) if len(vanished) else trials
+        snr = p_s_watt * fourth_sums[:, np.newaxis] / denoms
+    for count in unusable[: degenerate + 1]:
+        if count:
             warnings.warn(
-                f"{unusable[row]} antenna(s) with zero combined signal; "
+                f"{count} antenna(s) with zero combined signal; "
                 "MRC weight set to 1",
                 DegenerateElementWarning,
                 stacklevel=3,
             )
-        if solutions:
-            theta = PhaseShiftVector(angles[row]) if phases is None else phases
-        levels = []
-        for level in range(len(sigma2s)):
-            if combining == "snr-sum":
-                snr = p_s_watt * snrs[level][row]
-                power_eff = p_s_watt * square_sums[row]
-            else:
-                denom = denoms[level][row]
-                if denom < ZERO_NORM:
-                    raise DegenerateChannelError("all antennas received zero signal")
-                snr = p_s_watt * fourth_sums[row] / denom
-                power_eff = p_s_watt * fourth_sums[row] / square_sums[row]
-            rate_r = float(np.log2(1.0 + snr))
-            if not solutions:
-                levels.append((rate_r, 1))
-                continue
-            levels.append(
+    if degenerate < trials:
+        raise DegenerateChannelError("all antennas received zero signal")
+    rates = np.log2(1.0 + snr)
+    if not solutions:
+        return rates, np.ones(rates.shape, dtype=np.intp)
+
+    weights = np.ones((trials, m), dtype=np.complex128)
+    weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
+    if combining == "snr-sum":
+        powers = (p_s_watt * square_sums).tolist()
+    else:
+        powers = (p_s_watt * fourth_sums / square_sums).tolist()
+    results = []
+    for row, (trial_rates, power_eff) in enumerate(zip(rates.tolist(), powers)):
+        theta = PhaseShiftVector(angles[row]) if phases is None else phases
+        results.append(
+            tuple(
                 FirstSlotSolution(
                     method="irses",
                     theta1=theta,
@@ -1200,8 +1211,9 @@ def _irses(
                     mrc_weights=weights[row],
                     partition=partitions[row],
                 )
+                for rate_r in trial_rates
             )
-        results.append(tuple(levels))
+        )
     return results
 
 
@@ -1280,10 +1292,12 @@ def brute_force_max_rp(
     filter, so the receive power is p_s times the squared norm of the
     combined channel.  Ties keep the first maximizer in lexicographic order
     of the grid indices.  Intended as a small-instance test oracle; the
-    enumeration is capped at 10^7 combinations.
+    enumeration is capped at 10^7 combinations.  The power and the noise
+    variance are checked as the solvers check them, once per call.
     """
     if grid_levels < 2:
         raise ConfigError(f"grid_levels must be >= 2, got {grid_levels}")
+    _check_levels((noise_variance_watt,), p_s_watt)
     n = channels.n
     total = grid_levels**n
     if total > ORACLE_MAX_COMBINATIONS:

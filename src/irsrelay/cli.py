@@ -28,10 +28,14 @@ from .harness import (
     PROPOSED_METHODS,
     ScenarioConfig,
     SweepSpec,
-    collect_trials,
-    summarize_records,
+    collect_columns,
+    summarize_columns,
     sweep,
 )
+
+# trace points of the benchmark (perfbench/tracing.py); a table is built
+# from collect_columns and summarize_columns, not from records
+from .harness import collect_trials, summarize_records  # noqa: F401
 from .metrics import flops_ais, flops_irses, flops_nsp
 
 RATE_DECIMALS = 6
@@ -238,10 +242,10 @@ def build_run_table(settings: dict) -> OutputTable:
     methods = settings["methods"]
     configs = [dataclasses.replace(config, method=method) for method in methods]
     rows = []
-    for method, records in zip(
-        methods, collect_trials(configs, workers=settings["workers"])
+    for method, columns in zip(
+        methods, collect_columns(configs, workers=settings["workers"])
     ):
-        mean_r, mean_d, mean_s, stderr = summarize_records(records)
+        mean_r, mean_d, mean_s, stderr = summarize_columns(columns, f"method {method}")
         rows.append(
             (
                 method,

@@ -5,7 +5,11 @@ A scenario is evaluated trial by trial: each trial derives its own seed from
 runs the configured first-slot method plus the second-slot optimizer, and
 reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
 (SNR, element count, antenna count, or relay position) and aggregate mean
-rate and standard error per axis value and method.
+rate and standard error per axis value and method.  A table is averaged
+from each configuration's :class:`Columns` (:func:`collect_columns`), the
+rates and iteration counts of its trials as arrays in trial order;
+:func:`collect_trials` and :func:`run_trial` build a :class:`TrialRecord`
+per trial from the same columns.
 
 Several configurations (the methods of a table, the points of a sweep) are
 evaluated together, chunk-major and, within a chunk, draw-major and
@@ -23,14 +27,16 @@ configurations) runs once on the stack, for every noise level it serves
 (``irses``, the fixed-phase slots, the baselines' hops) as stacked calls.
 A loop multiplies the shared stack until at most
 :data:`~irsrelay.beamforming.COPY_SHARE` of its rows run, and copies only
-those.  The solvers' private rates forms keep only a rate and an iteration
-count per (trial, level), which is all a record reads, and the stack is
-dropped before the next draw is made.  The records are then assembled from
-those rates, nothing drawn or solved again.  A chunk holds at most as many
-trials as keep one hop of its largest draw, and the loops' copy of it,
-within :data:`CHUNK_BYTES` of what one trial holds, and at most
-:data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting, that
-bounds the memory a chunk holds.  The trials are cut into as few chunks as
+those.  The solvers' private rates forms keep only a ``(trials, levels)``
+array of rates and one of iteration counts per solve, which is all a table
+reads, and the stack is dropped before the next draw is made.  Each
+configuration's columns are then read out of those arrays, a slice of each
+when the configurations share the chunk's trials (one map of their rows),
+nothing drawn or solved again and no per-trial object made.  A chunk holds
+at most as many trials as keep one hop of its largest draw, and the loops'
+copy of it, within :data:`CHUNK_BYTES` of what one trial holds, and at
+most :data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting,
+that bounds the memory a chunk holds.  The trials are cut into as few chunks as
 that limit allows, of lengths at most one apart.  Every result is a pure
 function of the configuration and trial index, so tables are reproducible
 bit for bit whatever else is evaluated alongside, whatever the chunk and
@@ -55,7 +61,6 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -76,11 +81,11 @@ from .beamforming import (
     _check_iteration_controls,
     _hop_channel,
     _irses,
+    _irses_assignments,
     _norms,
     _nsp,
     _powers,
     _unit,
-    irses_partitions,
 )
 from .channel import (
     LINK_STREAMS,
@@ -93,13 +98,14 @@ from .channel import (
     stream_seed,
 )
 from .errors import ConfigError
-from .metrics import RateResult, noise_variance_for_snr, rate_from_power, system_rate
+from .metrics import RateResult, noise_variance_for_snr
 
 # The benchmark's trace points (perfbench/tracing.py) wrap the one-trial
-# sampler, the scalar solvers, the one-seed partition and the one-trial
-# fixed-phase helpers under these names; the trial engine draws with
-# sample_links, calls the solvers' rates forms, makes partitions
-# with irses_partitions and evaluates fixed phases on a chunk's stack.
+# sampler, the scalar solvers, the one-seed partition, the one-trial
+# fixed-phase helpers and the scalar rate under these names; the trial
+# engine draws with sample_links, calls the solvers' rates forms, draws
+# partition assignments with _irses_assignments and evaluates fixed phases
+# and closed-form rates on a chunk's stack.
 from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
     ais_max_rp,
@@ -109,7 +115,7 @@ from .beamforming import (  # noqa: F401
     second_slot_optimize,
     ur_update_ais,
 )
-from .metrics import receive_power_ais  # noqa: F401
+from .metrics import rate_from_power, receive_power_ais  # noqa: F401
 
 
 class Method(NamedTuple):
@@ -234,21 +240,22 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return stream_seed(base_seed, trial_index)
 
 
-def _closed_rates(powers: list[float], noises: tuple[float, ...]) -> list[tuple]:
+def _closed_rates(
+    powers: list[float], noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
     """A closed form's results on a stack of trials, from each trial's power.
 
-    One (rate, iterations) pair per trial and noise level, as the batched
-    solvers' rates forms give them; a closed form takes one step.
+    ``(trials, levels)`` arrays of rates ``log2(1 + power / noise)`` and of
+    iteration counts, as the batched solvers' rates forms give them; a
+    closed form takes one step.
     """
-    return [
-        tuple((rate_from_power(power, noise), 1) for noise in noises)
-        for power in powers
-    ]
+    rates = np.log2(1.0 + np.divide.outer(powers, noises))
+    return rates, np.ones(rates.shape, dtype=np.intp)
 
 
 def _fixed_first_slot(
     channels: Links, p_s_watt: float, noises: tuple[float, ...]
-) -> list[tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
 
     Identity reflection phases; the receive beamformer is the matched
@@ -261,7 +268,7 @@ def _fixed_first_slot(
 
 def _matched_direct(
     direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
-) -> list[tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """A matched-filter hop's rates on a stack of its channels, per level.
 
     The matched filter collects each channel's whole power: a direct link of
@@ -273,7 +280,7 @@ def _matched_direct(
 
 def _fixed_second_slot(
     channels: Links, p_r_watt: float, noises: tuple[float, ...]
-) -> list[tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The fixed-phase second slot on a stack of trials, per noise level.
 
     Identity reflection phases; the transmit beamformer is still matched,
@@ -287,7 +294,7 @@ def _fixed_second_slot(
 
 def _irs_only(
     channels: Links, p_s_watt: float, noises: tuple[float, ...]
-) -> list[tuple]:
+) -> tuple[np.ndarray, np.ndarray]:
     """``baseline-irs-only`` on a stack of trials, per noise level.
 
     One hop S -> IRS -> D with element-wise alignment: every cascaded path
@@ -305,20 +312,22 @@ def _irs_only(
 #: trial holds too, a chunk may hold CHUNK_BYTES of one hop of one draw and
 #: the loops' working rows: a chunk draws its channel inputs one at a time
 #: and each hop by hop, solves everything keyed on that hop and drops its
-#: surface matrix before the next is drawn, keeping only a rate and an
-#: iteration count per (trial, solve, noise level).  A loop multiplies the
-#: shared matrix until at most COPY_SHARE of its rows run, then copies
-#: those.  So a trial at (m, n) takes 16 ((1 + COPY_SHARE) mn + 2m + 2n)
-#: bytes, one surface matrix, the loops' copy and four vectors, once per
-#: base seed drawn at those inputs: a chunk holds up to 16 trials at
-#: (16, 160) and 5 at (50, 200), however many geometries a sweep draws.
-#: Small draws are bounded by the trial count instead, as a chunk's loops
-#: and records still hold some Python objects per trial: 60 trials at
-#: (4, 16), with all nine methods, keep a table's peak within the bound of
-#: tests/test_memory.py, while one chunk of 120 trials does not.  Longer
-#: stacks iterate faster but raise the peak memory of a table build.
+#: surface matrix before the next is drawn, keeping only an array of rates
+#: and one of iteration counts per solve, a column per noise level.  A
+#: loop multiplies the shared matrix until at most COPY_SHARE of its rows
+#: run, then copies those.  So a trial at (m, n) takes 16 ((1 + COPY_SHARE)
+#: mn + 2m + 2n) bytes, one surface matrix, the loops' copy and four
+#: vectors, once per base seed drawn at those inputs: a chunk holds up to
+#: 16 trials at (16, 160) and 5 at (50, 200), however many geometries a
+#: sweep draws.  Small draws are bounded by the trial count instead: at
+#: (4, 16) what the budget leaves out grows with the trials too (the
+#: draws' vectors, the loops' temporaries and per-trial rate traces), and
+#: a table of all nine methods peaks at 0.62 MB (tracemalloc) as one chunk
+#: of 120 trials but at 0.97 MB as one chunk of 240, beyond the 0.75 MB
+#: bound of tests/test_memory.py.  Longer stacks iterate faster but raise
+#: the peak memory of a table build.
 CHUNK_BYTES = 960_000
-CHUNK_TRIALS = 60
+CHUNK_TRIALS = 120
 
 
 def _channel_inputs(config: ScenarioConfig) -> tuple:
@@ -389,21 +398,26 @@ def _streams(trials: Sequence[tuple[ScenarioConfig, Sequence[int]]]) -> _Streams
     return _Streams(seeds, rows, seed_states([partition_seeds], 2))
 
 
-def _partitions(
-    streams: _Streams, made: dict, seeds: Sequence[int], n: int, m: int
-) -> list:
-    """The ``irses`` element partitions of trials ``seeds`` at (n, m).
+def _assignments(
+    streams: _Streams, made: dict, seeds: list[int], n: int, m: int
+) -> np.ndarray:
+    """The ``irses`` element assignments of trials ``seeds`` at (n, m), a row each.
 
-    Each is made once per chunk, from the table's partition keys, and kept
-    in ``made`` for the other solves of the chunk that use it.
+    Each trial's is drawn once per chunk, from the table's partition keys,
+    and kept in ``made`` for the other solves of the chunk that use it: by
+    (n, m), the row of each trial and the drawn rows.
     """
-    missing = [seed for seed in seeds if (seed, n, m) not in made]
+    rows, assignments = made.get((n, m), ({}, None))
+    missing = [seed for seed in seeds if seed not in rows]
     if missing:
         keys = streams.partition_keys[[streams.partition_rows[s] for s in missing]]
-        made.update(
-            zip([(seed, n, m) for seed in missing], irses_partitions(n, m, keys))
-        )
-    return [made[seed, n, m] for seed in seeds]
+        drawn = _irses_assignments(n, m, keys)
+        if assignments is not None:
+            drawn = np.concatenate([assignments, drawn])
+        rows = {**rows, **{seed: len(rows) + k for k, seed in enumerate(missing)}}
+        made[n, m] = rows, drawn
+        assignments = drawn
+    return assignments[_rows(list(rows), seeds)]
 
 
 def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
@@ -416,8 +430,9 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     ``run(partitions, seeds, channels, noises)`` solves the trials ``seeds``
     at once on their stacked ``channels``, which hold at least the links
     named in ``links`` (``partitions(seeds, n, m)`` gives their ``irses``
-    element partitions), and returns, per trial, one (rate, iterations)
-    pair per noise variance; the key, led by the solver's name, holds every
+    element assignments, a row per trial), and returns ``(trials, levels)``
+    arrays of rates and of iteration counts, a column per noise variance
+    in the order of ``noises``; the key, led by the solver's name, holds every
     input of the solve except the trial seed and the noise, the channel
     inputs as the number ``draw`` they have among the configurations
     planned together.  Configurations with equal keys share one solve per
@@ -522,10 +537,11 @@ class Plan(NamedTuple):
     ``draw`` numbers its channel inputs ``channels`` (:func:`_channel_inputs`)
     among the distinct ones of the configurations planned together; the
     drawn channels and the solve keys name them by that number, so that
-    assembling a record hashes no configuration.  ``solves`` maps each kind
-    of :func:`_solves` to the solve's (key, noise levels, links, run,
-    level): the levels are the noise variances its key serves among the
-    configurations, and ``levels[level]`` is the configuration's own.
+    reading a configuration's columns hashes no configuration.  ``solves``
+    maps each kind of :func:`_solves` to the solve's (key, noise levels,
+    links, run, level): the levels are the noise variances its key serves
+    among the configurations, and ``levels[level]`` is the configuration's
+    own.
     """
 
     draw: int
@@ -580,7 +596,7 @@ def _rows(drawn: list[int], seeds: list[int]) -> slice | list[int]:
     return [row[seed] for seed in seeds]
 
 
-def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
+def _served_draws(draws: dict[int, list]) -> dict[int, int]:
     """The one-antenna draws that another draw serves: by source, the served.
 
     A draw at m = 1 is, bit for bit, the leading antenna of a draw at more
@@ -627,51 +643,66 @@ def _solve_draw(
 
     A solve of a subset of the drawn trials takes their rows of the links
     it reads, a view when they are consecutive rows (other base seeds,
-    shorter tables).
+    shorter tables).  ``shared`` keeps, by key, the solve's trials (each
+    seed's row) and its rate and iteration-count arrays.
     """
     for key, (levels, links, run, seeds) in solves.items():
-        seeds = list(seeds)
-        if seeds == drawn:
+        order = list(seeds)
+        if order == drawn:
             channels = stack
         else:
             own = Links(**{name: getattr(stack, name) for name in links})
-            channels = own.rows(_rows(drawn, seeds))
-        rates = run(partitions, seeds, channels, levels)
-        shared.update(zip(zip(seeds, repeat(key)), rates))
+            channels = own.rows(_rows(drawn, order))
+        shared[key] = (seeds, *run(partitions, order, channels, levels))
         del channels
+
+
+def _union(rows: dict, more: dict) -> dict:
+    """Trials ``rows`` and then those of ``more`` not among them, by row.
+
+    ``rows`` itself when it holds every trial, so that the configurations
+    of a table share one map of their chunk's trials.
+    """
+    if more is rows or more.keys() <= rows.keys():
+        return rows
+    return {seed: row for row, seed in enumerate({**rows, **more})}
 
 
 def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
     """Draw and solve a chunk of trials, draw by draw and hop by hop.
 
-    ``jobs`` holds (configuration, its plan, its trial indices) triples, and
-    ``streams`` the table's stream keys (:func:`_streams`).  Each distinct
-    draw's stream keys are hashed once, and it is drawn and solved in two
-    passes (:func:`_passes`): the first draws the links its solves read but
-    ``H_ri`` and runs them, then drops every block the second does not read,
-    ``H_ir`` first of all, before drawing ``H_ri`` for the second slots.
-    Each block is bit for bit the one the whole draw holds.  Every planned
-    key is solved once for all the drawn trials that need it and all its
-    noise levels, and a draw is dropped before the next is made.  A
-    one-antenna draw is served from a larger one, pass by pass
-    (:func:`_served_draws`).  The result holds each solve's (rate,
-    iterations) pairs, one per noise level in the order of the plan's
-    levels, keyed by the trial seed and the plan's solve key, which stands
-    for every other input (the noise aside).
+    ``jobs`` holds (configuration, its plan, its trials) triples, the
+    trials a map of each trial seed to its row, in trial order; jobs of the
+    same trials share one map.  ``streams`` holds the table's stream keys
+    (:func:`_streams`).  Each distinct draw's stream keys are hashed once,
+    and it is drawn and solved in two passes (:func:`_passes`): the first
+    draws the links its solves read but ``H_ri`` and runs them, then drops
+    every block the second does not read, ``H_ir`` first of all, before
+    drawing ``H_ri`` for the second slots.  Each block is bit for bit the
+    one the whole draw holds.  Every planned key is solved once for all the
+    drawn trials that need it and all its noise levels, and a draw is
+    dropped before the next is made.  A one-antenna draw is served from a
+    larger one, pass by pass (:func:`_served_draws`).  The result maps each
+    plan's solve key, which stands for every input but the trial seed and
+    the noise, to the solve's trials (a map of each seed to its row) and
+    its ``(trials, levels)`` arrays of rates and of iteration counts, a
+    column per noise level in the order of the plan's levels.
     """
-    draws: dict[int, tuple] = {}
-    for config, plan, indices in jobs:
-        if not indices:
+    draws: dict[int, list] = {}
+    for config, plan, seeds in jobs:
+        if not seeds:
             continue
-        seeds = dict.fromkeys(streams.seeds[config.base_seed, k] for k in indices)
-        _, drawn, solves = draws.setdefault(plan.draw, (plan.channels, {}, {}))
-        drawn.update(seeds)
+        draw = draws.setdefault(plan.draw, [plan.channels, seeds, {}])
+        draw[1] = _union(draw[1], seeds)
+        solves = draw[2]
         for key, levels, links, run, _ in plan.solves.values():
-            solves.setdefault(key, (levels, links, run, {}))[3].update(seeds)
+            solved = solves.get(key)
+            rows = seeds if solved is None else _union(solved[3], seeds)
+            solves[key] = (levels, links, run, rows)
     serves = _served_draws(draws)
     served = set(serves.values())
     shared: dict = {}
-    partitions = functools.partial(_partitions, streams, {})
+    partitions = functools.partial(_assignments, streams, {})
     for number, ((m, n, geometry, budget), drawn, solves) in draws.items():
         if number in served:
             continue
@@ -703,34 +734,125 @@ def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
     return shared
 
 
-def _record(
-    config: ScenarioConfig,
-    plan: Plan,
-    trial_index: int,
-    streams: _Streams,
-    shared: dict,
-) -> TrialRecord:
-    """Trial ``trial_index`` of ``config``, assembled from ``shared``.
+class Columns(NamedTuple):
+    """A configuration's trials as columns, in trial order.
 
-    ``shared`` is what :func:`_evaluate_chunk` solved for the trial's chunk
-    under ``plan``, the configuration's entry of :func:`solve_plans`, and
-    ``streams`` holds the trial's seed; both are only read here.
+    ``seeds`` are the trial seeds; ``rate_r`` and ``rate_d`` the first- and
+    second-hop rates, ``rate_s`` the end-to-end rate, and ``iterations_r``
+    and ``iterations_d`` each slot's iteration count: float64 and integer
+    arrays, one entry per trial, what a :class:`TrialRecord` holds.
     """
-    seed = streams.seeds[config.base_seed, trial_index]
-    key, _, _, _, level = plan.solves["first"]
-    rate_r, iterations_r = shared[seed, key][level]
-    if "second" not in plan.solves:
-        # baseline-irs-only: one hop S -> IRS -> D, no 1/2 pre-log, and the
-        # per-hop fields all equal the single-hop rate
-        result = RateResult(config.method, rate_r, rate_r, rate_r, (1, 1))
-        return TrialRecord(trial_index, seed, result)
-    key, _, _, _, level = plan.solves["second"]
-    rate_d, iterations_d = shared[seed, key][level]
-    iterations = (iterations_r, iterations_d)
-    result = RateResult(
-        config.method, rate_r, rate_d, system_rate(rate_r, rate_d), iterations
-    )
-    return TrialRecord(trial_index, seed, result)
+
+    seeds: list[int]
+    rate_r: np.ndarray
+    rate_d: np.ndarray
+    rate_s: np.ndarray
+    iterations_r: np.ndarray
+    iterations_d: np.ndarray
+
+
+def _columns(plan: Plan, chunks: list[tuple]) -> Columns:
+    """A configuration's :class:`Columns` from its chunks' solves.
+
+    ``chunks`` holds, per chunk in trial order, the configuration's trials
+    (a map of each seed to its row) and the chunk's solves
+    (:func:`_evaluate_chunk`).  The end-to-end rate is half the smaller
+    hop's, ``min(rate_r, rate_d)`` taken as Python's ``min`` takes it (the
+    first unless the second is smaller); ``baseline-irs-only`` has one hop,
+    with no half pre-log, and every rate is that hop's.
+    """
+    parts = {kind: ([], []) for kind in plan.solves}
+    seeds: list[int] = []
+    for rows, shared in chunks:
+        seeds += rows
+        for kind, (key, *_, level) in plan.solves.items():
+            solved, rates, iterations = shared[key]
+            picked = slice(None) if solved is rows else [solved[s] for s in rows]
+            parts[kind][0].append(rates[picked, level])
+            parts[kind][1].append(iterations[picked, level])
+    rate_r, iterations_r = (np.concatenate(part) for part in parts["first"])
+    if "second" not in parts:
+        rate_d = rate_s = rate_r
+        iterations_d = iterations_r
+    else:
+        rate_d, iterations_d = (np.concatenate(part) for part in parts["second"])
+        rate_s = 0.5 * np.where(rate_d < rate_r, rate_d, rate_r)
+    if (rate_r < 0.0).any() or (rate_d < 0.0).any() or (rate_s < 0.0).any():
+        raise ValueError("rates must be non-negative")
+    return Columns(seeds, rate_r, rate_d, rate_s, iterations_r, iterations_d)
+
+
+def collect_columns(
+    configs: Sequence[ScenarioConfig], workers: int | None = None
+) -> list[Columns]:
+    """Run all trials of several configurations together, as columns.
+
+    Returns each configuration's :class:`Columns`, in sequence order.
+    Evaluation is serial and chunk-major: the trial indices are cut into as
+    few chunks as :func:`_chunk_trials` allows, of lengths at most one
+    apart, and for each chunk every distinct channel draw is made once,
+    stacked, and in turn, in two hop-major passes: each planned solve that
+    reads no ``H_ri`` runs on the first, then ``H_ir`` is dropped and
+    ``H_ri`` drawn for the second slots.  Each solve runs once over the
+    chunk's trials that need it, for all the noise levels that share it
+    (the SNR points of a sweep, say), keeping an array of rates and one of
+    iteration counts per (trial, level); a loop defers its first
+    compaction, multiplying the whole shared stack until at most
+    ``COPY_SHARE`` (3/8) of its rows run, and copies only those.  The stack
+    is dropped before the next draw.  Each configuration's columns are then
+    read out of those arrays, without drawing or solving anything again,
+    and no per-trial object is made.  Sharing and chunking change no bit of
+    any entry.
+
+    ``workers`` is accepted for compatibility and must be at least 1; it
+    does not change the evaluation or any result.
+    """
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    configs = list(configs)
+    plans = solve_plans(configs)
+    streams = _streams([(cfg, range(cfg.trials)) for cfg in configs])
+    chunks: list[list[tuple]] = [[] for _ in configs]
+    trials = max((c.trials for c in configs), default=0)
+    count = -(-trials // _chunk_trials(configs))
+    for chunk in range(count):
+        start, stop = chunk * trials // count, (chunk + 1) * trials // count
+        # one map of the chunk's trials per base seed and length, shared by
+        # every configuration and solve of those trials
+        maps: dict[tuple[int, int], dict[int, int]] = {}
+        jobs = []
+        for cfg, plan in zip(configs, plans):
+            end = min(stop, cfg.trials)
+            rows = maps.get((cfg.base_seed, end))
+            if rows is None:
+                ks = range(start, end)
+                rows = maps[cfg.base_seed, end] = {
+                    streams.seeds[cfg.base_seed, k]: row for row, k in enumerate(ks)
+                }
+            jobs.append((cfg, plan, rows))
+        # a chunk's draws are dropped inside _evaluate_chunk; what it returns,
+        # each solve's arrays of rates and iteration counts, is kept until
+        # the columns are read
+        shared = _evaluate_chunk(jobs, streams)
+        for (_, _, rows), out in zip(jobs, chunks):
+            if rows:
+                out.append((rows, shared))
+    return [_columns(plan, out) for plan, out in zip(plans, chunks)]
+
+
+def _records(config: ScenarioConfig, columns: Columns, first: int) -> list[TrialRecord]:
+    """The records of ``config``'s trials in ``columns``, indexed from ``first``.
+
+    Each holds its trial's entries of every column.
+    """
+    return [
+        TrialRecord(k, seed, RateResult(config.method, r, d, s, (i_r, i_d)))
+        for k, seed, r, d, s, i_r, i_d in zip(
+            range(first, first + len(columns.seeds)),
+            columns.seeds,
+            *(column.tolist() for column in columns[1:]),
+        )
+    ]
 
 
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
@@ -744,8 +866,9 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     plan = solve_plans([config])[0]
     streams = _streams([(config, [trial_index])])
-    shared = _evaluate_chunk([(config, plan, [trial_index])], streams)
-    return _record(config, plan, trial_index, streams, shared)
+    rows = {streams.seeds[config.base_seed, trial_index]: 0}
+    shared = _evaluate_chunk([(config, plan, rows)], streams)
+    return _records(config, _columns(plan, [(rows, shared)]), trial_index)[0]
 
 
 def collect_trials(
@@ -755,47 +878,15 @@ def collect_trials(
 
     Given one configuration, returns its records in trial order.  Given a
     sequence, returns one such list per configuration, in sequence order.
-    Evaluation is serial and chunk-major: the trial indices are cut into as
-    few chunks as :func:`_chunk_trials` allows, of lengths at most one
-    apart, and for each chunk every distinct channel draw is made once,
-    stacked, and in turn, in two hop-major passes: each planned solve that
-    reads no ``H_ri`` runs on the first, then ``H_ir`` is dropped and
-    ``H_ri`` drawn for the second slots.  Each solve runs once over the
-    chunk's trials that need it, for all the noise levels that share it
-    (the SNR points of a sweep, say), keeping a rate and an iteration count
-    per (trial, level); a loop defers its first compaction, multiplying the
-    whole shared stack until at most ``COPY_SHARE`` (3/8) of its rows run,
-    and copies only those.  The stack is dropped before the next draw.  Each record of
-    the chunk is then assembled from those rates, without drawing or
-    solving anything again.  Sharing and chunking change no bit of any
-    record.
-
-    ``workers`` is accepted for compatibility and must be at least 1; it
-    does not change the evaluation or any result.
+    The trials are evaluated together by :func:`collect_columns`, and each
+    record is built from its trial's entries of the columns.  ``workers``
+    is as there.
     """
-    if workers is not None and workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = [config] if isinstance(config, ScenarioConfig) else list(config)
-    plans = solve_plans(configs)
-    streams = _streams([(cfg, range(cfg.trials)) for cfg in configs])
-    records: list[list[TrialRecord]] = [[] for _ in configs]
-    trials = max((c.trials for c in configs), default=0)
-    chunks = -(-trials // _chunk_trials(configs))
-    for chunk in range(chunks):
-        indices = range(chunk * trials // chunks, (chunk + 1) * trials // chunks)
-        shared = _evaluate_chunk(
-            [
-                (cfg, plan, [k for k in indices if k < cfg.trials])
-                for cfg, plan in zip(configs, plans)
-            ],
-            streams,
-        )
-        for trial_index in indices:
-            for cfg, plan, out in zip(configs, plans, records):
-                if trial_index < cfg.trials:
-                    out.append(_record(cfg, plan, trial_index, streams, shared))
-        # the next chunk is drawn and solved once this one is dropped
-        del shared
+    records = [
+        _records(cfg, columns, 0)
+        for cfg, columns in zip(configs, collect_columns(configs, workers))
+    ]
     return records[0] if isinstance(config, ScenarioConfig) else records
 
 
@@ -885,38 +976,67 @@ class SweepResult:
         raise KeyError((axis_value, method))
 
 
-def summarize_records(records: list[TrialRecord]) -> tuple[float, float, float, float]:
+def _summary(
+    rate_r: np.ndarray, rate_d: np.ndarray, rate_s: np.ndarray
+) -> tuple[float, float, float, float]:
     """Mean per-slot/system rates and the standard error of the system rate."""
-    rates_r = np.array([r.result.rate_r for r in records])
-    rates_d = np.array([r.result.rate_d for r in records])
-    rates_s = np.array([r.result.rate_s for r in records])
-    if rates_s.size > 1:
-        stderr = float(np.std(rates_s, ddof=1) / math.sqrt(rates_s.size))
+    if rate_s.size > 1:
+        stderr = float(np.std(rate_s, ddof=1) / math.sqrt(rate_s.size))
     else:
         stderr = 0.0
     return (
-        float(np.mean(rates_r)),
-        float(np.mean(rates_d)),
-        float(np.mean(rates_s)),
+        float(np.mean(rate_r)),
+        float(np.mean(rate_d)),
+        float(np.mean(rate_s)),
         stderr,
     )
+
+
+def summarize_records(records: list[TrialRecord]) -> tuple[float, float, float, float]:
+    """Mean per-slot/system rates and the standard error of the system rate."""
+    return _summary(
+        np.array([r.result.rate_r for r in records]),
+        np.array([r.result.rate_d for r in records]),
+        np.array([r.result.rate_s for r in records]),
+    )
+
+
+def summarize_columns(columns: Columns, name: str) -> tuple[float, float, float, float]:
+    """:func:`summarize_records` of the records ``columns`` hold, from the columns.
+
+    A table must not report what is not a number: a mean or standard error
+    that is not finite raises :class:`RuntimeError`, naming ``name`` (the
+    method, or the sweep point).
+    """
+    summary = _summary(columns.rate_r, columns.rate_d, columns.rate_s)
+    if not all(math.isfinite(value) for value in summary):
+        raise RuntimeError(
+            f"{name}: non-finite mean rate or standard error "
+            f"(mean_rate_r, mean_rate_d, mean_rate_s, stderr_rate_s) = {summary}"
+        )
+    return summary
 
 
 def sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Evaluate the whole sweep grid; deterministic for any worker count.
 
-    All grid points go through one :func:`collect_trials` call, so a trial's
-    channels are drawn, and on an SNR axis its solvers run, once for every
-    point that shares them.
+    All grid points go through one :func:`collect_columns` call, so a
+    trial's channels are drawn, and on an SNR axis its solvers run, once for
+    every point that shares them.
     """
     grid = [
         (value, method, point_config(spec, value, method))
         for value in spec.values
         for method in spec.methods
     ]
-    per_point = collect_trials([cfg for _, _, cfg in grid], workers=workers)
+    per_point = collect_columns([cfg for _, _, cfg in grid], workers=workers)
     points = tuple(
-        SweepPoint(value, method, *summarize_records(records), cfg.trials)
-        for (value, method, cfg), records in zip(grid, per_point)
+        SweepPoint(
+            value,
+            method,
+            *summarize_columns(columns, f"{spec.axis}={value!r}, method {method}"),
+            cfg.trials,
+        )
+        for (value, method, cfg), columns in zip(grid, per_point)
     )
     return SweepResult(spec=spec, points=points)

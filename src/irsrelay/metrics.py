@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,32 @@ def receive_power_ais(
     return float(p_s_watt * np.abs(np.vdot(u_r, combined)) ** 2)
 
 
+def _check_levels(noise_variances: tuple, p_watt: float) -> None:
+    """Reject noise levels or a power that no rate can be made of.
+
+    There must be at least one level, each finite and positive (a scalar,
+    or ``irses``' per-antenna vector), and the power finite and
+    non-negative.  The solvers check once per solve, never per iterate.
+    """
+    if not noise_variances:
+        raise ConfigError("need at least one noise variance")
+    for noise in noise_variances:
+        levels = np.asarray(noise, dtype=np.float64)
+        if not (np.isfinite(levels).all() and (levels > 0.0).all()):
+            raise ConfigError(
+                f"noise variance must be finite and positive, got {noise}"
+            )
+    if not (np.isfinite(p_watt) and p_watt >= 0.0):
+        raise ConfigError(f"power must be finite and non-negative, got {p_watt}")
+
+
 def rate_from_power(power_watt: float, noise_variance_watt: float) -> float:
-    """Spectral efficiency log2(1 + power/noise) in bits/s/Hz."""
-    if noise_variance_watt <= 0.0:
-        raise ValueError(
-            f"noise variance must be positive, got {noise_variance_watt}"
-        )
-    if power_watt < 0.0:
-        raise ValueError(f"power must be non-negative, got {power_watt}")
+    """Spectral efficiency log2(1 + power/noise) in bits/s/Hz.
+
+    The power must be finite and non-negative and the noise variance finite
+    and positive, as for the solvers; :class:`ConfigError` otherwise.
+    """
+    _check_levels((noise_variance_watt,), power_watt)
     return float(np.log2(1.0 + power_watt / noise_variance_watt))
 
 

@@ -442,7 +442,17 @@ def test_rates_forms_equal_their_solutions_bit_for_bit(name):
             options.get("combining", "snr-sum"),
             options.get("phases"),
         )
-        rates = beamforming._irses(first_hop, P_S, levels, partitions, *variant)
+        assignments = np.stack([partition.assignment for partition in partitions])
+        rates = beamforming._irses(first_hop, P_S, levels, assignments, *variant)
+    # the rates forms give a (trials, levels) array of rates and one of
+    # iteration counts
+    rate_array, count_array = rates
+    assert rate_array.dtype == np.float64 and rate_array.shape == (8, len(levels))
+    assert count_array.shape == rate_array.shape
+    rates = [
+        list(zip(trial_rates, trial_counts))
+        for trial_rates, trial_counts in zip(rate_array.tolist(), count_array.tolist())
+    ]
     expected = [
         [
             (s.rate_d if solver == "second-slot" else s.rate_r, s.iterations)

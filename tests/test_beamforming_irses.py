@@ -5,10 +5,11 @@ from irsrelay.beamforming import (
     Partition,
     PhaseShiftVector,
     irses_max_rp_mrc,
+    irses_max_rp_mrc_batch,
     irses_partition,
     irses_partitions,
 )
-from irsrelay.channel import ChannelSet, seed_states
+from irsrelay.channel import ChannelSet, seed_states, stack_channels
 from irsrelay.errors import ConfigError
 
 from conftest import NOISE_30DB, P_S, make_channels, manual_channels
@@ -186,3 +187,17 @@ def test_irses_scale_covariance():
         assert np.max(np.abs(base.mrc_weights - moved.mrc_weights)) < 1e-9
         ratio = moved.receive_power_watt / base.receive_power_watt
         assert abs(ratio - c**2) < 1e-9 * c**2
+
+
+@pytest.mark.parametrize("form", ["scalar", "batch"])
+def test_irses_rejects_a_noise_vector_not_of_length_m(form):
+    # checked once per solve, as a configuration problem naming the length
+    # and m, not numpy's broadcast error
+    ch = make_channels(m=4, n=4, seed=0)
+    part = irses_partition(n=4, m=4, seed=0)
+    with pytest.raises(ConfigError, match=r"m=4 values, got 3 \(shape \(3,\)\)"):
+        if form == "scalar":
+            irses_max_rp_mrc(ch, P_S, np.ones(3), part)
+        else:
+            stack = stack_channels([ch, make_channels(m=4, n=4, seed=1)])
+            irses_max_rp_mrc_batch(stack, P_S, (NOISE_30DB, np.ones(3)), [part, part])

@@ -375,7 +375,9 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
     draws, first_links = _record_draws(monkeypatch)
     solves = _record_solves(monkeypatch, first_links)
     partitions = _count_calls(
-        monkeypatch, "irses_partitions", lambda n, m, keys: [k.tobytes() for k in keys]
+        monkeypatch,
+        "_irses_assignments",
+        lambda n, m, keys: [k.tobytes() for k in keys],
     )
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)

@@ -78,20 +78,22 @@ def test_batched_loop_leaves_the_shared_stack_read_only_and_unchanged(solver):
 
 
 def test_small_table_peak_bounds_the_chunk_length():
-    # a (4, 16) table of all nine methods and 120 trials runs two chunks of
-    # CHUNK_TRIALS = 60, its peak about 0.56 MB; as one chunk of 120 it
-    # peaked at 0.92 MB, and the earlier four chunks of 30, which held every
-    # solution object, at 0.87 MB.  The set-up builds the same table, so
-    # that the interpreter's free lists of small objects (the tuples of
-    # every rate, the floats) are as full as any earlier test leaves them:
-    # after a two-trial set-up alone the first build read 0.67 MB, and
-    # 0.74 MB before one hop's matrix was held at a time
+    # a (4, 16) table of all nine methods and 120 trials runs one chunk of
+    # CHUNK_TRIALS = 120, its peak about 0.62 MB, now that the solves keep
+    # arrays of rates and the trials of a chunk share one map of their
+    # rows; as one chunk of 240 it peaks at 0.97 MB.  When the solves kept
+    # a tuple of (rate, iterations) pairs per trial and key, one chunk of
+    # 120 peaked at 0.72 MB and two chunks of 60 at 0.54 MB; the earlier
+    # four chunks of 30, which held every solution object, at 0.87 MB.
+    # The set-up builds the same table, so that the interpreter's free
+    # lists of small objects (the floats of the records) are as full as
+    # any earlier test leaves them
     configs = [
         ScenarioConfig(method=method, m=4, n=16, trials=120)
         for method in harness.METHODS
     ]
     collect_trials(configs)  # set-up
-    assert harness._chunk_trials(configs) == 60
+    assert harness._chunk_trials(configs) == 120
     _, peak = traced_peak(lambda: collect_trials(configs))
     assert peak <= 750_000
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irsrelay.errors import ConfigError
 from irsrelay.metrics import (
     FlopsEstimate,
     RateResult,
@@ -127,3 +128,22 @@ def test_rate_result_validation():
 def test_flops_estimate_validation():
     with pytest.raises(ValueError):
         FlopsEstimate(method="ais", m=1, n=1, iterations=(1,), flops=0)
+
+
+@pytest.mark.parametrize(
+    "power, noise",
+    [
+        (1.0, np.nan),
+        (1.0, np.inf),
+        (1.0, 0.0),
+        (1.0, -1.0),
+        (np.inf, 1.0),
+        (np.nan, 1.0),
+        (-np.inf, 1.0),
+        (-1.0, 1.0),
+    ],
+)
+def test_rate_from_power_rejects_what_the_solvers_reject(power, noise):
+    # finite power >= 0 and finite noise > 0, as every solver checks them
+    with pytest.raises(ConfigError):
+        rate_from_power(power, noise)

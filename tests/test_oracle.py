@@ -78,3 +78,22 @@ def test_oracle_improves_with_grid_resolution():
     coarse = brute_force_max_rp(ch, P_S, NOISE_30DB, grid_levels=4)
     fine = brute_force_max_rp(ch, P_S, NOISE_30DB, grid_levels=16)
     assert fine.rate_r >= coarse.rate_r - 1e-12
+
+
+@pytest.mark.parametrize(
+    "power, noise",
+    [
+        (P_S, np.nan),
+        (P_S, np.inf),
+        (P_S, 0.0),
+        (P_S, -1.0),
+        (np.nan, NOISE_30DB),
+        (np.inf, NOISE_30DB),
+        (-1.0, NOISE_30DB),
+    ],
+)
+def test_oracle_rejects_what_the_solvers_reject(power, noise):
+    # a NaN noise used to give a NaN rate, a negative one a bare ValueError
+    ch = make_channels(m=4, n=4, seed=0)
+    with pytest.raises(ConfigError):
+        brute_force_max_rp(ch, power, noise, grid_levels=2)
