@@ -35,15 +35,20 @@ Each loop also has a private rates form, which the trial engine calls:
 ``_alternate`` (``ais`` on the first hop, the second slot on the second),
 ``_nsp`` and ``_irses`` on one hop's blocks of a stack of trials.  It runs
 the same loop and the same checks on every iterate (finite angles in
-:func:`_aligned_angles`, unit norms in :func:`_unit`, no dip of a rate
-trace in ``_Stops``), but returns only a ``(trials, levels)`` array of
-rates and one of iteration counts: it builds no :class:`PhaseShiftVector`,
-:class:`Beamformer` or solution object, and a stop copies no iterate, bar
-NSP's receive vector and cascade, which its direct branch needs.  Each
-(trial, level) entry equals the rate and iteration count of the solution
-the ``_batch`` form returns, bit for bit.  ``_irses`` takes the trials'
-element partitions as one array of assignments
-(:func:`_irses_assignments`), not as :class:`Partition` objects.
+:func:`_aligned_angles`, unit norms in :func:`_unit`, no dip of a rate in
+``_Stops``), but returns only a ``(trials, levels)`` array of rates and one
+of iteration counts: it builds no :class:`PhaseShiftVector`,
+:class:`Beamformer` or solution object, keeps no rate trace, and a stop
+copies no array of its iterate, bar NSP's receive vector and cascade, which
+its direct branch needs.  Each (trial, level) entry equals the rate and
+iteration count of the solution the ``_batch`` form returns, bit for bit.
+``_irses`` takes the trials' element partitions as one array of
+assignments (:func:`_irses_assignments`), not as :class:`Partition`
+objects.  The other closed forms the trial engine runs on a stack are here
+too, beside the loops: ``_fixed_first_slot`` and ``_fixed_second_slot``
+(the fixed-phase slots), ``_matched_direct`` (a hop of
+``baseline-relay-only``) and ``_irs_only``.  They, ``_Stops`` on a stack and
+NSP's results form every rate with one :func:`_rates` call.
 
 A loop's input stack may be shared, read-only, with other solves.  The loop
 multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
@@ -54,6 +59,7 @@ the running rows alone.
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -61,7 +67,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelSet, keyed_generators, seed_states
+from .channel import ChannelSet, Links, keyed_generators, seed_states
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -173,6 +179,11 @@ def _powers(p_watt: float, weights: np.ndarray, channels: np.ndarray) -> list[fl
     last bit.
     """
     return [p_watt * amp**2 for amp in np.abs(np.vecdot(weights, channels)).tolist()]
+
+
+def _rates(powers: list[float], noises: tuple[float, ...]) -> np.ndarray:
+    """The ``(rows, levels)`` rates ``log2(1 + power / noise)``, in one array call."""
+    return np.log2(1.0 + np.divide.outer(powers, noises))
 
 
 @dataclass(frozen=True)
@@ -445,18 +456,21 @@ def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tupl
 
 
 class _Stops:
-    """The rate traces of a batched alternation and where each one stops.
+    """Where each (trial, noise level) of a batched alternation stops.
 
-    Each iterate appends to the trace of every running (trial, noise level)
-    the rate ``log2(1 + power / noise)`` of its trial's power, and raises
+    Each iterate gives every running (trial, level) the rate
+    ``log2(1 + power / noise)`` of its trial's power, and raises
     :class:`TraceDipError` if that rate falls more than ``TRACE_SLACK``
     below the one before.  A level stops once its last two rates differ by
-    at most ``epsilon``, or on the ``max_iter``-th, and keeps the parts of
-    that iterate its loop asks for and its trace in ``stopped`` (the levels
-    of a trial that stop on one iterate share one copy of them); a trial
-    leaves the running ``rows`` once all its levels have stopped.  The
-    traces are floats, as in the one-trial rule: a stack of one checks its
-    few rates faster on floats than any array bookkeeping would.
+    at most ``epsilon``, or on the ``max_iter``-th iterate, and keeps its
+    rate, its iteration count and an index into ``kept`` in ``stopped``:
+    the levels that stop on one iterate of a row share one copy of its
+    parts.  A trial leaves the running ``rows`` once all its levels have
+    stopped.  Only for solutions is each trial's ``history`` kept, its rates
+    at every iterate it ran, from which :meth:`traces` rebuilds the rate
+    traces.  The rates are floats, as in the one-trial rule: on stacks of 1
+    to 16 rows, numpy's cost per call exceeds what an array of a few rates
+    saves.
     """
 
     def __init__(
@@ -465,17 +479,23 @@ class _Stops:
         noise_variances: tuple[float, ...],
         epsilon: float,
         max_iter: int,
+        traces: bool = False,
     ) -> None:
         _check_iteration_controls(epsilon, max_iter)
         self.noise = noise_variances
         self.epsilon = epsilon
         self.max_iter = max_iter
-        levels = range(len(noise_variances))
-        #: the trial of each running row, and its running (level, trace)s
+        levels = len(noise_variances)
+        self.count = 0  # iterates recorded, each by every running row
+        #: the trial of each running row, its running levels and last rates;
+        #: no rate dips below -inf or settles on it
         self.rows = list(range(trials))
-        self.live = [[(level, []) for level in levels] for _ in self.rows]
-        #: per trial and level, the (iterate, trace) it stopped at
-        self.stopped: list[list] = [[None] * len(levels) for _ in self.rows]
+        self.live = [list(range(levels)) for _ in self.rows]
+        self.last = [[-math.inf] * levels] * trials  # replaced, never changed
+        #: per trial and level, its (rate, iteration count, kept index)
+        self.stopped: list[list] = [[None] * levels for _ in self.rows]
+        self.kept: list[tuple] = []
+        self.history = [[] for _ in self.rows] if traces else None
 
     def record(self, powers: list[float], iterate: tuple) -> list[int] | None:
         """Take one iterate of the running rows, with a power per row.
@@ -490,60 +510,62 @@ class _Stops:
             power = powers[0]
             rates = ([float(np.log2(1.0 + power / noise)) for noise in self.noise],)
         else:
-            rates = np.log2(1.0 + np.divide.outer(powers, self.noise)).tolist()
-        epsilon, max_iter = self.epsilon, self.max_iter
-        stops = []
-        for row, live in enumerate(self.live):
-            row_rates = rates[row]
-            for entry in live:
-                level, trace = entry
-                rate = row_rates[level]
-                if trace and rate - trace[-1] < -TRACE_SLACK:
+            rates = _rates(powers, self.noise).tolist()
+        self.count += 1
+        epsilon, last, final = self.epsilon, self.last, self.count == self.max_iter
+        stops: dict[int, list[int]] = {}
+        for row, levels in enumerate(self.live):
+            now, before = rates[row], last[row]
+            if self.history is not None:
+                self.history[self.rows[row]].append(now)
+            for level in levels:
+                step = now[level] - before[level]
+                if step < -TRACE_SLACK:
                     raise TraceDipError("alternation trace decreased beyond tolerance")
-                trace.append(rate)
-                if len(trace) == max_iter or (
-                    len(trace) > 1 and abs(rate - trace[-2]) <= epsilon
-                ):
-                    stops.append((row, entry))
+                if final or abs(step) <= epsilon:
+                    stops.setdefault(row, []).append(level)
+        self.last = rates
         if not stops:
             return None
-        copies: dict[int, tuple] = {}
-        for row, entry in stops:
-            level, trace = entry
-            if row not in copies:
-                # one copy per row, shared by the levels that stop on this
-                # iterate, so that the iterate's arrays of the stack can go
-                parts = [part[row].copy() for part in iterate]
-                copies[row] = (*parts, powers[row])
-            self.stopped[self.rows[row]][level] = (copies[row], trace)
-            self.live[row].remove(entry)
-        keep = [row for row, live in enumerate(self.live) if live]
+        for row, levels in stops.items():
+            # one copy per row, shared by the levels that stop on this
+            # iterate, so that the iterate's arrays of the stack can go
+            self.kept.append((*[part[row].copy() for part in iterate], powers[row]))
+            trial, index = self.rows[row], len(self.kept) - 1
+            for level in levels:
+                self.stopped[trial][level] = (rates[row][level], self.count, index)
+                self.live[row].remove(level)
+        keep = [row for row, levels in enumerate(self.live) if levels]
         if len(keep) == len(self.rows):
             return None
         self.rows = [self.rows[row] for row in keep]
         self.live = [self.live[row] for row in keep]
+        self.last = [rates[row] for row in keep]
         return keep
 
-    def iterations(self) -> np.ndarray:
-        """The ``(trials, levels)`` array of iteration counts, each trace's length."""
-        return np.array([[len(trace) for _, trace in ls] for ls in self.stopped])
+    def column(self, field: int) -> np.ndarray:
+        """The ``(trials, levels)`` array of one field of ``stopped``."""
+        return np.array([[stop[field] for stop in levels] for levels in self.stopped])
+
+    def traces(self) -> list[list[tuple[float, ...]]]:
+        """Per trial and level, its rates, one per iterate up to its stop."""
+        return [
+            [trace[:count] for trace, (_, count, _) in zip(zip(*ran), levels)]
+            for ran, levels in zip(self.history, self.stopped)
+        ]
 
     def results(self, solution=None) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
         """Per trial, one result per level, from where each level stopped.
 
-        ``solution(iterate, trace)`` builds a level's result from its
-        stopped iterate and its trace.  Without one, the results are a
-        ``(trials, levels)`` array of rates, the last of each trace, and one
-        of iteration counts, the length of each trace.
+        ``solution(iterate, trace)`` builds a level's result from its kept
+        iterate and its trace.  Without one, the results are a ``(trials,
+        levels)`` array of rates and one of iteration counts.
         """
         if solution is None:
-            return (
-                np.array([[trace[-1] for _, trace in ls] for ls in self.stopped]),
-                self.iterations(),
-            )
+            return self.column(0), self.column(1)
         return [
-            tuple(solution(iterate, tuple(trace)) for iterate, trace in levels)
-            for levels in self.stopped
+            tuple(solution(self.kept[stop[2]], trace) for stop, trace in zip(*trial))
+            for trial in zip(self.stopped, self.traces())
         ]
 
 
@@ -608,7 +630,8 @@ def _alternate(
     iterate.
     """
     direct, H, h = hop
-    stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter)
+    traces = solution is not None
+    stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter, traces)
     _check_levels(stops.noise, p_watt)
     u = _unit(direct)  # the matched filter to each direct link
     surface = _Surface(H)
@@ -616,9 +639,7 @@ def _alternate(
         angles = _align((direct, surface.H, h), u, surface.rows)
         combined = _hop_channel((direct, surface.H, h), angles, surface.rows)
         u = _unit(combined)
-        keep = stops.record(
-            _powers(p_watt, u, combined), (angles, u) if solution is not None else ()
-        )
+        keep = stops.record(_powers(p_watt, u, combined), (angles, u) if traces else ())
         if keep is not None:
             if not keep:
                 break
@@ -840,7 +861,9 @@ def _nsp(
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
-    stops = _Stops(trials, noise_variances, epsilon, max_iter if phases is None else 1)
+    stops = _Stops(
+        trials, noise_variances, epsilon, max_iter if phases is None else 1, solutions
+    )
     _check_levels(noise_variances, p_s_watt)
     if m < 2:
         raise ConfigError("null-space separation needs at least 2 relay antennas")
@@ -911,24 +934,24 @@ def _nsp_results(
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`nsp_max_rp_mrc`'s results at the stopped reflected-branch iterates.
 
-    Each stopped iterate holds the reflected branch's (receive vector,
-    cascade), its angles for a solution, and its power, shared by the
-    levels that stopped on it.  The direct branch's beamformer is built off
-    the reflected signal for every distinct iterate of the stack at once,
+    Each iterate ``stops`` kept holds the reflected branch's (receive
+    vector, cascade), its angles for a solution, and its power, shared by
+    the levels that stopped on it.  The direct branch's beamformer is built
+    off the reflected signal for every kept iterate of the stack at once,
     and both branches are combined.  The branch amplitudes are ``abs`` of
     Python complex numbers, as in the one-trial rule: numpy's complex
     ``abs`` can differ in the last bit.  Every (trial, level)'s rate
-    ``log2(1 + power / noise)`` is one array operation.
+    ``log2(1 + power / noise)`` is one array operation (:func:`_rates`).
     """
     h_sr, H_ir, _ = hop
-    # the distinct stopped iterates, and the trial of each, in (trial,
-    # level) order: the order the one-trial rule raises in
-    distinct: dict[int, tuple] = {}
+    # each kept iterate and its trial, visited in (trial, level) order: the
+    # order the one-trial rule raises in
+    first: dict[int, int] = {}
     for trial, levels in enumerate(stops.stopped):
-        for iterate, _ in levels:
-            distinct.setdefault(id(iterate), (trial, iterate))
-    trials = [trial for trial, _ in distinct.values()]
-    iterates = [iterate for _, iterate in distinct.values()]
+        for _, _, index in levels:
+            first.setdefault(index, trial)
+    order, trials = list(first), list(first.values())
+    iterates = [stops.kept[index] for index in order]
     direct = h_sr[trials]
     u_ri = np.stack([iterate[0] for iterate in iterates])
     cascade = np.stack([iterate[1] for iterate in iterates])
@@ -947,8 +970,9 @@ def _nsp_results(
             break  # _unit rejects it, as the one-trial rule did next
     u_rs = _unit(direct_raw)
     branches = zip(np.vecdot(u_rs, direct).tolist(), np.vecdot(u_ri, cascade).tolist())
-    power_of, fields = {}, {}
-    for iterate, u_s, (branch_s, branch_i) in zip(iterates, u_rs, branches):
+    # by kept index: every kept iterate is some level's
+    powers, fields = [0.0] * len(order), [None] * len(order)
+    for index, u_s, (branch_s, branch_i) in zip(order, u_rs, branches):
         amp_s = abs(branch_s)
         amp_i = abs(branch_i)
         if combining == "snr-sum":
@@ -958,32 +982,25 @@ def _nsp_results(
             if merged < ZERO_NORM:
                 raise DegenerateChannelError("both separated branches vanished")
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
-        power_of[id(iterate)] = power_eff
+        powers[index] = power_eff
         if solutions:
-            u_i, _, angles = iterate[:3]
-            fields[id(iterate)] = dict(
+            u_i, _, angles = stops.kept[index][:3]
+            fields[index] = dict(
                 theta1=PhaseShiftVector(angles),
                 receive_power_watt=power_eff,
                 u_rs=Beamformer(u_s),
                 u_ri=Beamformer(u_i),
             )
-    powers = np.array(
-        [[power_of[id(iterate)] for iterate, _ in levels] for levels in stops.stopped]
-    )
-    rates = np.log2(1.0 + powers / np.array(stops.noise))
+    levels = np.arange(len(stops.noise))
+    rates = _rates(powers, stops.noise)[stops.column(2), levels]
     if not solutions:
-        return rates, stops.iterations()
+        return rates, stops.column(1)
     return [
         tuple(
-            FirstSlotSolution(
-                method="nsp",
-                rate_r=rate,
-                trace=tuple(trace),
-                **fields[id(iterate)],
-            )
-            for (iterate, trace), rate in zip(levels, trial_rates)
+            FirstSlotSolution(method="nsp", rate_r=rate, trace=trace, **fields[stop[2]])
+            for stop, trace, rate in zip(*per_trial)
         )
-        for levels, trial_rates in zip(stops.stopped, rates.tolist())
+        for per_trial in zip(stops.stopped, stops.traces(), rates.tolist())
     ]
 
 
@@ -1264,6 +1281,73 @@ def _second_slot_solution(
         rate_d=trace[-1],
         trace=trace,
     )
+
+
+def _closed_rates(
+    powers: list[float], noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A closed form's results on a stack of trials, from each trial's power.
+
+    ``(trials, levels)`` arrays of rates (:func:`_rates`) and of iteration
+    counts, as the loops' rates forms give them; a closed form takes one
+    step.
+    """
+    rates = _rates(powers, noises)
+    return rates, np.ones(rates.shape, dtype=np.intp)
+
+
+def _fixed_first_slot(
+    channels: Links, p_s_watt: float, noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
+
+    Identity reflection phases; the receive beamformer is the matched
+    filter to the resulting first-hop channel.
+    """
+    n = channels.h_si.shape[-1]
+    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(n))
+    return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
+
+
+def _matched_direct(
+    direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A matched-filter hop's rates on a stack of its channels, per level.
+
+    The matched filter collects each channel's whole power: a direct link of
+    ``baseline-relay-only``, which has no surface, or a hop channel at fixed
+    phases.
+    """
+    return _closed_rates([p_watt * norm**2 for norm in _norms(direct)], noises)
+
+
+def _fixed_second_slot(
+    channels: Links, p_r_watt: float, noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed-phase second slot on a stack of trials, per noise level.
+
+    Identity reflection phases; the transmit beamformer is still matched,
+    so the power is that of the whole second-hop channel.
+    """
+    n = channels.h_id.shape[-1]
+    return _matched_direct(
+        _hop_channel(_SECOND_HOP(channels), np.zeros(n)), p_r_watt, noises
+    )
+
+
+def _irs_only(
+    channels: Links, p_s_watt: float, noises: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``baseline-irs-only`` on a stack of trials, per noise level.
+
+    One hop S -> IRS -> D with element-wise alignment: every cascaded path
+    adds in phase, so the amplitude is the sum of the path magnitudes.
+    ``np.sum`` along the trailing axis adds each trial's as on one trial
+    (``vecdot`` would not), and the square is a float's, as in
+    :func:`_powers`.
+    """
+    amplitudes = np.sum(np.abs(channels.h_id) * np.abs(channels.h_si), axis=-1)
+    return _closed_rates([p_s_watt * amp**2 for amp in amplitudes.tolist()], noises)
 
 
 class OracleResult(NamedTuple):

@@ -520,14 +520,23 @@ def sample_links(
     blocks = {}
     for name in names:
         dist, g_tx, g_rx, shape = links[name]
+        try:
+            scale = pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
+                g_tx, g_rx
+            )
+        except OverflowError:  # a factor beyond the float range
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise ConfigError(
+                f"link {name}: amplitude scale {scale} (path loss times antenna "
+                "gains) must be finite and positive"
+            )
         block = np.empty((trials, *shape), dtype=np.complex128)
         # each complex entry is its (re, im) pair of floats
         for row, rng in zip(block.view(np.float64).reshape(trials, *shape, 2), streams):
             # interleaved real/imag draws keep leading entries stable when m grows
             rng.standard_normal(shape + (2,), out=row)
-        block *= pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
-            g_tx, g_rx
-        )
+        block *= scale
         block /= np.sqrt(2.0)
         if not np.isfinite(block).all():
             raise ConfigError(f"channel block {name} contains non-finite entries")

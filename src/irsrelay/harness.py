@@ -25,6 +25,8 @@ configurations) runs once on the stack, for every noise level it serves
 (every SNR point of a sweep): the alternations as one batched loop, each
 (trial, level) stopping at its own iterate, and the closed forms
 (``irses``, the fixed-phase slots, the baselines' hops) as stacked calls.
+Every solve is :mod:`~irsrelay.beamforming`'s: this module plans, draws
+and averages, and forms no hop's rate itself.
 A loop multiplies the shared stack until at most
 :data:`~irsrelay.beamforming.COPY_SHARE` of its rows run, and copies only
 those.  The solvers' private rates forms keep only a ``(trials, levels)``
@@ -79,13 +81,13 @@ from .beamforming import (
     PhaseShiftVector,
     _alternate,
     _check_iteration_controls,
-    _hop_channel,
+    _fixed_first_slot,
+    _fixed_second_slot,
+    _irs_only,
     _irses,
     _irses_assignments,
-    _norms,
+    _matched_direct,
     _nsp,
-    _powers,
-    _unit,
 )
 from .channel import (
     LINK_STREAMS,
@@ -104,8 +106,8 @@ from .metrics import RateResult, noise_variance_for_snr
 # sampler, the scalar solvers, the one-seed partition, the one-trial
 # fixed-phase helpers and the scalar rate under these names; the trial
 # engine draws with sample_links, calls the solvers' rates forms, draws
-# partition assignments with _irses_assignments and evaluates fixed phases
-# and closed-form rates on a chunk's stack.
+# partition assignments with _irses_assignments and runs beamforming's
+# closed forms on a chunk's stack.
 from .channel import sample_channels  # noqa: F401
 from .beamforming import (  # noqa: F401
     ais_max_rp,
@@ -240,74 +242,6 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return stream_seed(base_seed, trial_index)
 
 
-def _closed_rates(
-    powers: list[float], noises: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A closed form's results on a stack of trials, from each trial's power.
-
-    ``(trials, levels)`` arrays of rates ``log2(1 + power / noise)`` and of
-    iteration counts, as the batched solvers' rates forms give them; a
-    closed form takes one step.
-    """
-    rates = np.log2(1.0 + np.divide.outer(powers, noises))
-    return rates, np.ones(rates.shape, dtype=np.intp)
-
-
-def _fixed_first_slot(
-    channels: Links, p_s_watt: float, noises: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``ais-fixed-phase``'s first slot on a stack of trials, per noise level.
-
-    Identity reflection phases; the receive beamformer is the matched
-    filter to the resulting first-hop channel.
-    """
-    n = channels.h_si.shape[-1]
-    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(n))
-    return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
-
-
-def _matched_direct(
-    direct: np.ndarray, p_watt: float, noises: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """A matched-filter hop's rates on a stack of its channels, per level.
-
-    The matched filter collects each channel's whole power: a direct link of
-    ``baseline-relay-only``, which has no surface, or a hop channel at fixed
-    phases.
-    """
-    return _closed_rates([p_watt * norm**2 for norm in _norms(direct)], noises)
-
-
-def _fixed_second_slot(
-    channels: Links, p_r_watt: float, noises: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed-phase second slot on a stack of trials, per noise level.
-
-    Identity reflection phases; the transmit beamformer is still matched,
-    so the power is that of the whole second-hop channel.
-    """
-    n = channels.h_id.shape[-1]
-    return _matched_direct(
-        _hop_channel(_SECOND_HOP(channels), np.zeros(n)), p_r_watt, noises
-    )
-
-
-def _irs_only(
-    channels: Links, p_s_watt: float, noises: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``baseline-irs-only`` on a stack of trials, per noise level.
-
-    One hop S -> IRS -> D with element-wise alignment: every cascaded path
-    adds in phase, so the amplitude is the sum of the path magnitudes,
-    taken one trial at a time as on one trial.
-    """
-    amplitudes = [
-        float(np.sum(np.abs(h_id) * np.abs(h_si)))
-        for h_id, h_si in zip(channels.h_id, channels.h_si)
-    ]
-    return _closed_rates([p_s_watt * amplitude**2 for amplitude in amplitudes], noises)
-
-
 #: a chunk's limits.  Beyond one trial's draws, which evaluating trial by
 #: trial holds too, a chunk may hold CHUNK_BYTES of one hop of one draw and
 #: the loops' working rows: a chunk draws its channel inputs one at a time
@@ -321,7 +255,7 @@ def _irs_only(
 #: 16 trials at (16, 160) and 5 at (50, 200), however many geometries a
 #: sweep draws.  Small draws are bounded by the trial count instead: at
 #: (4, 16) what the budget leaves out grows with the trials too (the
-#: draws' vectors, the loops' temporaries and per-trial rate traces), and
+#: draws' vectors, the loops' temporaries and per-trial stop records), and
 #: a table of all nine methods peaks at 0.62 MB (tracemalloc) as one chunk
 #: of 120 trials but at 0.97 MB as one chunk of 240, beyond the 0.75 MB
 #: bound of tests/test_memory.py.  Longer stacks iterate faster but raise

@@ -56,14 +56,16 @@ def receive_power_ais(
 
     The surface applies per-element phase rotations ``exp(j*theta1)`` to the
     source-to-surface signal; the relay combines direct and reflected paths
-    with the unit-norm vector ``u_r``.
+    with the unit-norm vector ``u_r``.  The power is checked as the solvers
+    check it (:class:`ConfigError`), and so are the shapes.
     """
+    _check_power(p_s_watt)
     theta1 = np.asarray(theta1, dtype=np.float64)
     u_r = np.asarray(u_r, dtype=np.complex128)
     if theta1.shape != (channels.n,):
-        raise ValueError(f"theta1 must have shape ({channels.n},), got {theta1.shape}")
+        raise ConfigError(f"theta1 must have shape ({channels.n},), got {theta1.shape}")
     if u_r.shape != (channels.m,):
-        raise ValueError(f"u_r must have shape ({channels.m},), got {u_r.shape}")
+        raise ConfigError(f"u_r must have shape ({channels.m},), got {u_r.shape}")
     combined = channels.h_sr + channels.H_ir @ (np.exp(1j * theta1) * channels.h_si)
     return float(p_s_watt * np.abs(np.vdot(u_r, combined)) ** 2)
 
@@ -83,6 +85,10 @@ def _check_levels(noise_variances: tuple, p_watt: float) -> None:
             raise ConfigError(
                 f"noise variance must be finite and positive, got {noise}"
             )
+    _check_power(p_watt)
+
+
+def _check_power(p_watt: float) -> None:
     if not (np.isfinite(p_watt) and p_watt >= 0.0):
         raise ConfigError(f"power must be finite and non-negative, got {p_watt}")
 

@@ -29,6 +29,7 @@ from irsrelay.beamforming import (
     nsp_max_rp_mrc_batch,
     second_slot_optimize,
     second_slot_optimize_batch,
+    ur_update_ais,
 )
 from irsrelay.channel import LINK_STREAMS, ChannelSet, stack_channels
 from irsrelay.errors import (
@@ -38,8 +39,9 @@ from irsrelay.errors import (
     TraceDipError,
 )
 from irsrelay.harness import ScenarioConfig, collect_trials, run_trial
+from irsrelay.metrics import rate_from_power
 
-from conftest import NOISE_30DB, P_S, make_channels
+from conftest import NOISE_30DB, P_R, P_S, make_channels
 from test_per_noise import assert_identical, noise_levels
 
 #: (method, m, n, options): both nsp modes (literal needs m > n), both
@@ -280,18 +282,33 @@ def test_chunks_are_as_few_and_even_as_the_limit_allows(monkeypatch, full_chunks
 
 
 def test_a_stopped_row_is_copied_once_for_all_its_levels():
-    # levels that stop on one iterate of a row share one copy of it, and
-    # the copy owns its data: the stack's arrays may change or go
+    # levels that stop on one iterate of a row share one kept copy of it,
+    # and the copy owns its data: the stack's arrays may change or go
     stops = _Stops(2, (1.0, 2.0, 4.0), 1e-4, max_iter=1)
     live = np.arange(6.0).reshape(2, 3)
     assert stops.record([1.0, 2.0], (live,)) == []
-    for row, levels in enumerate(stops.stopped):
-        iterates = {id(iterate) for iterate, _ in levels}
-        assert len(iterates) == 1
-        (part, power), _ = levels[0]
+    assert stops.column(2).tolist() == [[0, 0, 0], [1, 1, 1]]
+    assert len(stops.kept) == 2
+    for row, (part, power) in enumerate(stops.kept):
         assert part.base is None and power == [1.0, 2.0][row]
     live[...] = -1.0
-    assert stops.stopped[1][0][0][0].tolist() == [3.0, 4.0, 5.0]
+    assert stops.kept[1][0].tolist() == [3.0, 4.0, 5.0]
+    # a rates form keeps no rate per iterate: after 50 iterates, each a bit
+    # above the last (rates 1, 2, ..., 50), it holds the stopped rate and
+    # count and no list of 50; a solution's form keeps the traces
+    def longest(value):
+        if not isinstance(value, (list, tuple)):
+            return 0
+        return max([len(value), *map(longest, value)])
+
+    for traces in (False, True):
+        stops = _Stops(1, (1.0,), 1e-4, max_iter=50, traces=traces)
+        for k in range(1, 51):
+            assert stops.record([2.0**k - 1.0], ()) == ([] if k == 50 else None)
+        assert stops.stopped == [[(50.0, 50, 0)]]
+        assert (longest(list(vars(stops).values())) == 50) == traces
+        if traces:
+            assert stops.traces() == [[tuple(float(k) for k in range(1, 51))]]
 
 
 def test_levels_share_a_solution_array_exactly_when_they_stop_together():
@@ -393,6 +410,82 @@ def test_stacked_closed_forms_keep_the_pinned_bits(name, stack):
     power = float(last.receive_power_watt)
     got = (last.rate_r.hex(), power.hex(), solution_digest(solutions))
     assert got == STACKED_PINNED[name]
+
+
+#: the closed forms' levels: 30 dB, where the two-hop forms' powers are near
+#: the noise, and 60 dB, where baseline-irs-only's is; there a rate keeps
+#: most of its power's last bits
+CLOSED_LEVELS = noise_levels(30, 60)
+
+#: trials 0..114, then one trial per closed form (fixed first slot, fixed
+#: second slot, irs-only, relay second hop, relay first hop) whose rate at
+#: CLOSED_LEVELS a numpy square of its amplitude would change (found by a
+#: search of seeds 0..40000)
+CLOSED_SEEDS = (*range(115), 618, 1468, 2070, 3672, 7047)
+
+#: per closed form, a digest of its rates' float.hex() over CLOSED_SEEDS at
+#: CLOSED_LEVELS, computed by the one-trial rules of closed_form_powers
+CLOSED_PINNED = {
+    "irs-only": "2d5f6878abf2505c",
+    "relay-first": "41c97069990b2b38",
+    "relay-second": "0dcba1145596a38d",
+    "fixed-first": "eb0d7229ef76e222",
+    "fixed-second": "d097f0a770e77a5d",
+}
+
+#: the closed forms the trial engine runs on a chunk's stack, by name
+CLOSED_FORMS = {
+    "irs-only": lambda c: beamforming._irs_only(c, P_S, CLOSED_LEVELS),
+    "relay-first": lambda c: beamforming._matched_direct(c.h_sr, P_S, CLOSED_LEVELS),
+    "relay-second": lambda c: beamforming._matched_direct(c.h_rd, P_R, CLOSED_LEVELS),
+    "fixed-first": lambda c: beamforming._fixed_first_slot(c, P_S, CLOSED_LEVELS),
+    "fixed-second": lambda c: beamforming._fixed_second_slot(c, P_R, CLOSED_LEVELS),
+}
+
+
+def closed_form_powers(channels):
+    """Each closed form's power on one trial, by the one-trial rules.
+
+    Each amplitude is summed, normed or matched on its trial alone and
+    squared as a Python float.
+    """
+    zeros = np.zeros(channels.n)
+    u_r = ur_update_ais(channels, PhaseShiftVector(zeros)).weights
+    first = channels.h_sr + channels.H_ir @ channels.h_si
+    second = channels.h_rd + channels.H_ri @ channels.h_id
+    irs = float(np.sum(np.abs(channels.h_id) * np.abs(channels.h_si)))
+    return {
+        "irs-only": P_S * irs**2,
+        "relay-first": P_S * float(np.linalg.norm(channels.h_sr)) ** 2,
+        "relay-second": P_R * float(np.linalg.norm(channels.h_rd)) ** 2,
+        "fixed-first": P_S * float(np.abs(np.vdot(u_r, first))) ** 2,
+        "fixed-second": P_R * float(np.linalg.norm(second)) ** 2,
+    }
+
+
+@pytest.mark.parametrize("stack", [1, 3, 120])
+def test_stacked_closed_forms_keep_the_one_trial_bits(stack):
+    # the trials solved in stacks of ``stack``; a vecdot for irs-only's sum
+    # or a numpy square of any amplitude changes some rate
+    sets = [make_channels(4, 16, seed=seed) for seed in CLOSED_SEEDS]
+    expected = {name: [] for name in CLOSED_FORMS}
+    for channels in sets:
+        for name, power in closed_form_powers(channels).items():
+            rates = [rate_from_power(power, noise).hex() for noise in CLOSED_LEVELS]
+            expected[name].append(rates)
+    got = {name: [] for name in CLOSED_FORMS}
+    for start in range(0, len(sets), stack):
+        channels = stack_channels(sets[start : start + stack])
+        for name, form in CLOSED_FORMS.items():
+            rates, iterations = form(channels)
+            assert iterations.tolist() == [[1] * len(CLOSED_LEVELS)] * len(rates)
+            got[name] += [[rate.hex() for rate in row] for row in rates.tolist()]
+    assert got == expected
+    digests = {
+        name: hashlib.sha256("".join(sum(rows, [])).encode()).hexdigest()[:16]
+        for name, rows in expected.items()
+    }
+    assert digests == CLOSED_PINNED
 
 
 #: every rates form the trial engine calls, by case: (solver, (m, n),

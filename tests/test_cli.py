@@ -3,6 +3,7 @@ import json
 import pytest
 
 from irsrelay import cli
+from irsrelay.channel import Geometry, LinkBudget, sample_channels
 from irsrelay.errors import ConfigError
 from irsrelay.metrics import flops_ais, flops_irses, flops_nsp
 
@@ -192,6 +193,29 @@ def test_main_rejects_bad_value_naming_its_key(key, raw, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize(
+    "method, key, raw, link",
+    [
+        ("ais", "alpha", "1e5", "h_sr"),  # the path loss underflows to 0
+        ("ais", "gain_s_dbi", "-7000", "h_sr"),  # the gain underflows to 0
+        ("ais", "gain_s_dbi", "7000", "h_sr"),  # 10 ** (g / 20) overflows
+        ("baseline-irs-only", "alpha", "1e5", "h_si"),
+    ],
+)
+def test_main_rejects_a_link_amplitude_out_of_range_naming_the_link(
+    method, key, raw, link, capsys
+):
+    args = ["run", "--trials", "2", "--methods", method, "--set", f"{key}={raw}"]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"link {link}:" in captured.err
+    # a one-trial draw names the first of its six links
+    budget = LinkBudget(**{key: float(raw)})
+    with pytest.raises(ConfigError, match="link h_sr:"):
+        sample_channels(Geometry(), budget, 2, 4, seed=0)
 
 
 def test_main_rejects_workers_flag_below_one(capsys):

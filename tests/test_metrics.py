@@ -67,10 +67,17 @@ def test_receive_power_matches_manual_evaluation():
 
 def test_receive_power_shape_checks():
     ch = make_channels(m=3, n=4, seed=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         receive_power_ais(ch, np.zeros(3), np.ones(3) / np.sqrt(3.0), P_S)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         receive_power_ais(ch, np.zeros(4), np.ones(4) / 2.0, P_S)
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf, -1.0])
+def test_receive_power_rejects_the_powers_the_solvers_reject(power):
+    ch = make_channels(m=3, n=4, seed=9)
+    with pytest.raises(ConfigError, match="power must be finite and non-negative"):
+        receive_power_ais(ch, np.zeros(4), np.ones(3) / np.sqrt(3.0), power)
 
 
 # hand-evaluated polynomial values, m=n=l1=l2=1 and (m,n,l3,l4)=(2,2,1,1):
