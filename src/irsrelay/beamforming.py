@@ -67,7 +67,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelSet, Links, keyed_generators, seed_states
+from .channel import (
+    PARTITION_STREAM,
+    ZERO_NORM,
+    ChannelSet,
+    Links,
+    check_seed,
+    keyed_generators,
+)
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -78,9 +85,6 @@ from .errors import (
 from .metrics import _check_levels, rate_from_power, receive_power_ais
 
 TWO_PI = 2.0 * np.pi
-
-#: magnitudes below this are treated as exactly zero when normalizing
-ZERO_NORM = 1e-30
 
 #: relative singular-value cutoff for pseudo-inverses
 PINV_RCOND = 1e-12
@@ -465,12 +469,13 @@ class _Stops:
     at most ``epsilon``, or on the ``max_iter``-th iterate, and keeps its
     rate, its iteration count and an index into ``kept`` in ``stopped``:
     the levels that stop on one iterate of a row share one copy of its
-    parts.  A trial leaves the running ``rows`` once all its levels have
-    stopped.  Only for solutions is each trial's ``history`` kept, its rates
-    at every iterate it ran, from which :meth:`traces` rebuilds the rate
-    traces.  The rates are floats, as in the one-trial rule: on stacks of 1
-    to 16 rows, numpy's cost per call exceeds what an array of a few rates
-    saves.
+    parts, and an iterate of no parts (a rates form's) keeps nothing, its
+    index None.  A trial leaves the running ``rows`` once all its levels
+    have stopped.  Only for solutions is each trial's ``history`` kept, its
+    rates at every iterate it ran, from which :meth:`traces` rebuilds the
+    rate traces.  The rates are floats, as in the one-trial rule: on stacks
+    of 1 to 16 rows, numpy's cost per call exceeds what an array of a few
+    rates saves.
     """
 
     def __init__(
@@ -502,8 +507,8 @@ class _Stops:
 
         ``iterate`` holds per-row arrays, none for a loop that needs only
         the rates; a level that stops keeps its row of each, and the row's
-        power.  Returns the rows that keep running when some leave (none
-        once every level has stopped), else None.
+        power, if there are any.  Returns the rows that keep running when
+        some leave (none once every level has stopped), else None.
         """
         if len(self.rows) == 1:
             # one array call per iterate would cost more than a few floats
@@ -528,10 +533,13 @@ class _Stops:
         if not stops:
             return None
         for row, levels in stops.items():
-            # one copy per row, shared by the levels that stop on this
-            # iterate, so that the iterate's arrays of the stack can go
-            self.kept.append((*[part[row].copy() for part in iterate], powers[row]))
-            trial, index = self.rows[row], len(self.kept) - 1
+            index = None
+            if iterate:
+                # one copy per row, shared by the levels that stop on this
+                # iterate, so that the iterate's arrays of the stack can go
+                self.kept.append((*[part[row].copy() for part in iterate], powers[row]))
+                index = len(self.kept) - 1
+            trial = self.rows[row]
             for level in levels:
                 self.stopped[trial][level] = (rates[row][level], self.count, index)
                 self.live[row].remove(level)
@@ -1014,33 +1022,34 @@ def _check_partition_sizes(n: int, m: int) -> None:
 def irses_partition(n: int, m: int, seed: int) -> Partition:
     """Uniformly random even assignment of ``n`` elements to ``m`` antennas.
 
-    The permutation is drawn from ``Generator(Philox(SeedSequence(seed)))``.
+    The permutation is ``Generator(Philox(key=(seed, PARTITION_STREAM)))``'s
+    ``permutation(n)``: at a trial's seed, the partition its ``irses``
+    methods use (:data:`~irsrelay.channel.PARTITION_STREAM`).
+
+    Raises:
+        ConfigError: if ``m`` does not divide ``n``, or ``seed`` lies
+            outside ``[0, 2**64)``.
     """
     _check_partition_sizes(n, m)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return irses_partitions(n, m, seed_states([seed], 2))[0]
+    check_seed(seed)
+    return irses_partitions(n, m, [seed])[0]
 
 
-def irses_partitions(n: int, m: int, keys: np.ndarray) -> list[Partition]:
-    """:func:`irses_partition` for several seeds, given their Philox keys.
-
-    Row ``k`` of ``keys`` is ``seed_states([seed], 2)`` of the ``k``-th
-    seed, so that the keys of many trials are hashed at once; one generator
-    is re-keyed per partition (:func:`~irsrelay.channel.keyed_generators`).
-    """
-    return [Partition(assignment) for assignment in _irses_assignments(n, m, keys)]
+def irses_partitions(n: int, m: int, seeds: Sequence[int]) -> list[Partition]:
+    """:func:`irses_partition` of each of ``seeds``, with one generator."""
+    return [Partition(assignment) for assignment in _irses_assignments(n, m, seeds)]
 
 
-def _irses_assignments(n: int, m: int, keys: np.ndarray) -> np.ndarray:
-    """The assignments of :func:`irses_partitions`, one ``(len(keys), n)`` array.
+def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
+    """The assignments of :func:`irses_partitions`, one ``(len(seeds), n)`` array.
 
     Row ``k`` is the ``k``-th partition's assignment, bit for bit; no
     :class:`Partition` is built, as the trial engine reads only the rows.
     """
     _check_partition_sizes(n, m)
     groups = np.repeat(np.arange(m, dtype=np.intp), n // m)
-    assignments = np.empty((len(keys), n), dtype=np.intp)
+    assignments = np.empty((len(seeds), n), dtype=np.intp)
+    keys = ((seed, PARTITION_STREAM) for seed in seeds)
     for assignment, rng in zip(assignments, keyed_generators(keys)):
         assignment[rng.permutation(n)] = groups
     return assignments

@@ -9,28 +9,30 @@ distance-based amplitude attenuation and by the endpoint antenna gains.
 :func:`sample_channels_batch` draws several trials at once, as one stack of
 all six links with a leading trial axis; each trial's rows are bit for bit
 what :func:`sample_channels`, its one-trial view, draws for that seed alone.
-:func:`sample_links` draws some of those links, as :class:`Links`, from
-keys hashed once by :func:`link_keys`: the trial engine draws a stack a hop
-at a time, so that it never holds both surface matrices, and every block
-is bit for bit the whole draw's.
+:func:`sample_links` draws some of those links, as :class:`Links`, from the
+trials' seeds: the trial engine draws a stack a hop at a time, so that it
+never holds both surface matrices, and every block is bit for bit the whole
+draw's.
 
-Every random stream is keyed by numpy's ``SeedSequence`` hash of integer
-parts: a trial seed by ``(base seed, trial index)``, a link's stream by
-``(trial seed, link index)``.  :func:`seed_states` computes that hash for
-many keys in one vectorised pass, bit for bit what ``SeedSequence`` gives
-one key at a time, and :func:`keyed_generators` re-keys one Philox
-generator per key instead of building a ``SeedSequence``, a ``Philox`` and
-a ``Generator`` per stream: counter-based generators need no per-stream
-object (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011).  The draws are the same bits either way.
+Every random stream is numpy's counter-based Philox at a key of two 64-bit
+words, with no hash in between (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011): a trial seed is the first word at key ``(base
+seed, trial index)`` (:func:`stream_seed`), link ``L`` of trial seed ``s``
+is drawn at key ``(s, L)``, each of its antennas from a counter of its own,
+and the trial's ``irses`` element partition at key ``(s,
+PARTITION_STREAM)``.  So every seed lies in ``[0, 2**64)``
+(:func:`check_seed`), and growing ``m`` or ``n`` keeps the leading entries
+of every link.  :func:`keyed_generators` positions one Philox generator at
+each key and counter in turn instead of building a ``Philox`` and a
+``Generator`` per stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,204 +50,78 @@ LINK_STREAMS = {
     "H_ri": 5,
 }
 
+#: substream index of a trial's ``irses`` element partition, after the links'
+PARTITION_STREAM = 6
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
-# 32-bit words mixed from the entropy words, then expanded into the state
-_MASK32 = 0xFFFF_FFFF
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: magnitudes below this are treated as exactly zero when normalizing; a link
+#: whose amplitude scale is below it is rejected when drawn
+ZERO_NORM = 1e-30
 
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` (xor, multiplier) pairs of a hash-constant sequence.
-
-    Each hash step xors with the running constant, advances it by ``mult``
-    and multiplies by the advanced one; the sequence depends on no data.
-    """
-    pairs, const = [], init
-    for _ in range(count):
-        advanced = const * mult & _MASK32
-        pairs.append((const, advanced))
-        const = advanced
-    return np.array(pairs, dtype=np.uint32).T
-
-
-_POOL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
-
-
-def _cross_mix_constants() -> list[np.ndarray]:
-    """Per source word, the constants mixing it into the other three words.
-
-    Its own column gets (0, 0); the caller restores that column.
-    """
-    out = []
-    for src in range(_POOL_WORDS):
-        pairs = np.zeros((2, _POOL_WORDS), dtype=np.uint32)
-        others = [dst for dst in range(_POOL_WORDS) if dst != src]
-        start = _POOL_WORDS + (_POOL_WORDS - 1) * src
-        pairs[:, others] = _POOL_CONSTANTS[:, start : start + _POOL_WORDS - 1]
-        out.append(pairs)
-    return out
-
-
-_CROSS_MIX = _cross_mix_constants()
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mult
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
-
-
-def _part_words(part) -> tuple[np.ndarray, int | np.ndarray]:
-    """One part's 32-bit words, least significant first, and how many count.
-
-    ``SeedSequence`` splits an integer into its words up to the highest
-    nonzero one (0 is one word).  An int gives a (words,) row shared by
-    every key; a sequence gives a (keys, words) array and a count per key,
-    or one count when every key has the same.
-    """
-    if isinstance(part, (int, np.integer)):
-        value = int(part)
-        if value < 0:
-            raise ConfigError("seed components must be non-negative integers")
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return np.array(words, dtype=np.uint32), len(words)
-    if isinstance(part, np.ndarray):
-        if part.dtype.kind not in "iu" or part.dtype.kind == "i" and (part < 0).any():
-            raise ConfigError("seed components must be non-negative integers")
-        values = part.astype(np.uint64)
-    else:
-        try:
-            values = np.asarray(part, dtype=np.uint64)
-        except OverflowError:
-            # a value of 2**64 or more, or a negative one: split them one by one
-            ints = [int(v) for v in part]
-            if min(ints) < 0:
-                raise ConfigError("seed components must be non-negative integers")
-            counts = np.array([max(1, -(-v.bit_length() // 32)) for v in ints])
-            width = int(counts.max())
-            words = [[v >> 32 * i & _MASK32 for i in range(width)] for v in ints]
-            return np.array(words, dtype=np.uint32), counts
-    high = values >> 32
-    if not high.any():
-        return values.astype(np.uint32)[:, None], 1
-    words = np.stack([values, high], axis=1).astype(np.uint32)
-    return words, 2 if high.all() else 1 + (high != 0)
-
-
-def seed_states(parts: Sequence, words: int = 1) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(words, uint64)`` for many keys.
-
-    Each of ``parts`` is a non-negative int, shared by every key, or a
-    sequence of them, one per key; key ``k``'s entropy is the tuple of each
-    part's value for ``k``.  Returns a (keys, words) uint64 array whose row
-    ``k`` is, bit for bit, what numpy's ``SeedSequence`` gives key ``k``,
-    computed in one vectorised pass over all keys: an entropy of at most four
-    words is its zero-padded four-word form, and the words past the fourth
-    are mixed in per key.  One key is hashed by ``SeedSequence`` itself.
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a seed outside ``[0, 2**64)``, one word of a Philox key.
 
     Raises:
-        ConfigError: if a part is negative or not an integer.
+        ConfigError: naming ``name``.
     """
-    columns = [_part_words(part) for part in parts]
-    keys = max((len(w) for w, _ in columns if w.ndim == 2), default=1)
-    if keys == 1:
-        # numpy's own hash of one key costs a fifth of the vectorised pass
-        counted = [w.reshape(-1)[: int(np.max(count))] for w, count in columns]
-        entropy = np.concatenate([np.empty(0, dtype=np.uint32), *counted])
-        state = np.random.SeedSequence(entropy).generate_state(words, np.uint64)
-        return state[np.newaxis]
-    return _hashed_states(columns, keys, words)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
 
 
-def _hashed_states(columns: list, keys: int, words: int) -> np.ndarray:
-    """:func:`seed_states` of several keys, from their parts' words, in one pass."""
-    width = sum(w.shape[-1] for w, _ in columns)
-    entropy = np.zeros((keys, max(_POOL_WORDS, width)), dtype=np.uint32)
-    lengths: int | np.ndarray = width
-    if all(isinstance(count, int) and count == w.shape[-1] for w, count in columns):
-        start = 0
-        for w, count in columns:
-            entropy[:, start : start + count] = w
-            start += count
-    else:
-        # each key's words in order, its uncounted (zero) words moved last
-        joined, counted = [], []
-        for w, count in columns:
-            shape = (keys, w.shape[-1])
-            joined.append(np.broadcast_to(w, shape))
-            counts = np.reshape(count, (-1, 1))
-            counted.append(np.broadcast_to(np.arange(shape[1]) < counts, shape))
-        counted = np.concatenate(counted, axis=1)
-        order = np.argsort(~counted, axis=1, kind="stable")
-        entropy[:, :width] = np.take_along_axis(np.hstack(joined), order, axis=1)
-        lengths = counted.sum(axis=1)
-    pool = _hashmix(entropy[:, :_POOL_WORDS], *_POOL_CONSTANTS[:, :_POOL_WORDS])
-    for src, constants in enumerate(_CROSS_MIX):
-        mixed = _mix(pool, _hashmix(pool[:, src, None], *constants))
-        mixed[:, src] = pool[:, src]
-        pool = mixed
-    if width > _POOL_WORDS:
-        tail = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * width)
-        for src in range(_POOL_WORDS, width):
-            step = slice(_POOL_WORDS * src, _POOL_WORDS * (src + 1))
-            mixed = _mix(pool, _hashmix(entropy[:, src, None], *tail[:, step]))
-            pool = np.where(np.reshape(lengths > src, (-1, 1)), mixed, pool)
-    state = _hashmix(
-        pool[:, np.arange(2 * words) % _POOL_WORDS],
-        *_hash_constants(_INIT_B, _MULT_B, 2 * words),
-    )
-    # pairs of 32-bit words, little-endian, as SeedSequence packs them
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+def keyed_generators(
+    keys: Iterable[tuple[int, int]], rows: int = 1
+) -> Iterator[np.random.Generator]:
+    """One generator, positioned at each key and row in turn.
 
-
-def stream_seed(*parts: int) -> int:
-    """Mix integer parts into a single 64-bit seed.
-
-    Used to derive per-trial seeds from a base seed without correlated
-    streams: ``SeedSequence(parts).generate_state(1, uint64)``, through
-    :func:`seed_states`.
+    A key is a pair of words in ``[0, 2**64)``; for each, in order, and each
+    row ``r < rows`` the generator is ``Generator(Philox(key=key, counter=(0,
+    r, 0, 0)))``, with an empty buffer.  Row ``r``'s stream starts at its
+    own counter, so what it draws does not depend on how many words the rows
+    before it took.  One ``Philox`` and one ``Generator`` are made per call,
+    so concurrent calls share no state, and each step costs one state
+    assignment.  Take each generator's draws before the next step.
     """
-    return int(seed_states(parts)[0, 0])
-
-
-def keyed_generators(keys: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator, re-keyed to each row of ``keys`` in turn.
-
-    A row is a Philox key, two uint64 words: at that step the generator is
-    ``Generator(Philox(seed_sequence))`` for any ``seed_sequence`` whose
-    ``generate_state(2, uint64)`` is the row, that is Philox at counter 0
-    with an empty buffer.  One ``Philox`` and one ``Generator`` are made
-    per call, so concurrent calls share no state, and each key costs one
-    state assignment.  Take each generator's draws before the next step.
-    """
-    if not len(keys):
-        return
-    bit_generator = np.random.Philox(key=keys[0])
+    bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
-    empty = np.zeros(4, dtype=np.uint64)
+    counters = [(0, row, 0, 0) for row in range(rows)]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": empty, "key": keys[0]},
-        "buffer": empty,
+        "state": {"counter": counters[0], "key": (0, 0)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+    position = state["state"]
     for key in keys:
-        state["state"]["key"] = key
-        bit_generator.state = state
-        yield rng
+        position["key"] = key
+        for counter in counters:
+            position["counter"] = counter
+            bit_generator.state = state
+            yield rng
+
+
+def stream_seeds(seed: int, indices: Iterable[int]) -> list[int]:
+    """:func:`stream_seed` of ``seed`` and each of ``indices``, with one generator."""
+    return [
+        rng.bit_generator.random_raw()
+        for rng in keyed_generators((seed, index) for index in indices)
+    ]
+
+
+def stream_seed(seed: int, index: int) -> int:
+    """The 64-bit seed of substream ``index`` of ``seed``.
+
+    It is the first word of Philox keyed by ``(seed, index)`` at counter 0:
+    a counter-based generator needs no hash to derive independent streams
+    (Salmon et al., SC 2011).  A trial's seed is that of ``(base seed,
+    trial index)``.
+
+    Raises:
+        ConfigError: if ``seed`` or ``index`` lies outside ``[0, 2**64)``.
+    """
+    check_seed(seed)
+    check_seed(index, "stream index")
+    return stream_seeds(seed, [index])[0]
 
 
 @dataclass(frozen=True)
@@ -462,44 +338,34 @@ def dbi_to_amplitude_gain(gain_tx_dbi: float, gain_rx_dbi: float) -> float:
     return 10.0 ** ((gain_tx_dbi + gain_rx_dbi) / 20.0)
 
 
-def link_keys(seeds: Sequence[int]) -> np.ndarray:
-    """The Philox key of every (seed, link) stream, hashed in one call.
-
-    Returns a (links, seeds, 2) uint64 array, the links in
-    :data:`LINK_STREAMS` order: entry ``[link, k]`` is
-    ``seed_states([seeds[k], link], 2)``, the key of that link's stream.
-    """
-    trials = len(seeds)
-    links = np.repeat(np.arange(len(LINK_STREAMS)), trials)
-    return seed_states([list(seeds) * len(LINK_STREAMS), links], 2).reshape(
-        len(LINK_STREAMS), trials, 2
-    )
-
-
 def sample_links(
     geometry: Geometry,
     budget: LinkBudget,
     m: int,
     n: int,
-    keys: np.ndarray,
+    seeds: Sequence[int],
     names: Sequence[str],
 ) -> Links:
-    """Draw links ``names`` of one Rayleigh realization per keyed seed.
+    """Draw links ``names`` of one Rayleigh realization per seed.
 
-    ``keys`` is :func:`link_keys` of the seeds, so that the links of one
-    draw may be drawn in several calls with one hash.  Row ``k`` of each
-    link is, bit for bit, what :func:`sample_channels_batch` draws for the
-    ``k``-th seed: each (seed, link) fills its row from its own stream, one
-    generator re-keyed per stream (:func:`keyed_generators`).  Each link is
-    its own complex buffer, so that a caller may drop one and keep the
-    others; the draws go straight into its real and imaginary parts, so no
-    second buffer of float draws is ever held, and the scaling
-    ``scale * (re + 1j * im) / sqrt(2)`` runs on it in place.  Each block is
-    checked once and returned read-only.
+    Row ``k`` of each link is, bit for bit, what :func:`sample_channels_batch`
+    draws for ``seeds[k]``, so that the links of one draw may be drawn in
+    several calls.  Link ``L`` of seed ``s`` is drawn from Philox keyed by
+    ``(s, L)`` (:data:`LINK_STREAMS`); its antenna ``r`` (a vector is one
+    row) from counter ``(0, r, 0, 0)`` (:func:`keyed_generators`), as
+    interleaved real and imaginary standard normals.  A row's leading
+    entries are the start of its own stream, so the draw at ``m`` antennas
+    and ``n`` elements is, bit for bit, the leading ``m x n`` entries of a
+    draw at more of either (:meth:`Links.rows`).  Each link is its own
+    complex buffer, so that a caller may drop one and keep the others; the
+    draws go straight into it and are scaled in place by ``scale /
+    sqrt(2)``, one float.  Each block is checked once and returned
+    read-only.
 
-    A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
-    for bit, the leading ``m`` antennas of a draw at more
-    (:meth:`Links.rows`).
+    Raises:
+        ConfigError: if ``m`` or ``n`` is below 1, or a link's amplitude
+            scale (path loss times antenna gains) is not finite or is below
+            :data:`ZERO_NORM`, naming the link.
     """
     if m < 1:
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
@@ -513,10 +379,6 @@ def sample_links(
         "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
         "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
     }
-    trials = keys.shape[1]
-    streams = keyed_generators(
-        keys[[LINK_STREAMS[name] for name in names]].reshape(-1, 2)
-    )
     blocks = {}
     for name in names:
         dist, g_tx, g_rx, shape = links[name]
@@ -526,18 +388,19 @@ def sample_links(
             )
         except OverflowError:  # a factor beyond the float range
             scale = math.inf
-        if not 0.0 < scale < math.inf:
+        if not ZERO_NORM <= scale < math.inf:
             raise ConfigError(
                 f"link {name}: amplitude scale {scale} (path loss times antenna "
-                "gains) must be finite and positive"
+                f"gains) must be finite and at least {ZERO_NORM}"
             )
-        block = np.empty((trials, *shape), dtype=np.complex128)
-        # each complex entry is its (re, im) pair of floats
-        for row, rng in zip(block.view(np.float64).reshape(trials, *shape, 2), streams):
-            # interleaved real/imag draws keep leading entries stable when m grows
-            rng.standard_normal(shape + (2,), out=row)
-        block *= scale
-        block /= np.sqrt(2.0)
+        antennas, cols = shape if len(shape) == 2 else (1, *shape)
+        block = np.empty((len(seeds), *shape), dtype=np.complex128)
+        # each antenna's row of (re, im) float pairs from its own stream
+        keys = ((seed, LINK_STREAMS[name]) for seed in seeds)
+        streams = keyed_generators(keys, antennas)
+        for row, rng in zip(block.view(np.float64).reshape(-1, cols, 2), streams):
+            rng.standard_normal((cols, 2), out=row)
+        block *= scale / math.sqrt(2.0)
         if not np.isfinite(block).all():
             raise ConfigError(f"channel block {name} contains non-finite entries")
         block.flags.writeable = False
@@ -555,19 +418,16 @@ def sample_channels_batch(
     """Draw one Rayleigh realization of all six links per seed, as one stack.
 
     Row ``k`` of every block is what :func:`sample_channels` draws for
-    ``seeds[k]``, bit for bit.  Each (seed, link) keeps its own substream,
-    keyed by ``SeedSequence((seed, link index))``: every key of the call is
-    hashed at once (:func:`link_keys`) and the links are drawn by
-    :func:`sample_links`, each block checked once.
+    ``seeds[k]``, bit for bit: each (seed, link) keeps its own Philox key,
+    and each antenna of a link its own counter (:func:`sample_links`).
 
-    A link's rows are drawn row-major, so the draw at ``m`` antennas is, bit
-    for bit, the leading ``m`` antennas of a draw at more.  :func:`sample_links`
-    checks ``m`` and ``n``.
+    Raises:
+        ConfigError: if a seed lies outside ``[0, 2**64)``, or as
+            :func:`sample_links` does.
     """
-    lowest = min(seeds, default=0)
-    if lowest < 0:
-        raise ConfigError(f"seed must be non-negative, got {lowest}")
-    links = sample_links(geometry, budget, m, n, link_keys(seeds), tuple(LINK_STREAMS))
+    for seed in seeds:
+        check_seed(seed)
+    links = sample_links(geometry, budget, m, n, seeds, tuple(LINK_STREAMS))
     return ChannelSet._of(vars(links))
 
 
@@ -580,9 +440,9 @@ def sample_channels(
 ) -> ChannelSet:
     """Draw one Rayleigh realization of all six links.
 
-    Each link uses its own counter-based substream derived from
-    ``(seed, link index)``, so the realization is reproducible bit-for-bit
-    and individual links do not shift when unrelated dimensions change.
+    Each link uses its own counter-based substream keyed by ``(seed, link
+    index)``, so the realization is reproducible bit for bit, and growing
+    ``m`` or ``n`` keeps the leading entries of every link.
     This is :func:`sample_channels_batch` on one seed, viewed as one trial.
 
     Args:
@@ -590,7 +450,7 @@ def sample_channels(
         budget: path-loss exponent and antenna gains.
         m: relay antenna count (>= 1).
         n: surface element count (>= 1).
-        seed: non-negative integer seed.
+        seed: integer seed in ``[0, 2**64)``.
 
     Returns:
         A :class:`ChannelSet` with entries of per-link standard deviation

@@ -44,17 +44,16 @@ function of the configuration and trial index, so tables are reproducible
 bit for bit whatever else is evaluated alongside, whatever the chunk and
 whatever the worker count.
 
-Setting up random streams costs per table and per draw, not per trial or
-link: a table's trial seeds are hashed in one vectorised
-:func:`~irsrelay.channel.seed_states` call per base seed, and the
-``irses`` partition keys of all its trials in two; each draw hashes its
-(trial seed, link) keys in one call for both passes and re-keys one
-generator per stream.  Every seed and key is bit for bit what numpy's
-``SeedSequence`` gives it alone, and a call of one key, as a trial alone
-makes, is hashed by ``SeedSequence`` itself.  A one-antenna draw
-(``baseline-single-antenna``) is not drawn when another draw of the chunk
-has the same trials and other inputs at more antennas: it is the leading
-antenna of that stack, served as a copy of those rows, pass by pass.
+Random streams are keyed by Philox itself, with no hash
+(:mod:`~irsrelay.channel`): a table derives its trial seeds with one
+generator per base seed, positioned at each (base seed, trial index) in
+turn; a draw's links are drawn from the trial seeds, a row at a time; and
+a chunk draws its ``irses`` partitions from them once per (n, m), each
+trial's that of :func:`~irsrelay.beamforming.irses_partition` at its seed.
+A one-antenna draw (``baseline-single-antenna``) is not drawn when another
+draw of the chunk has the same trials and other inputs at more antennas: it
+is the leading antenna of that stack, served as a copy of those rows, pass
+by pass.
 """
 
 from __future__ import annotations
@@ -94,10 +93,10 @@ from .channel import (
     Geometry,
     LinkBudget,
     Links,
-    link_keys,
+    check_seed,
     sample_links,
-    seed_states,
     stream_seed,
+    stream_seeds,
 )
 from .errors import ConfigError
 from .metrics import RateResult, noise_variance_for_snr
@@ -154,9 +153,6 @@ PROPOSED_METHODS = ("ais", "nsp", "irses")
 
 SWEEP_AXES = ("snr_db", "n", "m", "distance_d")
 
-#: substream index for the element-partition draw (0..5 are the channel links)
-PARTITION_STREAM = 6
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -188,8 +184,7 @@ class ScenarioConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        check_seed(self.base_seed, "base_seed")
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; choose from {', '.join(METHODS)}"
@@ -290,62 +285,34 @@ def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
     return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
 
 
-class _Streams(NamedTuple):
-    """The keys of a table's random streams, each kind hashed once per table.
+def _trial_seeds(
+    trials: Sequence[tuple[ScenarioConfig, Sequence[int]]],
+) -> dict[tuple[int, int], int]:
+    """The seed of each (base seed, trial index) of ``trials``.
 
-    ``seeds`` maps (base seed, trial index) to the trial seed, and
-    ``partition_rows`` maps the seed of a trial that an ``irses`` method
-    evaluates to its row of ``partition_keys``: the Philox key of its
-    element partition.
-    """
-
-    seeds: dict[tuple[int, int], int]
-    partition_rows: dict[int, int]
-    partition_keys: np.ndarray
-
-
-def _streams(trials: Sequence[tuple[ScenarioConfig, Sequence[int]]]) -> _Streams:
-    """The stream keys of ``trials``, (configuration, trial indices) pairs.
-
-    Each is what the per-key functions give, bit for bit: the trial seeds
-    are :func:`trial_seed`, one :func:`~irsrelay.channel.seed_states` call
-    per base seed, and the partition keys those of
-    ``irses_partition(n, m, stream_seed(seed, PARTITION_STREAM))``, two
-    calls for all the trials of ``irses`` methods.  A table pays these
-    fixed costs once, not per chunk.
+    ``trials`` holds (configuration, trial indices) pairs; each seed is
+    :func:`trial_seed`'s, and a table derives all of a base seed's at once.
     """
     indices: dict[int, dict[int, None]] = {}
-    partitioned: dict[int, None] = {}
     for config, ks in trials:
         indices.setdefault(config.base_seed, {}).update(dict.fromkeys(ks))
-        if METHODS[config.method].first_slot == "irses":
-            partitioned[config.base_seed] = None
     seeds: dict[tuple[int, int], int] = {}
     for base, ks in indices.items():
-        values = seed_states([base, list(ks)])[:, 0].tolist()
-        seeds.update(zip(((base, k) for k in ks), values))
-    trial_seeds = [seeds[base, k] for base in partitioned for k in indices[base]]
-    rows = {seed: row for row, seed in enumerate(trial_seeds)}
-    if not trial_seeds:
-        return _Streams(seeds, rows, np.empty((0, 2), dtype=np.uint64))
-    partition_seeds = seed_states([trial_seeds, PARTITION_STREAM])[:, 0]
-    return _Streams(seeds, rows, seed_states([partition_seeds], 2))
+        seeds.update(zip(((base, k) for k in ks), stream_seeds(base, ks)))
+    return seeds
 
 
-def _assignments(
-    streams: _Streams, made: dict, seeds: list[int], n: int, m: int
-) -> np.ndarray:
+def _assignments(made: dict, seeds: list[int], n: int, m: int) -> np.ndarray:
     """The ``irses`` element assignments of trials ``seeds`` at (n, m), a row each.
 
-    Each trial's is drawn once per chunk, from the table's partition keys,
-    and kept in ``made`` for the other solves of the chunk that use it: by
-    (n, m), the row of each trial and the drawn rows.
+    Each trial's is drawn once per chunk and kept in ``made`` for the other
+    solves of the chunk that use it: by (n, m), the row of each trial and
+    the drawn rows.
     """
     rows, assignments = made.get((n, m), ({}, None))
     missing = [seed for seed in seeds if seed not in rows]
     if missing:
-        keys = streams.partition_keys[[streams.partition_rows[s] for s in missing]]
-        drawn = _irses_assignments(n, m, keys)
+        drawn = _irses_assignments(n, m, missing)
         if assignments is not None:
             drawn = np.concatenate([assignments, drawn])
         rows = {**rows, **{seed: len(rows) + k for k, seed in enumerate(missing)}}
@@ -602,17 +569,16 @@ def _union(rows: dict, more: dict) -> dict:
     return {seed: row for row, seed in enumerate({**rows, **more})}
 
 
-def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
+def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
     """Draw and solve a chunk of trials, draw by draw and hop by hop.
 
     ``jobs`` holds (configuration, its plan, its trials) triples, the
     trials a map of each trial seed to its row, in trial order; jobs of the
-    same trials share one map.  ``streams`` holds the table's stream keys
-    (:func:`_streams`).  Each distinct draw's stream keys are hashed once,
-    and it is drawn and solved in two passes (:func:`_passes`): the first
-    draws the links its solves read but ``H_ri`` and runs them, then drops
-    every block the second does not read, ``H_ir`` first of all, before
-    drawing ``H_ri`` for the second slots.  Each block is bit for bit the
+    same trials share one map.  Each distinct draw is drawn and solved in
+    two passes (:func:`_passes`): the first draws the links its solves read
+    but ``H_ri`` and runs them, then drops every block the second does not
+    read, ``H_ir`` first of all, before drawing ``H_ri`` for the second
+    slots.  Each block is bit for bit the
     one the whole draw holds.  Every planned key is solved once for all the
     drawn trials that need it and all its noise levels, and a draw is
     dropped before the next is made.  A one-antenna draw is served from a
@@ -636,12 +602,11 @@ def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
     serves = _served_draws(draws)
     served = set(serves.values())
     shared: dict = {}
-    partitions = functools.partial(_assignments, streams, {})
+    partitions = functools.partial(_assignments, {})
     for number, ((m, n, geometry, budget), drawn, solves) in draws.items():
         if number in served:
             continue
         drawn = list(drawn)
-        keys = link_keys(drawn)  # hashed once for both passes
         _, seeds, served_solves = draws.get(serves.get(number), (None, {}, {}))
         seeds = list(seeds)
         blocks: dict[str, np.ndarray] = {}
@@ -652,7 +617,7 @@ def _evaluate_chunk(jobs: Sequence[tuple], streams: _Streams) -> dict:
             # first pass's surface matrix above all
             blocks = {name: blocks[name] for name in read if name in blocks}
             missing = [name for name in read if name not in blocks]
-            blocks.update(vars(sample_links(geometry, budget, m, n, keys, missing)))
+            blocks.update(vars(sample_links(geometry, budget, m, n, drawn, missing)))
             stack = Links(**blocks)
             if other:
                 # the served copy is solved and dropped before its source's
@@ -745,7 +710,7 @@ def collect_columns(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = list(configs)
     plans = solve_plans(configs)
-    streams = _streams([(cfg, range(cfg.trials)) for cfg in configs])
+    seeds = _trial_seeds([(cfg, range(cfg.trials)) for cfg in configs])
     chunks: list[list[tuple]] = [[] for _ in configs]
     trials = max((c.trials for c in configs), default=0)
     count = -(-trials // _chunk_trials(configs))
@@ -761,13 +726,13 @@ def collect_columns(
             if rows is None:
                 ks = range(start, end)
                 rows = maps[cfg.base_seed, end] = {
-                    streams.seeds[cfg.base_seed, k]: row for row, k in enumerate(ks)
+                    seeds[cfg.base_seed, k]: row for row, k in enumerate(ks)
                 }
             jobs.append((cfg, plan, rows))
         # a chunk's draws are dropped inside _evaluate_chunk; what it returns,
         # each solve's arrays of rates and iteration counts, is kept until
         # the columns are read
-        shared = _evaluate_chunk(jobs, streams)
+        shared = _evaluate_chunk(jobs)
         for (_, _, rows), out in zip(jobs, chunks):
             if rows:
                 out.append((rows, shared))
@@ -799,9 +764,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     plan = solve_plans([config])[0]
-    streams = _streams([(config, [trial_index])])
-    rows = {streams.seeds[config.base_seed, trial_index]: 0}
-    shared = _evaluate_chunk([(config, plan, rows)], streams)
+    rows = {trial_seed(config.base_seed, trial_index): 0}
+    shared = _evaluate_chunk([(config, plan, rows)])
     return _records(config, _columns(plan, [(rows, shared)]), trial_index)[0]
 
 

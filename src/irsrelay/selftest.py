@@ -14,7 +14,6 @@ import numpy as np
 
 from .beamforming import (
     PINV_RCOND,
-    ZERO_NORM,
     Beamformer,
     PhaseShiftVector,
     ais_max_rp,
@@ -26,7 +25,7 @@ from .beamforming import (
     second_slot_optimize,
     theta_update_ais,
 )
-from .channel import Geometry, LinkBudget, sample_channels
+from .channel import ZERO_NORM, Geometry, LinkBudget, sample_channels
 from .harness import (
     ScenarioConfig,
     SweepPoint,

@@ -9,7 +9,7 @@ from irsrelay.beamforming import (
     irses_partition,
     irses_partitions,
 )
-from irsrelay.channel import ChannelSet, seed_states, stack_channels
+from irsrelay.channel import PARTITION_STREAM, ChannelSet, stack_channels
 from irsrelay.errors import ConfigError
 
 from conftest import NOISE_30DB, P_S, make_channels, manual_channels
@@ -41,13 +41,15 @@ def test_partition_deterministic_in_seed():
     assert any(not np.array_equal(a.assignment, o) for o in others)
 
 
-def test_partitions_are_drawn_as_from_one_seed_sequence_each():
-    # the reference: one SeedSequence, Philox and Generator per seed
-    seeds = [0, 1, 5, 2**32, 2**63, 2**64 - 1, 2**70]
+def test_partitions_are_drawn_as_from_one_fresh_philox_each():
+    # the reference: one Philox and Generator per seed, keyed by the seed
+    # and the partition's stream index
+    seeds = [0, 1, 5, 2**32, 2**63, 2**64 - 1]
     for n, m in ((4, 2), (16, 4), (160, 16)):
-        batched = irses_partitions(n, m, seed_states([seeds], 2))
+        batched = irses_partitions(n, m, seeds)
         for seed, partition in zip(seeds, batched):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            key = np.array([seed, PARTITION_STREAM], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
             expected = np.empty(n, dtype=np.intp)
             expected[rng.permutation(n)] = np.repeat(np.arange(m), n // m)
             assert partition.assignment.tolist() == expected.tolist()
@@ -61,6 +63,8 @@ def test_partition_requires_divisibility():
         irses_partition(n=4, m=0, seed=0)
     with pytest.raises(ConfigError):
         irses_partition(n=4, m=2, seed=-1)
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+        irses_partition(n=4, m=2, seed=2**64)
 
 
 def test_partition_type_rejects_uneven_assignment():

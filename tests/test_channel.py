@@ -20,13 +20,12 @@ from irsrelay.channel import (
     Links,
     dbi_to_amplitude_gain,
     keyed_generators,
-    link_keys,
     pathloss_amplitude,
     sample_channels,
     sample_channels_batch,
     sample_links,
-    seed_states,
     stream_seed,
+    stream_seeds,
 )
 from irsrelay.errors import ConfigError
 from irsrelay.harness import trial_seed
@@ -103,6 +102,23 @@ def test_stream_seed_deterministic_and_distinct():
         stream_seed(-1, 0)
 
 
+@pytest.mark.parametrize("seed, index", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
+def test_seeds_and_stream_indices_outside_one_word_are_rejected(seed, index):
+    # a Philox key is two 64-bit words: seeds in [0, 2**64) only
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 2\*\*64\)"):
+        stream_seed(seed, index)
+    if seed != 0:
+        with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
+            sample_channels(Geometry(), LinkBudget(), 2, 3, seed)
+
+
+def test_the_largest_seed_is_accepted():
+    top = 2**64 - 1
+    assert 0 <= stream_seed(top, top) < 2**64
+    channels = sample_channels(Geometry(), LinkBudget(), 2, 3, top)
+    assert np.isfinite(channels.H_ir).all()
+
+
 def test_sample_channels_shapes():
     ch = make_channels(m=2, n=3, seed=0)
     assert ch.h_sr.shape == (2,)
@@ -146,17 +162,41 @@ def test_channel_blocks_are_read_only_views():
     assert channels.H_ir[0, 0] == 2.0
 
 
+def assert_leading_entries_kept(small, large, m, n):
+    """Every link of ``small`` (drawn at m, n) is the leading part of ``large``'s."""
+    for name in LINK_STREAMS:
+        grown = getattr(large, name)
+        if name in ("H_ir", "H_ri"):
+            kept = grown[..., :m, :n]
+        else:
+            kept = grown[..., : n if name in ("h_si", "h_id") else m]
+        assert getattr(small, name).tobytes() == kept.tobytes(), name
+
+
 def test_leading_entries_stable_as_array_grows():
-    # common-random-numbers discipline: growing the antenna count must not
-    # disturb the channels an existing antenna already sees
+    # common-random-numbers discipline: growing the antenna or element count
+    # must not disturb the channels an existing antenna or element already
+    # sees, for one trial, for a stack and for the links drawn a hop at a time
     small = make_channels(m=1, n=4, seed=7)
     large = make_channels(m=50, n=4, seed=7)
-    assert np.array_equal(small.h_sr[0:1], large.h_sr[0:1])
-    assert np.array_equal(small.h_rd[0:1], large.h_rd[0:1])
-    assert np.array_equal(small.H_ir[0], large.H_ir[0])
-    assert np.array_equal(small.H_ri[0], large.H_ri[0])
-    assert np.array_equal(small.h_si, large.h_si)
-    assert np.array_equal(small.h_id, large.h_id)
+    assert_leading_entries_kept(small, large, 1, 4)
+    for (m, n), (big_m, big_n) in (((4, 8), (6, 16)), ((1, 1), (16, 160))):
+        small = make_channels(m=m, n=n, seed=7)
+        assert_leading_entries_kept(small, make_channels(big_m, big_n, seed=7), m, n)
+        seeds = [trial_seed(2, k) for k in range(5)]
+        assert_leading_entries_kept(
+            sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds),
+            sample_channels_batch(Geometry(), LinkBudget(), big_m, big_n, seeds),
+            m,
+            n,
+        )
+        names = tuple(LINK_STREAMS)[::-1]
+        assert_leading_entries_kept(
+            sample_links(Geometry(), LinkBudget(), m, n, seeds, names),
+            sample_links(Geometry(), LinkBudget(), big_m, big_n, seeds, names),
+            m,
+            n,
+        )
 
 
 #: seeds per stacked draw of the moment tests: each seed's row is what
@@ -204,28 +244,28 @@ def test_real_imag_parts_independent_scale():
 
 
 # sha256 over the six stacked blocks' bytes (in LINK_STREAMS order) of the
-# stack of trials 0..k-1 of base seed 0, by ((m, n), k), as drawn one trial
-# at a time by sample_channels before draws were stacked
+# stack of trials 0..k-1 of base seed 0, by ((m, n), k), as drawn by the
+# Philox keys of (trial seed, link) and each antenna's own counter
 PINNED_STACKS = {
-    ((1, 16), 1): "4fd01df6f6b102c16d3880a84f4df07555923d0f22ee2ec582ae8a436f657887",
-    ((1, 16), 3): "9ece3184745f734a2528c4e29728dd0673eabd786958430a8ea997c84b9607f8",
-    ((1, 16), 32): "450276285118a0e7571fbc2786b23e46932eaf5aa16194afa9fc4e6b1d852379",
-    ((3, 7), 1): "ae36246fdef175f627445e19d8753ea64b1611867df382a26e7d953d34c60ada",
-    ((3, 7), 3): "026e99679b108820fac81896e487c4d963b4293336a1b69fb5e1fde1000f90d9",
-    ((3, 7), 32): "8089222205b888d1e5ec9cce233e2ee48272ded781b9a42fc56815d575829031",
-    ((4, 16), 1): "963bf9934cdb84e68684097e082d3a51d6dac927a668e8d80e41ddfdde0487ff",
-    ((4, 16), 3): "4c785075bcca0021add79690263ee73bdf2d066337f9bfebabe71e0ba03323e2",
-    ((4, 16), 32): "369913bb1e9c025335047198dfb0b1430984226e005edc80a7235b5ec28daf72",
-    ((16, 160), 1): "cb50daf9e7423c89a9cf84bbfeadbf07f2f6016503f716a830d7402cdb1cc392",
-    ((16, 160), 3): "a127d9b15b11cbf9def5f04319cac1fcf7f055d1b8fc79599abad6e981f949d9",
-    ((16, 160), 32): "cec1ad7f4ffa8b034f723a32763ad716dfd2d57b5f15cd69c4065d7645f83ec1",
-    ((50, 200), 1): "19415d5c134f831cf6eba6089c60f52ddba577465ef457cf379bda2eb2bd5011",
-    ((50, 200), 3): "a31b8f71ce8a931a59cd1e583ffa2f1d5246e50ad62b9fd4c876cc1d97df42c4",
-    ((50, 200), 32): "f8d6b404e435967773c85fea8f05c41e61e605657c6f9f472d44643311533038",
+    ((1, 16), 1): "a52b1d8ab4656470be1d8d55a98f08d6ce2851318f9934ee2a7cb6c17a242edc",
+    ((1, 16), 3): "229b773b3aad26f512609f82467eb871b55a761cb7d2d5e1b3a2ebdb65f1ff5f",
+    ((1, 16), 32): "7620dc475772a46c691b9601d9c157171050b51f7528b575b5c83a72ac6745ec",
+    ((3, 7), 1): "e55155fcb65227d8b44c79fdb522b59ae9b4a22691626435b4be435617017fa8",
+    ((3, 7), 3): "94de53955c1c960164cf7e291f5ffaa3f3ca1e7eeef5d32247261fd5e81b7b7c",
+    ((3, 7), 32): "dbdf76fdcdf04fcac0e7451d55411fd884e82709d4a5a38de83429445350fb7d",
+    ((4, 16), 1): "0d2fa4c92ab118001a8611c328398afd66ffb349c237853cfb028adcca071a98",
+    ((4, 16), 3): "b16f2679d7edaa6b7c1b46d67790b3f1f8830fc011a3657115c839fe488cb0a4",
+    ((4, 16), 32): "65e290cdeee404a97373e70d9264b0c33638984aa5335e6c30b70c00ac0758e0",
+    ((16, 160), 1): "0ac0b58d77ba6049e4efcfecf5ed063249231617def11f8a16ac7680b3402ebb",
+    ((16, 160), 3): "c5ec801d2a7662bd171f29829534a6cba96eafff93f3c21e7f1cfba4335079be",
+    ((16, 160), 32): "938c3c5c756afc4cf1325ed0935f64dad2f820481d6176de1f35c8ca590d26dc",
+    ((50, 200), 1): "8112eea4db928c39007e19aa902167ee4b7392edb15785d9f2d1f3a27c46a596",
+    ((50, 200), 3): "da41d4e2dc518b0887971cdc21d5540a98f8f4b417716259604fd487a251f707",
+    ((50, 200), 32): "b20de20197bb6acd4f42f81f9dde06f898510cddb376a4ad06cd54e33b71c320",
 }
 
 #: h_sr[0] of trial 0, the same at every m
-PINNED_H_SR_0 = ("0x1.8795ddbe0823fp-6", "-0x1.d3947652d2661p-6")
+PINNED_H_SR_0 = ("0x1.1ebc6b588edcep-6", "-0x1.5bd15b6da585ap-6")
 
 
 @pytest.mark.parametrize("m, n, trials", [(*size, k) for size, k in PINNED_STACKS])
@@ -246,7 +286,9 @@ def test_stacked_draws_are_pinned_and_equal_one_trial_draws(m, n, trials):
             assert block.tobytes() == getattr(stack, name)[row].tobytes()
 
 
-@pytest.mark.parametrize("m, n, seed", [(0, 3, 0), (3, 0, 0), (3, 3, -1)])
+@pytest.mark.parametrize(
+    "m, n, seed", [(0, 3, 0), (3, 0, 0), (3, 3, -1), (3, 3, 2**64)]
+)
 def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
     with pytest.raises(ConfigError) as alone:
         sample_channels(Geometry(), LinkBudget(), m, n, seed)
@@ -255,85 +297,65 @@ def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
     assert str(stacked.value) == str(alone.value)
 
 
-def numpy_states(entropy, words):
-    return np.random.SeedSequence(entropy).generate_state(words, np.uint64)
+def fresh(first, second, row=0):
+    """A new ``Generator(Philox)`` at key (first, second), counter (0, row, 0, 0)."""
+    key = np.array([first, second], dtype=np.uint64)
+    counter = np.array([0, row, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-#: entropies of 1 to 6 words, with the edge values of a word and of a seed
-EDGE_ENTROPIES = [
-    (0,),
-    (2**32 - 1,),
-    (2**32,),
-    (2**64 - 1,),
-    (2**200,),  # seven words
-    (5, 0),
-    (2**64 - 1, 6),
-    (2**32, 2**32 - 1, 1),
-    (2**96, 7),  # a base seed of four words: five words in all
-    (1, 2, 3, 4, 5, 6),
-    (2**64 - 1, 2**64 - 1, 2**64 - 1),
-    (),
-]
+#: key words at the edges of a 32-bit and of a 64-bit word
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
-@pytest.mark.parametrize("entropy", EDGE_ENTROPIES)
-@pytest.mark.parametrize("words", [1, 2])
-def test_batched_hash_equals_seed_sequence_on_edge_values(entropy, words):
-    states = seed_states(list(entropy), words)
-    assert states.shape == (1, words) and states.dtype == np.uint64
-    assert states[0].tolist() == numpy_states(entropy, words).tolist()
-    # one key is hashed by SeedSequence itself; two take the vectorised pass
-    if entropy:
-        twice = seed_states([[part, part] for part in entropy], words)
-        assert twice.tolist() == 2 * [numpy_states(entropy, words).tolist()]
+def test_keyed_generators_are_fresh_philox_at_their_key_and_row():
+    keys = [(seed, index) for seed in EDGE_WORDS for index in (0, 4, 2**64 - 1)]
+    rows = 3
+    steps = keyed_generators(keys, rows)
+    for key in keys:
+        for row in range(rows):
+            rng, reference = next(steps), fresh(*key, row)
+            normals = reference.standard_normal(9)
+            assert rng.standard_normal(9).tobytes() == normals.tobytes()
+            assert rng.permutation(13).tolist() == reference.permutation(13).tolist()
+    assert next(steps, None) is None
 
 
-def test_batched_hash_equals_seed_sequence_on_random_keys():
-    # 2,400 keys in each layout the engine and the public functions hash:
-    # per-key parts of one or two words mixed in one call, a shared part of
-    # any size, and per-key values of 2**64 or more
-    rng = np.random.default_rng(20261019)
-    seeds = rng.integers(0, 2**64, 2_400, dtype=np.uint64)
-    seeds[::7] >>= 32  # one-word seeds among two-word ones
-    seeds[::11] = 0
-    small = rng.integers(0, 2**40, 2_400, dtype=np.uint64)
-    huge = [int(seed) << int(shift) for seed, shift in zip(seeds, small % 150)]
-    layouts = [
-        [seeds],
-        [seeds, 6],
-        [seeds, small],
-        [2**100 + 3, small],
-        [seeds, 2**70, small.tolist()],
-        [huge, small],
-    ]
-    for parts in layouts:
-        for words in (1, 2):
-            states = seed_states(parts, words)
-            for k, state in enumerate(states):
-                entropy = tuple(p if isinstance(p, int) else int(p[k]) for p in parts)
-                assert state.tolist() == numpy_states(entropy, words).tolist(), entropy
+def test_stream_seed_is_the_first_philox_word_at_its_key():
+    pairs = [(seed, index) for seed in EDGE_WORDS for index in EDGE_WORDS]
+    for seed, index in pairs:
+        expected = fresh(seed, index).bit_generator.random_raw()
+        assert stream_seed(seed, index) == expected
+    for seed in EDGE_WORDS:
+        one_by_one = [stream_seed(seed, index) for index in EDGE_WORDS]
+        assert stream_seeds(seed, EDGE_WORDS) == one_by_one
 
 
-@pytest.mark.parametrize(
-    "parts", [[-1], [0, -1], [[3, -1]], [np.array([2, -1])], [np.array([1.0])]]
-)
-def test_batched_hash_rejects_negative_and_non_integer_parts(parts):
-    with pytest.raises(ConfigError):
-        seed_states(parts)
-
-
-def test_stream_seed_is_the_batched_hash_of_one_key():
-    for entropy in EDGE_ENTROPIES:
-        assert stream_seed(*entropy) == int(numpy_states(entropy, 1)[0])
-
-
-def test_keyed_generators_are_philox_seeded_by_their_key_states():
-    seeds = [0, 1, 2**63, 2**64 - 1]
-    keys = seed_states([seeds, 4], 2)
-    for seed, rng in zip(seeds, keyed_generators(keys)):
-        fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 4))))
-        assert rng.standard_normal(9).tobytes() == fresh.standard_normal(9).tobytes()
-        assert rng.permutation(13).tolist() == fresh.permutation(13).tolist()
+def test_every_link_row_is_a_fresh_philox_stream_at_its_key_and_row():
+    # link L of seed s: its antenna r (a vector is one row) is drawn at key
+    # (s, L) from counter (0, r, 0, 0), interleaved real and imaginary
+    # standard normals scaled by the link's amplitude over sqrt(2)
+    budget, geometry, m, n = LinkBudget(), Geometry(), 3, 5
+    scales = {
+        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi),
+        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi),
+        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi),
+        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi),
+        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi),
+        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi),
+    }
+    for seed in (0, 9, 2**64 - 1):
+        channels = sample_channels(geometry, budget, m, n, seed)
+        for name, link in LINK_STREAMS.items():
+            dist, g_tx, g_rx = scales[name]
+            scale = pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
+                g_tx, g_rx
+            )
+            block = np.atleast_2d(getattr(channels, name))
+            for row, entries in enumerate(block):
+                pairs = fresh(seed, link, row).standard_normal((len(entries), 2))
+                expected = (pairs[:, 0] + 1j * pairs[:, 1]) * (scale / math.sqrt(2.0))
+                assert entries.tobytes() == expected.tobytes(), (seed, name, row)
 
 
 def test_importing_the_cli_loads_no_random_module():
@@ -403,16 +425,14 @@ def test_a_served_one_antenna_draw_equals_its_own_draw(m, n):
 
 @pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
 def test_links_drawn_a_hop_at_a_time_equal_the_whole_draw(m, n):
-    # the trial engine draws a draw's links in two calls, on one hash of
-    # its stream keys: what the first slots read, then H_ri; each block is
-    # the whole draw's, bit for bit, in a buffer of its own
+    # the trial engine draws a draw's links in two calls: what the first
+    # slots read, then H_ri; each block is the whole draw's, bit for bit, in
+    # a buffer of its own
     seeds = [trial_seed(5, k) for k in range(7)]
     whole = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
-    keys = link_keys(seeds)
-    assert keys.shape == (len(LINK_STREAMS), len(seeds), 2)
     hops = [("h_sr", "H_ir", "h_si", "h_rd", "h_id"), ("H_ri",)]
     drawn = [
-        sample_links(Geometry(), LinkBudget(), m, n, keys, names) for names in hops
+        sample_links(Geometry(), LinkBudget(), m, n, seeds, names) for names in hops
     ]
     both = {**vars(drawn[0]), **vars(drawn[1])}
     assert list(both) == list(LINK_STREAMS)

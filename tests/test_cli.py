@@ -202,6 +202,8 @@ def test_main_rejects_bad_value_naming_its_key(key, raw, capsys):
         ("ais", "gain_s_dbi", "-7000", "h_sr"),  # the gain underflows to 0
         ("ais", "gain_s_dbi", "7000", "h_sr"),  # 10 ** (g / 20) overflows
         ("baseline-irs-only", "alpha", "1e5", "h_si"),
+        # positive, but below the solvers' zero norm: 50 ** -20 is 1.9e-34
+        ("ais", "alpha", "40", "h_sr"),
     ],
 )
 def test_main_rejects_a_link_amplitude_out_of_range_naming_the_link(
@@ -216,6 +218,27 @@ def test_main_rejects_a_link_amplitude_out_of_range_naming_the_link(
     budget = LinkBudget(**{key: float(raw)})
     with pytest.raises(ConfigError, match="link h_sr:"):
         sample_channels(Geometry(), budget, 2, 4, seed=0)
+
+
+@pytest.mark.parametrize("origin", ["flag", "set", "env"])
+def test_main_takes_seeds_of_one_64_bit_word_only(origin, capsys, monkeypatch):
+    # a seed is one word of a Philox key: 2**64 - 1 runs, 2**64 is rejected
+    def run(seed):
+        args = ["run", "--trials", "2", "--methods", "ais", "--set", "m=2"]
+        monkeypatch.delenv(cli.ENV_SEED_VAR, raising=False)
+        if origin == "flag":
+            args += ["--seed", str(seed)]
+        elif origin == "set":
+            args += ["--set", f"seed={seed}"]
+        else:
+            monkeypatch.setenv(cli.ENV_SEED_VAR, str(seed))
+        return cli.main(args)
+
+    assert run(2**64) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "[0, 2**64)" in captured.err
+    assert run(2**64 - 1) == 0
+    assert "seed=18446744073709551615" in capsys.readouterr().out
 
 
 def test_main_rejects_workers_flag_below_one(capsys):

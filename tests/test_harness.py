@@ -181,15 +181,14 @@ def _count_calls(monkeypatch, name, keys):
 def _record_draws(monkeypatch):
     """Record the (m, seeds, served, links) of each stack the engine solves on.
 
-    A draw's links are drawn by ``harness.sample_links``, for the seeds
-    whose stream keys ``harness.link_keys`` hashed, a hop at a time; at
-    m = 1 they are served from a larger draw by ``harness._leading_antenna``
-    (``served`` is true).  Returns the calls and the bytes of every
-    first-hop direct link drawn or served, which tell a first-hop solve from
-    a second-hop one.
+    A draw's links are drawn by ``harness.sample_links`` from its trial
+    seeds, a hop at a time; at m = 1 they are served from a larger draw by
+    ``harness._leading_antenna`` (``served`` is true).  Returns the calls
+    and the bytes of every first-hop direct link drawn or served, which tell
+    a first-hop solve from a second-hop one.
     """
-    calls, first_links, keyed = [], set(), {}
-    keys_of, draw = harness.link_keys, harness.sample_links
+    calls, first_links = [], set()
+    draw = harness.sample_links
     serve = harness._leading_antenna
 
     def record(m, seeds, stack, served):
@@ -197,19 +196,12 @@ def _record_draws(monkeypatch):
         first_links.update(row.tobytes() for row in getattr(stack, "h_sr", ()))
         return stack
 
-    def hashed(seeds):
-        keys = keys_of(seeds)
-        keyed[id(keys)] = list(seeds)
-        return keys
-
-    def drawn(geometry, budget, m, n, keys, names):
-        links = draw(geometry, budget, m, n, keys, names)
-        return record(m, keyed[id(keys)], links, False)
+    def drawn(geometry, budget, m, n, seeds, names):
+        return record(m, seeds, draw(geometry, budget, m, n, seeds, names), False)
 
     def leading(stack, drawn, seeds):
         return record(1, seeds, serve(stack, drawn, seeds), True)
 
-    monkeypatch.setattr(harness, "link_keys", hashed)
     monkeypatch.setattr(harness, "sample_links", drawn)
     monkeypatch.setattr(harness, "_leading_antenna", leading)
     return calls, first_links
@@ -305,18 +297,12 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
     # second no H_ir, and the second reads the element links of the first
     methods = ("ais", "irses", "baseline-single-antenna", "baseline-irs-only")
     configs = [small_config(method=m, m=4, n=16, trials=5) for m in methods]
-    blocks, keyed = [], {}
-    keys_of, draw = harness.link_keys, harness.sample_links
-    serve = harness._leading_antenna
+    blocks = []
+    draw, serve = harness.sample_links, harness._leading_antenna
 
-    def hashed(seeds):
-        keys = keys_of(seeds)
-        keyed[id(keys)] = list(seeds)
-        return keys
-
-    def drawn(geometry, budget, m, n, keys, names):
-        links = draw(geometry, budget, m, n, keys, names)
-        blocks.append((m, keyed[id(keys)], vars(links)))
+    def drawn(geometry, budget, m, n, seeds, names):
+        links = draw(geometry, budget, m, n, seeds, names)
+        blocks.append((m, list(seeds), vars(links)))
         return links
 
     def leading(stack, drawn, seeds):
@@ -324,7 +310,6 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
         blocks.append((1, seeds, vars(served)))
         return served
 
-    monkeypatch.setattr(harness, "link_keys", hashed)
     monkeypatch.setattr(harness, "sample_links", drawn)
     monkeypatch.setattr(harness, "_leading_antenna", leading)
     collect_trials(configs)
@@ -340,26 +325,12 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
             assert block.tobytes() == getattr(whole, name).tobytes()
 
 
-def test_a_trial_alone_hashes_its_one_key_streams_with_seed_sequence(monkeypatch):
-    # run_trial hashes one trial's seed, its partition seed and its
-    # partition key, one key each, by SeedSequence, and only its six link
-    # keys in a vectorised pass: one pass per trial, where it made four;
-    # the records are those of the trials hashed together
-    from irsrelay import channel
-
+def test_a_trial_alone_gets_the_record_it_gets_among_others():
+    # run_trial draws and solves one trial as a chunk of one, from its own
+    # keys: its record is the one the trials drawn together give it
     config = small_config(method="irses", m=4, n=16, trials=3)
     together = collect_trials(config)
-    passes = []
-    vectorised = channel._hashed_states
-
-    def counted(columns, keys, words):
-        passes.append(keys)
-        return vectorised(columns, keys, words)
-
-    monkeypatch.setattr(channel, "_hashed_states", counted)
-    alone = [run_trial(config, k) for k in range(3)]
-    assert alone == together
-    assert passes == [6, 6, 6]
+    assert [run_trial(config, k) for k in range(3)] == together
 
 
 def test_sweep_shares_draws_across_snr_points(monkeypatch):
@@ -377,7 +348,7 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
     partitions = _count_calls(
         monkeypatch,
         "_irses_assignments",
-        lambda n, m, keys: [k.tobytes() for k in keys],
+        lambda n, m, seeds: list(seeds),
     )
     together = sweep(spec).points
     assert [(p.mean_rate_r, p.mean_rate_d, p.mean_rate_s, p.stderr_rate_s)

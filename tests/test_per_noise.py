@@ -153,31 +153,30 @@ def test_per_noise_solve_needs_a_noise_level(name):
 
 
 #: per options: (rate_r, receive power) as float.hex() and a digest of the
-#: phases and MRC weights at 0 dB, 30 dB and one per-antenna level, from the
-#: scalar irses solver before it became the one-level case of a solve for
-#: several levels (make_channels(4, 16, seed=1), irses_partition(16, 4, 1));
-#: after a change meant to move irses numbers, recompute them and state the
-#: drift
+#: phases and MRC weights at 0 dB, 30 dB and one per-antenna level
+#: (make_channels(4, 16, seed=1), irses_partition(16, 4, 1)), from the draws
+#: and partition keyed by Philox; after a change meant to move irses
+#: numbers, recompute them and state the drift
 IRSES_PINNED = {
     "idealized": (
-        ("0x1.1a51b382f340bp-9", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
-        ("0x1.518a89e534994p+0", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
-        ("0x1.56b44a14f1460p+0", "0x1.e9965189a1787p-6", "39b265e46f0a109c"),
+        ("0x1.60d0d3feff1b9p-9", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
+        ("0x1.85125509a896dp+0", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
+        ("0x1.732f3530106f5p+0", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
     ),
     "full": (
-        ("0x1.03b86dd7b329fp-9", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
-        ("0x1.3f612478b48cfp+0", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
-        ("0x1.423ec145d8dbep+0", "0x1.c25ed3c323a0bp-6", "39b265e46f0a109c"),
+        ("0x1.205073854a5fep-9", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
+        ("0x1.56369d79529f7p+0", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
+        ("0x1.4b8f111b73971p+0", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
     ),
     "printed": (
-        ("0x1.4c6e02b163d29p-11", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
-        ("0x1.0d237260970b5p-1", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
-        ("0x1.a2ac569ea490bp-2", "0x1.20177a9830160p-7", "39b265e46f0a109c"),
+        ("0x1.001842a5d33f0p-10", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
+        ("0x1.7e0f577edb8dap-1", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
+        ("0x1.160cccee0bdbep-1", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
     ),
     "fixed-phases": (
-        ("0x1.7f56ccc28025dp-10", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
-        ("0x1.0299198434eaep+0", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
-        ("0x1.f20f652655408p-1", "0x1.4c4e6e6fcc3dep-6", "21ea871e3b2be55b"),
+        ("0x1.e323e57f71c21p-10", "0x1.a2e068f117152p-6", "a8a4ba742b6d7408"),
+        ("0x1.301e690852889p+0", "0x1.a2e068f117152p-6", "a8a4ba742b6d7408"),
+        ("0x1.1d0a7e4d089b3p+0", "0x1.a2e068f117152p-6", "a8a4ba742b6d7408"),
     ),
 }
 

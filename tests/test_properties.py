@@ -1,4 +1,4 @@
-"""Property tests of the alternating solvers over random sizes and channels.
+"""Property tests of the channel draws and the alternating solvers.
 
 Hypothesis draws the antenna count, the element count, the channel seed and
 a scale factor.  The examples are derandomized, so every run checks the same
@@ -14,8 +14,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from irsrelay.beamforming import ais_max_rp, nsp_max_rp_mrc, second_slot_optimize
+from irsrelay.channel import LINK_STREAMS, Geometry, LinkBudget, sample_links
 
 from conftest import NOISE_30DB, P_R, P_S, make_channels
+from test_channel import assert_leading_entries_kept
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=15)
 
@@ -80,3 +82,19 @@ def test_scale_covariance(solver, hop, size, seed, c):
     base = solver(ch, NOISE_30DB, **controls)[-1]
     moved = solver(scaled, c**2 * NOISE_30DB, **controls)[-1]
     assert abs(moved - base) <= 1e-9 * base
+
+
+@PROPERTY
+@given(
+    size=sizes,
+    growth=st.tuples(st.integers(0, 8), st.integers(0, 32)),
+    trial_seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+)
+def test_growing_m_and_n_keeps_every_links_leading_entries(size, growth, trial_seeds):
+    # common random numbers: every link drawn at (m, n) is, bit for bit, the
+    # leading part of the same trials' draw at more antennas and elements
+    (m, n), (dm, dn) = size, growth
+    names = tuple(LINK_STREAMS)
+    small = sample_links(Geometry(), LinkBudget(), m, n, trial_seeds, names)
+    large = sample_links(Geometry(), LinkBudget(), m + dm, n + dn, trial_seeds, names)
+    assert_leading_entries_kept(small, large, m, n)
