@@ -31,11 +31,19 @@ the same floating-point operations per trial as the one-trial case (the
 same BLAS or LAPACK call per slice, the same elementwise loops), so a
 trial's solution does not depend on what it is stacked with.
 
+Every solver iterates on the surface's unit phasors ``e = exp(j*theta)``,
+never on angles: the closed-form alignment of a reflected path ``row`` onto
+a reference phasor ``r`` is ``r * conj(row) / |row|``
+(:func:`_aligned_phasors`), and a hop's channel applies ``e`` as it is, so
+no loop calls ``arctan2`` or ``exp``.  Angles exist only in
+:class:`PhaseShiftVector`, built from ``np.angle`` of a solution's final
+phasors.
+
 Each loop also has a private rates form, which the trial engine calls:
 ``_alternate`` (``ais`` on the first hop, the second slot on the second),
 ``_nsp`` and ``_irses`` on one hop's blocks of a stack of trials.  It runs
-the same loop and the same checks on every iterate (finite angles in
-:func:`_aligned_angles`, unit norms in :func:`_unit`, no dip of a rate in
+the same loop and the same checks on every iterate (finite unit phasors in
+:func:`_aligned_phasors`, unit norms in :func:`_unit`, no dip of a rate in
 ``_Stops``), but returns only a ``(trials, levels)`` array of rates and one
 of iteration counts: it builds no :class:`PhaseShiftVector`,
 :class:`Beamformer` or solution object, keeps no rate trace, and a stop
@@ -129,13 +137,6 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(wrapped >= TWO_PI, 0.0, wrapped)
 
 
-def _checked_angles(angles: np.ndarray) -> np.ndarray:
-    """Finite ``angles`` wrapped onto [0, 2*pi), as a phase vector stores them."""
-    if not np.isfinite(angles).all():
-        raise ConfigError("phase vector contains non-finite angles")
-    return wrap_angles(angles)
-
-
 def _norms(stack: np.ndarray) -> list[float]:
     """Euclidean norm of each row of a stack of weight vectors.
 
@@ -200,7 +201,9 @@ class PhaseShiftVector:
         angles = np.atleast_1d(np.asarray(self.angles, dtype=np.float64))
         if angles.ndim != 1:
             raise ConfigError("phase vector must be one-dimensional")
-        object.__setattr__(self, "angles", _checked_angles(angles))
+        if not np.isfinite(angles).all():
+            raise ConfigError("phase vector contains non-finite angles")
+        object.__setattr__(self, "angles", wrap_angles(angles))
 
     def __len__(self) -> int:
         return self.angles.shape[0]
@@ -376,27 +379,50 @@ def _path_row(
     return row
 
 
-def _phase(z: np.ndarray) -> np.ndarray:
-    """``np.angle(z)`` of a complex array, without its argument handling."""
-    return np.arctan2(z.imag, z.real)
+def _checked_phasors(phasors: np.ndarray) -> np.ndarray:
+    """``phasors``, once every entry is finite, as a phase vector's angles must be."""
+    if np.count_nonzero(np.isfinite(phasors)) != phasors.size:
+        raise ConfigError("phase vector contains non-finite phasors")
+    return phasors
 
 
-def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarray:
-    """Checked phases rotating each entry of ``rows`` onto the phase ``reference``.
+def _unit_phasors(z: np.ndarray) -> np.ndarray:
+    """``z / |z|`` entrywise, and 1 where ``z`` is 0, the phasor of ``np.angle(0)``.
 
-    ``reference`` holds one phase in [-pi, pi] per row (trailing axis of
-    length 1) or one for all.  The result is what :func:`_checked_angles`
-    makes of the differences; the solvers iterate on such raw arrays and
-    build one :class:`PhaseShiftVector` at the end, so every iterate is
-    checked here.  Entries with zero magnitude carry no signal; their phase
-    is set to 0 and reported through :class:`DegenerateElementWarning`,
-    once per row.
+    The division is a product with the reciprocal magnitudes, so that a NaN
+    entry gives NaN without a floating-point warning; the caller's check
+    rejects it.
     """
-    zero = np.abs(rows) < ZERO_NORM
-    angles = _phase(rows)
-    np.subtract(reference, angles, out=angles)
-    if np.count_nonzero(zero):
-        angles[zero] = 0.0
+    magnitudes = np.abs(z)
+    zero = magnitudes == 0.0
+    magnitudes[zero] = 1.0
+    phasors = z * np.reciprocal(magnitudes, out=magnitudes)
+    phasors[zero] = 1.0
+    return phasors
+
+
+def _aligned_phasors(reference: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """Checked unit phasors rotating each entry of ``rows`` onto ``reference``.
+
+    ``reference`` holds one unit phasor per row (trailing axis of length 1),
+    or is None for phase 0.  Entry ``i``'s phasor is ``reference *
+    conj(rows[i]) / |rows[i]|``, written over ``rows``; the solvers iterate
+    on such arrays and build one :class:`PhaseShiftVector` at the end, so
+    every iterate is checked here.  Entries with zero magnitude carry no
+    signal; their phasor is set to 1 and reported through
+    :class:`DegenerateElementWarning`, once per row.
+    """
+    magnitudes = np.abs(rows)
+    zero = magnitudes < ZERO_NORM
+    degenerate = np.count_nonzero(zero)
+    if degenerate:
+        magnitudes[zero] = 1.0  # no division by zero below
+    phasors = np.conjugate(rows, out=rows)
+    phasors *= np.reciprocal(magnitudes, out=magnitudes)
+    if reference is not None:
+        phasors *= reference
+    if degenerate:
+        phasors[zero] = 1.0
         counts = zero.sum(axis=-1, keepdims=True)
         for count in counts[counts > 0]:
             warnings.warn(
@@ -404,38 +430,31 @@ def _aligned_angles(reference: np.ndarray | float, rows: np.ndarray) -> np.ndarr
                 DegenerateElementWarning,
                 stacklevel=3,
             )
-    if np.count_nonzero(np.isfinite(angles)) != angles.size:
-        raise ConfigError("phase vector contains non-finite angles")
-    # two phases in [-pi, pi] differ by at most 2*pi, where the fmod inside
-    # np.mod is exact: wrap_angles reduces to adding 2*pi below zero (and
-    # 0 elsewhere, which turns -0 into +0), bit for bit; in place, so that
-    # an iterate of a loop holds fewer (trials, n) temporaries
-    angles += np.where(angles < 0.0, TWO_PI, 0.0)
-    angles[angles >= TWO_PI] = 0.0
-    return angles
+    return _checked_phasors(phasors)
 
 
 def _align(hop: tuple, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Phases aligning each reflected path with the direct path at ``u``.
+    """Unit phasors aligning each reflected path with the direct path at ``u``.
 
     ``hop`` is one hop's (direct link, surface matrix H, element link h),
-    for one trial or with a leading trial axis; with ``rows``, ``H`` is a
-    whole stack and the others its rows ``rows`` (:func:`_matvec`).
+    with a leading trial axis; with ``rows``, ``H`` is a whole stack and the
+    others its rows ``rows`` (:func:`_matvec`).  The reference is the unit
+    phasor of ``u^H direct``, 1 where that is 0.
     """
     direct, H, h = hop
-    reference = _phase(np.vecdot(u, direct))[..., np.newaxis]
-    return _aligned_angles(reference, _path_row(H, h, u, rows))
+    reference = _unit_phasors(np.vecdot(u, direct))[:, np.newaxis]
+    return _aligned_phasors(reference, _path_row(H, h, u, rows))
 
 
 def _hop_channel(
-    hop: tuple, angles: np.ndarray, rows: np.ndarray | None = None
+    hop: tuple, phasors: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """A hop's effective channel direct + H diag(exp(j*angles)) h.
+    """A hop's effective channel direct + H diag(phasors) h.
 
     ``rows`` are as in :func:`_align`.
     """
     direct, H, h = hop
-    return direct + _matvec(H, np.exp(1j * angles) * h, rows)
+    return direct + _matvec(H, phasors * h, rows)
 
 
 #: the first and second hop's (direct link, surface matrix, element link)
@@ -634,7 +653,7 @@ def _alternate(
     its stop.  Returns ``(trials, levels)`` arrays of rates and iteration
     counts, or, when ``solution`` is given, per trial one
     ``solution(iterate, trace)`` per level, built from the iterate's
-    (angles, weights, power); only then does a stop keep a copy of its
+    (phasors, weights, power); only then does a stop keep a copy of its
     iterate.
     """
     direct, H, h = hop
@@ -644,10 +663,11 @@ def _alternate(
     u = _unit(direct)  # the matched filter to each direct link
     surface = _Surface(H)
     for _ in range(max_iter):
-        angles = _align((direct, surface.H, h), u, surface.rows)
-        combined = _hop_channel((direct, surface.H, h), angles, surface.rows)
+        phasors = _align((direct, surface.H, h), u, surface.rows)
+        combined = _hop_channel((direct, surface.H, h), phasors, surface.rows)
         u = _unit(combined)
-        keep = stops.record(_powers(p_watt, u, combined), (angles, u) if traces else ())
+        iterate = (phasors, u) if traces else ()
+        keep = stops.record(_powers(p_watt, u, combined), iterate)
         if keep is not None:
             if not keep:
                 break
@@ -662,14 +682,14 @@ def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
     Rotates every cascaded source-surface-relay path so that it adds in phase
     with the direct path at the beamformer output.
     """
-    hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    return PhaseShiftVector(_align(hop, u_r.weights))
+    hop = _hop(channels, _FIRST_HOP, stack=False)
+    return PhaseShiftVector(np.angle(_align(hop, u_r.weights[np.newaxis])[0]))
 
 
 def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
     """Matched-filter receive beamformer for fixed surface phases."""
     hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    return Beamformer.normalized(_hop_channel(hop, theta1.angles))
+    return Beamformer.normalized(_hop_channel(hop, theta1.phasors))
 
 
 def ais_max_rp(
@@ -714,10 +734,10 @@ def ais_max_rp_batch(
 
 
 def _ais_solution(iterate: tuple, trace: tuple[float, ...]) -> FirstSlotSolution:
-    angles, u, power = iterate
+    phasors, u, power = iterate
     return FirstSlotSolution(
         method="ais",
-        theta1=PhaseShiftVector(angles),
+        theta1=PhaseShiftVector(np.angle(phasors)),
         receive_power_watt=float(power),
         rate_r=trace[-1],
         trace=trace,
@@ -756,14 +776,15 @@ def _projectors(A: np.ndarray) -> np.ndarray:
 def _nsp_start_phases(
     H: np.ndarray, h: np.ndarray, direct_null: np.ndarray
 ) -> np.ndarray:
-    """Checked start phases of the null-space alternation on a stack of trials.
+    """Checked start phasors of the null-space alternation on a stack of trials.
 
-    The reflected branch at phasors v is ||B v|| with B = P H diag(h).
-    B's principal right singular vector maximizes it without the
-    unit-modulus constraint; its phases, rotated so that its largest entry
-    is real positive (a deterministic global phase), are one candidate and
-    flat phases the other.  The larger branch wins, flat phases on a tie,
-    so the start is never below the flat-phase branch.
+    The reflected branch at phasors e is ||B e|| with B = P H diag(h).
+    B's principal right singular vector v maximizes it without the
+    unit-modulus constraint; its unit phasors ``v / |v|``, rotated by
+    ``conj(p) / |p|`` of its largest entry p so that this entry is real
+    positive (a deterministic global phase), are one candidate and flat
+    phasors (all 1) the other.  The larger branch wins, flat phasors on a
+    tie, so the start is never below the flat-phase branch.
     """
     relaxed = direct_null @ (H * h[:, np.newaxis])
     relaxed_h = np.conj(relaxed.mT)
@@ -772,11 +793,11 @@ def _nsp_start_phases(
     v = np.matvec(relaxed_h, np.linalg.eigh(relaxed @ relaxed_h)[1][..., -1])
     del relaxed_h  # one (T, m, n) temporary fewer for the rest
     peak = v[np.arange(len(v)), np.argmax(np.abs(v), axis=-1)]
-    angles = np.angle(v) - np.angle(peak)[:, np.newaxis]
-    singular = _norms(np.matvec(relaxed, np.exp(1j * angles)))
+    phasors = _unit_phasors(v) * np.conj(_unit_phasors(peak))[:, np.newaxis]
+    singular = _norms(np.matvec(relaxed, phasors))
     flat = _norms(relaxed.sum(axis=-1))
     wins = np.array([s > f for s, f in zip(singular, flat)])
-    return _checked_angles(np.where(wins[:, np.newaxis], angles, 0.0))
+    return _checked_phasors(np.where(wins[:, np.newaxis], phasors, 1.0))
 
 
 def nsp_max_rp_mrc(
@@ -863,7 +884,7 @@ def _nsp(
     :func:`_nsp_results` closes out every stopped (trial, level) at once.
     Returns ``(trials, levels)`` arrays of rates and iteration counts, or,
     with ``solutions``, per trial one :class:`FirstSlotSolution` per level;
-    a stop keeps its iterate's receive vector and cascade, and its angles
+    a stop keeps its iterate's receive vector and cascade, and its phasors
     only for a solution.
     """
     noise_variances = tuple(noise_variances)
@@ -891,22 +912,19 @@ def _nsp(
     if phases is None:
         step = max(1, START_PHASE_BYTES // H_ir[0].nbytes)
         parts = (H_ir, h_si, direct_null)
-        angles = np.concatenate(
+        phasors = np.concatenate(
             [
                 _nsp_start_phases(*(part[t : t + step] for part in parts))
                 for t in range(0, trials, step)
             ]
         )
     else:
-        angles = np.broadcast_to(phases.angles, (trials, n))
+        phasors = phases.phasors
     # the reflected branch alone: no direct term in the cascade
-    cascade = np.matvec(H_ir, np.exp(1j * angles) * h_si)
+    cascade = np.matvec(H_ir, phasors * h_si)
     if phases is not None:
         u_ri = _unit(np.matvec(direct_null, np.matvec(direct_null, cascade)))
-        stops.record(
-            _powers(p_s_watt, u_ri, cascade),
-            (u_ri, cascade, angles) if solutions else (u_ri, cascade),
-        )
+        stops.record(_powers(p_s_watt, u_ri, cascade), (u_ri, cascade))
     else:
         # the projectors are this loop's own: they move forward in place
         h, null, surface = h_si, direct_null, _Surface(H_ir)
@@ -914,12 +932,13 @@ def _nsp(
             # projector applied twice as defined; idempotence makes it one
             u_ri = _unit(np.matvec(null, np.matvec(null, cascade)))
             # aligned to phase 0, as the direct path is projected off
-            angles = _aligned_angles(0.0, _path_row(surface.H, h, u_ri, surface.rows))
+            row = _path_row(surface.H, h, u_ri, surface.rows)
+            phasors = _aligned_phasors(None, row)
             # the next iteration starts from this cascade
-            cascade = _matvec(surface.H, np.exp(1j * angles) * h, surface.rows)
+            cascade = _matvec(surface.H, phasors * h, surface.rows)
             powers = _powers(p_s_watt, u_ri, cascade)
             keep = stops.record(
-                powers, (u_ri, cascade, angles) if solutions else (u_ri, cascade)
+                powers, (u_ri, cascade, phasors) if solutions else (u_ri, cascade)
             )
             if keep is not None:
                 if not keep:
@@ -929,7 +948,7 @@ def _nsp(
                 surface = surface.keep(keep)
         # the direct branch needs none of the running rows
         del h, null, surface, direct_null, parts
-    return _nsp_results(hop, p_s_watt, stops, mode, combining, solutions)
+    return _nsp_results(hop, p_s_watt, stops, mode, combining, solutions, phases)
 
 
 def _nsp_results(
@@ -939,12 +958,14 @@ def _nsp_results(
     mode: str,
     combining: str,
     solutions: bool,
+    phases: PhaseShiftVector | None,
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
     """:func:`nsp_max_rp_mrc`'s results at the stopped reflected-branch iterates.
 
     Each iterate ``stops`` kept holds the reflected branch's (receive
-    vector, cascade), its angles for a solution, and its power, shared by
-    the levels that stopped on it.  The direct branch's beamformer is built
+    vector, cascade), its phasors for a solution of the alternation (fixed
+    ``phases`` are every solution's own), and its power, shared by the
+    levels that stopped on it.  The direct branch's beamformer is built
     off the reflected signal for every kept iterate of the stack at once,
     and both branches are combined.  The branch amplitudes are ``abs`` of
     Python complex numbers, as in the one-trial rule: numpy's complex
@@ -992,12 +1013,14 @@ def _nsp_results(
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
         powers[index] = power_eff
         if solutions:
-            u_i, _, angles = stops.kept[index][:3]
+            kept, theta1 = stops.kept[index], phases
+            if theta1 is None:
+                theta1 = PhaseShiftVector(np.angle(kept[2]))
             fields[index] = dict(
-                theta1=PhaseShiftVector(angles),
+                theta1=theta1,
                 receive_power_watt=power_eff,
                 u_rs=Beamformer(u_s),
-                u_ri=Beamformer(u_i),
+                u_ri=Beamformer(kept[0]),
             )
     levels = np.arange(len(stops.noise))
     rates = _rates(powers, stops.noise)[stops.column(2), levels]
@@ -1171,20 +1194,21 @@ def _irses(
     trial = np.arange(trials)[:, np.newaxis]
     own_paths = H_ir[trial, antenna, np.arange(n)]
     if phases is None:
-        angles = _checked_angles(
-            np.angle(h_sr)[trial, antenna] - np.angle(own_paths) - np.angle(h_si)
-        )
+        # the direct path's unit phasor at the element's antenna, times the
+        # conjugate of its path's and its element link's
+        paths = np.conj(_unit_phasors(own_paths) * _unit_phasors(h_si))
+        phasors = _checked_phasors(paths * _unit_phasors(h_sr)[trial, antenna])
     else:
         if len(phases) != n:
             raise ConfigError("fixed phase vector length must equal n")
-        angles = phases.angles
+        phasors = phases.phasors
 
     own = h_sr.copy()
-    np.add.at(own, (trial, antenna), own_paths * np.exp(1j * angles) * h_si)
+    np.add.at(own, (trial, antenna), own_paths * phasors * h_si)
     if interference_mode == "idealized":
         amplitudes = np.abs(own)
     else:
-        amplitudes = np.abs(_hop_channel(hop, angles))
+        amplitudes = np.abs(_hop_channel(hop, phasors))
 
     usable = np.abs(own) >= ZERO_NORM
     unusable = (m - np.count_nonzero(usable, axis=-1)).tolist()
@@ -1225,7 +1249,7 @@ def _irses(
         powers = (p_s_watt * fourth_sums / square_sums).tolist()
     results = []
     for row, (trial_rates, power_eff) in enumerate(zip(rates.tolist(), powers)):
-        theta = PhaseShiftVector(angles[row]) if phases is None else phases
+        theta = PhaseShiftVector(np.angle(phasors[row])) if phases is None else phases
         results.append(
             tuple(
                 FirstSlotSolution(
@@ -1283,9 +1307,9 @@ def second_slot_optimize_batch(
 def _second_slot_solution(
     iterate: tuple, trace: tuple[float, ...]
 ) -> SecondSlotSolution:
-    angles, u, _ = iterate
+    phasors, u, _ = iterate
     return SecondSlotSolution(
-        theta2=PhaseShiftVector(-angles),
+        theta2=PhaseShiftVector(np.angle(np.conj(phasors))),
         u_t=Beamformer(u),
         rate_d=trace[-1],
         trace=trace,
@@ -1314,7 +1338,7 @@ def _fixed_first_slot(
     filter to the resulting first-hop channel.
     """
     n = channels.h_si.shape[-1]
-    combined = _hop_channel(_FIRST_HOP(channels), np.zeros(n))
+    combined = _hop_channel(_FIRST_HOP(channels), np.ones(n))
     return _closed_rates(_powers(p_s_watt, _unit(combined), combined), noises)
 
 
@@ -1340,7 +1364,7 @@ def _fixed_second_slot(
     """
     n = channels.h_id.shape[-1]
     return _matched_direct(
-        _hop_channel(_SECOND_HOP(channels), np.zeros(n)), p_r_watt, noises
+        _hop_channel(_SECOND_HOP(channels), np.ones(n)), p_r_watt, noises
     )
 
 

@@ -54,8 +54,13 @@ LINK_STREAMS = {
 PARTITION_STREAM = 6
 
 #: magnitudes below this are treated as exactly zero when normalizing; a link
-#: whose amplitude scale is below it is rejected when drawn
+#: whose amplitude scale is below it is rejected when drawn, and a cascade
+#: whose scale product is (:func:`check_links`)
 ZERO_NORM = 1e-30
+
+#: the two links each path through the surface multiplies: into the surface
+#: and out of it, on the first hop, the second hop and ``baseline-irs-only``'s
+CASCADES = (("H_ir", "h_si"), ("H_ri", "h_id"), ("h_si", "h_id"))
 
 def check_seed(seed: int, name: str = "seed") -> None:
     """Reject a seed outside ``[0, 2**64)``, one word of a Philox key.
@@ -338,6 +343,62 @@ def dbi_to_amplitude_gain(gain_tx_dbi: float, gain_rx_dbi: float) -> float:
     return 10.0 ** ((gain_tx_dbi + gain_rx_dbi) / 20.0)
 
 
+def link_scale(geometry: Geometry, budget: LinkBudget, name: str) -> float:
+    """Amplitude scale of link ``name``: path loss times its antenna gains.
+
+    Raises:
+        ConfigError: if the scale is not finite or is below
+            :data:`ZERO_NORM`, naming the link.
+    """
+    ends = {
+        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi),
+        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi),
+        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi),
+        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi),
+        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi),
+        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi),
+    }
+    dist, g_tx, g_rx = ends[name]
+    try:
+        scale = pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
+            g_tx, g_rx
+        )
+    except OverflowError:  # a factor beyond the float range
+        scale = math.inf
+    if not ZERO_NORM <= scale < math.inf:
+        raise ConfigError(
+            f"link {name}: amplitude scale {scale} (path loss times antenna "
+            f"gains) must be finite and at least {ZERO_NORM}"
+        )
+    return scale
+
+
+def check_links(geometry: Geometry, budget: LinkBudget, names: Sequence[str]) -> None:
+    """Reject links ``names`` that no solve could tell from zero, before a draw.
+
+    Each link's scale is checked in turn (:func:`link_scale`), and then each
+    cascade of :data:`CASCADES` among ``names``: every path through the
+    surface is the product of an entry of each of its two links, so with a
+    scale product below :data:`ZERO_NORM` every path is about as small, the
+    solvers set each element aside as carrying no signal, and a table would
+    read the direct links' rates alone; one beyond the float range overflows
+    every path.
+
+    Raises:
+        ConfigError: naming the first link, or else the first cascade, out
+            of range.
+    """
+    scales = {name: link_scale(geometry, budget, name) for name in names}
+    for into, out in CASCADES:
+        if into in scales and out in scales:
+            product = scales[into] * scales[out]
+            if not ZERO_NORM <= product < math.inf:
+                raise ConfigError(
+                    f"cascade {into}*{out}: amplitude scale product {product:.3g} "
+                    f"of its two links must be finite and at least {ZERO_NORM}"
+                )
+
+
 def sample_links(
     geometry: Geometry,
     budget: LinkBudget,
@@ -371,28 +432,17 @@ def sample_links(
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
     if n < 1:
         raise ConfigError(f"element count n must be >= 1, got {n}")
-    links = {
-        "h_sr": (geometry.d_sr, budget.gain_s_dbi, budget.gain_rs_dbi, (m,)),
-        "H_ir": (geometry.d_ir, budget.gain_irs_dbi, budget.gain_rs_dbi, (m, n)),
-        "h_si": (geometry.d_si, budget.gain_s_dbi, budget.gain_irs_dbi, (n,)),
-        "h_rd": (geometry.d_rd, budget.gain_rs_dbi, budget.gain_d_dbi, (m,)),
-        "h_id": (geometry.d_id, budget.gain_irs_dbi, budget.gain_d_dbi, (n,)),
-        "H_ri": (geometry.d_ri, budget.gain_rs_dbi, budget.gain_irs_dbi, (m, n)),
+    shapes = {
+        "h_sr": (m,),
+        "H_ir": (m, n),
+        "h_si": (n,),
+        "h_rd": (m,),
+        "h_id": (n,),
+        "H_ri": (m, n),
     }
     blocks = {}
     for name in names:
-        dist, g_tx, g_rx, shape = links[name]
-        try:
-            scale = pathloss_amplitude(dist, budget.alpha) * dbi_to_amplitude_gain(
-                g_tx, g_rx
-            )
-        except OverflowError:  # a factor beyond the float range
-            scale = math.inf
-        if not ZERO_NORM <= scale < math.inf:
-            raise ConfigError(
-                f"link {name}: amplitude scale {scale} (path loss times antenna "
-                f"gains) must be finite and at least {ZERO_NORM}"
-            )
+        scale, shape = link_scale(geometry, budget, name), shapes[name]
         antennas, cols = shape if len(shape) == 2 else (1, *shape)
         block = np.empty((len(seeds), *shape), dtype=np.complex128)
         # each antenna's row of (re, im) float pairs from its own stream

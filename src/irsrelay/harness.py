@@ -93,6 +93,7 @@ from .channel import (
     Geometry,
     LinkBudget,
     Links,
+    check_links,
     check_seed,
     sample_links,
     stream_seed,
@@ -453,7 +454,10 @@ class Plan(NamedTuple):
 def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     """Each configuration's :class:`Plan`, planned across ``configs``.
 
-    Nothing here depends on the trial, so one plan serves every trial.
+    Nothing here depends on the trial, so one plan serves every trial.  The
+    links each solve reads, and the cascades through the surface among them,
+    are checked here, before anything is drawn
+    (:func:`~irsrelay.channel.check_links`).
     """
     draws: dict[tuple, int] = {}
     inputs = [_channel_inputs(config) for config in configs]
@@ -461,6 +465,9 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
         _solves(config, draws.setdefault(channels, len(draws)))
         for config, channels in zip(configs, inputs)
     ]
+    for config, kinds in zip(configs, solves):
+        for _, links, _ in kinds.values():
+            check_links(config.geometry, config.budget, links)
     noises = [config.noise_variance_watt for config in configs]
     levels: dict[tuple, dict[float, None]] = {}
     for noise, kinds in zip(noises, solves):

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from irsrelay import beamforming
 from irsrelay.beamforming import (
     Beamformer,
     FirstSlotSolution,
@@ -12,7 +15,7 @@ from irsrelay.beamforming import (
     ur_update_ais,
     wrap_angles,
 )
-from irsrelay.channel import ChannelSet
+from irsrelay.channel import ChannelSet, stack_channels
 from irsrelay.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -84,6 +87,86 @@ def test_theta_update_degenerate_element_flagged():
     with pytest.warns(DegenerateElementWarning):
         theta = theta_update_ais(ch, u)
     assert theta.angles[1] == 0.0
+
+
+def circular_distance(a, b):
+    gap = wrap_angles(np.asarray(a) - np.asarray(b))
+    return np.minimum(gap, 2.0 * np.pi - gap)
+
+
+@pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
+def test_aligned_phasors_are_unit_and_rotate_every_path_onto_the_direct_one(m, n):
+    sets = [make_channels(m, n, seed=seed) for seed in range(8)]
+    stack = stack_channels(sets)
+    hop = (stack.h_sr, stack.H_ir, stack.h_si)
+    u = beamforming._unit(stack.h_sr)
+    phasors = beamforming._align(hop, u)
+    assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 1e-15
+    # each path times its phasor has the phase of u^H h_sr
+    paths = np.einsum("tm,tmn->tn", np.conj(u), stack.H_ir) * stack.h_si
+    reference = np.angle(np.einsum("tm,tm->t", np.conj(u), stack.h_sr))
+    rotated = np.angle(phasors * paths)
+    assert np.max(circular_distance(rotated, reference[:, np.newaxis])) <= 1e-13
+
+
+def test_a_zero_path_gets_phasor_one_and_one_warning_per_row():
+    rows = np.array(
+        [[0.0, 1.0j, 0.0, -2.0], [1.0, 1.0, 1.0j, 1.0], [3.0, 0.0, 1.0, -1.0j]],
+        dtype=np.complex128,
+    )
+    reference = np.exp(1j * np.array([[0.3], [-1.0], [2.0]]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phasors = beamforming._aligned_phasors(reference, rows.copy())
+    assert [w.category for w in caught] == [DegenerateElementWarning] * 2
+    assert [str(w.message)[0] for w in caught] == ["2", "1"]
+    zero = rows == 0.0
+    assert np.array_equal(phasors[zero].view(np.float64), [1.0, 0.0] * 3)
+    assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 1e-15
+    # the others are reference * conj(row) / |row|
+    expected = (np.broadcast_to(reference, rows.shape) * np.conj(rows))[~zero]
+    assert np.allclose(phasors[~zero], expected / np.abs(rows[~zero]), atol=1e-15)
+
+
+def test_a_nan_path_or_reference_raises_config_error():
+    rows = np.ones((2, 3), dtype=np.complex128)
+    rows[1, 2] = complex(np.nan, 0.0)
+    with pytest.raises(ConfigError, match="non-finite"):
+        beamforming._aligned_phasors(np.ones((2, 1), dtype=np.complex128), rows)
+    reference = np.array([[1.0], [np.nan]], dtype=np.complex128)
+    with pytest.raises(ConfigError, match="non-finite"):
+        beamforming._aligned_phasors(reference, np.ones((2, 3), dtype=np.complex128))
+
+
+def test_theta_update_angles_are_the_wrapped_phase_differences():
+    for seed in range(20):
+        ch = make_channels(m=4, n=16, seed=seed)
+        u = Beamformer.normalized(ch.h_sr + ch.H_ir @ ch.h_si)
+        row = (np.conj(u.weights) @ ch.H_ir) * ch.h_si
+        reference = wrap_angles(np.angle(np.vdot(u.weights, ch.h_sr)) - np.angle(row))
+        theta = theta_update_ais(ch, u)
+        assert np.all(theta.angles >= 0.0) and np.all(theta.angles < 2.0 * np.pi)
+        assert np.max(circular_distance(theta.angles, reference)) <= 1e-13
+
+
+def test_second_slot_theta2_is_the_negated_phase_of_the_phasors_it_applied(
+    monkeypatch,
+):
+    applied = []
+    hop_channel = beamforming._hop_channel
+
+    def recording(hop, phasors, rows=None):
+        applied.append(phasors.copy())
+        return hop_channel(hop, phasors, rows)
+
+    monkeypatch.setattr(beamforming, "_hop_channel", recording)
+    for seed in range(10):
+        applied.clear()
+        ch = make_channels(m=4, n=16, seed=seed)
+        solution = second_slot_optimize(ch, P_S, NOISE_30DB)
+        assert len(applied) == solution.iterations
+        expected = wrap_angles(-np.angle(applied[-1][0]))
+        assert np.max(circular_distance(solution.theta2.angles, expected)) <= 1e-13
 
 
 def test_ur_update_is_matched_filter():

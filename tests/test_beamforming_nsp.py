@@ -1,13 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from irsrelay import beamforming
 from irsrelay.beamforming import (
     PhaseShiftVector,
     nsp_max_rp_mrc,
     nsp_projector,
 )
-from irsrelay.channel import ChannelSet
-from irsrelay.errors import ConfigError, ProjectorDegenerateError
+from irsrelay.channel import ChannelSet, stack_channels
+from irsrelay.errors import (
+    ConfigError,
+    DegenerateElementWarning,
+    ProjectorDegenerateError,
+)
 
 from conftest import NOISE_30DB, P_S, make_channels
 
@@ -155,6 +162,43 @@ def test_nsp_start_dominates_flat_and_singular_vector_phases():
             branch = np.linalg.norm(relaxed @ phasors)
             rate = np.log2(1.0 + P_S * branch**2 / NOISE_30DB)
             assert sol.trace[0] >= rate - 1e-12 * rate
+
+
+def test_nsp_alignment_rotates_every_path_onto_the_positive_real_axis():
+    # the reflected branch aligns to phase 0: phasor conj(row) / |row|
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    rows[2, 5] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        phasors = beamforming._aligned_phasors(None, rows.copy())
+    assert [w.category for w in caught] == [DegenerateElementWarning]
+    assert phasors[2, 5].real == 1.0 and phasors[2, 5].imag == 0.0
+    assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 1e-15
+    aligned = np.delete((phasors * rows).ravel(), 2 * 8 + 5)
+    assert np.all(aligned.real > 0.0)
+    assert np.max(np.abs(aligned.imag) / np.abs(aligned)) <= 1e-15
+    rows[2, 5], rows[0, 0] = 1.0, complex(np.nan, np.nan)
+    with pytest.raises(ConfigError, match="non-finite"):
+        beamforming._aligned_phasors(None, rows)
+
+
+def test_nsp_start_phasors_are_unit_and_never_below_flat():
+    sets = [make_channels(4, 16, seed=seed) for seed in range(12)]
+    stack = stack_channels(sets)
+    null = beamforming._projectors(stack.h_sr[:, :, np.newaxis])
+    start = beamforming._nsp_start_phases(stack.H_ir, stack.h_si, null)
+    assert np.max(np.abs(np.abs(start) - 1.0)) <= 1e-15
+    relaxed = null @ (stack.H_ir * stack.h_si[:, np.newaxis])
+    for branch, phasors in zip(relaxed, start):
+        flat = np.linalg.norm(branch.sum(axis=-1))
+        if np.array_equal(phasors, np.ones(16)):
+            continue
+        assert np.linalg.norm(branch @ phasors) > flat
+        # the principal right singular vector's phases, up to one global phase
+        principal = np.linalg.svd(branch)[2][0].conj()
+        turned = phasors * np.conj(principal) / np.abs(principal)
+        assert np.max(np.abs(turned - turned[0])) <= 1e-9
 
 
 def test_nsp_fixed_phases_short_circuit():

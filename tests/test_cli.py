@@ -220,6 +220,34 @@ def test_main_rejects_a_link_amplitude_out_of_range_naming_the_link(
         sample_channels(Geometry(), budget, 2, 4, seed=0)
 
 
+@pytest.mark.parametrize(
+    "method, key, raw, cascade",
+    [
+        # every link's scale is at least 2.6e-26, but each path through the
+        # surface multiplies two of them
+        ("ais", "alpha", "30", "H_ir*h_si"),
+        ("baseline-irs-only", "alpha", "30", "h_si*h_id"),
+        # only the second hop's links reach the destination
+        ("ais", "gain_d_dbi", "-550", "H_ri*h_id"),
+        # each link's scale is finite, their product is not
+        ("ais", "gain_irs_dbi", "5900", "H_ir*h_si"),
+    ],
+)
+def test_main_rejects_a_surface_cascade_out_of_range_naming_it(
+    method, key, raw, cascade, capsys
+):
+    args = ["run", "--trials", "2", "--methods", method, "--set", "m=2"]
+    assert cli.main(args + ["--set", f"{key}={raw}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cascade {cascade}:" in captured.err
+    # a table of the surface-free baseline reads no cascade, and the
+    # default link budget passes
+    relay_only = ["run", "--trials", "2", "--methods", "baseline-relay-only"]
+    assert cli.main(relay_only + ["--set", f"{key}={raw}"]) == 0
+    assert cli.main(args) == 0
+
+
 @pytest.mark.parametrize("origin", ["flag", "set", "env"])
 def test_main_takes_seeds_of_one_64_bit_word_only(origin, capsys, monkeypatch):
     # a seed is one word of a Philox key: 2**64 - 1 runs, 2**64 is rejected

@@ -7,7 +7,9 @@ records of ``collect_trials`` give, bit for bit, and no per-trial object is
 made.  A mean or standard error that is not a number fails the table.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from irsrelay import cli, harness
 from irsrelay.harness import (
     METHODS,
+    PROPOSED_METHODS,
     ScenarioConfig,
     SweepSpec,
     collect_columns,
@@ -82,6 +85,46 @@ def test_sweep_points_summarize_as_the_records(axis, values):
         )
         assert hexes(got) == hexes(summarize_records(records))
         assert point.trials == 7
+
+
+#: collect_columns of ais, nsp and irses at base seed 0, one line per
+#: (method, m, n, trial), as computed when the alternations iterated on
+#: angles (an arctan2 per alignment, an exp per applied phase vector); the
+#: unit-phasor iterates reach the same rates to a few ulps, and no stop
+#: may move
+PINNED_STOPS = Path(__file__).with_name("pinned_stops.csv")
+STOP_SHAPES = ((16, 160, 120), (4, 16, 300), (50, 200, 20))
+STOP_RATE_DRIFT = 4e-15
+
+
+def test_unit_phasor_iterates_stop_where_the_angle_iterates_stopped():
+    with PINNED_STOPS.open(newline="") as pinned:
+        rows = list(csv.DictReader(pinned))
+    got = []
+    for m, n, trials in STOP_SHAPES:
+        configs = [
+            ScenarioConfig(method=method, m=m, n=n, trials=trials, base_seed=0)
+            for method in PROPOSED_METHODS
+        ]
+        for config, columns in zip(configs, collect_columns(configs)):
+            got += [
+                (config.method, m, n, trial, *values)
+                for trial, values in enumerate(
+                    zip(
+                        columns.rate_r.tolist(),
+                        columns.rate_d.tolist(),
+                        columns.iterations_r.tolist(),
+                        columns.iterations_d.tolist(),
+                    )
+                )
+            ]
+    keys = [(r["method"], int(r["m"]), int(r["n"]), int(r["trial"])) for r in rows]
+    assert [entry[:4] for entry in got] == keys
+    iterations = [(int(r["iterations_r"]), int(r["iterations_d"])) for r in rows]
+    assert [entry[6:] for entry in got] == iterations
+    pinned = np.array([(float(r["rate_r"]), float(r["rate_d"])) for r in rows])
+    rates = np.array([entry[4:6] for entry in got])
+    np.testing.assert_allclose(rates, pinned, rtol=STOP_RATE_DRIFT, atol=0.0)
 
 
 def test_a_table_builds_no_per_trial_record(monkeypatch):

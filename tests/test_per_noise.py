@@ -155,23 +155,23 @@ def test_per_noise_solve_needs_a_noise_level(name):
 #: per options: (rate_r, receive power) as float.hex() and a digest of the
 #: phases and MRC weights at 0 dB, 30 dB and one per-antenna level
 #: (make_channels(4, 16, seed=1), irses_partition(16, 4, 1)), from the draws
-#: and partition keyed by Philox; after a change meant to move irses
-#: numbers, recompute them and state the drift
+#: and partition keyed by Philox and the unit-phasor alignment; after a
+#: change meant to move irses numbers, recompute them and state the drift
 IRSES_PINNED = {
     "idealized": (
-        ("0x1.60d0d3feff1b9p-9", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
-        ("0x1.85125509a896dp+0", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
-        ("0x1.732f3530106f5p+0", "0x1.31fa15d83160bp-5", "488256817fdf473a"),
+        ("0x1.60d0d3feff1b9p-9", "0x1.31fa15d83160bp-5", "a52f61055b6817a7"),
+        ("0x1.85125509a896dp+0", "0x1.31fa15d83160bp-5", "a52f61055b6817a7"),
+        ("0x1.732f3530106f5p+0", "0x1.31fa15d83160bp-5", "a52f61055b6817a7"),
     ),
     "full": (
-        ("0x1.205073854a5fep-9", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
-        ("0x1.56369d79529f7p+0", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
-        ("0x1.4b8f111b73971p+0", "0x1.f3fdda7d069fcp-6", "488256817fdf473a"),
+        ("0x1.205073854a5fep-9", "0x1.f3fdda7d069fcp-6", "a52f61055b6817a7"),
+        ("0x1.56369d79529f7p+0", "0x1.f3fdda7d069fcp-6", "a52f61055b6817a7"),
+        ("0x1.4b8f111b73970p+0", "0x1.f3fdda7d069fcp-6", "a52f61055b6817a7"),
     ),
     "printed": (
-        ("0x1.001842a5d33f0p-10", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
-        ("0x1.7e0f577edb8dap-1", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
-        ("0x1.160cccee0bdbep-1", "0x1.bbedbf56f1597p-7", "488256817fdf473a"),
+        ("0x1.001842a5d33f0p-10", "0x1.bbedbf56f1597p-7", "a52f61055b6817a7"),
+        ("0x1.7e0f577edb8dap-1", "0x1.bbedbf56f1597p-7", "a52f61055b6817a7"),
+        ("0x1.160cccee0bdbep-1", "0x1.bbedbf56f1597p-7", "a52f61055b6817a7"),
     ),
     "fixed-phases": (
         ("0x1.e323e57f71c21p-10", "0x1.a2e068f117152p-6", "a8a4ba742b6d7408"),
