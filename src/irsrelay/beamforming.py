@@ -157,17 +157,20 @@ def _check_unit_norm(norms: list[float]) -> None:
     # the solvers check every iterate: a stack's few norms are checked as
     # floats, which costs less than array comparisons
     for norm in norms:
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise ConfigError(f"beamformer norm must be 1, got {norm!r}")
 
 
 def _unit(weights: np.ndarray) -> np.ndarray:
     """Each row of a stack of weight vectors scaled to unit norm.
 
-    Zero vectors are rejected, and every result passes the unit-norm check
-    of :class:`Beamformer` (the solvers call this on every iterate).
+    Zero vectors and vectors with a non-finite entry are rejected, before
+    any division, and every result passes the unit-norm check of
+    :class:`Beamformer` (the solvers call this on every iterate).
     """
     norms = _norms(weights)
+    if not all(norm < math.inf for norm in norms):  # NaN compares False
+        raise ConfigError(f"beamformer weights must be finite, got norms {norms}")
     if any(norm < ZERO_NORM for norm in norms):
         raise DegenerateChannelError("cannot normalize a zero beamformer")
     # a float divides one row faster than an array, with the same bits

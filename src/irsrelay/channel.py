@@ -288,24 +288,18 @@ class Links(SimpleNamespace):
     links at a time, so that a stack need not hold both surface matrices.
     """
 
-    def rows(self, index: slice | Sequence[int], m: int | None = None) -> "Links":
-        """Trials ``index`` of each link, and of each only the first ``m`` antennas.
+    def leading_antenna(self) -> "Links":
+        """Each link's first antenna, as contiguous read-only copies.
 
-        A slice of trials with every antenna views the stack's rows; other
-        rows are contiguous, read-only copies, which keep no part of the
-        stack alive.  A stack drawn at more antennas gives, bit for bit, the
-        draw at ``m`` of the same seeds (:func:`sample_links`).
+        The copies keep no part of the stack alive.  A stack drawn at more
+        antennas gives, bit for bit, the draw at one antenna of the same
+        seeds (:func:`sample_links`).
         """
-        taken = {
-            name: block[index, :m] if name in _ANTENNA_LINKS else block[index]
-            for name, block in vars(self).items()
-        }
-        if m is not None or not isinstance(index, slice):
-            for name, block in taken.items():
-                if block.base is not None:  # a view, not a fancy index's copy
-                    block = block.copy()
-                block.flags.writeable = False
-                taken[name] = block
+        taken = {}
+        for name, block in vars(self).items():
+            block = (block[:, :1] if name in _ANTENNA_LINKS else block).copy()
+            block.flags.writeable = False
+            taken[name] = block
         return Links(**taken)
 
 
@@ -417,11 +411,11 @@ def sample_links(
     interleaved real and imaginary standard normals.  A row's leading
     entries are the start of its own stream, so the draw at ``m`` antennas
     and ``n`` elements is, bit for bit, the leading ``m x n`` entries of a
-    draw at more of either (:meth:`Links.rows`).  Each link is its own
-    complex buffer, so that a caller may drop one and keep the others; the
-    draws go straight into it and are scaled in place by ``scale /
-    sqrt(2)``, one float.  Each block is checked once and returned
-    read-only.
+    draw at more of either (:meth:`Links.leading_antenna`).  Each link is
+    its own complex buffer, so that a caller may drop one and keep the
+    others; the draws go straight into it and are scaled in place by
+    ``scale / sqrt(2)``, one float.  Each block is checked once and
+    returned read-only.
 
     Raises:
         ConfigError: if ``m`` or ``n`` is below 1, or a link's amplitude

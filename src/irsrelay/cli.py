@@ -94,7 +94,7 @@ def _parse_values(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_workers(text: str) -> int:
+def _parse_positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"must be >= 1, got {value}")
@@ -124,7 +124,10 @@ SETTING_PARSERS = {
     key: _PARSER_BY_TYPE[type(f.default)] for key, f in _scenario_fields()
 }
 SETTING_PARSERS.update(
-    methods=_parse_methods, values=_parse_values, workers=_parse_workers, l=int
+    methods=_parse_methods,
+    values=_parse_values,
+    workers=_parse_positive_int,
+    l=_parse_positive_int,
 )
 DEFAULT_SETTINGS = {key: f.default for key, f in _scenario_fields()}
 DEFAULT_SETTINGS.update(methods=PROPOSED_METHODS, values=None, workers=None, l=3)
@@ -298,6 +301,8 @@ def build_sweep_table(subcommand: str, settings: dict) -> OutputTable:
 def build_flops_table(settings: dict) -> OutputTable:
     m = settings["m"]
     l = settings["l"]
+    if m < 1:
+        raise ConfigError(f"config key 'm': must be >= 1, got {m}")
     values = settings["values"] or DEFAULT_VALUES["flops"]
     rows = []
     for value in values:

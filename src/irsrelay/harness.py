@@ -12,18 +12,19 @@ rates and iteration counts of its trials as arrays in trial order;
 per trial from the same columns.
 
 Several configurations (the methods of a table, the points of a sweep) are
-evaluated together, chunk-major and, within a chunk, draw-major and
-hop-major: the trial indices are cut into chunks, and for each chunk every
-distinct set of channel inputs is drawn in turn, a stack of the chunk's
-trials, in two passes (:func:`~irsrelay.channel.sample_links`).  The first
-draws the links that the solves reading no ``H_ri`` need (the first slots,
+evaluated together, a group at a time: configurations of one base seed
+and trial count share their trials, and each such group is cut into chunks
+of consecutive trials.  For each chunk every distinct set of channel
+inputs is drawn in turn, a stack of the chunk's trials, in two passes
+(:func:`~irsrelay.channel.sample_links`).  The first draws the links that
+the solves reading no ``H_ri`` need (the first slots,
 ``baseline-irs-only``, ``baseline-relay-only``) and runs them; then every
 block the second pass does not read, ``H_ir`` above all, is dropped, and
 the second draws ``H_ri`` for the second slots.  Each solve keyed on the
 draw (same solver and inputs but the noise, shared by several
-configurations) runs once on the stack, for every noise level it serves
-(every SNR point of a sweep): the alternations as one batched loop, each
-(trial, level) stopping at its own iterate, and the closed forms
+configurations) runs once on the whole stack, for every noise level it
+serves (every SNR point of a sweep): the alternations as one batched loop,
+each (trial, level) stopping at its own iterate, and the closed forms
 (``irses``, the fixed-phase slots, the baselines' hops) as stacked calls.
 Every solve is :mod:`~irsrelay.beamforming`'s: this module plans, draws
 and averages, and forms no hop's rate itself.
@@ -32,8 +33,7 @@ A loop multiplies the shared stack until at most
 those.  The solvers' private rates forms keep only a ``(trials, levels)``
 array of rates and one of iteration counts per solve, which is all a table
 reads, and the stack is dropped before the next draw is made.  Each
-configuration's columns are then read out of those arrays, a slice of each
-when the configurations share the chunk's trials (one map of their rows),
+configuration's columns are then a column of each of those arrays,
 nothing drawn or solved again and no per-trial object made.  A chunk holds
 at most as many trials as keep one hop of its largest draw, and the loops'
 copy of it, within :data:`CHUNK_BYTES` of what one trial holds, and at
@@ -45,21 +45,19 @@ bit for bit whatever else is evaluated alongside, whatever the chunk and
 whatever the worker count.
 
 Random streams are keyed by Philox itself, with no hash
-(:mod:`~irsrelay.channel`): a table derives its trial seeds with one
-generator per base seed, positioned at each (base seed, trial index) in
-turn; a draw's links are drawn from the trial seeds, a row at a time; and
-a chunk draws its ``irses`` partitions from them once per (n, m), each
-trial's that of :func:`~irsrelay.beamforming.irses_partition` at its seed.
-A one-antenna draw (``baseline-single-antenna``) is not drawn when another
-draw of the chunk has the same trials and other inputs at more antennas: it
-is the leading antenna of that stack, served as a copy of those rows, pass
-by pass.
+(:mod:`~irsrelay.channel`): a group derives its trial seeds with one
+generator, positioned at each (base seed, trial index) in turn; a draw's
+links are drawn from the trial seeds, a row at a time; and a chunk draws
+its ``irses`` partitions from them once per (n, m), each trial's that of
+:func:`~irsrelay.beamforming.irses_partition` at its seed.  A one-antenna
+draw (``baseline-single-antenna``) is not drawn when another draw of the
+chunk has the same other inputs at more antennas: it is the leading
+antenna of that stack, served as a copy, pass by pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -247,15 +245,14 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
 #: loop multiplies the shared matrix until at most COPY_SHARE of its rows
 #: run, then copies those.  So a trial at (m, n) takes 16 ((1 + COPY_SHARE)
 #: mn + 2m + 2n) bytes, one surface matrix, the loops' copy and four
-#: vectors, once per base seed drawn at those inputs: a chunk holds up to
-#: 16 trials at (16, 160) and 5 at (50, 200), however many geometries a
-#: sweep draws.  Small draws are bounded by the trial count instead: at
-#: (4, 16) what the budget leaves out grows with the trials too (the
-#: draws' vectors, the loops' temporaries and per-trial stop records), and
-#: a table of all nine methods peaks at 0.62 MB (tracemalloc) as one chunk
-#: of 120 trials but at 0.97 MB as one chunk of 240, beyond the 0.75 MB
-#: bound of tests/test_memory.py.  Longer stacks iterate faster but raise
-#: the peak memory of a table build.
+#: vectors: a chunk holds up to 16 trials at (16, 160) and 5 at (50, 200),
+#: however many geometries a sweep draws.  Small draws are bounded by the
+#: trial count instead: at (4, 16) what the budget leaves out grows with
+#: the trials too (the draws' vectors, the loops' temporaries and per-trial
+#: stop records), and a table of all nine methods peaks at 0.62 MB
+#: (tracemalloc) as one chunk of 120 trials but at 0.97 MB as one chunk of
+#: 240, beyond the 0.75 MB bound of tests/test_memory.py.  Longer stacks
+#: iterate faster but raise the peak memory of a table build.
 CHUNK_BYTES = 960_000
 CHUNK_TRIALS = 120
 
@@ -269,57 +266,17 @@ def _channel_inputs(config: ScenarioConfig) -> tuple:
 def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
     """The most trials a chunk may hold: as many as keep it within its limits.
 
-    The largest draw sets the limit: a draw's stack holds a row per trial
-    and base seed drawn at its channel inputs.
+    The largest draw sets the limit: a draw's stack holds a row per trial.
     """
-    base_seeds: dict[tuple, set[int]] = {}
-    for config in configs:
-        base_seeds.setdefault(_channel_inputs(config), set()).add(config.base_seed)
     itemsize = np.dtype(np.complex128).itemsize
     per_trial = max(
         (
-            len(seeds) * itemsize * (int((1 + COPY_SHARE) * m * n) + 2 * (m + n))
-            for (m, n, *_), seeds in base_seeds.items()
+            itemsize * (int((1 + COPY_SHARE) * m * n) + 2 * (m + n))
+            for m, n, *_ in map(_channel_inputs, configs)
         ),
         default=0,
     )
     return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
-
-
-def _trial_seeds(
-    trials: Sequence[tuple[ScenarioConfig, Sequence[int]]],
-) -> dict[tuple[int, int], int]:
-    """The seed of each (base seed, trial index) of ``trials``.
-
-    ``trials`` holds (configuration, trial indices) pairs; each seed is
-    :func:`trial_seed`'s, and a table derives all of a base seed's at once.
-    """
-    indices: dict[int, dict[int, None]] = {}
-    for config, ks in trials:
-        indices.setdefault(config.base_seed, {}).update(dict.fromkeys(ks))
-    seeds: dict[tuple[int, int], int] = {}
-    for base, ks in indices.items():
-        seeds.update(zip(((base, k) for k in ks), stream_seeds(base, ks)))
-    return seeds
-
-
-def _assignments(made: dict, seeds: list[int], n: int, m: int) -> np.ndarray:
-    """The ``irses`` element assignments of trials ``seeds`` at (n, m), a row each.
-
-    Each trial's is drawn once per chunk and kept in ``made`` for the other
-    solves of the chunk that use it: by (n, m), the row of each trial and
-    the drawn rows.
-    """
-    rows, assignments = made.get((n, m), ({}, None))
-    missing = [seed for seed in seeds if seed not in rows]
-    if missing:
-        drawn = _irses_assignments(n, m, missing)
-        if assignments is not None:
-            drawn = np.concatenate([assignments, drawn])
-        rows = {**rows, **{seed: len(rows) + k for k, seed in enumerate(missing)}}
-        made[n, m] = rows, drawn
-        assignments = drawn
-    return assignments[_rows(list(rows), seeds)]
 
 
 def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
@@ -329,12 +286,12 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     two-hop method, the closed-form fixed-phase slots included, and the
     hops of ``baseline-relay-only``; ``baseline-irs-only`` has one
     ``"first"`` solve, its single hop.  Each is a (key, links, run) triple:
-    ``run(partitions, seeds, channels, noises)`` solves the trials ``seeds``
-    at once on their stacked ``channels``, which hold at least the links
-    named in ``links`` (``partitions(seeds, n, m)`` gives their ``irses``
-    element assignments, a row per trial), and returns ``(trials, levels)``
-    arrays of rates and of iteration counts, a column per noise variance
-    in the order of ``noises``; the key, led by the solver's name, holds every
+    ``run(partitions, channels, noises)`` solves a chunk's trials at once on
+    their stacked ``channels``, which hold at least the links named in
+    ``links`` (``partitions(n, m)`` gives their ``irses`` element
+    assignments, a row per trial), and returns ``(trials, levels)`` arrays
+    of rates and of iteration counts, a column per noise variance in the
+    order of ``noises``; the key, led by the solver's name, holds every
     input of the solve except the trial seed and the noise, the channel
     inputs as the number ``draw`` they have among the configurations
     planned together.  Configurations with equal keys share one solve per
@@ -348,9 +305,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
             "first": (
                 ("irs-only", draw),
                 ("h_si", "h_id"),
-                lambda partitions, seeds, channels, noises: _irs_only(
-                    channels, p_s, noises
-                ),
+                lambda partitions, channels, noises: _irs_only(channels, p_s, noises),
             )
         }
     if method.trial == "relay-only":
@@ -358,14 +313,14 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
             "first": (
                 ("relay-first", draw),
                 ("h_sr",),
-                lambda partitions, seeds, channels, noises: _matched_direct(
+                lambda partitions, channels, noises: _matched_direct(
                     channels.h_sr, p_s, noises
                 ),
             ),
             "second": (
                 ("relay-second", draw),
                 ("h_rd",),
-                lambda partitions, seeds, channels, noises: _matched_direct(
+                lambda partitions, channels, noises: _matched_direct(
                     channels.h_rd, p_r, noises
                 ),
             ),
@@ -377,7 +332,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         solves["first"] = (
             ("ais-fixed-phase", draw),
             _FIRST_LINKS,
-            lambda partitions, seeds, channels, noises: _fixed_first_slot(
+            lambda partitions, channels, noises: _fixed_first_slot(
                 channels, p_s, noises
             ),
         )
@@ -385,7 +340,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         solves["first"] = (
             ("ais", draw, eps, max_iter),
             _FIRST_LINKS,
-            lambda partitions, seeds, channels, noises: _alternate(
+            lambda partitions, channels, noises: _alternate(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter
             ),
         )
@@ -395,7 +350,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         solves["first"] = (
             ("nsp", draw, eps, max_iter, *variant),
             _FIRST_LINKS,
-            lambda partitions, seeds, channels, noises: _nsp(
+            lambda partitions, channels, noises: _nsp(
                 _FIRST_HOP(channels), p_s, noises, eps, max_iter, *options
             ),
         )
@@ -406,19 +361,15 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         solves["first"] = (
             ("irses", draw, *variant),
             _FIRST_LINKS,
-            lambda partitions, seeds, channels, noises: _irses(
-                _FIRST_HOP(channels),
-                p_s,
-                noises,
-                partitions(seeds, n, m),
-                *options,
+            lambda partitions, channels, noises: _irses(
+                _FIRST_HOP(channels), p_s, noises, partitions(n, m), *options
             ),
         )
     if method.fixed_phase:
         solves["second"] = (
             ("fixed-second", draw),
             _SECOND_LINKS,
-            lambda partitions, seeds, channels, noises: _fixed_second_slot(
+            lambda partitions, channels, noises: _fixed_second_slot(
                 channels, p_r, noises
             ),
         )
@@ -426,7 +377,7 @@ def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
         solves["second"] = (
             ("second", draw, eps, max_iter),
             _SECOND_LINKS,
-            lambda partitions, seeds, channels, noises: _alternate(
+            lambda partitions, channels, noises: _alternate(
                 _SECOND_HOP(channels), p_r, noises, eps, max_iter
             ),
         )
@@ -492,43 +443,26 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     ]
 
 
-def _rows(drawn: list[int], seeds: list[int]) -> slice | list[int]:
-    """The rows of a stack drawn for trials ``drawn`` that hold trials ``seeds``.
-
-    A run of consecutive rows is a slice, so that it views the stack.
-    """
-    start = drawn.index(seeds[0])
-    if drawn[start : start + len(seeds)] == seeds:
-        return slice(start, start + len(seeds))
-    row = {seed: k for k, seed in enumerate(drawn)}
-    return [row[seed] for seed in seeds]
-
-
-def _served_draws(draws: dict[int, list]) -> dict[int, int]:
+def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
     """The one-antenna draws that another draw serves: by source, the served.
 
     A draw at m = 1 is, bit for bit, the leading antenna of a draw at more
     antennas of the same seeds and other inputs
     (:func:`~irsrelay.channel.sample_links`): the single-antenna baseline's
-    trials are served from the other methods' draw, as a copy of those
-    rows, pass by pass, instead of drawn again.  Making the copy holds it beside its
+    trials are served from the other methods' draw, as a copy of its
+    leading antenna (:meth:`~irsrelay.channel.Links.leading_antenna`), pass
+    by pass, instead of drawn again.  Making the copy holds it beside its
     source, and at m = 1 it is a small part of it.
     """
     serves = {}
-    for number, ((m, *inputs), seeds, _) in draws.items():
+    for number, ((m, *inputs), _) in draws.items():
         if m != 1:
             continue
-        for source, ((m_source, *inputs_source), drawn, _) in draws.items():
-            covered = seeds.keys() <= drawn.keys()
-            if m_source > 1 and inputs_source == inputs and covered:
+        for source, ((m_source, *inputs_source), _) in draws.items():
+            if m_source > 1 and inputs_source == inputs:
                 serves[source] = number
                 break
     return serves
-
-
-def _leading_antenna(stack: Links, drawn: list[int], seeds: list[int]) -> Links:
-    """The m = 1 draw of trials ``seeds``, served from a stack drawn for ``drawn``."""
-    return stack.rows(_rows(drawn, seeds), m=1)
 
 
 def _passes(solves: dict) -> tuple[dict, dict]:
@@ -544,96 +478,65 @@ def _passes(solves: dict) -> tuple[dict, dict]:
     )
 
 
-def _solve_draw(
-    stack: Links, drawn: list[int], solves: dict, partitions, shared: dict
-) -> None:
-    """Run every solve keyed on one draw, each once for all its trials and levels.
+def _evaluate_chunk(plans: Sequence[Plan], seeds: list[int]) -> dict:
+    """Draw and solve the trials ``seeds``, draw by draw and hop by hop.
 
-    A solve of a subset of the drawn trials takes their rows of the links
-    it reads, a view when they are consecutive rows (other base seeds,
-    shorter tables).  ``shared`` keeps, by key, the solve's trials (each
-    seed's row) and its rate and iteration-count arrays.
+    ``plans`` are the plans of configurations that share these trials.
+    Each distinct draw is drawn and solved in two passes (:func:`_passes`):
+    the first draws the links its solves read but ``H_ri`` and runs them,
+    then drops every block the second does not read, ``H_ir`` first of
+    all, before drawing ``H_ri`` for the second slots.  Each block is bit
+    for bit the one the whole draw holds.  Every planned key is solved once
+    on the whole stack, for all its noise levels, and a draw is dropped
+    before the next is made.  A one-antenna draw is served from a larger
+    one, pass by pass (:func:`_served_draws`).  The ``irses`` assignments of
+    the trials are drawn once per (n, m).  The result maps each plan's
+    solve key, which stands for every input but the trial seed and the
+    noise, to the solve's ``(trials, levels)`` arrays of rates and of
+    iteration counts, a column per noise level in the order of the plan's
+    levels.
     """
-    for key, (levels, links, run, seeds) in solves.items():
-        order = list(seeds)
-        if order == drawn:
-            channels = stack
-        else:
-            own = Links(**{name: getattr(stack, name) for name in links})
-            channels = own.rows(_rows(drawn, order))
-        shared[key] = (seeds, *run(partitions, order, channels, levels))
-        del channels
-
-
-def _union(rows: dict, more: dict) -> dict:
-    """Trials ``rows`` and then those of ``more`` not among them, by row.
-
-    ``rows`` itself when it holds every trial, so that the configurations
-    of a table share one map of their chunk's trials.
-    """
-    if more is rows or more.keys() <= rows.keys():
-        return rows
-    return {seed: row for row, seed in enumerate({**rows, **more})}
-
-
-def _evaluate_chunk(jobs: Sequence[tuple]) -> dict:
-    """Draw and solve a chunk of trials, draw by draw and hop by hop.
-
-    ``jobs`` holds (configuration, its plan, its trials) triples, the
-    trials a map of each trial seed to its row, in trial order; jobs of the
-    same trials share one map.  Each distinct draw is drawn and solved in
-    two passes (:func:`_passes`): the first draws the links its solves read
-    but ``H_ri`` and runs them, then drops every block the second does not
-    read, ``H_ir`` first of all, before drawing ``H_ri`` for the second
-    slots.  Each block is bit for bit the
-    one the whole draw holds.  Every planned key is solved once for all the
-    drawn trials that need it and all its noise levels, and a draw is
-    dropped before the next is made.  A one-antenna draw is served from a
-    larger one, pass by pass (:func:`_served_draws`).  The result maps each
-    plan's solve key, which stands for every input but the trial seed and
-    the noise, to the solve's trials (a map of each seed to its row) and
-    its ``(trials, levels)`` arrays of rates and of iteration counts, a
-    column per noise level in the order of the plan's levels.
-    """
-    draws: dict[int, list] = {}
-    for config, plan, seeds in jobs:
-        if not seeds:
-            continue
-        draw = draws.setdefault(plan.draw, [plan.channels, seeds, {}])
-        draw[1] = _union(draw[1], seeds)
-        solves = draw[2]
+    draws: dict[int, tuple] = {}
+    for plan in plans:
+        solves = draws.setdefault(plan.draw, (plan.channels, {}))[1]
         for key, levels, links, run, _ in plan.solves.values():
-            solved = solves.get(key)
-            rows = seeds if solved is None else _union(solved[3], seeds)
-            solves[key] = (levels, links, run, rows)
+            solves[key] = (levels, links, run)
     serves = _served_draws(draws)
     served = set(serves.values())
     shared: dict = {}
-    partitions = functools.partial(_assignments, {})
-    for number, ((m, n, geometry, budget), drawn, solves) in draws.items():
+    assignments: dict[tuple[int, int], np.ndarray] = {}
+
+    def partitions(n: int, m: int) -> np.ndarray:
+        if (n, m) not in assignments:
+            assignments[n, m] = _irses_assignments(n, m, seeds)
+        return assignments[n, m]
+
+    def solve(channels: Links, solves: dict) -> None:
+        for key, (levels, _, run) in solves.items():
+            shared[key] = run(partitions, channels, levels)
+
+    for number, ((m, n, geometry, budget), solves) in draws.items():
         if number in served:
             continue
-        drawn = list(drawn)
-        _, seeds, served_solves = draws.get(serves.get(number), (None, {}, {}))
-        seeds = list(seeds)
+        served_solves = draws[serves[number]][1] if number in serves else {}
         blocks: dict[str, np.ndarray] = {}
         for own, other in zip(_passes(solves), _passes(served_solves)):
-            reads = [links for _, links, *_ in (*own.values(), *other.values())]
+            reads = [links for _, links, _ in (*own.values(), *other.values())]
             read = [name for name in LINK_STREAMS if any(name in r for r in reads)]
             # what this pass does not read goes before its draw is made: the
             # first pass's surface matrix above all
             blocks = {name: blocks[name] for name in read if name in blocks}
             missing = [name for name in read if name not in blocks]
-            blocks.update(vars(sample_links(geometry, budget, m, n, drawn, missing)))
+            blocks.update(vars(sample_links(geometry, budget, m, n, seeds, missing)))
             stack = Links(**blocks)
             if other:
                 # the served copy is solved and dropped before its source's
                 # solves run, so that the source's working memory is not
                 # added to it
-                copy = _leading_antenna(stack, drawn, seeds)
-                _solve_draw(copy, seeds, other, partitions, shared)
+                copy = stack.leading_antenna()
+                solve(copy, other)
                 del copy
-            _solve_draw(stack, drawn, own, partitions, shared)
+            solve(stack, own)
             del stack
         # the next draw is made once this one is dropped
         del blocks
@@ -657,25 +560,22 @@ class Columns(NamedTuple):
     iterations_d: np.ndarray
 
 
-def _columns(plan: Plan, chunks: list[tuple]) -> Columns:
+def _columns(plan: Plan, seeds: list[int], chunks: list[dict]) -> Columns:
     """A configuration's :class:`Columns` from its chunks' solves.
 
-    ``chunks`` holds, per chunk in trial order, the configuration's trials
-    (a map of each seed to its row) and the chunk's solves
-    (:func:`_evaluate_chunk`).  The end-to-end rate is half the smaller
-    hop's, ``min(rate_r, rate_d)`` taken as Python's ``min`` takes it (the
-    first unless the second is smaller); ``baseline-irs-only`` has one hop,
-    with no half pre-log, and every rate is that hop's.
+    ``seeds`` are the configuration's trial seeds and ``chunks`` the solves
+    of its chunks in trial order (:func:`_evaluate_chunk`).  The end-to-end
+    rate is half the smaller hop's, ``min(rate_r, rate_d)`` taken as
+    Python's ``min`` takes it (the first unless the second is smaller);
+    ``baseline-irs-only`` has one hop, with no half pre-log, and every rate
+    is that hop's.
     """
     parts = {kind: ([], []) for kind in plan.solves}
-    seeds: list[int] = []
-    for rows, shared in chunks:
-        seeds += rows
+    for shared in chunks:
         for kind, (key, *_, level) in plan.solves.items():
-            solved, rates, iterations = shared[key]
-            picked = slice(None) if solved is rows else [solved[s] for s in rows]
-            parts[kind][0].append(rates[picked, level])
-            parts[kind][1].append(iterations[picked, level])
+            rates, iterations = shared[key]
+            parts[kind][0].append(rates[:, level])
+            parts[kind][1].append(iterations[:, level])
     rate_r, iterations_r = (np.concatenate(part) for part in parts["first"])
     if "second" not in parts:
         rate_d = rate_s = rate_r
@@ -685,7 +585,7 @@ def _columns(plan: Plan, chunks: list[tuple]) -> Columns:
         rate_s = 0.5 * np.where(rate_d < rate_r, rate_d, rate_r)
     if (rate_r < 0.0).any() or (rate_d < 0.0).any() or (rate_s < 0.0).any():
         raise ValueError("rates must be non-negative")
-    return Columns(seeds, rate_r, rate_d, rate_s, iterations_r, iterations_d)
+    return Columns(list(seeds), rate_r, rate_d, rate_s, iterations_r, iterations_d)
 
 
 def collect_columns(
@@ -694,21 +594,23 @@ def collect_columns(
     """Run all trials of several configurations together, as columns.
 
     Returns each configuration's :class:`Columns`, in sequence order.
-    Evaluation is serial and chunk-major: the trial indices are cut into as
-    few chunks as :func:`_chunk_trials` allows, of lengths at most one
-    apart, and for each chunk every distinct channel draw is made once,
-    stacked, and in turn, in two hop-major passes: each planned solve that
-    reads no ``H_ri`` runs on the first, then ``H_ir`` is dropped and
-    ``H_ri`` drawn for the second slots.  Each solve runs once over the
-    chunk's trials that need it, for all the noise levels that share it
-    (the SNR points of a sweep, say), keeping an array of rates and one of
-    iteration counts per (trial, level); a loop defers its first
-    compaction, multiplying the whole shared stack until at most
-    ``COPY_SHARE`` (3/8) of its rows run, and copies only those.  The stack
-    is dropped before the next draw.  Each configuration's columns are then
-    read out of those arrays, without drawing or solving anything again,
-    and no per-trial object is made.  Sharing and chunking change no bit of
-    any entry.
+    Configurations of one base seed and trial count share their trials and
+    are evaluated together, a group at a time, once every group is planned
+    (:func:`solve_plans`).  Evaluation is serial and chunk-major: a group's
+    trials are cut into as few chunks of consecutive trials as
+    :func:`_chunk_trials` allows, of lengths at most one apart, and for
+    each chunk every distinct channel draw is made once, stacked, and in
+    turn, in two hop-major passes: each planned solve that reads no
+    ``H_ri`` runs on the first, then ``H_ir`` is dropped and ``H_ri`` drawn
+    for the second slots.  Each solve runs once over the chunk's trials,
+    for all the noise levels that share it (the SNR points of a sweep,
+    say), keeping an array of rates and one of iteration counts per
+    (trial, level); a loop defers its first compaction, multiplying the
+    whole shared stack until at most ``COPY_SHARE`` (3/8) of its rows run,
+    and copies only those.  The stack is dropped before the next draw.
+    Each configuration's columns are then read out of those arrays, without
+    drawing or solving anything again, and no per-trial object is made.
+    Grouping, sharing and chunking change no bit of any entry.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.
@@ -716,34 +618,27 @@ def collect_columns(
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     configs = list(configs)
-    plans = solve_plans(configs)
-    seeds = _trial_seeds([(cfg, range(cfg.trials)) for cfg in configs])
-    chunks: list[list[tuple]] = [[] for _ in configs]
-    trials = max((c.trials for c in configs), default=0)
-    count = -(-trials // _chunk_trials(configs))
-    for chunk in range(count):
-        start, stop = chunk * trials // count, (chunk + 1) * trials // count
-        # one map of the chunk's trials per base seed and length, shared by
-        # every configuration and solve of those trials
-        maps: dict[tuple[int, int], dict[int, int]] = {}
-        jobs = []
-        for cfg, plan in zip(configs, plans):
-            end = min(stop, cfg.trials)
-            rows = maps.get((cfg.base_seed, end))
-            if rows is None:
-                ks = range(start, end)
-                rows = maps[cfg.base_seed, end] = {
-                    seeds[cfg.base_seed, k]: row for row, k in enumerate(ks)
-                }
-            jobs.append((cfg, plan, rows))
-        # a chunk's draws are dropped inside _evaluate_chunk; what it returns,
-        # each solve's arrays of rates and iteration counts, is kept until
-        # the columns are read
-        shared = _evaluate_chunk(jobs)
-        for (_, _, rows), out in zip(jobs, chunks):
-            if rows:
-                out.append((rows, shared))
-    return [_columns(plan, out) for plan, out in zip(plans, chunks)]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, config in enumerate(configs):
+        groups.setdefault((config.base_seed, config.trials), []).append(k)
+    planned = [
+        (base_seed, trials, members, solve_plans([configs[k] for k in members]))
+        for (base_seed, trials), members in groups.items()
+    ]
+    columns: dict[int, Columns] = {}
+    for base_seed, trials, members, plans in planned:
+        seeds = stream_seeds(base_seed, range(trials))
+        count = -(-trials // _chunk_trials([configs[k] for k in members]))
+        chunks = []
+        for chunk in range(count):
+            start, stop = chunk * trials // count, (chunk + 1) * trials // count
+            # a chunk's draws are dropped inside _evaluate_chunk; what it
+            # returns, each solve's arrays of rates and iteration counts, is
+            # kept until the columns are read
+            chunks.append(_evaluate_chunk(plans, seeds[start:stop]))
+        for k, plan in zip(members, plans):
+            columns[k] = _columns(plan, seeds, chunks)
+    return [columns[k] for k in range(len(configs))]
 
 
 def _records(config: ScenarioConfig, columns: Columns, first: int) -> list[TrialRecord]:
@@ -770,10 +665,10 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
     """
     if trial_index < 0:
         raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
-    plan = solve_plans([config])[0]
-    rows = {trial_seed(config.base_seed, trial_index): 0}
-    shared = _evaluate_chunk([(config, plan, rows)])
-    return _records(config, _columns(plan, [(rows, shared)]), trial_index)[0]
+    (plan,) = solve_plans([config])
+    seeds = [trial_seed(config.base_seed, trial_index)]
+    shared = _evaluate_chunk([plan], seeds)
+    return _records(config, _columns(plan, seeds, [shared]), trial_index)[0]
 
 
 def collect_trials(

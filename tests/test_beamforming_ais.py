@@ -51,6 +51,23 @@ def test_beamformer_norm_contract():
         Beamformer.normalized(np.zeros(3, dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_beamformer_rejects_non_finite_weights(bad):
+    # a NaN norm is not within 1e-12 of 1, and normalizing is refused before
+    # it divides, with no numpy warning; a zero row stays degenerate
+    weights = np.array([bad + 0j, 1 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            Beamformer(weights)
+        with pytest.raises(ConfigError):
+            Beamformer.normalized(weights)
+        with pytest.raises(ConfigError, match="finite"):
+            beamforming._unit(np.array([[3.0 + 0j, 4.0j], weights]))
+    with pytest.raises(DegenerateChannelError):
+        beamforming._unit(np.array([[3.0 + 0j, 4.0j], [0j, 0j]]))
+
+
 def test_theta_update_single_reflected_path():
     # one antenna, one element: the surface must rotate the quarter-turn
     # cascade back onto the real axis, i.e. by three quarter turns

@@ -165,30 +165,47 @@ def test_main_run_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--set", "m=0"]) == 1
     assert cli.main(["orbit"]) == 1
     assert cli.main([]) == 1
+    assert cli.main(["flops", "--values", "100"]) == 0
     capsys.readouterr()
     target = tmp_path / "missing-dir" / "out.csv"
     args = ["flops", "--values", "100", "--out", str(target)]
     assert cli.main(args) == 2
 
 
+BAD_VALUES = [
+    ("run", "p_s_watt", "inf"),
+    ("run", "p_r_watt", "inf"),
+    ("run", "gain_s_dbi", "inf"),
+    ("run", "alpha", "inf"),
+    ("run", "p_s_watt", "-1"),
+    ("run", "snr_db", "nan"),
+    ("run", "snr_db", "4000"),  # 10 ** (snr_db / 10) overflows
+    ("run", "snr_db", "-3300"),  # 10 ** (snr_db / 10) underflows to 0
+    ("run", "pos_rs", "nan,0"),
+    ("run", "workers", "0"),
+    ("run", "workers", "-3"),
+    ("flops", "l", "0"),
+    ("flops", "m", "0"),
+    ("flops", "m", "-5"),
+]
+
+#: the arguments each subcommand of BAD_VALUES runs with, which exit 0
+GOOD_ARGS = {
+    "run": ["run"] + [f"--set={k}={v}" for k, v in FAST.items()],
+    "flops": ["flops", "--values", "100"],
+}
+
+
 @pytest.mark.parametrize(
-    "key, raw",
-    [
-        ("p_s_watt", "inf"),
-        ("p_r_watt", "inf"),
-        ("gain_s_dbi", "inf"),
-        ("alpha", "inf"),
-        ("p_s_watt", "-1"),
-        ("snr_db", "nan"),
-        ("snr_db", "4000"),  # 10 ** (snr_db / 10) overflows
-        ("snr_db", "-3300"),  # 10 ** (snr_db / 10) underflows to 0
-        ("pos_rs", "nan,0"),
-        ("workers", "0"),
-        ("workers", "-3"),
+    "subcommand, key, raw",
+    BAD_VALUES,
+    ids=[
+        f"{key}-{raw}" if subcommand == "run" else f"{subcommand}-{key}-{raw}"
+        for subcommand, key, raw in BAD_VALUES
     ],
 )
-def test_main_rejects_bad_value_naming_its_key(key, raw, capsys):
-    args = ["run"] + [f"--set={k}={v}" for k, v in FAST.items()]
+def test_main_rejects_bad_value_naming_its_key(subcommand, key, raw, capsys):
+    args = GOOD_ARGS[subcommand]
     assert cli.main(args + [f"--set={key}={raw}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

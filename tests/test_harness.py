@@ -182,14 +182,14 @@ def _record_draws(monkeypatch):
     """Record the (m, seeds, served, links) of each stack the engine solves on.
 
     A draw's links are drawn by ``harness.sample_links`` from its trial
-    seeds, a hop at a time; at m = 1 they are served from a larger draw by
-    ``harness._leading_antenna`` (``served`` is true).  Returns the calls
-    and the bytes of every first-hop direct link drawn or served, which tell
-    a first-hop solve from a second-hop one.
+    seeds, a hop at a time; at m = 1 they are served from a larger draw,
+    the stack just drawn, by ``Links.leading_antenna`` (``served`` is
+    true).  Returns the calls and the bytes of every first-hop direct link
+    drawn or served, which tell a first-hop solve from a second-hop one.
     """
     calls, first_links = [], set()
     draw = harness.sample_links
-    serve = harness._leading_antenna
+    serve = harness.Links.leading_antenna
 
     def record(m, seeds, stack, served):
         calls.append((m, tuple(seeds), served, frozenset(vars(stack))))
@@ -199,11 +199,11 @@ def _record_draws(monkeypatch):
     def drawn(geometry, budget, m, n, seeds, names):
         return record(m, seeds, draw(geometry, budget, m, n, seeds, names), False)
 
-    def leading(stack, drawn, seeds):
-        return record(1, seeds, serve(stack, drawn, seeds), True)
+    def leading(stack):
+        return record(1, calls[-1][1], serve(stack), True)
 
     monkeypatch.setattr(harness, "sample_links", drawn)
-    monkeypatch.setattr(harness, "_leading_antenna", leading)
+    monkeypatch.setattr(harness.Links, "leading_antenna", leading)
     return calls, first_links
 
 
@@ -298,20 +298,20 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
     methods = ("ais", "irses", "baseline-single-antenna", "baseline-irs-only")
     configs = [small_config(method=m, m=4, n=16, trials=5) for m in methods]
     blocks = []
-    draw, serve = harness.sample_links, harness._leading_antenna
+    draw, serve = harness.sample_links, harness.Links.leading_antenna
 
     def drawn(geometry, budget, m, n, seeds, names):
         links = draw(geometry, budget, m, n, seeds, names)
         blocks.append((m, list(seeds), vars(links)))
         return links
 
-    def leading(stack, drawn, seeds):
-        served = serve(stack, drawn, seeds)
-        blocks.append((1, seeds, vars(served)))
+    def leading(stack):
+        served = serve(stack)
+        blocks.append((1, blocks[-1][1], vars(served)))
         return served
 
     monkeypatch.setattr(harness, "sample_links", drawn)
-    monkeypatch.setattr(harness, "_leading_antenna", leading)
+    monkeypatch.setattr(harness.Links, "leading_antenna", leading)
     collect_trials(configs)
     assert [(m, sorted(links)) for m, _, links in blocks] == [
         (4, ["H_ir", "h_id", "h_si", "h_sr"]),
@@ -331,6 +331,57 @@ def test_a_trial_alone_gets_the_record_it_gets_among_others():
     config = small_config(method="irses", m=4, n=16, trials=3)
     together = collect_trials(config)
     assert [run_trial(config, k) for k in range(3)] == together
+
+
+def test_each_base_seed_and_trial_count_is_evaluated_alone(monkeypatch):
+    # configurations of one (base seed, trial count) share their trials; each
+    # such group is cut into chunks of consecutive trials and evaluated
+    # alone, every draw holding exactly its chunk's trials, and each
+    # configuration's columns are its own, bit for bit, in input order
+    cases = [("ais", 0, 5), ("irses", 1, 5), ("nsp", 0, 3), ("ais", 1, 3)]
+    configs = [
+        small_config(method=method, m=4, n=16, base_seed=base_seed, trials=trials)
+        for method, base_seed, trials in cases
+    ]
+    alone = [harness.collect_columns([config]) for config in configs]
+    events = []
+    evaluate, draw = harness._evaluate_chunk, harness.sample_links
+
+    def evaluated(plans, seeds):
+        events.append(("chunk", list(seeds)))
+        return evaluate(plans, seeds)
+
+    def drawn(geometry, budget, m, n, seeds, names):
+        events.append(("draw", list(seeds)))
+        return draw(geometry, budget, m, n, seeds, names)
+
+    monkeypatch.setattr(harness, "_chunk_trials", lambda configs: 2)
+    monkeypatch.setattr(harness, "_evaluate_chunk", evaluated)
+    monkeypatch.setattr(harness, "sample_links", drawn)
+    together = harness.collect_columns(configs)
+    assert len(together) == len(configs)
+    for columns, (own,) in zip(together, alone):
+        assert columns.seeds == own.seeds
+        for array, expected in zip(columns[1:], own[1:]):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+    # 5 trials make chunks of 1, 2 and 2 trials, 3 trials chunks of 1 and
+    # 2: one call per chunk per group, the groups in order of appearance
+    cuts = {5: [(0, 1), (1, 3), (3, 5)], 3: [(0, 1), (1, 3)]}
+    expected = [
+        [trial_seed(base_seed, k) for k in range(start, stop)]
+        for _, base_seed, trials in cases
+        for start, stop in cuts[trials]
+    ]
+    assert [seeds for kind, seeds in events if kind == "chunk"] == expected
+    # two draws a chunk, one per hop, each of exactly the chunk's trials
+    chunk = None
+    for kind, seeds in events:
+        if kind == "chunk":
+            chunk = seeds
+        else:
+            assert seeds == chunk
+    assert [kind for kind, _ in events].count("draw") == 2 * len(expected)
 
 
 def test_sweep_shares_draws_across_snr_points(monkeypatch):

@@ -122,11 +122,11 @@ def test_multi_geometry_table_holds_one_draw_at_a_time():
     assert peak <= 0.95 * one_draw < 3 * one_draw
 
 
-def test_a_shorter_table_solves_on_a_view_of_the_longer_ones_rows():
-    # an irses table of 15 trials beside an ais table of 16 solves its
-    # first slot on trials 0..14 of the 16-trial draw: a slice of the
-    # stack's rows, not a copy of them beside it (1.07 MB against 1.56 MB
-    # when copied).  The set-up builds the measured table, as in
+def test_a_shorter_table_peaks_no_higher_than_two_of_equal_length():
+    # an irses table of 15 trials beside an ais table of 16 is two groups
+    # of trials, each drawn and solved alone, one after the other: it peaks
+    # no higher than the two tables of 16 trials drawn together (1.04 MB
+    # against 1.06 MB).  The set-up builds the measured table, as in
     # test_small_table_peak_bounds_the_chunk_length
     def table(irses_trials):
         return [
