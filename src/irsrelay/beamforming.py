@@ -31,6 +31,14 @@ the same floating-point operations per trial as the one-trial case (the
 same BLAS or LAPACK call per slice, the same elementwise loops), so a
 trial's solution does not depend on what it is stacked with.
 
+NSP projects off one direction at a time: the reflected branch off each
+trial's direct link, and, by default, the direct link off the converged
+cascade.  Each is the closed form ``I - â â^H`` with ``â = a / ||a||``, as
+a matrix where a loop applies it (:func:`_rank_one_projectors`) and as
+``x - â (â^H x)`` where it is applied once (:func:`_project_off`); no SVD
+runs.  Only literal mode's projector off the whole surface matrix, a space
+of more than one column, takes the pseudo-inverse (:func:`_projectors`).
+
 Every solver iterates on the surface's unit phasors ``e = exp(j*theta)``,
 never on angles: the closed-form alignment of a reflected path ``row`` onto
 a reference phasor ``r`` is ``r * conj(row) / |row|``
@@ -754,11 +762,14 @@ def nsp_projector(A: np.ndarray) -> np.ndarray:
     Returns P = I - A (A^H A)^+ A^H, which satisfies P = P^H = P^2 and
     P A = 0 for any ``A`` including rank-deficient ones.  When the columns of
     ``A`` span the whole space the result is (numerically) the zero matrix;
-    detecting that is the caller's job.
+    detecting that is the caller's job.  A vector ``a`` spans one direction,
+    and P is ``I - â â^H`` with ``â = a / ||a||`` (:func:`_rank_one_projectors`),
+    the identity for a zero ``a``; a matrix takes the pseudo-inverse
+    (:func:`_projectors`).
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim == 1:
-        A = A[:, np.newaxis]
+        return _rank_one_projectors(A[np.newaxis])[0]
     if A.ndim != 2:
         raise ConfigError("projector input must be a vector or matrix")
     return _projectors(A[np.newaxis])[0]
@@ -768,12 +779,45 @@ def _projectors(A: np.ndarray) -> np.ndarray:
     """:func:`nsp_projector` of each matrix of a stack, shape (T, m, k).
 
     ``pinv``, ``@`` and the transposes act slice by slice, with the same
-    LAPACK and BLAS call per matrix as on one matrix.
+    LAPACK and BLAS call per matrix as on one matrix.  Only a space of more
+    than one column needs this: projecting off one direction is a closed
+    form (:func:`_rank_one_projectors`, :func:`_project_off`).
     """
     gram_inv = np.linalg.pinv(np.conj(A.mT) @ A, rcond=PINV_RCOND)
     # I - A gram_inv A^H, subtracted in place: a stack holds one such array
     spanned = A @ gram_inv @ np.conj(A.mT)
     return np.subtract(np.eye(A.shape[-2], dtype=np.complex128), spanned, out=spanned)
+
+
+def _directions(a: np.ndarray) -> np.ndarray:
+    """Each row of a stack of vectors over its norm (:func:`_norms`).
+
+    A zero row stays zero, so that projecting off it projects off nothing,
+    as the pseudo-inverse's cutoff does.  The division is elementwise, so a
+    row's bits do not depend on the stack.
+    """
+    norms = np.array(_norms(a))[:, np.newaxis]
+    return np.divide(a, norms, out=np.zeros_like(a), where=norms != 0.0)
+
+
+def _rank_one_projectors(a: np.ndarray) -> np.ndarray:
+    """The projector ``I - â â^H`` off each row ``a`` of a stack, shape (T, m, m).
+
+    This is :func:`_projectors` of each row as one column, in closed form:
+    an outer product per row, no SVD.
+    """
+    unit = _directions(a)
+    spanned = unit[:, :, np.newaxis] * np.conj(unit[:, np.newaxis, :])
+    return np.subtract(np.eye(a.shape[-1], dtype=np.complex128), spanned, out=spanned)
+
+
+def _project_off(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` projected off the same row of ``a``: ``x - â (â^H x)``.
+
+    :func:`_rank_one_projectors` applied to ``x`` without building a matrix.
+    """
+    unit = _directions(a)
+    return x - unit * np.vecdot(unit, x)[:, np.newaxis]
 
 
 def _nsp_start_phases(
@@ -911,7 +955,7 @@ def _nsp(
     if phases is not None and len(phases) != n:
         raise ConfigError("fixed phase vector length must equal n")
 
-    direct_null = _projectors(h_sr[:, :, np.newaxis])
+    direct_null = _rank_one_projectors(h_sr)
     if phases is None:
         step = max(1, START_PHASE_BYTES // H_ir[0].nbytes)
         parts = (H_ir, h_si, direct_null)
@@ -992,7 +1036,7 @@ def _nsp_results(
         surface_null = _projectors(H_ir)
         direct_raw = np.matvec(surface_null, np.matvec(surface_null, h_sr))[trials]
     else:
-        direct_raw = np.matvec(_projectors(cascade[:, :, np.newaxis]), direct)
+        direct_raw = _project_off(cascade, direct)
     for raw, reference in zip(_norms(direct_raw), _norms(direct)):
         if raw < 1e-12 * reference:
             raise ProjectorDegenerateError(

@@ -84,6 +84,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(p.strip() for p in text.split(",") if p.strip())
     if not methods:
         raise ValueError("expected a comma-separated method list")
+    for index, method in enumerate(methods):
+        if method in methods[:index]:
+            raise ValueError(f"method {method!r} is listed twice")
     return methods
 
 

@@ -408,7 +408,9 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     Nothing here depends on the trial, so one plan serves every trial.  The
     links each solve reads, and the cascades through the surface among them,
     are checked here, before anything is drawn
-    (:func:`~irsrelay.channel.check_links`).
+    (:func:`~irsrelay.channel.check_links`): each distinct (geometry,
+    budget, links) once, in configuration order, so that the first bad
+    configuration raises.
     """
     draws: dict[tuple, int] = {}
     inputs = [_channel_inputs(config) for config in configs]
@@ -416,9 +418,13 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
         _solves(config, draws.setdefault(channels, len(draws)))
         for config, channels in zip(configs, inputs)
     ]
-    for config, kinds in zip(configs, solves):
-        for _, links, _ in kinds.values():
-            check_links(config.geometry, config.budget, links)
+    checks = dict.fromkeys(
+        (config.geometry, config.budget, links)
+        for config, kinds in zip(configs, solves)
+        for _, links, _ in kinds.values()
+    )
+    for geometry, budget, links in checks:
+        check_links(geometry, budget, links)
     noises = [config.noise_variance_watt for config in configs]
     levels: dict[tuple, dict[float, None]] = {}
     for noise, kinds in zip(noises, solves):
@@ -711,9 +717,11 @@ class SweepSpec:
             raise ConfigError("sweep values must be strictly increasing")
         object.__setattr__(self, "values", values)
         methods = tuple(self.methods) or (self.config.method,)
-        for method in methods:
+        for index, method in enumerate(methods):
             if method not in METHODS:
                 raise ConfigError(f"unknown method {method!r}")
+            if method in methods[:index]:
+                raise ConfigError(f"method {method!r} is listed twice")
         object.__setattr__(self, "methods", methods)
         if self.axis in ("n", "m"):
             for v in values:

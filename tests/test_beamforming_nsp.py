@@ -15,6 +15,7 @@ from irsrelay.errors import (
     DegenerateElementWarning,
     ProjectorDegenerateError,
 )
+from irsrelay.harness import ScenarioConfig, collect_columns
 
 from conftest import NOISE_30DB, P_S, make_channels
 
@@ -53,6 +54,61 @@ def test_projector_accepts_one_dimensional_input():
     P = nsp_projector(a)
     assert P.shape == (4, 4)
     assert np.linalg.norm(P @ a) < 1e-10 * np.linalg.norm(a)
+
+
+def directions_and_vectors(scale):
+    """A stack of 9 random directions ``a`` at ``scale``, row 4 zero, and vectors ``x``."""
+    rng = np.random.default_rng(20)
+    a, x = scale * (
+        rng.standard_normal((2, 9, 5)) + 1j * rng.standard_normal((2, 9, 5))
+    )
+    a[4] = 0.0
+    return a, x / scale
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+def test_projecting_off_one_direction_in_closed_form(scale):
+    a, x = directions_and_vectors(scale)
+    P = beamforming._rank_one_projectors(a)
+    off = beamforming._project_off(a, x)
+    norms_a, norms_x = np.linalg.norm(a, axis=-1), np.linalg.norm(x, axis=-1)
+    for y in (off, np.matvec(P, x)):
+        # orthogonal to a, relative to ||x||
+        assert np.all(np.abs(np.vecdot(a, y)) <= 1e-14 * norms_a * norms_x)
+    assert np.max(np.abs(P @ P - P)) <= 1e-14
+    assert np.max(np.abs(P - np.conj(P.mT))) <= 1e-15
+    # a zero direction projects off nothing, as the pseudo-inverse's cutoff
+    assert np.array_equal(P[4], np.eye(5)) and np.array_equal(off[4], x[4])
+    pinv = beamforming._projectors(a[:, :, np.newaxis])
+    assert np.max(np.abs(P - pinv)) <= 1e-13
+    assert np.all(
+        np.linalg.norm(off - np.matvec(pinv, x), axis=-1) <= 1e-13 * norms_x
+    )
+    # each row as alone, bit for bit, and nsp_projector on a vector is it
+    for t in range(len(a)):
+        row = slice(t, t + 1)
+        assert beamforming._rank_one_projectors(a[row]).tobytes() == P[t].tobytes()
+        assert beamforming._project_off(a[row], x[row]).tobytes() == off[t].tobytes()
+        assert nsp_projector(a[t]).tobytes() == P[t].tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
+def test_the_nsp_table_path_runs_no_pseudo_inverse_or_svd(m, n, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("pinv or svd called")
+
+    monkeypatch.setattr(np.linalg, "pinv", refused)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    configs = [
+        ScenarioConfig(m=m, n=n, trials=3, method=method)
+        for method in ("nsp", "nsp-fixed-phase")
+    ]
+    for columns in collect_columns(configs):
+        assert np.all(np.isfinite(columns.rate_s))
+    # literal mode projects off the whole surface matrix: the pseudo-inverse
+    literal = ScenarioConfig(m=8, n=4, trials=1, method="nsp", nsp_mode="literal")
+    with pytest.raises(AssertionError, match="pinv or svd called"):
+        collect_columns([literal])
 
 
 def test_nsp_rejects_single_antenna():
@@ -186,7 +242,7 @@ def test_nsp_alignment_rotates_every_path_onto_the_positive_real_axis():
 def test_nsp_start_phasors_are_unit_and_never_below_flat():
     sets = [make_channels(4, 16, seed=seed) for seed in range(12)]
     stack = stack_channels(sets)
-    null = beamforming._projectors(stack.h_sr[:, :, np.newaxis])
+    null = beamforming._rank_one_projectors(stack.h_sr)
     start = beamforming._nsp_start_phases(stack.H_ir, stack.h_si, null)
     assert np.max(np.abs(np.abs(start) - 1.0)) <= 1e-15
     relaxed = null @ (stack.H_ir * stack.h_si[:, np.newaxis])

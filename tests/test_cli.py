@@ -184,6 +184,8 @@ BAD_VALUES = [
     ("run", "pos_rs", "nan,0"),
     ("run", "workers", "0"),
     ("run", "workers", "-3"),
+    ("run", "methods", "ais,ais"),
+    ("sweep-snr", "methods", "nsp,ais,nsp"),
     ("flops", "l", "0"),
     ("flops", "m", "0"),
     ("flops", "m", "-5"),
@@ -192,6 +194,8 @@ BAD_VALUES = [
 #: the arguments each subcommand of BAD_VALUES runs with, which exit 0
 GOOD_ARGS = {
     "run": ["run"] + [f"--set={k}={v}" for k, v in FAST.items()],
+    "sweep-snr": ["sweep-snr", "--values", "0,10"]
+    + [f"--set={k}={v}" for k, v in FAST.items()],
     "flops": ["flops", "--values", "100"],
 }
 
@@ -210,6 +214,22 @@ def test_main_rejects_bad_value_naming_its_key(subcommand, key, raw, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--methods", "ais,nsp,ais"],
+        ["sweep-snr", "--values", "0,10", "--methods", "ais,nsp,ais"],
+    ],
+    ids=["run", "sweep-snr"],
+)
+def test_main_rejects_a_repeated_method_naming_it(args, capsys):
+    # a repeated method would print its row, or its columns, twice
+    assert cli.main(args + ["--trials", "2", "--set", "m=2", "--set", "n=4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "method 'ais' is listed twice" in captured.err
 
 
 @pytest.mark.parametrize(

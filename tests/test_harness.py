@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from irsrelay.channel import Geometry, LinkBudget, sample_channels_batch
-from irsrelay import harness
+from irsrelay import channel, harness
 from irsrelay.errors import ConfigError
 from irsrelay.harness import (
     METHODS,
@@ -464,6 +464,31 @@ def test_sweep_spec_validation():
         SweepSpec(config=config, axis="distance_d", values=(50.0, 100.0))
     with pytest.raises(ConfigError):
         SweepSpec(config=config, axis="snr_db", values=(0.0,), methods=("fft",))
+
+
+def test_sweep_spec_rejects_a_repeated_method_naming_it():
+    config = small_config(method="ais")
+    with pytest.raises(ConfigError, match="'nsp' is listed twice"):
+        SweepSpec(config, "snr_db", (0.0,), methods=("nsp", "ais", "nsp"))
+
+
+def test_a_sweep_plan_checks_each_distinct_links_once(monkeypatch):
+    # the default sweep-snr table: 7 points x (ais, nsp, irses), one
+    # geometry and one budget, so two distinct link sets, a hop each
+    checked = _count_calls(monkeypatch, "check_links", lambda g, b, links: [links])
+    scaled = []
+    scale = channel.link_scale
+    monkeypatch.setattr(
+        channel, "link_scale", lambda *args: scaled.append(args[2]) or scale(*args)
+    )
+    spec = SweepSpec(
+        ScenarioConfig(), "snr_db", tuple(range(0, 31, 5)), ("ais", "nsp", "irses")
+    )
+    harness.solve_plans(
+        [point_config(spec, v, method) for v in spec.values for method in spec.methods]
+    )
+    assert checked == Counter([harness._FIRST_LINKS, harness._SECOND_LINKS])
+    assert scaled == [*harness._FIRST_LINKS, *harness._SECOND_LINKS]
 
 
 def test_point_config_moves_each_axis():
