@@ -2,47 +2,42 @@
 
 A scenario is evaluated trial by trial: each trial derives its own seed from
 ``(base_seed, trial_index)``, samples one :class:`~irsrelay.channel.ChannelSet`,
-runs the configured first-slot method plus the second-slot optimizer, and
-reports per-slot and end-to-end rates.  Sweeps repeat this over an axis
-(SNR, element count, antenna count, or relay position) and aggregate mean
-rate and standard error per axis value and method.  A table is averaged
-from each configuration's :class:`Columns` (:func:`collect_columns`), the
-rates and iteration counts of its trials as arrays in trial order;
+runs the solve its method names for each hop, and reports per-slot and
+end-to-end rates.  Sweeps repeat this over an axis (SNR, element count,
+antenna count, or relay position) and aggregate mean rate and standard
+error per axis value and method.  A table is averaged from each
+configuration's :class:`Columns` (:func:`collect_columns`), the rates and
+iteration counts of its trials as arrays in trial order;
 :func:`collect_trials` and :func:`run_trial` build a :class:`TrialRecord`
 per trial from the same columns.
 
+The solves are data.  :data:`SOLVES` gives each, by name, the links it
+reads, the configuration fields it reads beyond its draw's inputs and the
+noise, and a module-level rates function that calls one of
+:mod:`~irsrelay.beamforming`'s rates forms; a :class:`Method` of
+:data:`METHODS` names its solves.  A solve's key is its name, its draw and
+those fields' values, and it runs as its function bound to exactly these
+(:func:`_solves`): configurations of equal keys share one solve, and plans
+pickle.  This module plans, draws and averages, and forms no hop's rate
+itself.
+
 Several configurations (the methods of a table, the points of a sweep) are
-evaluated together, a group at a time: configurations of one base seed
-and trial count share their trials, and each such group is cut into chunks
-of consecutive trials.  For each chunk every distinct set of channel
-inputs is drawn in turn, a stack of the chunk's trials, in two passes
-(:func:`~irsrelay.channel.sample_links`).  The first draws the links that
-the solves reading no ``H_ri`` need (the first slots,
-``baseline-irs-only``, ``baseline-relay-only``) and runs them; then every
-block the second pass does not read, ``H_ir`` above all, is dropped, and
-the second draws ``H_ri`` for the second slots.  Each solve keyed on the
-draw (same solver and inputs but the noise, shared by several
-configurations) runs once on the whole stack, for every noise level it
-serves (every SNR point of a sweep): the alternations as one batched loop,
-each (trial, level) stopping at its own iterate, and the closed forms
-(``irses``, the fixed-phase slots, the baselines' hops) as stacked calls.
-Every solve is :mod:`~irsrelay.beamforming`'s: this module plans, draws
-and averages, and forms no hop's rate itself.
-A loop multiplies the shared stack until at most
-:data:`~irsrelay.beamforming.COPY_SHARE` of its rows run, and copies only
-those.  The solvers' private rates forms keep only a ``(trials, levels)``
-array of rates and one of iteration counts per solve, which is all a table
-reads, and the stack is dropped before the next draw is made.  Each
-configuration's columns are then a column of each of those arrays,
-nothing drawn or solved again and no per-trial object made.  A chunk holds
-at most as many trials as keep one hop of its largest draw, and the loops'
-copy of it, within :data:`CHUNK_BYTES` of what one trial holds, and at
-most :data:`CHUNK_TRIALS`: a property of the draws' sizes, not a setting,
-that bounds the memory a chunk holds.  The trials are cut into as few chunks as
-that limit allows, of lengths at most one apart.  Every result is a pure
-function of the configuration and trial index, so tables are reproducible
-bit for bit whatever else is evaluated alongside, whatever the chunk and
-whatever the worker count.
+evaluated together, a group at a time: configurations of one base seed and
+trial count share their trials, cut into chunks of consecutive trials.  For
+each chunk every distinct set of channel inputs is drawn in turn, a stack of
+the chunk's trials, in two passes, one hop's surface matrix at a time
+(:func:`_evaluate_chunk`).  Each key runs once on the whole stack, for every
+noise level it serves (every SNR point of a sweep): the alternations as one
+batched loop, each (trial, level) stopping at its own iterate, and the
+closed forms as stacked calls.  The rates forms keep only a ``(trials,
+levels)`` array of rates and one of iteration counts per solve, which is all
+a table reads, and each configuration's columns are a column of each of
+those arrays, nothing drawn or solved again and no per-trial object made.
+How many trials a chunk holds is a property of the draws' sizes, not a
+setting, that bounds the memory it holds (:data:`CHUNK_BYTES`).  Every
+result is a pure function of the configuration and trial index, so tables
+are reproducible bit for bit whatever else is evaluated alongside, whatever
+the chunk and whatever the worker count.
 
 Random streams are keyed by Philox itself, with no hash
 (:mod:`~irsrelay.channel`): a group derives its trial seeds with one
@@ -60,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -119,33 +115,31 @@ from .metrics import rate_from_power, receive_power_ais  # noqa: F401
 
 
 class Method(NamedTuple):
-    """How a method evaluates a trial.
+    """How a method evaluates a trial: the solve of each hop, and its antennas.
 
-    ``trial`` is "two-hop", "irs-only" (one hop via the surface alone) or
-    "relay-only" (both hops without the surface).  ``first_slot`` names the
-    solver of a two-hop trial ("ais", "nsp" or "irses"); :func:`_solves`
-    picks that solver's rates form by this name.
+    ``solves`` names, in :data:`SOLVES`, the first hop's solve and the
+    second's; ``baseline-irs-only`` has one hop, S -> IRS -> D.  ``m``, when
+    set, is the relay's antenna count in place of the configuration's.
     """
 
-    trial: str
-    first_slot: str | None = None
-    fixed_phase: bool = False
+    solves: tuple[str, ...]
     m: int | None = None
 
 
 #: every method by name, in table order; fixed-phase ablations pin the surface
 #: phases of both slots to zero and still optimize the beamformers
 METHODS = {
-    "ais": Method("two-hop", "ais"),
-    "nsp": Method("two-hop", "nsp"),
-    "irses": Method("two-hop", "irses"),
-    "ais-fixed-phase": Method("two-hop", "ais", fixed_phase=True),
-    "nsp-fixed-phase": Method("two-hop", "nsp", fixed_phase=True),
-    "irses-fixed-phase": Method("two-hop", "irses", fixed_phase=True),
+    "ais": Method(("ais", "second")),
+    "nsp": Method(("nsp", "second")),
+    "irses": Method(("irses", "second")),
+    "ais-fixed-phase": Method(("ais-fixed-phase", "fixed-second")),
+    "nsp-fixed-phase": Method(("nsp-fixed-phase", "fixed-second")),
+    "irses-fixed-phase": Method(("irses-fixed-phase", "fixed-second")),
     # the same alternating design with a single relay antenna
-    "baseline-single-antenna": Method("two-hop", "ais", m=1),
-    "baseline-irs-only": Method("irs-only"),
-    "baseline-relay-only": Method("relay-only"),
+    "baseline-single-antenna": Method(("ais", "second"), m=1),
+    "baseline-irs-only": Method(("irs-only",)),
+    # both hops without the surface
+    "baseline-relay-only": Method(("relay-first", "relay-second")),
 }
 
 PROPOSED_METHODS = ("ais", "nsp", "irses")
@@ -197,9 +191,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown combining {self.combining!r}")
         method = METHODS[self.method]
         m = method.m or self.m
-        if method.first_slot == "nsp" and m < 2:
+        first = method.solves[0].removesuffix("-fixed-phase")
+        if first == "nsp" and m < 2:
             raise ConfigError("nsp methods need m >= 2")
-        if method.first_slot == "irses" and self.n % m != 0:
+        if first == "irses" and self.n % m != 0:
             raise ConfigError(
                 f"irses methods need m to divide n, got m={m}, n={self.n}"
             )
@@ -257,10 +252,18 @@ CHUNK_BYTES = 960_000
 CHUNK_TRIALS = 120
 
 
-def _channel_inputs(config: ScenarioConfig) -> tuple:
+class _Inputs(NamedTuple):
     """Everything a trial's channel draw depends on but its seed."""
+
+    m: int
+    n: int
+    geometry: Geometry
+    budget: LinkBudget
+
+
+def _channel_inputs(config: ScenarioConfig) -> _Inputs:
     method = METHODS[config.method]
-    return (method.m or config.m, config.n, config.geometry, config.budget)
+    return _Inputs(method.m or config.m, config.n, config.geometry, config.budget)
 
 
 def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
@@ -279,108 +282,101 @@ def _chunk_trials(configs: Sequence[ScenarioConfig]) -> int:
     return min(CHUNK_TRIALS, 1 + CHUNK_BYTES // max(1, per_trial))
 
 
+def _run_ais(inputs, eps, max_iter, partitions, channels, noises):
+    p_s = inputs.budget.p_s_watt
+    return _alternate(_FIRST_HOP(channels), p_s, noises, eps, max_iter)
+
+
+def _run_nsp(
+    inputs, eps, max_iter, mode, combining, partitions, channels, noises, fixed=False
+):
+    phases = PhaseShiftVector(np.zeros(inputs.n)) if fixed else None
+    options = (eps, max_iter, mode, combining, phases)
+    return _nsp(_FIRST_HOP(channels), inputs.budget.p_s_watt, noises, *options)
+
+
+def _run_irses(inputs, mode, combining, partitions, channels, noises, fixed=False):
+    phases = PhaseShiftVector(np.zeros(inputs.n)) if fixed else None
+    options = (partitions(inputs.n, inputs.m), mode, combining, phases)
+    return _irses(_FIRST_HOP(channels), inputs.budget.p_s_watt, noises, *options)
+
+
+def _run_fixed_first(inputs, partitions, channels, noises):
+    return _fixed_first_slot(channels, inputs.budget.p_s_watt, noises)
+
+
+def _run_second(inputs, eps, max_iter, partitions, channels, noises):
+    p_r = inputs.budget.p_r_watt
+    return _alternate(_SECOND_HOP(channels), p_r, noises, eps, max_iter)
+
+
+def _run_fixed_second(inputs, partitions, channels, noises):
+    return _fixed_second_slot(channels, inputs.budget.p_r_watt, noises)
+
+
+def _run_irs_only(inputs, partitions, channels, noises):
+    return _irs_only(channels, inputs.budget.p_s_watt, noises)
+
+
+def _run_relay_first(inputs, partitions, channels, noises):
+    return _matched_direct(channels.h_sr, inputs.budget.p_s_watt, noises)
+
+
+def _run_relay_second(inputs, partitions, channels, noises):
+    return _matched_direct(channels.h_rd, inputs.budget.p_r_watt, noises)
+
+
+_LOOP_FIELDS = ("epsilon", "max_iter")
+_NSP_FIELDS = (*_LOOP_FIELDS, "nsp_mode", "combining")
+_IRSES_FIELDS = ("irses_mode", "combining")
+
+#: every solve by name: (links, fields, rates).  ``links`` are the links it
+#: reads, ``fields`` the :class:`ScenarioConfig` fields it reads beyond its
+#: draw's inputs (:class:`_Inputs`) and the noise, and ``rates(inputs,
+#: *values, partitions, channels, noises)`` its module-level rates function,
+#: which calls a rates form of beamforming by its name in this module, as a
+#: test may replace it.  ``nsp`` and ``irses`` share theirs with their
+#: fixed-phase forms, which pin the surface phases to zero.
+SOLVES = {
+    "ais": (_FIRST_LINKS, _LOOP_FIELDS, _run_ais),
+    "nsp": (_FIRST_LINKS, _NSP_FIELDS, _run_nsp),
+    "irses": (_FIRST_LINKS, _IRSES_FIELDS, _run_irses),
+    "ais-fixed-phase": (_FIRST_LINKS, (), _run_fixed_first),
+    "nsp-fixed-phase": (_FIRST_LINKS, _NSP_FIELDS, partial(_run_nsp, fixed=True)),
+    "irses-fixed-phase": (_FIRST_LINKS, _IRSES_FIELDS, partial(_run_irses, fixed=True)),
+    "second": (_SECOND_LINKS, _LOOP_FIELDS, _run_second),
+    "fixed-second": (_SECOND_LINKS, (), _run_fixed_second),
+    "irs-only": (("h_si", "h_id"), (), _run_irs_only),
+    "relay-first": (("h_sr",), (), _run_relay_first),
+    "relay-second": (("h_rd",), (), _run_relay_second),
+}
+
+
 def _solves(config: ScenarioConfig, draw: int) -> dict[str, tuple]:
     """The solves in one trial of ``config``, by kind.
 
-    ``"first"`` and ``"second"`` are the first- and second-slot solves of a
-    two-hop method, the closed-form fixed-phase slots included, and the
-    hops of ``baseline-relay-only``; ``baseline-irs-only`` has one
-    ``"first"`` solve, its single hop.  Each is a (key, links, run) triple:
-    ``run(partitions, channels, noises)`` solves a chunk's trials at once on
-    their stacked ``channels``, which hold at least the links named in
-    ``links`` (``partitions(n, m)`` gives their ``irses`` element
-    assignments, a row per trial), and returns ``(trials, levels)`` arrays
-    of rates and of iteration counts, a column per noise variance in the
-    order of ``noises``; the key, led by the solver's name, holds every
-    input of the solve except the trial seed and the noise, the channel
-    inputs as the number ``draw`` they have among the configurations
-    planned together.  Configurations with equal keys share one solve per
-    trial for all their noise levels: the three fixed-phase methods, for
-    one, share their second slot.
+    ``"first"`` and ``"second"`` are the solves its method names
+    (:data:`SOLVES`), one per hop; ``baseline-irs-only`` has only a first.
+    Each is a (key, links, run) triple.  ``run(partitions, channels, noises)``
+    is the solve's rates function bound to its draw's inputs and its declared
+    fields' values, and to nothing else: it solves a chunk's trials at once
+    on their stacked ``channels``, which hold at least the links ``links``
+    (``partitions(n, m)`` gives their ``irses`` element assignments, a row
+    per trial), and returns ``(trials, levels)`` arrays of rates and of
+    iteration counts, a column per noise variance in the order of
+    ``noises``.  The key is the solve's name, ``draw`` (the number of its
+    channel inputs among the configurations planned together) and the same
+    values: every input of the solve but the trial seed and the noise.
+    Configurations with equal keys share one solve per trial for all their
+    noise levels: the three fixed-phase methods, for one, share their second
+    slot.
     """
-    method = METHODS[config.method]
-    p_s, p_r = config.budget.p_s_watt, config.budget.p_r_watt
-    if method.trial == "irs-only":
-        return {
-            "first": (
-                ("irs-only", draw),
-                ("h_si", "h_id"),
-                lambda partitions, channels, noises: _irs_only(channels, p_s, noises),
-            )
-        }
-    if method.trial == "relay-only":
-        return {
-            "first": (
-                ("relay-first", draw),
-                ("h_sr",),
-                lambda partitions, channels, noises: _matched_direct(
-                    channels.h_sr, p_s, noises
-                ),
-            ),
-            "second": (
-                ("relay-second", draw),
-                ("h_rd",),
-                lambda partitions, channels, noises: _matched_direct(
-                    channels.h_rd, p_r, noises
-                ),
-            ),
-        }
-    eps, max_iter = config.epsilon, config.max_iter
-    zeros = PhaseShiftVector(np.zeros(config.n)) if method.fixed_phase else None
+    inputs = _channel_inputs(config)
     solves = {}
-    if method.first_slot == "ais" and method.fixed_phase:
-        solves["first"] = (
-            ("ais-fixed-phase", draw),
-            _FIRST_LINKS,
-            lambda partitions, channels, noises: _fixed_first_slot(
-                channels, p_s, noises
-            ),
-        )
-    elif method.first_slot == "ais":
-        solves["first"] = (
-            ("ais", draw, eps, max_iter),
-            _FIRST_LINKS,
-            lambda partitions, channels, noises: _alternate(
-                _FIRST_HOP(channels), p_s, noises, eps, max_iter
-            ),
-        )
-    elif method.first_slot == "nsp":
-        options = (config.nsp_mode, config.combining, zeros)
-        variant = (config.nsp_mode, config.combining, method.fixed_phase)
-        solves["first"] = (
-            ("nsp", draw, eps, max_iter, *variant),
-            _FIRST_LINKS,
-            lambda partitions, channels, noises: _nsp(
-                _FIRST_HOP(channels), p_s, noises, eps, max_iter, *options
-            ),
-        )
-    elif method.first_slot == "irses":
-        m, n = _channel_inputs(config)[:2]
-        options = (config.irses_mode, config.combining, zeros)
-        variant = (config.irses_mode, config.combining, method.fixed_phase)
-        solves["first"] = (
-            ("irses", draw, *variant),
-            _FIRST_LINKS,
-            lambda partitions, channels, noises: _irses(
-                _FIRST_HOP(channels), p_s, noises, partitions(n, m), *options
-            ),
-        )
-    if method.fixed_phase:
-        solves["second"] = (
-            ("fixed-second", draw),
-            _SECOND_LINKS,
-            lambda partitions, channels, noises: _fixed_second_slot(
-                channels, p_r, noises
-            ),
-        )
-    else:
-        solves["second"] = (
-            ("second", draw, eps, max_iter),
-            _SECOND_LINKS,
-            lambda partitions, channels, noises: _alternate(
-                _SECOND_HOP(channels), p_r, noises, eps, max_iter
-            ),
-        )
+    for kind, name in zip(("first", "second"), METHODS[config.method].solves):
+        links, fields, rates = SOLVES[name]
+        values = [getattr(config, field) for field in fields]
+        solves[kind] = ((name, draw, *values), links, partial(rates, inputs, *values))
     return solves
 
 
@@ -405,12 +401,13 @@ class Plan(NamedTuple):
 def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     """Each configuration's :class:`Plan`, planned across ``configs``.
 
-    Nothing here depends on the trial, so one plan serves every trial.  The
-    links each solve reads, and the cascades through the surface among them,
-    are checked here, before anything is drawn
-    (:func:`~irsrelay.channel.check_links`): each distinct (geometry,
-    budget, links) once, in configuration order, so that the first bad
-    configuration raises.
+    Nothing here depends on the trial, so one plan serves every trial.  A
+    plan holds plain values and the module-level functions of
+    :data:`SOLVES` (:func:`_solves`), so it pickles.  The links each solve
+    reads, and the cascades through the surface among them, are checked
+    here, before anything is drawn (:func:`~irsrelay.channel.check_links`):
+    each distinct (geometry, budget, links) once, in configuration order,
+    so that the first bad configuration raises.
     """
     draws: dict[tuple, int] = {}
     inputs = [_channel_inputs(config) for config in configs]

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from irsrelay import channel, harness
 from irsrelay.errors import ConfigError
 from irsrelay.harness import (
     METHODS,
+    SOLVES,
     ScenarioConfig,
     SweepSpec,
     collect_trials,
@@ -419,6 +421,65 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         assert sum(len(solved) for solved, _ in calls) == 3
         assert {levels for _, levels in calls} == {noises}
     assert sorted(partitions.values()) == [1] * 3  # one partition per trial
+
+
+def test_plans_pickle_and_evaluate_as_the_originals():
+    # one group of all nine methods at two SNR points: the single-antenna
+    # baseline's draw is served from the others', and every key serves both
+    # levels
+    configs = [
+        ScenarioConfig(method=method, m=4, n=16, snr_db=snr_db, trials=3)
+        for snr_db in (0.0, 30.0)
+        for method in METHODS
+    ]
+    plans = harness.solve_plans(configs)
+    copies = pickle.loads(pickle.dumps(plans))
+    assert all(
+        len(levels) == 2 for plan in plans for _, levels, *_ in plan.solves.values()
+    )
+    seeds = [trial_seed(0, k) for k in range(3)]
+    original = harness._evaluate_chunk(plans, seeds)
+    copied = harness._evaluate_chunk(copies, seeds)
+    assert list(copied) == list(original)
+    for key, arrays in original.items():
+        for array, copy in zip(arrays, copied[key], strict=True):
+            assert array.dtype == copy.dtype
+            assert array.tobytes() == copy.tobytes()
+
+
+# every field a solve may declare, and a value other than the default
+DECLARABLE = {
+    "epsilon": 1e-3,
+    "max_iter": 7,
+    "nsp_mode": "literal",
+    "irses_mode": "full",
+    "combining": "printed",
+    "snr_db": 0.0,
+}
+
+
+@pytest.mark.parametrize("name", SOLVES)
+def test_a_solve_key_holds_exactly_its_declared_fields(name):
+    # a solve's key changes with each field it declares and with no other,
+    # and its run binds the draw's inputs and the same values; every method
+    # naming the solve gets the same key from one configuration and draw:
+    # the three fixed-phase methods share "fixed-second", for one
+    _, fields, _ = SOLVES[name]
+    assert set(fields) <= set(DECLARABLE) - {"snr_db"}
+    named = [method for method, spec in METHODS.items() if name in spec.solves]
+    assert named
+    keys = set()
+    for method in named:
+        config = ScenarioConfig(method=method, m=4, n=16, trials=1)
+        kind = "first" if METHODS[method].solves[0] == name else "second"
+        key, _, run = harness._solves(config, 0)[kind]
+        assert key == (name, 0, *(getattr(config, field) for field in fields))
+        assert run.args == (harness._channel_inputs(config), *key[2:])
+        keys.add(key)
+        for field, value in DECLARABLE.items():
+            other = harness._solves(dataclasses.replace(config, **{field: value}), 0)
+            assert (other[kind][0] != key) == (field in fields)
+    assert len(keys) == 1
 
 
 def test_collect_trials_rejects_workers_below_one():
