@@ -833,7 +833,10 @@ def _nsp_start_phases(
     phasors (all 1) the other.  The larger branch wins, flat phasors on a
     tie, so the start is never below the flat-phase branch.
     """
-    relaxed = direct_null @ (H * h[:, np.newaxis])
+    # a contiguous copy: ``H * h`` on a strided corner would also buffer H
+    relaxed = H.copy()
+    relaxed *= h[:, np.newaxis]
+    relaxed = direct_null @ relaxed
     relaxed_h = np.conj(relaxed.mT)
     # B^H times the principal eigenvector of the m x m Gram matrix B B^H is
     # the principal right singular vector up to scale, without an n x n SVD

@@ -11,8 +11,8 @@ all six links with a leading trial axis; each trial's rows are bit for bit
 what :func:`sample_channels`, its one-trial view, draws for that seed alone.
 :func:`sample_links` draws some of those links, as :class:`Links`, from the
 trials' seeds: the trial engine draws a stack a hop at a time, so that it
-never holds both surface matrices, and every block is bit for bit the whole
-draw's.
+never holds both surface matrices, every block is bit for bit the whole
+draw's, and a smaller draw is a corner of it (:meth:`Links.corner`).
 
 Every random stream is numpy's counter-based Philox at a key of two 64-bit
 words, with no hash in between (Salmon et al., "Parallel random numbers: as
@@ -276,8 +276,9 @@ class ChannelSet:
         return self._of({name: getattr(self, name)[index] for name in LINK_STREAMS})
 
 
-#: the links with an antenna axis, after the trial axis
-_ANTENNA_LINKS = frozenset(("h_sr", "H_ir", "h_rd", "H_ri"))
+def _shapes(m: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Each link's shape in one trial at ``m`` antennas and ``n`` elements."""
+    return dict(h_sr=(m,), H_ir=(m, n), h_si=(n,), h_rd=(m,), h_id=(n,), H_ri=(m, n))
 
 
 class Links(SimpleNamespace):
@@ -288,19 +289,20 @@ class Links(SimpleNamespace):
     links at a time, so that a stack need not hold both surface matrices.
     """
 
-    def leading_antenna(self) -> "Links":
-        """Each link's first antenna, as contiguous read-only copies.
+    def corner(self, m: int, n: int) -> "Links":
+        """Each link's leading ``m`` antennas and ``n`` elements, as views.
 
-        The copies keep no part of the stack alive.  A stack drawn at more
-        antennas gives, bit for bit, the draw at one antenna of the same
-        seeds (:func:`sample_links`).
+        A stack drawn at ``(m, n)`` or more of either gives, bit for bit, the
+        draw at ``(m, n)`` of the same seeds (:func:`sample_links`); the
+        views are strided, read-only and copy nothing.
         """
-        taken = {}
-        for name, block in vars(self).items():
-            block = (block[:, :1] if name in _ANTENNA_LINKS else block).copy()
-            block.flags.writeable = False
-            taken[name] = block
-        return Links(**taken)
+        shapes = _shapes(m, n)
+        return Links(
+            **{
+                name: block[(slice(None), *map(slice, shapes[name]))]
+                for name, block in vars(self).items()
+            }
+        )
 
 
 def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
@@ -411,7 +413,7 @@ def sample_links(
     interleaved real and imaginary standard normals.  A row's leading
     entries are the start of its own stream, so the draw at ``m`` antennas
     and ``n`` elements is, bit for bit, the leading ``m x n`` entries of a
-    draw at more of either (:meth:`Links.leading_antenna`).  Each link is
+    draw at more of either (:meth:`Links.corner`).  Each link is
     its own complex buffer, so that a caller may drop one and keep the
     others; the draws go straight into it and are scaled in place by
     ``scale / sqrt(2)``, one float.  Each block is checked once and
@@ -426,14 +428,7 @@ def sample_links(
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
     if n < 1:
         raise ConfigError(f"element count n must be >= 1, got {n}")
-    shapes = {
-        "h_sr": (m,),
-        "H_ir": (m, n),
-        "h_si": (n,),
-        "h_rd": (m,),
-        "h_id": (n,),
-        "H_ri": (m, n),
-    }
+    shapes = _shapes(m, n)
     blocks = {}
     for name in names:
         scale, shape = link_scale(geometry, budget, name), shapes[name]

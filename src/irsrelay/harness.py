@@ -24,8 +24,8 @@ itself.
 Several configurations (the methods of a table, the points of a sweep) are
 evaluated together, a group at a time: configurations of one base seed and
 trial count share their trials, cut into chunks of consecutive trials.  For
-each chunk every distinct set of channel inputs is drawn in turn, a stack of
-the chunk's trials, in two passes, one hop's surface matrix at a time
+each chunk every source draw is drawn in turn, a stack of the chunk's
+trials, in two passes, one hop's surface matrix at a time
 (:func:`_evaluate_chunk`).  Each key runs once on the whole stack, for every
 noise level it serves (every SNR point of a sweep): the alternations as one
 batched loop, each (trial, level) stopping at its own iterate, and the
@@ -44,10 +44,12 @@ Random streams are keyed by Philox itself, with no hash
 generator, positioned at each (base seed, trial index) in turn; a draw's
 links are drawn from the trial seeds, a row at a time; and a chunk draws
 its ``irses`` partitions from them once per (n, m), each trial's that of
-:func:`~irsrelay.beamforming.irses_partition` at its seed.  A one-antenna
-draw (``baseline-single-antenna``) is not drawn when another draw of the
-chunk has the same other inputs at more antennas: it is the leading
-antenna of that stack, served as a copy, pass by pass.
+:func:`~irsrelay.beamforming.irses_partition` at its seed.  So a draw is
+the leading corner of any draw of the same geometry and budget at as many
+antennas and elements or more, and a chunk draws only the largest of them,
+its source (:func:`_sources`): the points of an ``n`` or ``m`` sweep and
+the single-antenna baseline are solved on their corners of its stack, as
+views.
 """
 
 from __future__ import annotations
@@ -287,11 +289,15 @@ def _run_ais(inputs, eps, max_iter, partitions, channels, noises):
     return _alternate(_FIRST_HOP(channels), p_s, noises, eps, max_iter)
 
 
-def _run_nsp(
-    inputs, eps, max_iter, mode, combining, partitions, channels, noises, fixed=False
-):
-    phases = PhaseShiftVector(np.zeros(inputs.n)) if fixed else None
-    options = (eps, max_iter, mode, combining, phases)
+def _run_nsp(inputs, eps, max_iter, mode, combining, partitions, channels, noises):
+    options = (eps, max_iter, mode, combining, None)
+    return _nsp(_FIRST_HOP(channels), inputs.budget.p_s_watt, noises, *options)
+
+
+def _run_nsp_fixed(inputs, mode, combining, partitions, channels, noises):
+    # one step at zero phases, which the loop's controls do not change
+    phases = PhaseShiftVector(np.zeros(inputs.n))
+    options = (DEFAULT_EPSILON, DEFAULT_MAX_ITER, mode, combining, phases)
     return _nsp(_FIRST_HOP(channels), inputs.budget.p_s_watt, noises, *options)
 
 
@@ -327,7 +333,7 @@ def _run_relay_second(inputs, partitions, channels, noises):
 
 
 _LOOP_FIELDS = ("epsilon", "max_iter")
-_NSP_FIELDS = (*_LOOP_FIELDS, "nsp_mode", "combining")
+_NSP_FIELDS = ("nsp_mode", "combining")
 _IRSES_FIELDS = ("irses_mode", "combining")
 
 #: every solve by name: (links, fields, rates).  ``links`` are the links it
@@ -335,14 +341,15 @@ _IRSES_FIELDS = ("irses_mode", "combining")
 #: draw's inputs (:class:`_Inputs`) and the noise, and ``rates(inputs,
 #: *values, partitions, channels, noises)`` its module-level rates function,
 #: which calls a rates form of beamforming by its name in this module, as a
-#: test may replace it.  ``nsp`` and ``irses`` share theirs with their
-#: fixed-phase forms, which pin the surface phases to zero.
+#: test may replace it.  The fixed-phase forms of ``nsp`` and ``irses``
+#: pin the surface phases to zero; ``nsp``'s then takes one step, so it
+#: reads no loop control.
 SOLVES = {
     "ais": (_FIRST_LINKS, _LOOP_FIELDS, _run_ais),
-    "nsp": (_FIRST_LINKS, _NSP_FIELDS, _run_nsp),
+    "nsp": (_FIRST_LINKS, (*_LOOP_FIELDS, *_NSP_FIELDS), _run_nsp),
     "irses": (_FIRST_LINKS, _IRSES_FIELDS, _run_irses),
     "ais-fixed-phase": (_FIRST_LINKS, (), _run_fixed_first),
-    "nsp-fixed-phase": (_FIRST_LINKS, _NSP_FIELDS, partial(_run_nsp, fixed=True)),
+    "nsp-fixed-phase": (_FIRST_LINKS, _NSP_FIELDS, _run_nsp_fixed),
     "irses-fixed-phase": (_FIRST_LINKS, _IRSES_FIELDS, partial(_run_irses, fixed=True)),
     "second": (_SECOND_LINKS, _LOOP_FIELDS, _run_second),
     "fixed-second": (_SECOND_LINKS, (), _run_fixed_second),
@@ -446,26 +453,28 @@ def solve_plans(configs: Sequence[ScenarioConfig]) -> list[Plan]:
     ]
 
 
-def _served_draws(draws: dict[int, tuple]) -> dict[int, int]:
-    """The one-antenna draws that another draw serves: by source, the served.
+def _sources(draws: dict[int, _Inputs]) -> dict[int, int]:
+    """Each draw's source: the draw whose stack serves it, by number.
 
-    A draw at m = 1 is, bit for bit, the leading antenna of a draw at more
-    antennas of the same seeds and other inputs
-    (:func:`~irsrelay.channel.sample_links`): the single-antenna baseline's
-    trials are served from the other methods' draw, as a copy of its
-    leading antenna (:meth:`~irsrelay.channel.Links.leading_antenna`), pass
-    by pass, instead of drawn again.  Making the copy holds it beside its
-    source, and at m = 1 it is a small part of it.
+    A draw at ``(m, n)`` is, bit for bit, the leading corner of a draw at
+    more antennas, elements or both of the same seeds, geometry and budget
+    (:func:`~irsrelay.channel.sample_links`).  Its source is the draw of
+    largest ``m * n`` among those that contain it, itself included, the
+    first of equal ones: the points of an ``n`` or ``m`` sweep and the
+    single-antenna baseline are served from the largest draw.  A source is
+    its own source.
     """
-    serves = {}
-    for number, ((m, *inputs), _) in draws.items():
-        if m != 1:
-            continue
-        for source, ((m_source, *inputs_source), _) in draws.items():
-            if m_source > 1 and inputs_source == inputs:
-                serves[source] = number
-                break
-    return serves
+    return {
+        number: max(
+            (
+                other
+                for other, big in draws.items()
+                if big.m >= inputs.m and big.n >= inputs.n and big[2:] == inputs[2:]
+            ),
+            key=lambda other: draws[other].m * draws[other].n,
+        )
+        for number, inputs in draws.items()
+    }
 
 
 def _passes(solves: dict) -> tuple[dict, dict]:
@@ -482,30 +491,30 @@ def _passes(solves: dict) -> tuple[dict, dict]:
 
 
 def _evaluate_chunk(plans: Sequence[Plan], seeds: list[int]) -> dict:
-    """Draw and solve the trials ``seeds``, draw by draw and hop by hop.
+    """Draw and solve the trials ``seeds``, source by source and hop by hop.
 
     ``plans`` are the plans of configurations that share these trials.
-    Each distinct draw is drawn and solved in two passes (:func:`_passes`):
-    the first draws the links its solves read but ``H_ri`` and runs them,
-    then drops every block the second does not read, ``H_ir`` first of
-    all, before drawing ``H_ri`` for the second slots.  Each block is bit
-    for bit the one the whole draw holds.  Every planned key is solved once
-    on the whole stack, for all its noise levels, and a draw is dropped
-    before the next is made.  A one-antenna draw is served from a larger
-    one, pass by pass (:func:`_served_draws`).  The ``irses`` assignments of
-    the trials are drawn once per (n, m).  The result maps each plan's
-    solve key, which stands for every input but the trial seed and the
-    noise, to the solve's ``(trials, levels)`` arrays of rates and of
-    iteration counts, a column per noise level in the order of the plan's
-    levels.
+    Only a source draw is drawn (:func:`_sources`), in two passes
+    (:func:`_passes`): the first draws the links that its draws' first
+    passes read and runs them, then drops every block the second does not
+    read, ``H_ir`` first of all, before drawing ``H_ri`` for the second
+    slots.  Each block is bit for bit the one the whole draw holds, and
+    each draw's solves run on its corner of the stack
+    (:meth:`~irsrelay.channel.Links.corner`), views that copy nothing.
+    Every planned key is solved once on all the trials, for all its noise
+    levels, and a source is dropped before the next is drawn.  The
+    ``irses`` assignments of the trials are drawn once per (n, m).  The
+    result maps each plan's solve key, which stands for every input but
+    the trial seed and the noise, to the solve's ``(trials, levels)``
+    arrays of rates and of iteration counts, a column per noise level in
+    the order of the plan's levels.
     """
     draws: dict[int, tuple] = {}
     for plan in plans:
         solves = draws.setdefault(plan.draw, (plan.channels, {}))[1]
         for key, levels, links, run, _ in plan.solves.values():
             solves[key] = (levels, links, run)
-    serves = _served_draws(draws)
-    served = set(serves.values())
+    sources = _sources({number: inputs for number, (inputs, _) in draws.items()})
     shared: dict = {}
     assignments: dict[tuple[int, int], np.ndarray] = {}
 
@@ -514,17 +523,13 @@ def _evaluate_chunk(plans: Sequence[Plan], seeds: list[int]) -> dict:
             assignments[n, m] = _irses_assignments(n, m, seeds)
         return assignments[n, m]
 
-    def solve(channels: Links, solves: dict) -> None:
-        for key, (levels, _, run) in solves.items():
-            shared[key] = run(partitions, channels, levels)
-
-    for number, ((m, n, geometry, budget), solves) in draws.items():
-        if number in served:
-            continue
-        served_solves = draws[serves[number]][1] if number in serves else {}
+    for source in dict.fromkeys(sources.values()):
+        m, n, geometry, budget = draws[source][0]
+        served = [draws[number] for number in draws if sources[number] == source]
         blocks: dict[str, np.ndarray] = {}
-        for own, other in zip(_passes(solves), _passes(served_solves)):
-            reads = [links for _, links, _ in (*own.values(), *other.values())]
+        for hop in range(2):
+            passes = [(inputs, _passes(solves)[hop]) for inputs, solves in served]
+            reads = [links for _, solves in passes for _, links, _ in solves.values()]
             read = [name for name in LINK_STREAMS if any(name in r for r in reads)]
             # what this pass does not read goes before its draw is made: the
             # first pass's surface matrix above all
@@ -532,16 +537,12 @@ def _evaluate_chunk(plans: Sequence[Plan], seeds: list[int]) -> dict:
             missing = [name for name in read if name not in blocks]
             blocks.update(vars(sample_links(geometry, budget, m, n, seeds, missing)))
             stack = Links(**blocks)
-            if other:
-                # the served copy is solved and dropped before its source's
-                # solves run, so that the source's working memory is not
-                # added to it
-                copy = stack.leading_antenna()
-                solve(copy, other)
-                del copy
-            solve(stack, own)
-            del stack
-        # the next draw is made once this one is dropped
+            for inputs, solves in passes:
+                corner = stack.corner(inputs.m, inputs.n)
+                for key, (levels, _, run) in solves.items():
+                    shared[key] = run(partitions, corner, levels)
+            del stack, corner
+        # the next source is drawn once this one is dropped
         del blocks
     return shared
 
@@ -601,19 +602,15 @@ def collect_columns(
     are evaluated together, a group at a time, once every group is planned
     (:func:`solve_plans`).  Evaluation is serial and chunk-major: a group's
     trials are cut into as few chunks of consecutive trials as
-    :func:`_chunk_trials` allows, of lengths at most one apart, and for
-    each chunk every distinct channel draw is made once, stacked, and in
-    turn, in two hop-major passes: each planned solve that reads no
-    ``H_ri`` runs on the first, then ``H_ir`` is dropped and ``H_ri`` drawn
-    for the second slots.  Each solve runs once over the chunk's trials,
-    for all the noise levels that share it (the SNR points of a sweep,
-    say), keeping an array of rates and one of iteration counts per
-    (trial, level); a loop defers its first compaction, multiplying the
-    whole shared stack until at most ``COPY_SHARE`` (3/8) of its rows run,
-    and copies only those.  The stack is dropped before the next draw.
-    Each configuration's columns are then read out of those arrays, without
-    drawing or solving anything again, and no per-trial object is made.
-    Grouping, sharing and chunking change no bit of any entry.
+    :func:`_chunk_trials` allows, of lengths at most one apart, and each
+    chunk draws its source draws, hop by hop, and runs each solve once, for
+    all the noise levels that share it (:func:`_evaluate_chunk`).  A loop
+    defers its first compaction, multiplying the whole shared stack until at
+    most ``COPY_SHARE`` (3/8) of its rows run, and copies only those.  Each
+    configuration's columns are then read out of the solves' arrays,
+    without drawing or solving anything again, and no per-trial object is
+    made.  Grouping, sharing, serving and chunking change no bit of any
+    entry.
 
     ``workers`` is accepted for compatibility and must be at least 1; it
     does not change the evaluation or any result.

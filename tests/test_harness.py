@@ -7,6 +7,7 @@ import pytest
 
 from irsrelay.channel import Geometry, LinkBudget, sample_channels_batch
 from irsrelay import channel, harness
+from irsrelay.cli import DEFAULT_VALUES, SWEEP_AXIS_BY_SUBCOMMAND
 from irsrelay.errors import ConfigError
 from irsrelay.harness import (
     METHODS,
@@ -180,18 +181,26 @@ def _count_calls(monkeypatch, name, keys):
     return counts
 
 
+def _smaller(corner, stack):
+    """Whether ``corner`` is a proper corner of ``stack``: some block is smaller."""
+    return any(
+        getattr(corner, name).shape != block.shape for name, block in vars(stack).items()
+    )
+
+
 def _record_draws(monkeypatch):
     """Record the (m, seeds, served, links) of each stack the engine solves on.
 
     A draw's links are drawn by ``harness.sample_links`` from its trial
-    seeds, a hop at a time; at m = 1 they are served from a larger draw,
-    the stack just drawn, by ``Links.leading_antenna`` (``served`` is
-    true).  Returns the calls and the bytes of every first-hop direct link
-    drawn or served, which tell a first-hop solve from a second-hop one.
+    seeds, a hop at a time, and every draw is solved on its corner of the
+    stack, ``Links.corner``; a draw served from a larger one, as at m = 1,
+    is a proper corner of the stack just drawn (``served`` is true).
+    Returns the calls and the bytes of every first-hop direct link drawn or
+    served, which tell a first-hop solve from a second-hop one.
     """
     calls, first_links = [], set()
     draw = harness.sample_links
-    serve = harness.Links.leading_antenna
+    corner = harness.Links.corner
 
     def record(m, seeds, stack, served):
         calls.append((m, tuple(seeds), served, frozenset(vars(stack))))
@@ -201,11 +210,12 @@ def _record_draws(monkeypatch):
     def drawn(geometry, budget, m, n, seeds, names):
         return record(m, seeds, draw(geometry, budget, m, n, seeds, names), False)
 
-    def leading(stack):
-        return record(1, calls[-1][1], serve(stack), True)
+    def cornered(stack, m, n):
+        view = corner(stack, m, n)
+        return record(m, calls[-1][1], view, True) if _smaller(view, stack) else view
 
     monkeypatch.setattr(harness, "sample_links", drawn)
-    monkeypatch.setattr(harness.Links, "leading_antenna", leading)
+    monkeypatch.setattr(harness.Links, "corner", cornered)
     return calls, first_links
 
 
@@ -300,20 +310,21 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
     methods = ("ais", "irses", "baseline-single-antenna", "baseline-irs-only")
     configs = [small_config(method=m, m=4, n=16, trials=5) for m in methods]
     blocks = []
-    draw, serve = harness.sample_links, harness.Links.leading_antenna
+    draw, corner = harness.sample_links, harness.Links.corner
 
     def drawn(geometry, budget, m, n, seeds, names):
         links = draw(geometry, budget, m, n, seeds, names)
         blocks.append((m, list(seeds), vars(links)))
         return links
 
-    def leading(stack):
-        served = serve(stack)
-        blocks.append((1, blocks[-1][1], vars(served)))
+    def cornered(stack, m, n):
+        served = corner(stack, m, n)
+        if _smaller(served, stack):
+            blocks.append((m, blocks[-1][1], vars(served)))
         return served
 
     monkeypatch.setattr(harness, "sample_links", drawn)
-    monkeypatch.setattr(harness.Links, "leading_antenna", leading)
+    monkeypatch.setattr(harness.Links, "corner", cornered)
     collect_trials(configs)
     assert [(m, sorted(links)) for m, _, links in blocks] == [
         (4, ["H_ir", "h_id", "h_si", "h_sr"]),
@@ -421,6 +432,52 @@ def test_sweep_shares_draws_across_snr_points(monkeypatch):
         assert sum(len(solved) for solved, _ in calls) == 3
         assert {levels for _, levels in calls} == {noises}
     assert sorted(partitions.values()) == [1] * 3  # one partition per trial
+
+
+def _assert_columns_equal(columns, expected):
+    assert columns.seeds == expected.seeds
+    for array, own in zip(columns[1:], expected[1:], strict=True):
+        assert array.dtype == own.dtype
+        assert array.tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("subcommand, trials", [("sweep-n", 12), ("sweep-m", 10)])
+def test_n_and_m_sweeps_draw_once_per_pass(monkeypatch, subcommand, trials):
+    # a sweep over n or m draws only its largest point, one call a hop per
+    # chunk, and solves every point on its corner of that stack: each
+    # point's columns, iterations included, are those it gets alone, for
+    # every method valid there (here all nine).  The trials make 2 chunks
+    axis = SWEEP_AXIS_BY_SUBCOMMAND[subcommand]
+    spec = SweepSpec(ScenarioConfig(trials=trials), axis, DEFAULT_VALUES[subcommand])
+    configs = [
+        point_config(spec, value, method)
+        for value in spec.values
+        for method in METHODS
+    ]
+    assert len(configs) == len(spec.values) * len(METHODS)
+    assert -(-trials // harness._chunk_trials(configs)) == 2
+    alone = [harness.collect_columns([config])[0] for config in configs]
+    draws = _count_calls(monkeypatch, "sample_links", lambda *args: ["draw"])
+    together = harness.collect_columns(configs)
+    assert draws == {"draw": 2 * 2}
+    for columns, expected in zip(together, alone, strict=True):
+        _assert_columns_equal(columns, expected)
+
+
+def test_fixed_phase_nsp_is_one_solve_whatever_the_loop_controls(monkeypatch):
+    # nsp at fixed phases takes one step, so configurations that differ
+    # only in epsilon or max_iter share its key and one solve per chunk
+    configs = [
+        small_config(method="nsp-fixed-phase", m=4, n=16, trials=3, **controls)
+        for controls in ({}, {"epsilon": 1e-1}, {"max_iter": 3})
+    ]
+    plans = harness.solve_plans(configs)
+    assert len({plan.solves["first"][0] for plan in plans}) == 1
+    solves = _count_calls(monkeypatch, "_nsp", lambda hop, *args: [len(hop[0])])
+    first, *others = harness.collect_columns(configs)
+    assert solves == {3: 1}
+    for columns in others:
+        _assert_columns_equal(columns, first)
 
 
 def test_plans_pickle_and_evaluate_as_the_originals():

@@ -17,7 +17,14 @@ from irsrelay.beamforming import (
     nsp_max_rp_mrc_batch,
     second_slot_optimize_batch,
 )
-from irsrelay.channel import LINK_STREAMS, Geometry, LinkBudget, sample_channels_batch
+from irsrelay.channel import (
+    LINK_STREAMS,
+    Geometry,
+    LinkBudget,
+    Links,
+    sample_channels_batch,
+)
+from irsrelay.cli import DEFAULT_VALUES
 from irsrelay.harness import ScenarioConfig, SweepSpec, collect_trials, point_config
 
 from conftest import NOISE_30DB, P_S
@@ -68,13 +75,17 @@ def test_batched_loop_holds_one_copy_of_its_running_rows(solver):
     "solver", [ais_max_rp_batch, nsp_max_rp_mrc_batch, second_slot_optimize_batch]
 )
 def test_batched_loop_leaves_the_shared_stack_read_only_and_unchanged(solver):
+    # on the whole stack and on a corner of it, strided views as the trial
+    # engine serves a smaller draw
     channels = draw(8)
-    before = {name: getattr(channels, name).tobytes() for name in LINK_STREAMS}
-    solver(channels, P_S, (NOISE_30DB,))
-    for name in LINK_STREAMS:
-        block = getattr(channels, name)
-        assert not block.flags.writeable
-        assert block.tobytes() == before[name]
+    corner = Links(**vars(channels)).corner(M // 2, N - 32)
+    for stack in (channels, corner):
+        before = {name: getattr(stack, name).tobytes() for name in LINK_STREAMS}
+        solver(stack, P_S, (NOISE_30DB,))
+        for name in LINK_STREAMS:
+            block = getattr(stack, name)
+            assert not block.flags.writeable
+            assert block.tobytes() == before[name]
 
 
 def test_small_table_peak_bounds_the_chunk_length():
@@ -156,3 +167,23 @@ def test_a_default_table_runs_16_trial_chunks_below_the_8_trial_peak():
     assert harness._chunk_trials(configs) == 16
     _, peak = traced_peak(lambda: collect_trials(configs))
     assert peak <= 1_180_000
+
+
+def test_an_n_sweep_peaks_no_higher_than_drawing_each_point():
+    # the default sweep-n table of ais, nsp and irses (n = 32 ... 256 at
+    # m = 16), 20 trials: two 10-trial chunks that draw only n = 256 and
+    # solve every point on its corner of that stack.  It peaks at 1.14 MB,
+    # no higher than when each point was drawn alone (1.15 MB).  The set-up
+    # builds the measured table, as in
+    # test_small_table_peak_bounds_the_chunk_length
+    spec = SweepSpec(
+        ScenarioConfig(trials=20), "n", DEFAULT_VALUES["sweep-n"],
+        ("ais", "nsp", "irses"),
+    )
+    configs = [
+        point_config(spec, n, method) for n in spec.values for method in spec.methods
+    ]
+    collect_trials(configs)  # set-up
+    assert harness._chunk_trials(configs) == 10
+    _, peak = traced_peak(lambda: collect_trials(configs))
+    assert peak <= 1_150_000
