@@ -1,35 +1,23 @@
-"""Phase-shift and beamformer co-design for both hops of the relay network.
+"""Phase-shift and beamformer co-design for both hops: the loops and closed forms.
 
-Three first-slot strategies are implemented:
-
-* :func:`ais_max_rp` alternates between closed-form phase alignment of every
-  reflected path and a matched-filter receive beamformer over the full array.
-* :func:`nsp_max_rp_mrc` separates the direct and reflected signals with
-  null-space projections, optimizes them independently, and combines the two
-  branches with maximum-ratio combining.
-* :func:`irses_max_rp_mrc` assigns each surface element to one relay antenna
-  (an even random partition), aligns each group to its antenna in closed form,
-  and combines antennas with maximum-ratio combining.
-
-The second slot (relay to destination via the surface) is optimized by
-:func:`second_slot_optimize`: the alternation of :func:`ais_max_rp`, run on
-the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
-grid oracle for small instances, used by the test suite.
+This module holds what a table runs: one loop per solver family and every
+closed form, on stacks of trials.  The public solvers, their solution
+types and the grid oracle are in :mod:`~irsrelay.solutions`, which runs
+these loops; their names resolve here too, on first use, so that a process
+that only builds tables never imports that module.
 
 No iterate of an alternation reads the noise variance: it enters only the
-rate trace and the stop.  Every solver runs on a stack of trials (a
-:class:`~irsrelay.channel.ChannelSet` with a leading trial axis) for several
-noise variances at once.  There is one loop per solver family: each (trial,
-noise level) stops at its own iterate, and a trial leaves the stack once
-all its levels have stopped.  The closed-form steps are stacked calls too:
-NSP's projectors off the direct links, its relaxed start phases and its
-direct branch at every stopped iterate, and all of
-:func:`irses_max_rp_mrc`, whose noise-free part is computed once for every
-level.  The ``_batch`` solvers expose this, and each scalar solver is the
-same loop on one trial at one noise level.  Every stacked operation runs
-the same floating-point operations per trial as the one-trial case (the
-same BLAS or LAPACK call per slice, the same elementwise loops), so a
-trial's solution does not depend on what it is stacked with.
+rate trace and the stop.  Every loop runs on a stack of trials (one hop's
+blocks with a leading trial axis) for several noise variances at once:
+each (trial, noise level) stops at its own iterate, and a trial leaves the
+stack once all its levels have stopped.  The closed-form steps are stacked
+calls too: NSP's projectors off the direct links, its relaxed start phases
+and its direct branch at every stopped iterate, and all of ``_irses``,
+whose noise-free part is computed once for every level.  Every stacked
+operation runs the same floating-point operations per trial as the
+one-trial case (the same BLAS or LAPACK call per slice, the same
+elementwise loops), so a trial's result does not depend on what it is
+stacked with.
 
 NSP projects off one direction at a time: the reflected branch off each
 trial's direct link, and, by default, the direct link off the converged
@@ -47,24 +35,26 @@ no loop calls ``arctan2`` or ``exp``.  Angles exist only in
 :class:`PhaseShiftVector`, built from ``np.angle`` of a solution's final
 phasors.
 
-Each loop also has a private rates form, which the trial engine calls:
-``_alternate`` (``ais`` on the first hop, the second slot on the second),
-``_nsp`` and ``_irses`` on one hop's blocks of a stack of trials.  It runs
-the same loop and the same checks on every iterate (finite unit phasors in
-:func:`_aligned_phasors`, unit norms in :func:`_unit`, no dip of a rate in
-``_Stops``), but returns only a ``(trials, levels)`` array of rates and one
-of iteration counts: it builds no :class:`PhaseShiftVector`,
-:class:`Beamformer` or solution object, keeps no rate trace, and a stop
-copies no array of its iterate, bar NSP's receive vector and cascade, which
-its direct branch needs.  Each (trial, level) entry equals the rate and
-iteration count of the solution the ``_batch`` form returns, bit for bit.
-``_irses`` takes the trials' element partitions as one array of
-assignments (:func:`_irses_assignments`), not as :class:`Partition`
-objects.  The other closed forms the trial engine runs on a stack are here
-too, beside the loops: ``_fixed_first_slot`` and ``_fixed_second_slot``
-(the fixed-phase slots), ``_matched_direct`` (a hop of
-``baseline-relay-only``) and ``_irs_only``.  They, ``_Stops`` on a stack and
-NSP's results form every rate with one :func:`_rates` call.
+The trial engine calls each loop's rates form: ``_alternate`` (``ais`` on
+the first hop, the second slot on the second), ``_nsp`` and ``_irses`` on
+one hop's blocks of a stack of trials, each without a ``solution``
+builder.  It runs the same loop and the same checks on every iterate
+(finite unit phasors in :func:`_aligned_phasors`, unit norms in
+:func:`_unit`, no dip of a rate in ``_Stops``), but returns only a
+``(trials, levels)`` array of rates and one of iteration counts: it builds
+no :class:`PhaseShiftVector` or solution object, keeps no rate trace, and
+a stop copies no array of its iterate, bar NSP's receive vector and
+cascade, which its direct branch needs.  Given a builder, the same loop
+keeps each stop's iterate and trace and returns, per trial, one
+``solution(trial, iterate, rate, trace)`` per level, as the solvers of
+:mod:`~irsrelay.solutions` do; each (trial, level) entry of the rates form
+equals that solution's rate and iteration count, bit for bit.  ``_irses``
+takes the trials' element partitions as one array of assignments
+(:func:`_irses_assignments`).  The other closed forms the trial engine runs
+on a stack are here too, beside the loops: ``_fixed_first_slot`` and
+``_fixed_second_slot`` (the fixed-phase slots), ``_matched_direct`` (a hop
+of ``baseline-relay-only``) and ``_irs_only``.  They, ``_Stops`` on a stack
+and NSP's results form every rate with one :func:`_rates` call.
 
 A loop's input stack may be shared, read-only, with other solves.  The loop
 multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
@@ -83,14 +73,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (
-    PARTITION_STREAM,
-    ZERO_NORM,
-    ChannelSet,
-    Links,
-    check_seed,
-    keyed_generators,
-)
+from .channel import PARTITION_STREAM, ZERO_NORM, Links, keyed_generators
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -98,7 +81,7 @@ from .errors import (
     ProjectorDegenerateError,
     TraceDipError,
 )
-from .metrics import _check_levels, rate_from_power, receive_power_ais
+from .metrics import _check_levels
 
 TWO_PI = 2.0 * np.pi
 
@@ -173,8 +156,8 @@ def _unit(weights: np.ndarray) -> np.ndarray:
     """Each row of a stack of weight vectors scaled to unit norm.
 
     Zero vectors and vectors with a non-finite entry are rejected, before
-    any division, and every result passes the unit-norm check of
-    :class:`Beamformer` (the solvers call this on every iterate).
+    any division, and every result passes the unit-norm check of a
+    beamformer (the solvers call this on every iterate).
     """
     norms = _norms(weights)
     if not all(norm < math.inf for norm in norms):  # NaN compares False
@@ -223,134 +206,6 @@ class PhaseShiftVector:
     def phasors(self) -> np.ndarray:
         """Unit-modulus reflection coefficients exp(j*angle)."""
         return np.exp(1j * self.angles)
-
-
-@dataclass(frozen=True)
-class Beamformer:
-    """Unit-norm complex antenna weight vector."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=np.complex128))
-        if weights.ndim != 1:
-            raise ConfigError("beamformer weights must be one-dimensional")
-        _check_unit_norm(_norms(weights[np.newaxis]))
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def normalized(cls, weights: np.ndarray) -> "Beamformer":
-        """Scale ``weights`` to unit norm; zero vectors are rejected."""
-        weights = np.atleast_1d(np.asarray(weights, dtype=np.complex128))
-        if weights.ndim != 1:
-            raise ConfigError("beamformer weights must be one-dimensional")
-        return cls(_unit(weights[np.newaxis])[0])
-
-    def __len__(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Even assignment of surface elements to relay antennas.
-
-    ``assignment[i]`` is the 0-based antenna index element ``i`` reflects to.
-    Every antenna receives exactly ``k = n // m`` elements.
-    """
-
-    assignment: np.ndarray
-
-    def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.intp)
-        if assignment.ndim != 1 or assignment.size == 0:
-            raise ConfigError("partition assignment must be a non-empty vector")
-        m = int(assignment.max()) + 1
-        if assignment.min() < 0:
-            raise ConfigError("partition assignment has negative antenna indices")
-        counts = np.bincount(assignment, minlength=m)
-        if not np.all(counts == counts[0]):
-            raise ConfigError(
-                f"partition is uneven: group sizes {counts.tolist()}"
-            )
-        object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
-
-    @property
-    def m(self) -> int:
-        return int(self.assignment.max()) + 1
-
-    @property
-    def k(self) -> int:
-        return self.n // self.m
-
-    def elements_of(self, antenna: int) -> np.ndarray:
-        """Indices of the surface elements mapped to ``antenna``."""
-        return np.flatnonzero(self.assignment == antenna)
-
-
-def _validated_trace(trace: tuple[float, ...]) -> tuple[float, ...]:
-    # solvers build their traces as Python floats: checking the steps on
-    # floats makes the same IEEE subtraction as an array diff would
-    values = tuple(float(v) for v in trace)
-    if not values:
-        raise ConfigError("solution trace must contain at least one entry")
-    if any(b - a < -TRACE_SLACK for a, b in zip(values, values[1:])):
-        raise TraceDipError("alternation trace decreased beyond tolerance")
-    return values
-
-
-@dataclass(frozen=True)
-class FirstSlotSolution:
-    """Result of one first-slot co-design.
-
-    ``trace`` holds the objective value (a rate in bits/s/Hz) after each full
-    alternation step; its length is the iteration count.  Which beamformer
-    fields are populated depends on the method: the full-array solver sets
-    ``u_r``, the null-space method sets ``u_rs`` and ``u_ri``, the
-    element-grouping method sets per-antenna ``mrc_weights`` and ``partition``.
-    """
-
-    method: str
-    theta1: PhaseShiftVector
-    receive_power_watt: float
-    rate_r: float
-    trace: tuple[float, ...]
-    u_r: Beamformer | None = None
-    u_rs: Beamformer | None = None
-    u_ri: Beamformer | None = None
-    mrc_weights: np.ndarray | None = None
-    partition: Partition | None = None
-
-    def __post_init__(self) -> None:
-        if self.rate_r < 0.0:
-            raise ConfigError("rate must be non-negative")
-        object.__setattr__(self, "trace", _validated_trace(self.trace))
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
-
-
-@dataclass(frozen=True)
-class SecondSlotSolution:
-    """Result of the relay-to-destination co-design."""
-
-    theta2: PhaseShiftVector
-    u_t: Beamformer
-    rate_d: float
-    trace: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.rate_d < 0.0:
-            raise ConfigError("rate must be non-negative")
-        object.__setattr__(self, "trace", _validated_trace(self.trace))
-
-    @property
-    def iterations(self) -> int:
-        return len(self.trace)
 
 
 def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
@@ -475,20 +330,6 @@ _FIRST_HOP = operator.attrgetter(*_FIRST_LINKS)
 _SECOND_HOP = operator.attrgetter(*_SECOND_LINKS)
 
 
-def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tuple:
-    """One hop's blocks with a leading trial axis.
-
-    ``stack`` says whether ``channels`` is a stack of trials; one trial is
-    viewed as a stack of one.
-    """
-    if (channels.h_sr.ndim == 2) != stack:
-        raise ConfigError(
-            "the batched solvers take a stack of trials, the others one trial"
-        )
-    direct, H, h = blocks(channels)
-    return (direct, H, h) if stack else (direct[None], H[None], h[None])
-
-
 class _Stops:
     """Where each (trial, noise level) of a batched alternation stops.
 
@@ -592,18 +433,30 @@ class _Stops:
             for ran, levels in zip(self.history, self.stopped)
         ]
 
-    def results(self, solution=None) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
+    def results(
+        self, solution=None, iterates=None, rates=None
+    ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
         """Per trial, one result per level, from where each level stopped.
 
-        ``solution(iterate, trace)`` builds a level's result from its kept
-        iterate and its trace.  Without one, the results are a ``(trials,
-        levels)`` array of rates and one of iteration counts.
+        ``solution(trial, iterate, rate, trace)`` builds a level's result
+        from its trial's index, the iterate it stopped on (by kept index,
+        in ``iterates`` or else ``kept``), its rate (in the ``(trials,
+        levels)`` array ``rates``, or else the one it stopped at) and its
+        trace.  Without one, the results are a ``(trials, levels)`` array
+        of rates and one of iteration counts.
         """
         if solution is None:
             return self.column(0), self.column(1)
+        iterates = self.kept if iterates is None else iterates
+        rates = self.column(0) if rates is None else rates
         return [
-            tuple(solution(self.kept[stop[2]], trace) for stop, trace in zip(*trial))
-            for trial in zip(self.stopped, self.traces())
+            tuple(
+                solution(trial, iterates[stop[2]], rate, trace)
+                for stop, rate, trace in zip(*levels)
+            )
+            for trial, levels in enumerate(
+                zip(self.stopped, rates.tolist(), self.traces())
+            )
         ]
 
 
@@ -657,15 +510,15 @@ def _alternate(
     max_iter: int,
     solution=None,
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
-    """:func:`ais_max_rp`'s loop on one hop of a stack of trials.
+    """``ais_max_rp``'s loop on one hop of a stack of trials.
 
     ``hop`` holds the (direct, H, h) blocks with a leading trial axis.  No
     iterate reads the noise, which enters only each level's rate trace and
     its stop.  Returns ``(trials, levels)`` arrays of rates and iteration
     counts, or, when ``solution`` is given, per trial one
-    ``solution(iterate, trace)`` per level, built from the iterate's
-    (phasors, weights, power); only then does a stop keep a copy of its
-    iterate.
+    ``solution(trial, iterate, rate, trace)`` per level (:meth:`_Stops.results`),
+    the iterate being (phasors, weights, power); only then does a stop keep
+    a copy of its iterate.
     """
     direct, H, h = hop
     traces = solution is not None
@@ -685,94 +538,6 @@ def _alternate(
             direct, h, u = direct[keep], h[keep], u[keep]
             surface = surface.keep(keep)
     return stops.results(solution)
-
-
-def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
-    """Optimal surface phases for a fixed receive beamformer.
-
-    Rotates every cascaded source-surface-relay path so that it adds in phase
-    with the direct path at the beamformer output.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
-    return PhaseShiftVector(np.angle(_align(hop, u_r.weights[np.newaxis])[0]))
-
-
-def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
-    """Matched-filter receive beamformer for fixed surface phases."""
-    hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    return Beamformer.normalized(_hop_channel(hop, theta1.phasors))
-
-
-def ais_max_rp(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variance_watt: float,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FirstSlotSolution:
-    """Alternating phase/beamformer co-design over the full receive array.
-
-    Starts from the matched filter to the direct link and alternates
-    :func:`theta_update_ais` and :func:`ur_update_ais` until the rate changes
-    by at most ``epsilon`` between consecutive iterations (or ``max_iter`` is
-    reached).  Each half-step is the exact maximizer given the other block,
-    so the rate trace never decreases.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
-    return _alternate(
-        hop, p_s_watt, (noise_variance_watt,), epsilon, max_iter, _ais_solution
-    )[0][0]
-
-
-def ais_max_rp_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`ais_max_rp` on each trial of a stack at each noise variance.
-
-    The iterates do not depend on the noise, so one loop serves every
-    level, and each (trial, level) stops at its own iterate.  Returns one
-    tuple of per-level solutions per trial; each equals what
-    :func:`ais_max_rp` returns on that trial at that level, bit for bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    return _alternate(
-        hop, p_s_watt, noise_variances, epsilon, max_iter, _ais_solution
-    )
-
-
-def _ais_solution(iterate: tuple, trace: tuple[float, ...]) -> FirstSlotSolution:
-    phasors, u, power = iterate
-    return FirstSlotSolution(
-        method="ais",
-        theta1=PhaseShiftVector(np.angle(phasors)),
-        receive_power_watt=float(power),
-        rate_r=trace[-1],
-        trace=trace,
-        u_r=Beamformer(u),
-    )
-
-
-def nsp_projector(A: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the complement of the column space of ``A``.
-
-    Returns P = I - A (A^H A)^+ A^H, which satisfies P = P^H = P^2 and
-    P A = 0 for any ``A`` including rank-deficient ones.  When the columns of
-    ``A`` span the whole space the result is (numerically) the zero matrix;
-    detecting that is the caller's job.  A vector ``a`` spans one direction,
-    and P is ``I - â â^H`` with ``â = a / ||a||`` (:func:`_rank_one_projectors`),
-    the identity for a zero ``a``; a matrix takes the pseudo-inverse
-    (:func:`_projectors`).
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim == 1:
-        return _rank_one_projectors(A[np.newaxis])[0]
-    if A.ndim != 2:
-        raise ConfigError("projector input must be a vector or matrix")
-    return _projectors(A[np.newaxis])[0]
 
 
 def _projectors(A: np.ndarray) -> np.ndarray:
@@ -850,72 +615,6 @@ def _nsp_start_phases(
     return _checked_phasors(np.where(wins[:, np.newaxis], phasors, 1.0))
 
 
-def nsp_max_rp_mrc(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variance_watt: float,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = NSP_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> FirstSlotSolution:
-    """Null-space separation of direct and reflected signals, plus MRC.
-
-    The reflected branch is maximized by alternating its receive vector
-    (the normalized projection of the cascaded signal onto the null space of
-    the direct channel) with phase alignment of the surface.  It starts from
-    whichever gives the larger reflected branch: flat phases, or the phases
-    of the principal right singular vector of P H_ir diag(h_si), with P the
-    projector off the direct channel (the maximizer once the unit-modulus
-    constraint is relaxed).  The direct branch uses a beamformer orthogonal
-    to the reflected signal: ``mode`` "literal" projects off the whole
-    surface-to-relay matrix (only possible with more antennas than
-    elements), "effective" (default) projects off the one cascade direction
-    that actually carries the converged reflected signal.
-
-    ``combining`` picks how the two separated branches merge into one rate:
-    "snr-sum" (default) adds the branch SNRs, the standard MRC result;
-    "printed" evaluates the quartic-over-quadratic composite form for
-    cross-checks against the closed-form expression it reproduces.
-
-    ``phases`` skips the alternation and evaluates the given fixed surface
-    phases (used for the fixed-phase ablation).
-
-    ``trace`` records the reflected-branch rate the alternation maximizes;
-    the returned ``rate_r`` is the MRC-combined rate of both branches.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
-    noise = (noise_variance_watt,)
-    options = (mode, combining, phases)
-    return _nsp(hop, p_s_watt, noise, epsilon, max_iter, *options, solutions=True)[0][0]
-
-
-def nsp_max_rp_mrc_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = NSP_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`nsp_max_rp_mrc` on each trial of a stack at each noise variance.
-
-    The projectors off the direct links, the start phases and the iterates
-    are computed once for every level, and each (trial, level) stops at its
-    own iterate.  Returns one tuple of per-level solutions per trial; each
-    equals what :func:`nsp_max_rp_mrc` returns on that trial at that level,
-    bit for bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    options = (mode, combining, phases)
-    return _nsp(
-        hop, p_s_watt, noise_variances, epsilon, max_iter, *options, solutions=True
-    )
-
-
 def _nsp(
     hop: tuple,
     p_s_watt: float,
@@ -925,23 +624,24 @@ def _nsp(
     mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-    solutions: bool = False,
+    solution=None,
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
-    """:func:`nsp_max_rp_mrc` on the first hop of a stack of trials.
+    """``nsp_max_rp_mrc``'s loop on the first hop of a stack of trials.
 
     The projectors off the direct links and the start phases are built for
     the whole stack, the reflected branch iterates in one loop, and
     :func:`_nsp_results` closes out every stopped (trial, level) at once.
     Returns ``(trials, levels)`` arrays of rates and iteration counts, or,
-    with ``solutions``, per trial one :class:`FirstSlotSolution` per level;
-    a stop keeps its iterate's receive vector and cascade, and its phasors
-    only for a solution.
+    with a ``solution`` builder, per trial one solution per level; a stop
+    keeps its iterate's receive vector and cascade, and its phasors only
+    for a solution.
     """
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
+    traces = solution is not None
     stops = _Stops(
-        trials, noise_variances, epsilon, max_iter if phases is None else 1, solutions
+        trials, noise_variances, epsilon, max_iter if phases is None else 1, traces
     )
     _check_levels(noise_variances, p_s_watt)
     if m < 2:
@@ -988,7 +688,7 @@ def _nsp(
             cascade = _matvec(surface.H, phasors * h, surface.rows)
             powers = _powers(p_s_watt, u_ri, cascade)
             keep = stops.record(
-                powers, (u_ri, cascade, phasors) if solutions else (u_ri, cascade)
+                powers, (u_ri, cascade, phasors) if traces else (u_ri, cascade)
             )
             if keep is not None:
                 if not keep:
@@ -998,7 +698,7 @@ def _nsp(
                 surface = surface.keep(keep)
         # the direct branch needs none of the running rows
         del h, null, surface, direct_null, parts
-    return _nsp_results(hop, p_s_watt, stops, mode, combining, solutions, phases)
+    return _nsp_results(hop, p_s_watt, stops, mode, combining, solution, phases)
 
 
 def _nsp_results(
@@ -1007,10 +707,10 @@ def _nsp_results(
     stops: _Stops,
     mode: str,
     combining: str,
-    solutions: bool,
+    solution,
     phases: PhaseShiftVector | None,
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
-    """:func:`nsp_max_rp_mrc`'s results at the stopped reflected-branch iterates.
+    """``nsp_max_rp_mrc``'s results at the stopped reflected-branch iterates.
 
     Each iterate ``stops`` kept holds the reflected branch's (receive
     vector, cascade), its phasors for a solution of the alternation (fixed
@@ -1021,6 +721,8 @@ def _nsp_results(
     Python complex numbers, as in the one-trial rule: numpy's complex
     ``abs`` can differ in the last bit.  Every (trial, level)'s rate
     ``log2(1 + power / noise)`` is one array operation (:func:`_rates`).
+    A ``solution`` gets the iterate (direct and reflected receive vectors,
+    combined power, phasors), the phasors None at fixed ``phases``.
     """
     h_sr, H_ir, _ = hop
     # each kept iterate and its trial, visited in (trial, level) order: the
@@ -1050,7 +752,7 @@ def _nsp_results(
     u_rs = _unit(direct_raw)
     branches = zip(np.vecdot(u_rs, direct).tolist(), np.vecdot(u_ri, cascade).tolist())
     # by kept index: every kept iterate is some level's
-    powers, fields = [0.0] * len(order), [None] * len(order)
+    powers, closed = [0.0] * len(order), [None] * len(order)
     for index, u_s, (branch_s, branch_i) in zip(order, u_rs, branches):
         amp_s = abs(branch_s)
         amp_i = abs(branch_i)
@@ -1062,27 +764,15 @@ def _nsp_results(
                 raise DegenerateChannelError("both separated branches vanished")
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
         powers[index] = power_eff
-        if solutions:
-            kept, theta1 = stops.kept[index], phases
-            if theta1 is None:
-                theta1 = PhaseShiftVector(np.angle(kept[2]))
-            fields[index] = dict(
-                theta1=theta1,
-                receive_power_watt=power_eff,
-                u_rs=Beamformer(u_s),
-                u_ri=Beamformer(kept[0]),
-            )
+        if solution is not None:
+            kept = stops.kept[index]
+            phasors = kept[2] if phases is None else None
+            closed[index] = (u_s, kept[0], power_eff, phasors)
     levels = np.arange(len(stops.noise))
     rates = _rates(powers, stops.noise)[stops.column(2), levels]
-    if not solutions:
+    if solution is None:
         return rates, stops.column(1)
-    return [
-        tuple(
-            FirstSlotSolution(method="nsp", rate_r=rate, trace=trace, **fields[stop[2]])
-            for stop, trace, rate in zip(*per_trial)
-        )
-        for per_trial in zip(stops.stopped, stops.traces(), rates.tolist())
-    ]
+    return stops.results(solution, closed, rates)
 
 
 def _check_partition_sizes(n: int, m: int) -> None:
@@ -1092,32 +782,11 @@ def _check_partition_sizes(n: int, m: int) -> None:
         raise ConfigError(f"antenna count {m} must divide element count {n}")
 
 
-def irses_partition(n: int, m: int, seed: int) -> Partition:
-    """Uniformly random even assignment of ``n`` elements to ``m`` antennas.
-
-    The permutation is ``Generator(Philox(key=(seed, PARTITION_STREAM)))``'s
-    ``permutation(n)``: at a trial's seed, the partition its ``irses``
-    methods use (:data:`~irsrelay.channel.PARTITION_STREAM`).
-
-    Raises:
-        ConfigError: if ``m`` does not divide ``n``, or ``seed`` lies
-            outside ``[0, 2**64)``.
-    """
-    _check_partition_sizes(n, m)
-    check_seed(seed)
-    return irses_partitions(n, m, [seed])[0]
-
-
-def irses_partitions(n: int, m: int, seeds: Sequence[int]) -> list[Partition]:
-    """:func:`irses_partition` of each of ``seeds``, with one generator."""
-    return [Partition(assignment) for assignment in _irses_assignments(n, m, seeds)]
-
-
 def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
-    """The assignments of :func:`irses_partitions`, one ``(len(seeds), n)`` array.
+    """The assignments of ``irses_partitions``, one ``(len(seeds), n)`` array.
 
     Row ``k`` is the ``k``-th partition's assignment, bit for bit; no
-    :class:`Partition` is built, as the trial engine reads only the rows.
+    partition object is built, as the trial engine reads only the rows.
     """
     _check_partition_sizes(n, m)
     groups = np.repeat(np.arange(m, dtype=np.intp), n // m)
@@ -1128,82 +797,29 @@ def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
     return assignments
 
 
-def irses_max_rp_mrc(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variance_watt: float | np.ndarray,
-    partition: Partition,
-    interference_mode: str = IRSES_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> FirstSlotSolution:
-    """Closed-form per-antenna phase alignment over an element partition.
-
-    Each element rotates its reflection so the cascaded path arrives in phase
-    with the direct path at its assigned antenna; antennas are then combined
-    with per-antenna MRC weights.  ``interference_mode`` "idealized" (default)
-    drops the signal each antenna receives from the other antennas' element
-    groups (treated as averaging out over many elements); "full" keeps that
-    leakage in the per-antenna amplitude.  ``combining`` is as in
-    :func:`nsp_max_rp_mrc`.  ``noise_variance_watt`` may be a scalar or a
-    per-antenna vector.  ``phases`` overrides the alignment with fixed surface
-    phases (used for the fixed-phase ablation).
-
-    This method is closed-form, so the trace always has length 1.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
-    noise = (noise_variance_watt,)
-    options = (interference_mode, combining, phases)
-    return _irses(hop, p_s_watt, noise, [partition], *options, solutions=True)[0][0]
-
-
-def irses_max_rp_mrc_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple,
-    partitions: Sequence[Partition],
-    interference_mode: str = IRSES_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`irses_max_rp_mrc` on each trial of a stack, with its partition.
-
-    Each noise variance is a scalar or a per-antenna vector.  The
-    alignment, the per-antenna amplitudes and the MRC weights do not read
-    the noise, so they are computed once for every level.  Returns one
-    tuple of per-level solutions per trial; each equals what
-    :func:`irses_max_rp_mrc` returns on that trial at that level, bit for
-    bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    options = (interference_mode, combining, phases)
-    return _irses(
-        hop, p_s_watt, noise_variances, partitions, *options, solutions=True
-    )
-
-
 def _irses(
     hop: tuple,
     p_s_watt: float,
     noise_variances: tuple,
-    partitions: Sequence[Partition] | np.ndarray,
+    antenna: np.ndarray,
     interference_mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-    solutions: bool = False,
+    solution=None,
 ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
-    """:func:`irses_max_rp_mrc`'s closed form on the first hop of a stack of trials.
+    """``irses_max_rp_mrc``'s closed form on the first hop of a stack of trials.
 
-    Trial ``t`` reads element ``i`` of antenna ``partitions[t]`` through
-    (trial, antenna) fancy indices, and ``np.add.at`` adds each antenna's
-    elements in element order, as on one trial.  A row's sum over the
-    antennas is the one-trial sum of that row, bit for bit, and every
-    (trial, level)'s rate is one array operation.  With ``solutions``,
-    ``partitions`` holds a :class:`Partition` per trial and the result is,
-    per trial, one :class:`FirstSlotSolution` per level; otherwise it holds
-    their assignments as one ``(trials, n)`` array
-    (:func:`_irses_assignments`), and the result is ``(trials, levels)``
-    arrays of rates and of iteration counts, all 1.
+    ``antenna`` holds the trials' element partitions as one ``(trials, n)``
+    array of assignments (:func:`_irses_assignments`).  Trial ``t`` reads
+    element ``i`` of antenna ``antenna[t, i]`` through (trial, antenna)
+    fancy indices, and ``np.add.at`` adds each antenna's elements in
+    element order, as on one trial.  A row's sum over the antennas is the
+    one-trial sum of that row, bit for bit, and every (trial, level)'s rate
+    is one array operation.  The result is ``(trials, levels)`` arrays of
+    rates and of iteration counts, all 1, or, with a ``solution`` builder,
+    per trial one ``solution(trial, iterate, rate, trace)`` per level: the
+    iterate is the trial's (phasors, MRC weights, power), the phasors the
+    fixed ones at ``phases``, and the trace the one rate.
     """
     noise_variances = tuple(noise_variances)
     _check_levels(noise_variances, p_s_watt)
@@ -1213,24 +829,10 @@ def _irses(
         raise ConfigError(f"unknown combining {combining!r}")
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
-    if len(partitions) != trials:
+    if antenna.shape != (trials, n):
         raise ConfigError(
-            f"need one partition per trial, got {len(partitions)} for {trials}"
+            f"need a (trials, n) = {(trials, n)} assignment, got {antenna.shape}"
         )
-    if solutions:
-        for partition in partitions:
-            if partition.n != n or partition.m != m:
-                raise ConfigError(
-                    f"partition for (m={partition.m}, n={partition.n}) does not "
-                    f"match channels (m={m}, n={n})"
-                )
-        antenna = np.stack([partition.assignment for partition in partitions])
-    else:
-        antenna = partitions
-        if antenna.shape != (trials, n):
-            raise ConfigError(
-                f"need a (trials, n) = {(trials, n)} assignment, got {antenna.shape}"
-            )
     sigma2s = []
     for noise in noise_variances:
         sigma2 = np.asarray(noise, dtype=np.float64)
@@ -1288,7 +890,7 @@ def _irses(
     if degenerate < trials:
         raise DegenerateChannelError("all antennas received zero signal")
     rates = np.log2(1.0 + snr)
-    if not solutions:
+    if solution is None:
         return rates, np.ones(rates.shape, dtype=np.intp)
 
     weights = np.ones((trials, m), dtype=np.complex128)
@@ -1297,73 +899,15 @@ def _irses(
         powers = (p_s_watt * square_sums).tolist()
     else:
         powers = (p_s_watt * fourth_sums / square_sums).tolist()
-    results = []
-    for row, (trial_rates, power_eff) in enumerate(zip(rates.tolist(), powers)):
-        theta = PhaseShiftVector(np.angle(phasors[row])) if phases is None else phases
-        results.append(
-            tuple(
-                FirstSlotSolution(
-                    method="irses",
-                    theta1=theta,
-                    receive_power_watt=power_eff,
-                    rate_r=rate_r,
-                    trace=(rate_r,),
-                    mrc_weights=weights[row],
-                    partition=partitions[row],
-                )
-                for rate_r in trial_rates
-            )
+    return [
+        tuple(
+            solution(row, (row_phasors, weights[row], power), rate, (rate,))
+            for rate in trial_rates
         )
-    return results
-
-
-def second_slot_optimize(
-    channels: ChannelSet,
-    p_r_watt: float,
-    noise_variance_watt: float,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SecondSlotSolution:
-    """Transmit-side co-design for the relay-to-destination hop.
-
-    This is the alternation of :func:`ais_max_rp` on the relay-to-destination
-    links.  The surface applies exp(-j*theta2), so ``theta2`` holds the
-    negated alignment phases.
-    """
-    hop = _hop(channels, _SECOND_HOP, stack=False)
-    return _alternate(
-        hop, p_r_watt, (noise_variance_watt,), epsilon, max_iter, _second_slot_solution
-    )[0][0]
-
-
-def second_slot_optimize_batch(
-    channels: ChannelSet,
-    p_r_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[SecondSlotSolution, ...]]:
-    """:func:`second_slot_optimize` on each trial of a stack at each noise variance.
-
-    As in :func:`ais_max_rp_batch`, one loop serves every level, and each
-    (trial, level)'s solution equals the scalar one bit for bit.
-    """
-    hop = _hop(channels, _SECOND_HOP, stack=True)
-    return _alternate(
-        hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution
-    )
-
-
-def _second_slot_solution(
-    iterate: tuple, trace: tuple[float, ...]
-) -> SecondSlotSolution:
-    phasors, u, _ = iterate
-    return SecondSlotSolution(
-        theta2=PhaseShiftVector(np.angle(np.conj(phasors))),
-        u_t=Beamformer(u),
-        rate_d=trace[-1],
-        trace=trace,
-    )
+        for row, (row_phasors, trial_rates, power) in enumerate(
+            zip(np.broadcast_to(phasors, (trials, n)), rates.tolist(), powers)
+        )
+    ]
 
 
 def _closed_rates(
@@ -1433,64 +977,13 @@ def _irs_only(
     return _closed_rates([p_s_watt * amp**2 for amp in amplitudes.tolist()], noises)
 
 
-class OracleResult(NamedTuple):
-    theta: PhaseShiftVector
-    u_r: Beamformer
-    receive_power_watt: float
-    rate_r: float
+def __getattr__(name: str):
+    # the solutions' public names, and the oracle's cap, moved to
+    # irsrelay.solutions, which is imported when one is first read (PEP 562)
+    from . import _HOMES
 
+    if name not in (*_HOMES["solutions"], "ORACLE_MAX_COMBINATIONS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solutions
 
-#: enumeration guard for the exhaustive oracle
-ORACLE_MAX_COMBINATIONS = 10**7
-
-_ORACLE_CHUNK = 16384
-
-
-def brute_force_max_rp(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variance_watt: float,
-    grid_levels: int,
-) -> OracleResult:
-    """Exhaustive first-slot maximization over a uniform phase grid.
-
-    Every element phase is restricted to {2*pi*k/grid_levels}; for each of
-    the grid_levels**n combinations the receive beamformer is the matched
-    filter, so the receive power is p_s times the squared norm of the
-    combined channel.  Ties keep the first maximizer in lexicographic order
-    of the grid indices.  Intended as a small-instance test oracle; the
-    enumeration is capped at 10^7 combinations.  The power and the noise
-    variance are checked as the solvers check them, once per call.
-    """
-    if grid_levels < 2:
-        raise ConfigError(f"grid_levels must be >= 2, got {grid_levels}")
-    _check_levels((noise_variance_watt,), p_s_watt)
-    n = channels.n
-    total = grid_levels**n
-    if total > ORACLE_MAX_COMBINATIONS:
-        raise ConfigError(
-            f"{grid_levels}^{n} grid points exceed the enumeration cap"
-        )
-    level_phasors = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
-    shape = (grid_levels,) * n
-    best_power = -1.0
-    best_index: tuple[int, ...] | None = None
-    for start in range(0, total, _ORACLE_CHUNK):
-        flat = np.arange(start, min(start + _ORACLE_CHUNK, total))
-        grid_idx = np.stack(np.unravel_index(flat, shape), axis=1)
-        phasors = level_phasors[grid_idx]
-        combined = (phasors * channels.h_si) @ channels.H_ir.T + channels.h_sr
-        powers = p_s_watt * np.sum(np.abs(combined) ** 2, axis=1)
-        local = int(np.argmax(powers))
-        if powers[local] > best_power:
-            best_power = float(powers[local])
-            best_index = tuple(int(k) for k in grid_idx[local])
-    theta = PhaseShiftVector(TWO_PI * np.asarray(best_index) / grid_levels)
-    u_r = ur_update_ais(channels, theta)
-    power = receive_power_ais(channels, theta.angles, u_r.weights, p_s_watt)
-    return OracleResult(
-        theta=theta,
-        u_r=u_r,
-        receive_power_watt=power,
-        rate_r=rate_from_power(power, noise_variance_watt),
-    )
+    return getattr(solutions, name)

@@ -12,14 +12,13 @@ regenerated exactly from it; see :func:`regenerate`.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import math
 import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import ConfigError
@@ -37,6 +36,9 @@ from .harness import (
 # from collect_columns and summarize_columns, not from records
 from .harness import collect_trials, summarize_records  # noqa: F401
 from .metrics import flops_ais, flops_irses, flops_nsp
+
+if TYPE_CHECKING:
+    import argparse
 
 RATE_DECIMALS = 6
 
@@ -342,6 +344,8 @@ def format_table(table: OutputTable, fmt: str) -> str:
             lines.append(",".join(_format_cell(cell) for cell in row))
         return "\n".join(lines) + "\n"
     if fmt == "jsonl":
+        import json  # only here: a CSV table never loads it
+
         lines = [json.dumps({"metadata": _jsonable(table.metadata)}, sort_keys=True)]
         for row in table.rows:
             lines.append(
@@ -426,14 +430,16 @@ class _UsageError(Exception):
         self.usage = usage
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad input; the documented contract is
-    # exit 1 for configuration problems, so route through an exception
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message, self.format_usage())
+def _build_parser():
+    # only here: a process that builds tables without main never loads it
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad input; the documented contract
+        # is exit 1 for configuration problems, so route through an exception
+        def error(self, message: str) -> None:  # type: ignore[override]
+            raise _UsageError(message, self.format_usage())
 
-def _build_parser() -> _Parser:
     parser = _Parser(
         prog="irsrelay",
         description=(

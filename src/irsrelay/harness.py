@@ -44,7 +44,7 @@ Random streams are keyed by Philox itself, with no hash
 generator, positioned at each (base seed, trial index) in turn; a draw's
 links are drawn from the trial seeds, a row at a time; and a chunk draws
 its ``irses`` partitions from them once per (n, m), each trial's that of
-:func:`~irsrelay.beamforming.irses_partition` at its seed.  So a draw is
+:func:`~irsrelay.solutions.irses_partition` at its seed.  So a draw is
 the leading corner of any draw of the same geometry and budget at as many
 antennas and elements or more, and a chunk draws only the largest of them,
 its source (:func:`_sources`): the points of an ``n`` or ``m`` sweep and
@@ -103,17 +103,23 @@ from .metrics import RateResult, noise_variance_for_snr
 # fixed-phase helpers and the scalar rate under these names; the trial
 # engine draws with sample_links, calls the solvers' rates forms, draws
 # partition assignments with _irses_assignments and runs beamforming's
-# closed forms on a chunk's stack.
+# closed forms on a chunk's stack.  The solvers' names resolve on first
+# read (__getattr__), so that a table never imports irsrelay.solutions.
 from .channel import sample_channels  # noqa: F401
-from .beamforming import (  # noqa: F401
-    ais_max_rp,
-    irses_max_rp_mrc,
-    irses_partition,
-    nsp_max_rp_mrc,
-    second_slot_optimize,
-    ur_update_ais,
-)
 from .metrics import rate_from_power, receive_power_ais  # noqa: F401
+
+_TRACED_SOLVERS = (
+    "ais_max_rp", "irses_max_rp_mrc", "irses_partition", "nsp_max_rp_mrc",
+    "second_slot_optimize", "ur_update_ais",
+)
+
+
+def __getattr__(name: str):
+    if name not in _TRACED_SOLVERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solutions
+
+    return getattr(solutions, name)
 
 
 class Method(NamedTuple):

@@ -12,19 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beamforming import (
-    PINV_RCOND,
-    Beamformer,
-    PhaseShiftVector,
-    ais_max_rp,
-    brute_force_max_rp,
-    irses_max_rp_mrc,
-    irses_partition,
-    nsp_max_rp_mrc,
-    nsp_projector,
-    second_slot_optimize,
-    theta_update_ais,
-)
+from .beamforming import PINV_RCOND, PhaseShiftVector
 from .channel import ZERO_NORM, Geometry, LinkBudget, sample_channels
 from .harness import (
     ScenarioConfig,
@@ -36,6 +24,17 @@ from .harness import (
     sweep,
 )
 from .metrics import flops_ais, flops_irses, flops_nsp
+from .solutions import (
+    Beamformer,
+    ais_max_rp,
+    brute_force_max_rp,
+    irses_max_rp_mrc,
+    irses_partition,
+    nsp_max_rp_mrc,
+    nsp_projector,
+    second_slot_optimize,
+    theta_update_ais,
+)
 
 P_S = 10.0
 P_R = 10.0
