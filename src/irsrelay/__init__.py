@@ -21,16 +21,14 @@ _HOMES = {
     "beamforming": ("PhaseShiftVector", "wrap_angles"),
     "solutions": (
         "Beamformer", "FirstSlotSolution", "OracleResult", "Partition",
-        "SecondSlotSolution", "ais_max_rp", "ais_max_rp_batch",
-        "brute_force_max_rp", "irses_max_rp_mrc", "irses_max_rp_mrc_batch",
-        "irses_partition", "irses_partitions", "nsp_max_rp_mrc",
-        "nsp_max_rp_mrc_batch", "nsp_projector", "second_slot_optimize",
-        "second_slot_optimize_batch", "theta_update_ais", "ur_update_ais",
+        "SecondSlotSolution", "ais_max_rp", "brute_force_max_rp",
+        "irses_max_rp_mrc", "irses_partition", "nsp_max_rp_mrc",
+        "nsp_projector", "second_slot_optimize", "theta_update_ais",
+        "ur_update_ais",
     ),
     "channel": (
         "ChannelSet", "Geometry", "LinkBudget", "dbi_to_amplitude_gain",
-        "pathloss_amplitude", "sample_channels", "sample_channels_batch",
-        "stack_channels", "stream_seed",
+        "pathloss_amplitude", "sample_channels", "stream_seed",
     ),
     "errors": (
         "ConfigError", "DegenerateChannelError", "DegenerateElementWarning",

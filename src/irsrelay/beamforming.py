@@ -46,15 +46,17 @@ no :class:`PhaseShiftVector` or solution object, keeps no rate trace, and
 a stop copies no array of its iterate, bar NSP's receive vector and
 cascade, which its direct branch needs.  Given a builder, the same loop
 keeps each stop's iterate and trace and returns, per trial, one
-``solution(trial, iterate, rate, trace)`` per level, as the solvers of
-:mod:`~irsrelay.solutions` do; each (trial, level) entry of the rates form
-equals that solution's rate and iteration count, bit for bit.  ``_irses``
-takes the trials' element partitions as one array of assignments
-(:func:`_irses_assignments`).  The other closed forms the trial engine runs
-on a stack are here too, beside the loops: ``_fixed_first_slot`` and
-``_fixed_second_slot`` (the fixed-phase slots), ``_matched_direct`` (a hop
-of ``baseline-relay-only``) and ``_irs_only``.  They, ``_Stops`` on a stack
-and NSP's results form every rate with one :func:`_rates` call.
+``solution(trial, iterate, rate, trace)`` per level.  Only the solvers of
+:mod:`~irsrelay.solutions` pass a builder, each on one trial (a stack of
+one) at one level; each (trial, level) entry of the rates form equals the
+rate and iteration count of that trial's solution at that level, bit for
+bit.  ``_irses`` takes the trials' element partitions as one array of
+assignments (:func:`_irses_assignments`).  The other closed forms the
+trial engine runs on a stack are here too, beside the loops:
+``_fixed_first_slot`` and ``_fixed_second_slot`` (the fixed-phase slots),
+``_matched_direct`` (a hop of ``baseline-relay-only``) and ``_irs_only``.
+They, ``_Stops`` on a stack and NSP's results form every rate with one
+:func:`_rates` call.
 
 A loop's input stack may be shared, read-only, with other solves.  The loop
 multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
@@ -783,10 +785,11 @@ def _check_partition_sizes(n: int, m: int) -> None:
 
 
 def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
-    """The assignments of ``irses_partitions``, one ``(len(seeds), n)`` array.
+    """The assignments of ``irses_partition`` at each of ``seeds``, one array.
 
-    Row ``k`` is the ``k``-th partition's assignment, bit for bit; no
-    partition object is built, as the trial engine reads only the rows.
+    Row ``k`` of the ``(len(seeds), n)`` array is the assignment of
+    ``seeds[k]``'s partition, bit for bit; no partition object is built, as
+    the trial engine reads only the rows.
     """
     _check_partition_sizes(n, m)
     groups = np.repeat(np.arange(m, dtype=np.intp), n // m)

@@ -6,13 +6,12 @@ destination D.  Every link is modeled as flat Rayleigh fading: independent
 circularly-symmetric complex Gaussian entries of unit variance, scaled by a
 distance-based amplitude attenuation and by the endpoint antenna gains.
 
-:func:`sample_channels_batch` draws several trials at once, as one stack of
-all six links with a leading trial axis; each trial's rows are bit for bit
-what :func:`sample_channels`, its one-trial view, draws for that seed alone.
-:func:`sample_links` draws some of those links, as :class:`Links`, from the
-trials' seeds: the trial engine draws a stack a hop at a time, so that it
-never holds both surface matrices, every block is bit for bit the whole
-draw's, and a smaller draw is a corner of it (:meth:`Links.corner`).
+:func:`sample_links` draws some links of several trials at once, as
+:class:`Links` with a leading trial axis: the trial engine draws a stack a
+hop at a time, so that it never holds both surface matrices, every block is
+bit for bit the whole draw's, and a smaller draw is a corner of it
+(:meth:`Links.corner`).  :func:`sample_channels` draws one trial's six
+links, bit for bit its row of any stack.
 
 Every random stream is numpy's counter-based Philox at a key of two 64-bit
 words, with no hash in between (Salmon et al., "Parallel random numbers: as
@@ -211,14 +210,12 @@ class LinkBudget:
 
 @dataclass(eq=False)
 class ChannelSet:
-    """One realization of all six links, or a stack of several trials' ones.
+    """One realization of all six links: one trial.
 
     Shapes: ``h_sr`` and ``h_rd`` are length-``m`` vectors, ``h_si`` and
     ``h_id`` are length-``n`` vectors, ``H_ir`` and ``H_ri`` are ``m x n``
     matrices.  ``H_ir`` maps surface elements to relay antennas on the first
-    hop, ``H_ri`` is the relay-to-surface link used on the second hop.  A
-    stack puts one more, leading trial axis on every block; the batched
-    solvers take stacks, and :meth:`trial` views one trial's rows.
+    hop, ``H_ri`` is the relay-to-surface link used on the second hop.
 
     The six blocks are stored as read-only views, so one draw can be shared
     by several solvers and none of them can change it for the others; the
@@ -237,15 +234,12 @@ class ChannelSet:
             block = np.asarray(getattr(self, name), dtype=np.complex128).view()
             block.flags.writeable = False
             setattr(self, name, block)
-        if self.h_sr.ndim not in (1, 2):
+        if self.h_sr.ndim != 1 or self.h_rd.shape != self.h_sr.shape:
             raise ConfigError("h_sr and h_rd must be length-m vectors")
-        *lead, m = self.h_sr.shape
-        n = self.h_si.shape[-1] if self.h_si.ndim else -1
-        if self.h_rd.shape != (*lead, m):
-            raise ConfigError("h_sr and h_rd must be length-m vectors")
-        if self.h_si.shape != (*lead, n) or self.h_id.shape != (*lead, n):
+        if self.h_si.ndim != 1 or self.h_id.shape != self.h_si.shape:
             raise ConfigError("h_si and h_id must be length-n vectors")
-        if self.H_ir.shape != (*lead, m, n) or self.H_ri.shape != (*lead, m, n):
+        shape = (self.m, self.n)
+        if self.H_ir.shape != shape or self.H_ri.shape != shape:
             raise ConfigError("H_ir and H_ri must have shape (m, n)")
         for name in LINK_STREAMS:
             if not np.isfinite(getattr(self, name)).all():
@@ -266,15 +260,6 @@ class ChannelSet:
         view.__dict__.update(blocks)
         return view
 
-    def trial(self, index: int) -> "ChannelSet":
-        """Trial ``index`` of a stack, as a ChannelSet viewing its rows.
-
-        The rows of a checked stack need no second check.
-        """
-        if self.h_sr.ndim != 2:
-            raise ConfigError("only a stack of trials has trials to view")
-        return self._of({name: getattr(self, name)[index] for name in LINK_STREAMS})
-
 
 def _shapes(m: int, n: int) -> dict[str, tuple[int, ...]]:
     """Each link's shape in one trial at ``m`` antennas and ``n`` elements."""
@@ -284,9 +269,10 @@ def _shapes(m: int, n: int) -> dict[str, tuple[int, ...]]:
 class Links(SimpleNamespace):
     """Some links of a stack of trials, by name (:data:`LINK_STREAMS`).
 
-    Each is a checked, read-only block with a leading trial axis, as a
-    :class:`ChannelSet` holds it: :func:`sample_links` draws them a few
-    links at a time, so that a stack need not hold both surface matrices.
+    Each is a checked, read-only block with a leading trial axis, a
+    :class:`ChannelSet`'s block per trial: :func:`sample_links` draws them a
+    few links at a time, so that a stack need not hold both surface
+    matrices.
     """
 
     def corner(self, m: int, n: int) -> "Links":
@@ -303,16 +289,6 @@ class Links(SimpleNamespace):
                 for name, block in vars(self).items()
             }
         )
-
-
-def stack_channels(channel_sets: Sequence[ChannelSet]) -> ChannelSet:
-    """Several trials' channels as one stack, each block on a leading trial axis."""
-    return ChannelSet(
-        **{
-            name: np.stack([getattr(channels, name) for channels in channel_sets])
-            for name in LINK_STREAMS
-        }
-    )
 
 
 def pathloss_amplitude(distance_m: float, alpha: float) -> float:
@@ -405,7 +381,7 @@ def sample_links(
 ) -> Links:
     """Draw links ``names`` of one Rayleigh realization per seed.
 
-    Row ``k`` of each link is, bit for bit, what :func:`sample_channels_batch`
+    Row ``k`` of each link is, bit for bit, what :func:`sample_channels`
     draws for ``seeds[k]``, so that the links of one draw may be drawn in
     several calls.  Link ``L`` of seed ``s`` is drawn from Philox keyed by
     ``(s, L)`` (:data:`LINK_STREAMS`); its antenna ``r`` (a vector is one
@@ -447,29 +423,6 @@ def sample_links(
     return Links(**blocks)
 
 
-def sample_channels_batch(
-    geometry: Geometry,
-    budget: LinkBudget,
-    m: int,
-    n: int,
-    seeds: Sequence[int],
-) -> ChannelSet:
-    """Draw one Rayleigh realization of all six links per seed, as one stack.
-
-    Row ``k`` of every block is what :func:`sample_channels` draws for
-    ``seeds[k]``, bit for bit: each (seed, link) keeps its own Philox key,
-    and each antenna of a link its own counter (:func:`sample_links`).
-
-    Raises:
-        ConfigError: if a seed lies outside ``[0, 2**64)``, or as
-            :func:`sample_links` does.
-    """
-    for seed in seeds:
-        check_seed(seed)
-    links = sample_links(geometry, budget, m, n, seeds, tuple(LINK_STREAMS))
-    return ChannelSet._of(vars(links))
-
-
 def sample_channels(
     geometry: Geometry,
     budget: LinkBudget,
@@ -482,7 +435,7 @@ def sample_channels(
     Each link uses its own counter-based substream keyed by ``(seed, link
     index)``, so the realization is reproducible bit for bit, and growing
     ``m`` or ``n`` keeps the leading entries of every link.
-    This is :func:`sample_channels_batch` on one seed, viewed as one trial.
+    Its blocks are row 0 of :func:`sample_links`' draw of ``[seed]``.
 
     Args:
         geometry: node positions.
@@ -495,4 +448,6 @@ def sample_channels(
         A :class:`ChannelSet` with entries of per-link standard deviation
         ``pathloss_amplitude(d, alpha) * dbi_to_amplitude_gain(g_tx, g_rx)``.
     """
-    return sample_channels_batch(geometry, budget, m, n, [seed]).trial(0)
+    check_seed(seed)
+    links = sample_links(geometry, budget, m, n, [seed], tuple(LINK_STREAMS))
+    return ChannelSet._of({name: block[0] for name, block in vars(links).items()})

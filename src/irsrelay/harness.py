@@ -1,7 +1,7 @@
 """Deterministic Monte Carlo experiment engine.
 
 A scenario is evaluated trial by trial: each trial derives its own seed from
-``(base_seed, trial_index)``, samples one :class:`~irsrelay.channel.ChannelSet`,
+``(base_seed, trial_index)``, samples one realization of all six links,
 runs the solve its method names for each hop, and reports per-slot and
 end-to-end rates.  Sweeps repeat this over an axis (SNR, element count,
 antenna count, or relay position) and aggregate mean rate and standard
@@ -713,6 +713,9 @@ class SweepSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ConfigError("sweep values must be non-empty")
+        for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"axis {self.axis!r} needs finite values, got {v}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
         object.__setattr__(self, "values", values)

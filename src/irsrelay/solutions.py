@@ -1,4 +1,4 @@
-"""The solvers' public API: solutions of one trial, or of a stack of trials.
+"""The solvers' public API: the solutions of one trial.
 
 Three first-slot strategies are implemented:
 
@@ -17,9 +17,9 @@ the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
 grid oracle for small instances, used by the test suite.
 
 Each solver runs a loop or closed form of :mod:`~irsrelay.beamforming`
-with a builder of its solution objects; each ``_batch`` solver does so on a
-stack of trials for several noise variances at once.  A table runs the
-same loops without a builder and never imports this module.
+on its trial, as a stack of one, with a builder of its solution objects.
+A table runs the same loops on stacks of trials without a builder and
+never imports this module.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,18 +188,10 @@ class SecondSlotSolution:
         return len(self.trace)
 
 
-def _hop(channels: ChannelSet, blocks: operator.attrgetter, stack: bool) -> tuple:
-    """One hop's blocks with a leading trial axis.
-
-    ``stack`` says whether ``channels`` is a stack of trials; one trial is
-    viewed as a stack of one.
-    """
-    if (channels.h_sr.ndim == 2) != stack:
-        raise ConfigError(
-            "the batched solvers take a stack of trials, the others one trial"
-        )
+def _hop(channels: ChannelSet, blocks: operator.attrgetter) -> tuple:
+    """One hop's blocks of one trial, viewed as a stack of one."""
     direct, H, h = blocks(channels)
-    return (direct, H, h) if stack else (direct[None], H[None], h[None])
+    return direct[None], H[None], h[None]
 
 
 def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
@@ -208,7 +200,7 @@ def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
     Rotates every cascaded source-surface-relay path so that it adds in phase
     with the direct path at the beamformer output.
     """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
+    hop = _hop(channels, _FIRST_HOP)
     return PhaseShiftVector(np.angle(_align(hop, u_r.weights[np.newaxis])[0]))
 
 
@@ -233,30 +225,10 @@ def ais_max_rp(
     reached).  Each half-step is the exact maximizer given the other block,
     so the rate trace never decreases.
     """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
+    hop = _hop(channels, _FIRST_HOP)
     return _alternate(
         hop, p_s_watt, (noise_variance_watt,), epsilon, max_iter, _ais_solution
     )[0][0]
-
-
-def ais_max_rp_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`ais_max_rp` on each trial of a stack at each noise variance.
-
-    The iterates do not depend on the noise, so one loop serves every
-    level, and each (trial, level) stops at its own iterate.  Returns one
-    tuple of per-level solutions per trial; each equals what
-    :func:`ais_max_rp` returns on that trial at that level, bit for bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    return _alternate(
-        hop, p_s_watt, noise_variances, epsilon, max_iter, _ais_solution
-    )
 
 
 def _ais_solution(
@@ -327,33 +299,10 @@ def nsp_max_rp_mrc(
     ``trace`` records the reflected-branch rate the alternation maximizes;
     the returned ``rate_r`` is the MRC-combined rate of both branches.
     """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
+    hop = _hop(channels, _FIRST_HOP)
     noise = (noise_variance_watt,)
     options = (mode, combining, phases, partial(_nsp_solution, phases))
     return _nsp(hop, p_s_watt, noise, epsilon, max_iter, *options)[0][0]
-
-
-def nsp_max_rp_mrc_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    mode: str = NSP_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`nsp_max_rp_mrc` on each trial of a stack at each noise variance.
-
-    The projectors off the direct links, the start phases and the iterates
-    are computed once for every level, and each (trial, level) stops at its
-    own iterate.  Returns one tuple of per-level solutions per trial; each
-    equals what :func:`nsp_max_rp_mrc` returns on that trial at that level,
-    bit for bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    options = (mode, combining, phases, partial(_nsp_solution, phases))
-    return _nsp(hop, p_s_watt, noise_variances, epsilon, max_iter, *options)
 
 
 def _nsp_solution(
@@ -388,12 +337,7 @@ def irses_partition(n: int, m: int, seed: int) -> Partition:
     """
     _check_partition_sizes(n, m)
     check_seed(seed)
-    return irses_partitions(n, m, [seed])[0]
-
-
-def irses_partitions(n: int, m: int, seeds: Sequence[int]) -> list[Partition]:
-    """:func:`irses_partition` of each of ``seeds``, with one generator."""
-    return [Partition(assignment) for assignment in _irses_assignments(n, m, seeds)]
+    return Partition(_irses_assignments(n, m, [seed])[0])
 
 
 def irses_max_rp_mrc(
@@ -419,75 +363,38 @@ def irses_max_rp_mrc(
 
     This method is closed-form, so the trace always has length 1.
     """
-    hop = _hop(channels, _FIRST_HOP, stack=False)
-    noise = (noise_variance_watt,)
-    options = (interference_mode, combining, phases)
-    return _irses_solutions(hop, p_s_watt, noise, [partition], *options)[0][0]
-
-
-def irses_max_rp_mrc_batch(
-    channels: ChannelSet,
-    p_s_watt: float,
-    noise_variances: tuple,
-    partitions: Sequence[Partition],
-    interference_mode: str = IRSES_MODES[0],
-    combining: str = COMBINING_MODES[0],
-    phases: PhaseShiftVector | None = None,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`irses_max_rp_mrc` on each trial of a stack, with its partition.
-
-    Each noise variance is a scalar or a per-antenna vector.  The
-    alignment, the per-antenna amplitudes and the MRC weights do not read
-    the noise, so they are computed once for every level.  Returns one
-    tuple of per-level solutions per trial; each equals what
-    :func:`irses_max_rp_mrc` returns on that trial at that level, bit for
-    bit.
-    """
-    hop = _hop(channels, _FIRST_HOP, stack=True)
-    options = (interference_mode, combining, phases)
-    return _irses_solutions(hop, p_s_watt, noise_variances, partitions, *options)
-
-
-def _irses_solutions(
-    hop: tuple,
-    p_s_watt: float,
-    noise_variances: tuple,
-    partitions: Sequence[Partition],
-    interference_mode: str,
-    combining: str,
-    phases: PhaseShiftVector | None,
-) -> list[tuple[FirstSlotSolution, ...]]:
-    """:func:`~irsrelay.beamforming._irses` on the assignments of ``partitions``.
-
-    Each (trial, level)'s solution names its trial's :class:`Partition`.
-    """
-    trials, m, n = hop[1].shape
-    if len(partitions) != trials:
+    hop = _hop(channels, _FIRST_HOP)
+    m, n = channels.m, channels.n
+    if partition.n != n or partition.m != m:
         raise ConfigError(
-            f"need one partition per trial, got {len(partitions)} for {trials}"
+            f"partition for (m={partition.m}, n={partition.n}) does not "
+            f"match channels (m={m}, n={n})"
         )
-    for partition in partitions:
-        if partition.n != n or partition.m != m:
-            raise ConfigError(
-                f"partition for (m={partition.m}, n={partition.n}) does not "
-                f"match channels (m={m}, n={n})"
-            )
-
-    def solution(trial: int, iterate: tuple, rate: float, trace: tuple):
-        phasors, weights, power = iterate
-        return FirstSlotSolution(
-            method="irses",
-            theta1=PhaseShiftVector(np.angle(phasors)) if phases is None else phases,
-            receive_power_watt=power,
-            rate_r=rate,
-            trace=trace,
-            mrc_weights=weights,
-            partition=partitions[trial],
-        )
-
-    assignments = np.stack([partition.assignment for partition in partitions])
+    noise = (noise_variance_watt,)
+    solution = partial(_irses_solution, phases, partition)
     options = (interference_mode, combining, phases, solution)
-    return _irses(hop, p_s_watt, noise_variances, assignments, *options)
+    assignment = partition.assignment[np.newaxis]
+    return _irses(hop, p_s_watt, noise, assignment, *options)[0][0]
+
+
+def _irses_solution(
+    phases: PhaseShiftVector | None,
+    partition: Partition,
+    trial: int,
+    iterate: tuple,
+    rate: float,
+    trace: tuple,
+) -> FirstSlotSolution:
+    phasors, weights, power = iterate
+    return FirstSlotSolution(
+        method="irses",
+        theta1=PhaseShiftVector(np.angle(phasors)) if phases is None else phases,
+        receive_power_watt=power,
+        rate_r=rate,
+        trace=trace,
+        mrc_weights=weights,
+        partition=partition,
+    )
 
 
 def second_slot_optimize(
@@ -503,28 +410,10 @@ def second_slot_optimize(
     links.  The surface applies exp(-j*theta2), so ``theta2`` holds the
     negated alignment phases.
     """
-    hop = _hop(channels, _SECOND_HOP, stack=False)
+    hop = _hop(channels, _SECOND_HOP)
     return _alternate(
         hop, p_r_watt, (noise_variance_watt,), epsilon, max_iter, _second_slot_solution
     )[0][0]
-
-
-def second_slot_optimize_batch(
-    channels: ChannelSet,
-    p_r_watt: float,
-    noise_variances: tuple[float, ...],
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[tuple[SecondSlotSolution, ...]]:
-    """:func:`second_slot_optimize` on each trial of a stack at each noise variance.
-
-    As in :func:`ais_max_rp_batch`, one loop serves every level, and each
-    (trial, level)'s solution equals the scalar one bit for bit.
-    """
-    hop = _hop(channels, _SECOND_HOP, stack=True)
-    return _alternate(
-        hop, p_r_watt, noise_variances, epsilon, max_iter, _second_slot_solution
-    )
 
 
 def _second_slot_solution(

@@ -1,12 +1,12 @@
-"""Batched solvers and chunked evaluation equal one trial at a time, bit for bit.
+"""The engine's stacked solves and chunks equal one trial at a time, bit for bit.
 
 ``ais``, ``nsp`` and the second slot iterate on stacks of trials, each
 (trial, noise level) stopping on its own rule; NSP's set-up and direct
 branch, ``irses`` and the fixed-phase slots are closed forms on the same
 stacks; ``collect_trials`` draws and solves the trials chunk by chunk.  None
-of it may change a bit of any record, and the checks of the one-trial rules
-(warnings on zero paths, errors on non-finite or zero channels) must hold
-inside a stack.
+of it may change a bit of any rate or iteration count the one-trial solvers
+give, and the checks of the one-trial rules (warnings on zero paths, errors
+on non-finite or zero channels) must hold inside a stack.
 """
 
 import dataclasses
@@ -21,24 +21,13 @@ from irsrelay.beamforming import (
     PhaseShiftVector,
     _Stops,
     ais_max_rp,
-    ais_max_rp_batch,
     irses_max_rp_mrc,
-    irses_max_rp_mrc_batch,
     irses_partition,
     nsp_max_rp_mrc,
-    nsp_max_rp_mrc_batch,
     second_slot_optimize,
-    second_slot_optimize_batch,
     ur_update_ais,
 )
-from irsrelay.channel import (
-    LINK_STREAMS,
-    ChannelSet,
-    Geometry,
-    LinkBudget,
-    sample_channels_batch,
-    stack_channels,
-)
+from irsrelay.channel import LINK_STREAMS, ChannelSet
 from irsrelay.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -48,8 +37,21 @@ from irsrelay.errors import (
 from irsrelay.harness import ScenarioConfig, collect_trials, run_trial
 from irsrelay.metrics import rate_from_power
 
-from conftest import NOISE_30DB, P_R, P_S, make_channels
-from test_per_noise import assert_identical, noise_levels
+from conftest import (
+    NOISE_30DB,
+    P_R,
+    P_S,
+    ais_rates,
+    draw_links,
+    irses_rates,
+    make_channels,
+    nsp_rates,
+    rate_pairs,
+    second_slot_rates,
+    solution_pairs,
+    stack,
+)
+from test_per_noise import noise_levels
 
 #: (method, m, n, options): both nsp modes (literal needs m > n), both
 #: combinings and fixed phases, both irses modes and fixed phases, the
@@ -143,12 +145,12 @@ def per_level(scalar):
     return solve
 
 
-#: (batched solver, one-trial solver, element link, direct link) per hop
+#: (rates form, one-trial solver, element link, direct link) per hop
 SOLVERS = {
-    "ais": (ais_max_rp_batch, per_level(ais_max_rp), "h_si", "h_sr"),
-    "nsp": (nsp_max_rp_mrc_batch, per_level(nsp_max_rp_mrc), "h_si", "h_sr"),
+    "ais": (ais_rates, per_level(ais_max_rp), "h_si", "h_sr"),
+    "nsp": (nsp_rates, per_level(nsp_max_rp_mrc), "h_si", "h_sr"),
     "second-slot": (
-        second_slot_optimize_batch, per_level(second_slot_optimize), "h_id", "h_rd",
+        second_slot_rates, per_level(second_slot_optimize), "h_id", "h_rd",
     ),
 }
 
@@ -164,15 +166,14 @@ def trials_with(name, change):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_zero_path_in_one_trial_warns_and_leaves_the_others_alone(solver):
-    batch, alone, element_link, _ = SOLVERS[solver]
+    form, alone, element_link, _ = SOLVERS[solver]
     sets = trials_with(element_link, zero_first)
     with pytest.warns(DegenerateElementWarning):
-        together = batch(stack_channels(sets), P_S, LEVELS)
+        together = form(stack(sets), P_S, LEVELS)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateElementWarning)
-        for channels, solutions in zip(sets, together):
-            for mixed, single in zip(solutions, alone(channels, P_S, LEVELS)):
-                assert_identical(mixed, single)
+        singles = [alone(channels, P_S, LEVELS) for channels in sets]
+    assert rate_pairs(together) == solution_pairs(singles)
 
 
 def one_path(block):
@@ -186,33 +187,35 @@ def test_a_trial_that_stopped_before_the_copy_warns_no_more(solver):
     # run on; with more than 3/8 of the stack still running, the loop
     # multiplies the whole stack, the stopped row among it, and copies
     # nothing, but checks and warns on the running rows alone
-    batch, alone, element_link, _ = SOLVERS[solver]
+    form, alone, element_link, _ = SOLVERS[solver]
     sets = trials_with(element_link, one_path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        together = batch(stack_channels(sets), P_S, LEVELS)
-    stopped = max(solution.iterations for solution in together[1])
-    running = [max(s.iterations for s in levels) for levels in together[::2]]
+        together = form(stack(sets), P_S, LEVELS)
+    counts = together[1].tolist()
+    stopped = max(counts[1])
+    running = [max(counts[trial]) for trial in (0, 2)]
     assert stopped == 2 < min(running)
     assert [w.category for w in caught] == [DegenerateElementWarning] * stopped
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateElementWarning)
-        for channels, solutions in zip(sets, together):
-            for mixed, single in zip(solutions, alone(channels, P_S, LEVELS)):
-                assert_identical(mixed, single)
+        singles = [alone(channels, P_S, LEVELS) for channels in sets]
+    assert rate_pairs(together) == solution_pairs(singles)
 
 
 def test_non_finite_block_in_a_stack_raises_config_error():
-    sets = [make_channels(4, 16, seed=seed) for seed in range(3)]
-    blocks = {key: np.stack([getattr(c, key) for c in sets]) for key in LINK_STREAMS}
-    blocks["H_ir"][1, 0, 0] = np.nan
+    # a stack is drawn checked (sample_links); a trial's blocks are checked
+    # when they make a ChannelSet
+    channels = make_channels(4, 16, seed=1)
+    blocks = {key: np.array(getattr(channels, key)) for key in LINK_STREAMS}
+    blocks["H_ir"][0, 0] = np.nan
     with pytest.raises(ConfigError):
         ChannelSet(**blocks)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_overflowing_trial_raises_config_error_as_alone(solver):
-    batch, alone, _, _ = SOLVERS[solver]
+    form, alone, _, _ = SOLVERS[solver]
     matrix = "H_ri" if solver == "second-slot" else "H_ir"
     sets = trials_with(matrix, overflow)
     with warnings.catch_warnings():
@@ -220,25 +223,29 @@ def test_overflowing_trial_raises_config_error_as_alone(solver):
         with pytest.raises((ConfigError, np.linalg.LinAlgError)) as single:
             alone(sets[1], P_S, LEVELS)
         with pytest.raises(single.type):
-            batch(stack_channels(sets), P_S, LEVELS)
+            form(stack(sets), P_S, LEVELS)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_zero_direct_link_raises_degenerate_channel_error_as_alone(solver):
-    batch, alone, _, direct_link = SOLVERS[solver]
+    form, alone, _, direct_link = SOLVERS[solver]
     sets = trials_with(direct_link, zero_all)
     with pytest.raises(DegenerateChannelError):
         alone(sets[1], P_S, LEVELS)
     with pytest.raises(DegenerateChannelError):
-        batch(stack_channels(sets), P_S, LEVELS)
+        form(stack(sets), P_S, LEVELS)
 
 
-def test_batched_solvers_take_stacks_and_one_trial_solvers_one_trial():
-    channels = make_channels(4, 16, seed=0)
+def test_a_channel_set_is_one_trial_and_rejects_stacked_blocks():
+    # a stack of trials is Links, which only the engine's rates forms solve
+    links = stack([make_channels(4, 16, seed=seed) for seed in range(2)])
     with pytest.raises(ConfigError):
-        ais_max_rp_batch(channels, P_S, LEVELS)
-    with pytest.raises(ConfigError):
-        ais_max_rp(stack_channels([channels]), P_S, NOISE_30DB)
+        ChannelSet(**vars(links))
+    for name in LINK_STREAMS:
+        blocks = {key: getattr(links, key)[0] for key in LINK_STREAMS}
+        blocks[name] = getattr(links, name)
+        with pytest.raises(ConfigError):
+            ChannelSet(**blocks)
 
 
 def test_chunk_holds_the_trials_its_limits_allow():
@@ -331,7 +338,7 @@ def test_a_rates_form_keeps_no_iterate(monkeypatch):
 
     monkeypatch.setattr(beamforming, "_Stops", Recorded)
     seeds = [harness.trial_seed(0, k) for k in range(120)]
-    channels = sample_channels_batch(Geometry(), LinkBudget(), 4, 16, seeds)
+    channels = draw_links(4, 16, seeds)
     levels = noise_levels(0, 10, 20, 30)
     for hop, power in ((beamforming._FIRST_HOP, P_S), (beamforming._SECOND_HOP, P_R)):
         beamforming._alternate(hop(channels), power, levels, EPSILON, MAX_ITER)
@@ -342,23 +349,15 @@ def test_a_rates_form_keeps_no_iterate(monkeypatch):
         assert len(stops.stopped) == 120
 
 
-def test_levels_share_a_solution_array_exactly_when_they_stop_together():
-    grid = noise_levels(0, 5, 10, 15, 20, 25, 30)
-    sets = [make_channels(4, 16, seed=seed) for seed in range(3)]
-    for levels in ais_max_rp_batch(stack_channels(sets), P_S, grid, 1e-6, 6):
-        weights = {id(solution.u_r.weights) for solution in levels}
-        assert len(weights) == len({solution.iterations for solution in levels})
-        assert all(solution.u_r.weights.base is None for solution in levels)
-
-
-#: stacked nsp and irses: per case, trial 0's rate and receive power at its
-#: last level as float.hex(), and a digest of every rate, power, trace,
-#: phase and weight of trials 0..31 (make_channels(m, n, seed=trial),
+#: nsp and irses: per case, trial 0's rate and receive power at its last
+#: level as float.hex(), and a digest of every rate, power, trace, phase and
+#: weight of trials 0..31 (make_channels(m, n, seed=trial),
 #: irses_partition(n, m, trial)) at 0 dB and 30 dB, irses also at one
-#: per-antenna level.  Computed from the draws keyed by Philox, the
-#: solvers' unit-phasor alignment and NSP's closed-form projections off one
-#: direction (the same in stacks of 1, 3 and 32); after
-#: a change meant to move these numbers, recompute them and state the drift.
+#: per-antenna level, from the one-trial solvers.  Computed from the draws
+#: keyed by Philox, the solvers' unit-phasor alignment and NSP's
+#: closed-form projections off one direction; the rates forms give their
+#: rates in stacks of 1, 3 and 32.  After a change meant to move these
+#: numbers, recompute them and state the drift.
 STACKED_PINNED = {
     "nsp-effective": (
         "0x1.aaf18feb794e0p+0", "0x1.64b5b28acdc8bp-5", "6add702c6c637d2d",
@@ -419,29 +418,60 @@ def solution_digest(per_trial):
     return digest.hexdigest()[:16]
 
 
-@pytest.mark.parametrize("stack", [1, 3, 32])
-@pytest.mark.parametrize("name", STACKED_CASES)
-def test_stacked_closed_forms_keep_the_pinned_bits(name, stack):
-    # trials 0..31 solved in stacks of ``stack`` (the last one shorter)
-    solver, (m, n), options = STACKED_CASES[name]
-    sets = [make_channels(m, n, seed=trial) for trial in range(PINNED_TRIALS)]
-    levels = noise_levels(0, 30)
+#: per solver: its rates form and its one-trial solver
+FORMS = {
+    "ais": (ais_rates, ais_max_rp),
+    "second-slot": (second_slot_rates, second_slot_optimize),
+    "nsp": (nsp_rates, nsp_max_rp_mrc),
+    "irses": (irses_rates, irses_max_rp_mrc),
+}
+
+
+def one_trial_solutions(solver, m, n, options, trials, levels, *loop):
+    """Each trial's tuple of per-level solutions from the one-trial solver.
+
+    ``loop`` is the alternations' (epsilon, max_iter); irses takes the
+    trial's partition in its place.
+    """
+    scalar = FORMS[solver][1]
     solutions = []
-    for start in range(0, PINNED_TRIALS, stack):
-        rows = range(start, min(start + stack, PINNED_TRIALS))
-        channels = stack_channels([sets[trial] for trial in rows])
-        if solver == "nsp":
-            solutions += nsp_max_rp_mrc_batch(channels, P_S, levels, **options)
-        else:
-            partitions = [irses_partition(n, m, trial) for trial in rows]
-            per_antenna = (*levels, np.linspace(0.01, 0.04, m))
-            solutions += irses_max_rp_mrc_batch(
-                channels, P_S, per_antenna, partitions, **options
-            )
+    for trial in trials:
+        channels = make_channels(m, n, seed=trial)
+        extra = (irses_partition(n, m, trial),) if solver == "irses" else loop
+        solutions.append(
+            tuple(scalar(channels, P_S, noise, *extra, **options) for noise in levels)
+        )
+    return solutions
+
+
+def stacked_rates(solver, m, n, options, trials, levels, *loop):
+    """The rates form of ``solver`` on the stack of ``trials``' draws."""
+    links = stack([make_channels(m, n, seed=trial) for trial in trials])
+    if solver == "irses":
+        loop = (np.stack([irses_partition(n, m, t).assignment for t in trials]),)
+    return FORMS[solver][0](links, P_S, levels, *loop, **options)
+
+
+@pytest.mark.parametrize("size", [1, 3, 32])
+@pytest.mark.parametrize("name", STACKED_CASES)
+def test_stacked_closed_forms_keep_the_pinned_bits(name, size):
+    # the pins from the one-trial solvers; the rates forms on trials 0..31
+    # in stacks of ``size`` (the last one shorter) give their rates
+    solver, (m, n), options = STACKED_CASES[name]
+    levels = noise_levels(0, 30)
+    if solver == "irses":
+        levels = (*levels, np.linspace(0.01, 0.04, m))
+    trials = range(PINNED_TRIALS)
+    solutions = one_trial_solutions(solver, m, n, options, trials, levels)
     last = solutions[0][-1]
     power = float(last.receive_power_watt)
     got = (last.rate_r.hex(), power.hex(), solution_digest(solutions))
     assert got == STACKED_PINNED[name]
+    rates = []
+    for start in range(0, PINNED_TRIALS, size):
+        rows = trials[start : start + size]
+        rates += rate_pairs(stacked_rates(solver, m, n, options, rows, levels))
+    assert rates == solution_pairs(solutions)
 
 
 #: the closed forms' levels: 30 dB, where the two-hop forms' powers are near
@@ -495,9 +525,9 @@ def closed_form_powers(channels):
     }
 
 
-@pytest.mark.parametrize("stack", [1, 3, 120])
-def test_stacked_closed_forms_keep_the_one_trial_bits(stack):
-    # the trials solved in stacks of ``stack``; a vecdot for irs-only's sum
+@pytest.mark.parametrize("size", [1, 3, 120])
+def test_stacked_closed_forms_keep_the_one_trial_bits(size):
+    # the trials solved in stacks of ``size``; a vecdot for irs-only's sum
     # or a numpy square of any amplitude changes some rate
     sets = [make_channels(4, 16, seed=seed) for seed in CLOSED_SEEDS]
     expected = {name: [] for name in CLOSED_FORMS}
@@ -506,8 +536,8 @@ def test_stacked_closed_forms_keep_the_one_trial_bits(stack):
             rates = [rate_from_power(power, noise).hex() for noise in CLOSED_LEVELS]
             expected[name].append(rates)
     got = {name: [] for name in CLOSED_FORMS}
-    for start in range(0, len(sets), stack):
-        channels = stack_channels(sets[start : start + stack])
+    for start in range(0, len(sets), size):
+        channels = stack(sets[start : start + size])
         for name, form in CLOSED_FORMS.items():
             rates, iterations = form(channels)
             assert iterations.tolist() == [[1] * len(CLOSED_LEVELS)] * len(rates)
@@ -542,56 +572,21 @@ def test_rates_forms_equal_their_solutions_bit_for_bit(name):
     # iterations the levels of a trial stop on different iterates, some on
     # the cap
     solver, (m, n), options = RATES_CASES[name]
-    channels = stack_channels([make_channels(m, n, seed=seed) for seed in range(8)])
     levels = noise_levels(0, 10, 20, 30)
-    first_hop = beamforming._FIRST_HOP(channels)
-    if solver == "ais":
-        objects = ais_max_rp_batch(channels, P_S, levels, EPSILON, MAX_ITER)
-        rates = beamforming._alternate(first_hop, P_S, levels, EPSILON, MAX_ITER)
-    elif solver == "second-slot":
-        objects = second_slot_optimize_batch(channels, P_S, levels, EPSILON, MAX_ITER)
-        second_hop = beamforming._SECOND_HOP(channels)
-        rates = beamforming._alternate(second_hop, P_S, levels, EPSILON, MAX_ITER)
-    elif solver == "nsp":
-        args = (P_S, levels, EPSILON, MAX_ITER)
-        objects = nsp_max_rp_mrc_batch(channels, *args, **options)
-        variant = (
-            options.get("mode", "effective"), options.get("combining", "snr-sum")
-        )
-        rates = beamforming._nsp(first_hop, *args, *variant, options.get("phases"))
-    else:
-        partitions = [irses_partition(n, m, seed) for seed in range(8)]
-        objects = irses_max_rp_mrc_batch(channels, P_S, levels, partitions, **options)
-        variant = (
-            options.get("interference_mode", "idealized"),
-            options.get("combining", "snr-sum"),
-            options.get("phases"),
-        )
-        assignments = np.stack([partition.assignment for partition in partitions])
-        rates = beamforming._irses(first_hop, P_S, levels, assignments, *variant)
+    loop = (EPSILON, MAX_ITER)
+    rates = stacked_rates(solver, m, n, options, range(8), levels, *loop)
     # the rates forms give a (trials, levels) array of rates and one of
     # iteration counts
     rate_array, count_array = rates
     assert rate_array.dtype == np.float64 and rate_array.shape == (8, len(levels))
     assert count_array.shape == rate_array.shape
-    rates = [
-        list(zip(trial_rates, trial_counts))
-        for trial_rates, trial_counts in zip(rate_array.tolist(), count_array.tolist())
-    ]
-    expected = [
-        [
-            (s.rate_d if solver == "second-slot" else s.rate_r, s.iterations)
-            for s in solutions
-        ]
-        for solutions in objects
-    ]
-    assert [[(rate.hex(), count) for rate, count in trial] for trial in rates] == [
-        [(rate.hex(), count) for rate, count in trial] for trial in expected
-    ]
+    pairs = rate_pairs(rates)
+    objects = one_trial_solutions(solver, m, n, options, range(8), levels, *loop)
+    assert pairs == solution_pairs(objects)
     if solver in ("ais", "second-slot", "nsp") and "phases" not in options:
-        counts = {count for trial in rates for _, count in trial}
+        counts = {count for trial in pairs for _, count in trial}
         assert MAX_ITER in counts and len(counts) >= 3
-        assert any(len({count for _, count in trial}) > 1 for trial in rates)
+        assert any(len({count for _, count in trial}) > 1 for trial in pairs)
 
 
 def dip_one_trial(monkeypatch):
@@ -643,27 +638,26 @@ def test_irses_zero_antenna_warns_once_per_affected_trial_in_a_stack():
     sets = [make_channels(4, 16, seed=seed) for seed in range(4)]
     sets[0], sets[2] = zero_antenna(sets[0], 1), zero_antenna(sets[2], 3)
     partitions = [irses_partition(16, 4, seed) for seed in range(4)]
+    assignments = np.stack([partition.assignment for partition in partitions])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        together = irses_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS, partitions)
+        together = irses_rates(stack(sets), P_S, LEVELS, assignments)
     assert [str(w.message) for w in caught] == [
         "1 antenna(s) with zero combined signal; MRC weight set to 1"
     ] * 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateElementWarning)
-        for channels, partition, solutions in zip(sets, partitions, together):
-            for noise, mixed in zip(LEVELS, solutions):
-                single = irses_max_rp_mrc(channels, P_S, noise, partition)
-                assert_identical(mixed, single)
-                assert np.array_equal(mixed.mrc_weights, single.mrc_weights)
+        singles = [
+            tuple(irses_max_rp_mrc(channels, P_S, noise, partition) for noise in LEVELS)
+            for channels, partition in zip(sets, partitions)
+        ]
+    assert rate_pairs(together) == solution_pairs(singles)
 
 
 def test_irses_batch_needs_one_partition_per_trial():
-    sets = [make_channels(4, 16, seed=seed) for seed in range(2)]
-    with pytest.raises(ConfigError):
-        irses_max_rp_mrc_batch(
-            stack_channels(sets), P_S, LEVELS, [irses_partition(16, 4, 0)]
-        )
+    links = stack([make_channels(4, 16, seed=seed) for seed in range(2)])
+    with pytest.raises(ConfigError, match="assignment"):
+        irses_rates(links, P_S, LEVELS, irses_partition(16, 4, 0).assignment[None])
 
 
 def count_calls(monkeypatch, module, name, record):
@@ -733,9 +727,6 @@ def test_nsp_start_phases_in_slices_of_the_stack_change_no_bit(monkeypatch):
     # the relaxed start phases are built a few trials at a time when a
     # trial's surface matrix is large; slices of 2 of a stack of 5 here
     sets = [make_channels(4, 16, seed=seed) for seed in range(5)]
-    whole = nsp_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS)
+    whole = rate_pairs(nsp_rates(stack(sets), P_S, LEVELS))
     monkeypatch.setattr(beamforming, "START_PHASE_BYTES", 2 * sets[0].H_ir.nbytes)
-    sliced = nsp_max_rp_mrc_batch(stack_channels(sets), P_S, LEVELS)
-    for one, other in zip(whole, sliced):
-        for a, b in zip(one, other):
-            assert_identical(a, b)
+    assert rate_pairs(nsp_rates(stack(sets), P_S, LEVELS)) == whole

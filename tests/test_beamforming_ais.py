@@ -15,7 +15,7 @@ from irsrelay.beamforming import (
     ur_update_ais,
     wrap_angles,
 )
-from irsrelay.channel import ChannelSet, stack_channels
+from irsrelay.channel import ChannelSet
 from irsrelay.errors import (
     ConfigError,
     DegenerateChannelError,
@@ -25,7 +25,7 @@ from irsrelay.errors import (
 from irsrelay.metrics import receive_power_ais
 from irsrelay.selftest import theta_update_pinv
 
-from conftest import NOISE_30DB, P_S, make_channels, manual_channels
+from conftest import NOISE_30DB, P_S, make_channels, manual_channels, stack
 
 
 def test_wrap_angles_half_open_interval():
@@ -113,15 +113,14 @@ def circular_distance(a, b):
 
 @pytest.mark.parametrize("m, n", [(4, 16), (16, 160)])
 def test_aligned_phasors_are_unit_and_rotate_every_path_onto_the_direct_one(m, n):
-    sets = [make_channels(m, n, seed=seed) for seed in range(8)]
-    stack = stack_channels(sets)
-    hop = (stack.h_sr, stack.H_ir, stack.h_si)
-    u = beamforming._unit(stack.h_sr)
+    links = stack([make_channels(m, n, seed=seed) for seed in range(8)])
+    hop = (links.h_sr, links.H_ir, links.h_si)
+    u = beamforming._unit(links.h_sr)
     phasors = beamforming._align(hop, u)
     assert np.max(np.abs(np.abs(phasors) - 1.0)) <= 1e-15
     # each path times its phasor has the phase of u^H h_sr
-    paths = np.einsum("tm,tmn->tn", np.conj(u), stack.H_ir) * stack.h_si
-    reference = np.angle(np.einsum("tm,tm->t", np.conj(u), stack.h_sr))
+    paths = np.einsum("tm,tmn->tn", np.conj(u), links.H_ir) * links.h_si
+    reference = np.angle(np.einsum("tm,tm->t", np.conj(u), links.h_sr))
     rotated = np.angle(phasors * paths)
     assert np.max(circular_distance(rotated, reference[:, np.newaxis])) <= 1e-13
 

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+from irsrelay import beamforming
 from irsrelay.beamforming import (
     Partition,
     PhaseShiftVector,
     irses_max_rp_mrc,
-    irses_max_rp_mrc_batch,
     irses_partition,
-    irses_partitions,
 )
-from irsrelay.channel import PARTITION_STREAM, ChannelSet, stack_channels
+from irsrelay.channel import PARTITION_STREAM, ChannelSet
 from irsrelay.errors import ConfigError
 
-from conftest import NOISE_30DB, P_S, make_channels, manual_channels
+from conftest import (
+    NOISE_30DB,
+    P_S,
+    irses_rates,
+    make_channels,
+    manual_channels,
+    stack,
+)
 
 
 def aligned_amplitudes(ch, partition, theta):
@@ -43,16 +49,17 @@ def test_partition_deterministic_in_seed():
 
 def test_partitions_are_drawn_as_from_one_fresh_philox_each():
     # the reference: one Philox and Generator per seed, keyed by the seed
-    # and the partition's stream index
+    # and the partition's stream index; the trial engine draws a stack's
+    # assignments with one generator
     seeds = [0, 1, 5, 2**32, 2**63, 2**64 - 1]
     for n, m in ((4, 2), (16, 4), (160, 16)):
-        batched = irses_partitions(n, m, seeds)
-        for seed, partition in zip(seeds, batched):
+        batched = beamforming._irses_assignments(n, m, seeds)
+        for seed, assignment in zip(seeds, batched):
             key = np.array([seed, PARTITION_STREAM], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=key))
             expected = np.empty(n, dtype=np.intp)
             expected[rng.permutation(n)] = np.repeat(np.arange(m), n // m)
-            assert partition.assignment.tolist() == expected.tolist()
+            assert assignment.tolist() == expected.tolist()
             assert irses_partition(n, m, seed).assignment.tolist() == expected.tolist()
 
 
@@ -203,5 +210,6 @@ def test_irses_rejects_a_noise_vector_not_of_length_m(form):
         if form == "scalar":
             irses_max_rp_mrc(ch, P_S, np.ones(3), part)
         else:
-            stack = stack_channels([ch, make_channels(m=4, n=4, seed=1)])
-            irses_max_rp_mrc_batch(stack, P_S, (NOISE_30DB, np.ones(3)), [part, part])
+            links = stack([ch, make_channels(m=4, n=4, seed=1)])
+            assignments = np.stack([part.assignment, part.assignment])
+            irses_rates(links, P_S, (NOISE_30DB, np.ones(3)), assignments)

@@ -9,7 +9,7 @@ from irsrelay.beamforming import (
     nsp_max_rp_mrc,
     nsp_projector,
 )
-from irsrelay.channel import ChannelSet, stack_channels
+from irsrelay.channel import ChannelSet
 from irsrelay.errors import (
     ConfigError,
     DegenerateElementWarning,
@@ -17,7 +17,7 @@ from irsrelay.errors import (
 )
 from irsrelay.harness import ScenarioConfig, collect_columns
 
-from conftest import NOISE_30DB, P_S, make_channels
+from conftest import NOISE_30DB, P_S, make_channels, stack
 
 
 def reflected_cascade(ch, theta):
@@ -240,12 +240,11 @@ def test_nsp_alignment_rotates_every_path_onto_the_positive_real_axis():
 
 
 def test_nsp_start_phasors_are_unit_and_never_below_flat():
-    sets = [make_channels(4, 16, seed=seed) for seed in range(12)]
-    stack = stack_channels(sets)
-    null = beamforming._rank_one_projectors(stack.h_sr)
-    start = beamforming._nsp_start_phases(stack.H_ir, stack.h_si, null)
+    links = stack([make_channels(4, 16, seed=seed) for seed in range(12)])
+    null = beamforming._rank_one_projectors(links.h_sr)
+    start = beamforming._nsp_start_phases(links.H_ir, links.h_si, null)
     assert np.max(np.abs(np.abs(start) - 1.0)) <= 1e-15
-    relaxed = null @ (stack.H_ir * stack.h_si[:, np.newaxis])
+    relaxed = null @ (links.H_ir * links.h_si[:, np.newaxis])
     for branch, phasors in zip(relaxed, start):
         flat = np.linalg.norm(branch.sum(axis=-1))
         if np.array_equal(phasors, np.ones(16)):

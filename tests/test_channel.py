@@ -22,7 +22,6 @@ from irsrelay.channel import (
     keyed_generators,
     pathloss_amplitude,
     sample_channels,
-    sample_channels_batch,
     sample_links,
     stream_seed,
     stream_seeds,
@@ -30,7 +29,7 @@ from irsrelay.channel import (
 from irsrelay.errors import ConfigError
 from irsrelay.harness import trial_seed
 
-from conftest import make_channels
+from conftest import draw_links, make_channels
 
 # closed-form E|entry|^2 = d^-alpha * 10^((g_tx+g_rx)/10) per link, default
 # geometry (0,0)/(50,0)/(50,10)/(100,0), alpha=2.4, gains 5/5/2/0 dBi
@@ -176,7 +175,7 @@ def assert_leading_entries_kept(small, large, m, n):
 def test_leading_entries_stable_as_array_grows():
     # common-random-numbers discipline: growing the antenna or element count
     # must not disturb the channels an existing antenna or element already
-    # sees, for one trial, for a stack and for the links drawn a hop at a time
+    # sees, for one trial and for a stack, its links drawn in any order
     small = make_channels(m=1, n=4, seed=7)
     large = make_channels(m=50, n=4, seed=7)
     assert_leading_entries_kept(small, large, 1, 4)
@@ -184,12 +183,6 @@ def test_leading_entries_stable_as_array_grows():
         small = make_channels(m=m, n=n, seed=7)
         assert_leading_entries_kept(small, make_channels(big_m, big_n, seed=7), m, n)
         seeds = [trial_seed(2, k) for k in range(5)]
-        assert_leading_entries_kept(
-            sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds),
-            sample_channels_batch(Geometry(), LinkBudget(), big_m, big_n, seeds),
-            m,
-            n,
-        )
         names = tuple(LINK_STREAMS)[::-1]
         assert_leading_entries_kept(
             sample_links(Geometry(), LinkBudget(), m, n, seeds, names),
@@ -208,7 +201,7 @@ def one_by_one_draws(trials):
     """Draws m = n = 1 of seeds 0..trials-1, as stacks of MOMENT_STACK seeds."""
     for start in range(0, trials, MOMENT_STACK):
         seeds = range(start, min(start + MOMENT_STACK, trials))
-        yield sample_channels_batch(Geometry(), LinkBudget(), 1, 1, seeds)
+        yield draw_links(1, 1, seeds)
 
 
 def test_second_moment_matches_link_budget():
@@ -246,6 +239,7 @@ def test_real_imag_parts_independent_scale():
 # sha256 over the six stacked blocks' bytes (in LINK_STREAMS order) of the
 # stack of trials 0..k-1 of base seed 0, by ((m, n), k), as drawn by the
 # Philox keys of (trial seed, link) and each antenna's own counter
+# (sample_links of every link)
 PINNED_STACKS = {
     ((1, 16), 1): "a52b1d8ab4656470be1d8d55a98f08d6ce2851318f9934ee2a7cb6c17a242edc",
     ((1, 16), 3): "229b773b3aad26f512609f82467eb871b55a761cb7d2d5e1b3a2ebdb65f1ff5f",
@@ -271,7 +265,7 @@ PINNED_H_SR_0 = ("0x1.1ebc6b588edcep-6", "-0x1.5bd15b6da585ap-6")
 @pytest.mark.parametrize("m, n, trials", [(*size, k) for size, k in PINNED_STACKS])
 def test_stacked_draws_are_pinned_and_equal_one_trial_draws(m, n, trials):
     seeds = [trial_seed(0, t) for t in range(trials)]
-    stack = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    stack = draw_links(m, n, seeds)
     digest = hashlib.sha256()
     for name in LINK_STREAMS:
         digest.update(getattr(stack, name).tobytes())
@@ -290,11 +284,13 @@ def test_stacked_draws_are_pinned_and_equal_one_trial_draws(m, n, trials):
     "m, n, seed", [(0, 3, 0), (3, 0, 0), (3, 3, -1), (3, 3, 2**64)]
 )
 def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
+    # the engine draws a stack at the trial seeds of a base seed, which
+    # stream_seed checks as sample_channels checks its seed
     with pytest.raises(ConfigError) as alone:
         sample_channels(Geometry(), LinkBudget(), m, n, seed)
-    with pytest.raises(ConfigError) as stacked:
-        sample_channels_batch(Geometry(), LinkBudget(), m, n, [5, seed])
-    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(ConfigError) as together:
+        draw_links(m, n, [trial_seed(seed, k) for k in range(2)])
+    assert str(together.value) == str(alone.value)
 
 
 def fresh(first, second, row=0):
@@ -377,7 +373,7 @@ def test_importing_the_cli_loads_no_random_module():
 
 def test_concurrent_draws_get_the_serial_bits():
     seeds = list(range(40, 52))
-    serial = sample_channels_batch(Geometry(), LinkBudget(), 4, 16, seeds)
+    serial = draw_links(4, 16, seeds)
     expected = {name: getattr(serial, name).tobytes() for name in LINK_STREAMS}
     results, errors = [], []
     barrier = threading.Barrier(2)
@@ -386,7 +382,7 @@ def test_concurrent_draws_get_the_serial_bits():
         try:
             barrier.wait(timeout=10)
             for _ in range(25):
-                stack = sample_channels_batch(Geometry(), LinkBudget(), 4, 16, seeds)
+                stack = draw_links(4, 16, seeds)
                 results.append(
                     {name: getattr(stack, name).tobytes() for name in LINK_STREAMS}
                 )
@@ -413,10 +409,10 @@ def test_a_served_one_antenna_draw_equals_its_own_draw(m, n):
     # the engine serves every draw, the m = 1 one among them, from the Links
     # of a draw that contains it, as read-only views of its leading corner
     seeds = [harness.trial_seed(3, k) for k in range(6)]
-    stack = Links(**vars(sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)))
+    stack = draw_links(m, n, seeds)
     for corner in [(1, n), (1, 1), (m // 2, n), (m, n // 4), (m - 1, n - 3), (m, n)]:
         served = stack.corner(*corner)
-        drawn = sample_channels_batch(Geometry(), LinkBudget(), *corner, seeds)
+        drawn = draw_links(*corner, seeds)
         for name in LINK_STREAMS:
             block = getattr(served, name)
             assert block.tobytes() == getattr(drawn, name).tobytes()
@@ -430,7 +426,7 @@ def test_links_drawn_a_hop_at_a_time_equal_the_whole_draw(m, n):
     # slots read, then H_ri; each block is the whole draw's, bit for bit, in
     # a buffer of its own
     seeds = [trial_seed(5, k) for k in range(7)]
-    whole = sample_channels_batch(Geometry(), LinkBudget(), m, n, seeds)
+    whole = draw_links(m, n, seeds)
     hops = [("h_sr", "H_ir", "h_si", "h_rd", "h_id"), ("H_ri",)]
     drawn = [
         sample_links(Geometry(), LinkBudget(), m, n, seeds, names) for names in hops
@@ -443,7 +439,7 @@ def test_links_drawn_a_hop_at_a_time_equal_the_whole_draw(m, n):
     # the one-antenna draw served from them: the leading antenna of every
     # link, in either hop's call, viewed in place
     served = Links(**both).corner(1, n)
-    alone = sample_channels_batch(Geometry(), LinkBudget(), 1, n, seeds)
+    alone = draw_links(1, n, seeds)
     for name in LINK_STREAMS:
         block = getattr(served, name)
         assert block.tobytes() == getattr(alone, name).tobytes()

@@ -5,7 +5,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from irsrelay.channel import Geometry, LinkBudget, sample_channels_batch
 from irsrelay import channel, harness
 from irsrelay.cli import DEFAULT_VALUES, SWEEP_AXIS_BY_SUBCOMMAND
 from irsrelay.errors import ConfigError
@@ -22,7 +21,7 @@ from irsrelay.harness import (
     trial_seed,
 )
 
-from conftest import make_channels
+from conftest import draw_links, make_channels
 
 
 def small_config(**overrides):
@@ -333,7 +332,7 @@ def test_the_engine_draws_a_hop_at_a_time_the_bits_of_the_whole_draw(monkeypatch
         (1, ["H_ri", "h_id", "h_rd"]),
     ]
     for m, seeds, links in blocks:
-        whole = sample_channels_batch(Geometry(), LinkBudget(), m, 16, seeds)
+        whole = draw_links(m, 16, seeds)
         for name, block in links.items():
             assert block.tobytes() == getattr(whole, name).tobytes()
 
@@ -588,6 +587,16 @@ def test_sweep_spec_rejects_a_repeated_method_naming_it():
     config = small_config(method="ais")
     with pytest.raises(ConfigError, match="'nsp' is listed twice"):
         SweepSpec(config, "snr_db", (0.0,), methods=("nsp", "ais", "nsp"))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("axis", ["snr_db", "n", "m", "distance_d"])
+def test_sweep_spec_rejects_a_non_finite_value_naming_its_axis(axis, value):
+    # a library caller gets the CLI's configuration error, not int()'s
+    # OverflowError or ValueError, nor a sweep that fails in its first solve
+    config = small_config(method="ais")
+    with pytest.raises(ConfigError, match=f"axis '{axis}' needs finite values"):
+        SweepSpec(config, axis, (4.0, value))
 
 
 def test_a_sweep_plan_checks_each_distinct_links_once(monkeypatch):

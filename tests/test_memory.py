@@ -1,4 +1,4 @@
-"""What the stacked draw and the batched loops hold, measured with tracemalloc.
+"""What the stacked draw and the engine's loops hold, measured with tracemalloc.
 
 A chunk's length is bounded by the memory it holds, so the draw must hold
 one copy of its stack, a chunk one hop's surface matrix at a time, and a
@@ -12,25 +12,24 @@ import tracemalloc
 import pytest
 
 from irsrelay import harness
-from irsrelay.beamforming import (
-    ais_max_rp_batch,
-    nsp_max_rp_mrc_batch,
-    second_slot_optimize_batch,
-)
-from irsrelay.channel import (
-    LINK_STREAMS,
-    Geometry,
-    LinkBudget,
-    Links,
-    sample_channels_batch,
-)
+from irsrelay.channel import LINK_STREAMS
 from irsrelay.cli import DEFAULT_VALUES
 from irsrelay.harness import ScenarioConfig, SweepSpec, collect_trials, point_config
 
-from conftest import NOISE_30DB, P_S
+from conftest import (
+    NOISE_30DB,
+    P_S,
+    ais_rates,
+    draw_links,
+    nsp_rates,
+    second_slot_rates,
+)
 
 #: the paper's operating point
 M, N = 16, 160
+
+#: the loops the trial engine runs, as rates forms on a stack
+LOOPS = {"ais": ais_rates, "nsp": nsp_rates, "second-slot": second_slot_rates}
 
 
 def traced_peak(call):
@@ -43,8 +42,9 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def draw(trials):
-    return sample_channels_batch(Geometry(), LinkBudget(), M, N, range(trials))
+def draw(trials, m=M, n=N):
+    """Every link of ``trials`` draws, as the engine draws a stack."""
+    return draw_links(m, n, range(trials))
 
 
 def stack_bytes(channels):
@@ -57,31 +57,29 @@ def test_stacked_draw_holds_one_copy_of_its_stack():
     assert peak <= 1.1 * stack_bytes(channels)
 
 
-@pytest.mark.parametrize("solver", [ais_max_rp_batch, nsp_max_rp_mrc_batch])
-def test_batched_loop_holds_one_copy_of_its_running_rows(solver):
+@pytest.mark.parametrize("loop", ["ais", "nsp"])
+def test_engine_loop_holds_one_copy_of_its_running_rows(loop):
     # a chunk at the paper's operating point: 30 dB, the default stopping
     # rule; its trials leave the loop on several iterates, so it compacts
     # its rows more than once.  The loop multiplies the shared stack until
-    # at most 3/8 of its rows run, and copies only those: ais peaks at 0.39
-    # times the H_ir stack and nsp at 0.69, where copying the running rows
+    # at most 3/8 of its rows run, and copies only those: ais peaks at 0.51
+    # times the H_ir stack and nsp at 0.71, where copying the running rows
     # at the first compaction peaked at 1.12 and 1.21
     channels = draw(8)
-    solutions, peak = traced_peak(lambda: solver(channels, P_S, (NOISE_30DB,)))
-    assert len({levels[0].iterations for levels in solutions}) >= 3
+    rates, peak = traced_peak(lambda: LOOPS[loop](channels, P_S, (NOISE_30DB,)))
+    assert len(set(rates[1][:, 0].tolist())) >= 3
     assert peak <= 0.8 * channels.H_ir.nbytes
 
 
-@pytest.mark.parametrize(
-    "solver", [ais_max_rp_batch, nsp_max_rp_mrc_batch, second_slot_optimize_batch]
-)
-def test_batched_loop_leaves_the_shared_stack_read_only_and_unchanged(solver):
+@pytest.mark.parametrize("loop", LOOPS)
+def test_engine_loop_leaves_the_shared_stack_read_only_and_unchanged(loop):
     # on the whole stack and on a corner of it, strided views as the trial
     # engine serves a smaller draw
     channels = draw(8)
-    corner = Links(**vars(channels)).corner(M // 2, N - 32)
+    corner = channels.corner(M // 2, N - 32)
     for stack in (channels, corner):
         before = {name: getattr(stack, name).tobytes() for name in LINK_STREAMS}
-        solver(stack, P_S, (NOISE_30DB,))
+        LOOPS[loop](stack, P_S, (NOISE_30DB,))
         for name in LINK_STREAMS:
             block = getattr(stack, name)
             assert not block.flags.writeable
@@ -126,9 +124,7 @@ def test_multi_geometry_table_holds_one_draw_at_a_time():
         point_config(spec, d, method) for d in spec.values for method in spec.methods
     ]
     assert harness._chunk_trials(configs) == 5
-    one_draw = stack_bytes(
-        sample_channels_batch(Geometry(), LinkBudget(), 50, 200, range(5))
-    )
+    one_draw = stack_bytes(draw(5, 50, 200))
     _, peak = traced_peak(lambda: collect_trials(configs))
     assert peak <= 0.95 * one_draw < 3 * one_draw
 

@@ -1,10 +1,10 @@
 """One alternation for several noise levels equals one scalar solve per level.
 
 No iterate of ``ais``, ``nsp`` or the second slot reads the noise variance, so
-the ``_batch`` solvers run one alternation and stop each level at its own
-iterate; ``irses`` computes its noise-free part once.  On a stack of one
-trial, every field of each level's solution must equal, bit for bit, what
-the scalar solver returns at that level alone.
+the trial engine's rates forms run one alternation and stop each level at
+its own iterate; ``irses`` computes its noise-free part once.  On a stack of
+one trial, each level's rate and iteration count must equal, bit for bit,
+what the scalar solver returns at that level alone.
 """
 
 import hashlib
@@ -16,20 +16,27 @@ import pytest
 from irsrelay.beamforming import (
     PhaseShiftVector,
     ais_max_rp,
-    ais_max_rp_batch,
     irses_max_rp_mrc,
-    irses_max_rp_mrc_batch,
     irses_partition,
     nsp_max_rp_mrc,
-    nsp_max_rp_mrc_batch,
     second_slot_optimize,
-    second_slot_optimize_batch,
 )
-from irsrelay.channel import stack_channels
 from irsrelay.errors import ConfigError
 from irsrelay.metrics import noise_variance_for_snr
 
-from conftest import NOISE_30DB, P_R, P_S, make_channels
+from conftest import (
+    NOISE_30DB,
+    P_R,
+    P_S,
+    ais_rates,
+    irses_rates,
+    make_channels,
+    nsp_rates,
+    rate_pairs,
+    second_slot_rates,
+    solution_pairs,
+    stack,
+)
 
 
 def noise_levels(*snr_db):
@@ -48,11 +55,11 @@ CASES = {
 }
 
 
-def one_trial(batch):
-    """``batch`` on a stack of one trial: that trial's per-level solutions."""
+def one_trial(form):
+    """Rates form ``form`` on a stack of one trial: its (rate, count) per level."""
 
     def solve(channels, *args, **options):
-        return batch(stack_channels([channels]), *args, **options)[0]
+        return rate_pairs(form(stack([channels]), *args, **options))[0]
 
     return solve
 
@@ -66,13 +73,13 @@ class Solver(NamedTuple):
 
 
 SOLVERS = {
-    "ais": Solver(one_trial(ais_max_rp_batch), ais_max_rp, P_S, (4, 16)),
+    "ais": Solver(one_trial(ais_rates), ais_max_rp, P_S, (4, 16)),
     "second-slot": Solver(
-        one_trial(second_slot_optimize_batch), second_slot_optimize, P_R, (4, 16)
+        one_trial(second_slot_rates), second_slot_optimize, P_R, (4, 16)
     ),
     **{
         f"nsp-{mode}-{combining}": Solver(
-            one_trial(nsp_max_rp_mrc_batch),
+            one_trial(nsp_rates),
             nsp_max_rp_mrc,
             P_S,
             # literal mode projects off the whole surface matrix: needs m > n
@@ -83,30 +90,13 @@ SOLVERS = {
         for combining in ("snr-sum", "printed")
     },
     "nsp-fixed-phases": Solver(
-        one_trial(nsp_max_rp_mrc_batch),
+        one_trial(nsp_rates),
         nsp_max_rp_mrc,
         P_S,
         (4, 16),
         {"phases": PhaseShiftVector(np.zeros(16))},
     ),
 }
-
-
-def assert_identical(together, alone):
-    assert together.trace == alone.trace
-    assert together.iterations == alone.iterations
-    for field in ("rate_r", "rate_d", "receive_power_watt"):
-        assert getattr(together, field, None) == getattr(alone, field, None)
-    for field in ("theta1", "theta2"):
-        if hasattr(alone, field):
-            assert np.array_equal(
-                getattr(together, field).angles, getattr(alone, field).angles
-            )
-    for field in ("u_r", "u_rs", "u_ri", "u_t"):
-        if getattr(alone, field, None) is not None:
-            assert np.array_equal(
-                getattr(together, field).weights, getattr(alone, field).weights
-            )
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -116,15 +106,15 @@ def test_per_noise_solve_equals_one_scalar_solve_per_level(name, case):
     levels, epsilon, max_iter = CASES[case]
     for seed in range(4):
         channels = make_channels(*solver.shape, seed=seed)
-        together = solver.levels(
-            channels, solver.power, levels, epsilon, max_iter, **solver.options
-        )
-        assert len(together) == len(levels)
-        for noise, solution in zip(levels, together):
-            alone = solver.scalar(
+        args = (solver.power, levels, epsilon, max_iter)
+        together = solver.levels(channels, *args, **solver.options)
+        alone = [
+            solver.scalar(
                 channels, solver.power, noise, epsilon, max_iter, **solver.options
             )
-            assert_identical(solution, alone)
+            for noise in levels
+        ]
+        assert together == solution_pairs([alone])[0]
 
 
 @pytest.mark.parametrize("name", ["ais", "second-slot", "nsp-effective-snr-sum"])
@@ -133,12 +123,15 @@ def test_mixed_case_stops_on_both_rules(name):
     # stops some levels on the rate rule and others on the cap
     solver = SOLVERS[name]
     levels, epsilon, max_iter = CASES["mixed-stops"]
+    args = (solver.power, levels, epsilon)
 
     def mixed(channels):
-        capped = solver.levels(channels, solver.power, levels, epsilon, max_iter)
-        free = solver.levels(channels, solver.power, levels, epsilon, 50)
-        return min(s.iterations for s in capped) < max_iter and any(
-            c.iterations == max_iter < f.iterations for c, f in zip(capped, free)
+        capped, free = (
+            [count for _, count in solver.levels(channels, *args, cap)]
+            for cap in (max_iter, 50)
+        )
+        return min(capped) < max_iter and any(
+            c == max_iter < f for c, f in zip(capped, free)
         )
 
     assert any(mixed(make_channels(*solver.shape, seed=seed)) for seed in range(4))
@@ -192,18 +185,17 @@ IRSES_OPTIONS = {
 def test_irses_per_noise_solutions_equal_pinned_scalar_ones(name):
     # closed form: the noise-free alignment, amplitudes and weights are
     # computed once for every level, and each level must keep the bits the
-    # scalar solver gave it, on a stack of one trial and alone
+    # scalar solver gives it alone, in the rates form on a stack of one
     options = IRSES_OPTIONS[name]
     levels = (*noise_levels(0, 30), np.linspace(0.01, 0.04, 4))
     channels = make_channels(4, 16, seed=1)
     partition = irses_partition(16, 4, 1)
-    stack = stack_channels([channels])
-    together = irses_max_rp_mrc_batch(stack, P_S, levels, [partition], **options)[0]
+    alone = [
+        irses_max_rp_mrc(channels, P_S, noise, partition, **options)
+        for noise in levels
+    ]
     got = []
-    for noise, solution in zip(levels, together):
-        assert_identical(
-            solution, irses_max_rp_mrc(channels, P_S, noise, partition, **options)
-        )
+    for solution in alone:
         assert solution.trace == (solution.rate_r,)
         parts = solution.theta1.angles.tobytes() + solution.mrc_weights.tobytes()
         got.append(
@@ -214,28 +206,31 @@ def test_irses_per_noise_solutions_equal_pinned_scalar_ones(name):
             )
         )
     assert tuple(got) == IRSES_PINNED[name]
+    links, assignment = stack([channels]), partition.assignment[np.newaxis]
+    together = irses_rates(links, P_S, levels, assignment, **options)
+    assert rate_pairs(together) == solution_pairs([alone])
     with pytest.raises(ConfigError):
-        irses_max_rp_mrc_batch(stack, P_S, (), [partition], **options)
+        irses_rates(links, P_S, (), assignment, **options)
 
 
 def solves_of_one_trial():
-    """Each scalar solver and ``_batch`` form on one draw, by name: (power, noise)."""
+    """Each scalar solver and its rates form on one draw, by name: (power, noise).
+
+    A ``-batch`` name is the rates form on a stack of that one trial.
+    """
     channels = make_channels(4, 16, seed=0)
-    stack = stack_channels([channels])
+    links = stack([channels])
     partition = irses_partition(16, 4, 0)
+    assignment = partition.assignment[np.newaxis]
     return {
         "ais": lambda p, noise: ais_max_rp(channels, p, noise),
-        "ais-batch": lambda p, noise: ais_max_rp_batch(stack, p, (noise,)),
+        "ais-batch": lambda p, noise: ais_rates(links, p, (noise,)),
         "nsp": lambda p, noise: nsp_max_rp_mrc(channels, p, noise),
-        "nsp-batch": lambda p, noise: nsp_max_rp_mrc_batch(stack, p, (noise,)),
+        "nsp-batch": lambda p, noise: nsp_rates(links, p, (noise,)),
         "irses": lambda p, noise: irses_max_rp_mrc(channels, p, noise, partition),
-        "irses-batch": lambda p, noise: irses_max_rp_mrc_batch(
-            stack, p, (noise,), [partition]
-        ),
+        "irses-batch": lambda p, noise: irses_rates(links, p, (noise,), assignment),
         "second-slot": lambda p, noise: second_slot_optimize(channels, p, noise),
-        "second-slot-batch": lambda p, noise: second_slot_optimize_batch(
-            stack, p, (noise,)
-        ),
+        "second-slot-batch": lambda p, noise: second_slot_rates(links, p, (noise,)),
     }
 
 

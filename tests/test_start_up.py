@@ -17,7 +17,9 @@ from pathlib import Path
 import irsrelay
 from irsrelay import beamforming
 
-#: ``irsrelay.__all__`` before its names resolved lazily
+#: ``irsrelay.__all__`` before its names resolved lazily, less the stacked
+#: solution API (the ``_batch`` solvers, ``irses_partitions``,
+#: ``sample_channels_batch`` and ``stack_channels``)
 PUBLIC_NAMES = {
     "__version__", "Beamformer", "ChannelSet", "Columns", "ConfigError",
     "DegenerateChannelError", "DegenerateElementWarning", "FirstSlotSolution",
@@ -25,17 +27,14 @@ PUBLIC_NAMES = {
     "PROPOSED_METHODS", "Partition", "PhaseShiftVector",
     "ProjectorDegenerateError", "RateResult", "ScenarioConfig",
     "SecondSlotSolution", "SweepPoint", "SweepResult", "SweepSpec",
-    "TraceDipError", "TrialRecord", "ais_max_rp", "ais_max_rp_batch",
-    "brute_force_max_rp", "collect_columns", "collect_trials",
-    "dbi_to_amplitude_gain", "flops_ais", "flops_irses", "flops_nsp",
-    "irses_max_rp_mrc", "irses_max_rp_mrc_batch", "irses_partition",
-    "irses_partitions", "noise_variance_for_snr", "nsp_max_rp_mrc",
-    "nsp_max_rp_mrc_batch", "nsp_projector", "pathloss_amplitude",
-    "rate_from_power", "receive_power_ais", "run_trial", "sample_channels",
-    "sample_channels_batch", "stack_channels", "second_slot_optimize",
-    "second_slot_optimize_batch", "stream_seed", "summarize_columns",
-    "summarize_records", "sweep", "system_rate", "theta_update_ais",
-    "trial_seed", "ur_update_ais", "wrap_angles",
+    "TraceDipError", "TrialRecord", "ais_max_rp", "brute_force_max_rp",
+    "collect_columns", "collect_trials", "dbi_to_amplitude_gain", "flops_ais",
+    "flops_irses", "flops_nsp", "irses_max_rp_mrc", "irses_partition",
+    "noise_variance_for_snr", "nsp_max_rp_mrc", "nsp_projector",
+    "pathloss_amplitude", "rate_from_power", "receive_power_ais", "run_trial",
+    "sample_channels", "second_slot_optimize", "stream_seed",
+    "summarize_columns", "summarize_records", "sweep", "system_rate",
+    "theta_update_ais", "trial_seed", "ur_update_ais", "wrap_angles",
 }
 
 
