@@ -35,24 +35,19 @@ no loop calls ``arctan2`` or ``exp``.  Angles exist only in
 :class:`PhaseShiftVector`, built from ``np.angle`` of a solution's final
 phasors.
 
-The trial engine calls each loop's rates form: ``_alternate`` (``ais`` on
-the first hop, the second slot on the second), ``_nsp`` and ``_irses`` on
-one hop's blocks of a stack of trials, each without a ``solution``
-builder.  It runs the same loop and the same checks on every iterate
-(finite unit phasors in :func:`_aligned_phasors`, unit norms in
-:func:`_unit`, no dip of a rate in ``_Stops``), but returns only a
-``(trials, levels)`` array of rates and one of iteration counts: it builds
-no :class:`PhaseShiftVector` or solution object, keeps no rate trace, and
-a stop copies no array of its iterate, bar NSP's receive vector and
-cascade, which its direct branch needs.  Given a builder, the same loop
-keeps each stop's iterate and trace and returns, per trial, one
-``solution(trial, iterate, rate, trace)`` per level.  Only the solvers of
-:mod:`~irsrelay.solutions` pass a builder, each on one trial (a stack of
-one) at one level; each (trial, level) entry of the rates form equals the
-rate and iteration count of that trial's solution at that level, bit for
-bit.  ``_irses`` takes the trials' element partitions as one array of
-assignments (:func:`_irses_assignments`).  The other closed forms the
-trial engine runs on a stack are here too, beside the loops:
+Each loop (``_alternate``: ``ais`` on the first hop, the second slot on
+the second; ``_nsp``; ``_irses``) returns its rates form, ``(trials,
+levels)`` arrays of rates and iteration counts, all a table reads, and
+checks every iterate (finite unit phasors in :func:`_aligned_phasors`, unit
+norms in :func:`_unit`, no dip of a rate in ``_Stops``).  A stop copies no
+array of its iterate, bar NSP's receive vector and cascade.  With
+``traces``, a loop also returns ``stopped[t][l] = (iterate, trace)``: the
+iterate each (trial, level) stopped on and its rate trace, from which the
+solvers of :mod:`~irsrelay.solutions` build their objects on a stack of
+one.  The rates and counts are the same bits either way.  ``_irses`` takes
+the trials' element partitions as one array of assignments
+(:func:`_irses_assignments`).  The other closed forms the trial engine
+runs on a stack are here too, beside the loops:
 ``_fixed_first_slot`` and ``_fixed_second_slot`` (the fixed-phase slots),
 ``_matched_direct`` (a hop of ``baseline-relay-only``) and ``_irs_only``.
 They, ``_Stops`` on a stack and NSP's results form every rate with one
@@ -213,6 +208,10 @@ class PhaseShiftVector:
 def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
     if not epsilon > 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    try:
+        operator.index(max_iter)
+    except TypeError:
+        raise ConfigError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -344,11 +343,11 @@ class _Stops:
     the levels that stop on one iterate of a row share one copy of its
     parts, and an iterate of no parts (a rates form's) keeps nothing, its
     index None.  A trial leaves the running ``rows`` once all its levels
-    have stopped.  Only for solutions is each trial's ``history`` kept, its
-    rates at every iterate it ran, from which :meth:`traces` rebuilds the
-    rate traces.  The rates are floats, as in the one-trial rule: on stacks
-    of 1 to 16 rows, numpy's cost per call exceeds what an array of a few
-    rates saves.
+    have stopped.  Only with ``traces`` is each trial's ``history`` kept,
+    its rates at every iterate it ran, from which :meth:`results` cuts each
+    level's rate trace.  The rates are floats, as in the one-trial rule: on
+    stacks of 1 to 16 rows, numpy's cost per call exceeds what an array of
+    a few rates saves.
     """
 
     def __init__(
@@ -428,38 +427,26 @@ class _Stops:
         """The ``(trials, levels)`` array of one field of ``stopped``."""
         return np.array([[stop[field] for stop in levels] for levels in self.stopped])
 
-    def traces(self) -> list[list[tuple[float, ...]]]:
-        """Per trial and level, its rates, one per iterate up to its stop."""
-        return [
-            [trace[:count] for trace, (_, count, _) in zip(zip(*ran), levels)]
+    def results(self, rates=None, iterates=None) -> tuple:
+        """The ``(trials, levels)`` arrays of rates and of iteration counts.
+
+        The rates are ``rates``, or else those the levels stopped at.  With
+        ``traces``, a third result is ``stopped[t][l] = (iterate, trace)``:
+        the iterate (by kept index, in ``iterates`` or else ``kept``; None
+        if none was kept) and the rates up to the stop.
+        """
+        rates = self.column(0) if rates is None else rates
+        if self.history is None:
+            return rates, self.column(1)
+        iterates = self.kept if iterates is None else iterates
+        stopped = [
+            [
+                (None if index is None else iterates[index], trace[:count])
+                for trace, (_, count, index) in zip(zip(*ran), levels)
+            ]
             for ran, levels in zip(self.history, self.stopped)
         ]
-
-    def results(
-        self, solution=None, iterates=None, rates=None
-    ) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
-        """Per trial, one result per level, from where each level stopped.
-
-        ``solution(trial, iterate, rate, trace)`` builds a level's result
-        from its trial's index, the iterate it stopped on (by kept index,
-        in ``iterates`` or else ``kept``), its rate (in the ``(trials,
-        levels)`` array ``rates``, or else the one it stopped at) and its
-        trace.  Without one, the results are a ``(trials, levels)`` array
-        of rates and one of iteration counts.
-        """
-        if solution is None:
-            return self.column(0), self.column(1)
-        iterates = self.kept if iterates is None else iterates
-        rates = self.column(0) if rates is None else rates
-        return [
-            tuple(
-                solution(trial, iterates[stop[2]], rate, trace)
-                for stop, rate, trace in zip(*levels)
-            )
-            for trial, levels in enumerate(
-                zip(self.stopped, rates.tolist(), self.traces())
-            )
-        ]
+        return rates, self.column(1), stopped
 
 
 def _compact(block: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -510,20 +497,18 @@ def _alternate(
     noise_variances: tuple[float, ...],
     epsilon: float,
     max_iter: int,
-    solution=None,
-) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
+    traces: bool = False,
+) -> tuple:
     """``ais_max_rp``'s loop on one hop of a stack of trials.
 
     ``hop`` holds the (direct, H, h) blocks with a leading trial axis.  No
     iterate reads the noise, which enters only each level's rate trace and
     its stop.  Returns ``(trials, levels)`` arrays of rates and iteration
-    counts, or, when ``solution`` is given, per trial one
-    ``solution(trial, iterate, rate, trace)`` per level (:meth:`_Stops.results`),
-    the iterate being (phasors, weights, power); only then does a stop keep
-    a copy of its iterate.
+    counts, and, with ``traces``, each level's (iterate, trace)
+    (:meth:`_Stops.results`), the iterate being (phasors, weights, power);
+    only then does a stop keep a copy of its iterate.
     """
     direct, H, h = hop
-    traces = solution is not None
     stops = _Stops(len(direct), tuple(noise_variances), epsilon, max_iter, traces)
     _check_levels(stops.noise, p_watt)
     u = _unit(direct)  # the matched filter to each direct link
@@ -539,7 +524,7 @@ def _alternate(
                 break
             direct, h, u = direct[keep], h[keep], u[keep]
             surface = surface.keep(keep)
-    return stops.results(solution)
+    return stops.results()
 
 
 def _projectors(A: np.ndarray) -> np.ndarray:
@@ -626,22 +611,21 @@ def _nsp(
     mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-    solution=None,
-) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
+    traces: bool = False,
+) -> tuple:
     """``nsp_max_rp_mrc``'s loop on the first hop of a stack of trials.
 
     The projectors off the direct links and the start phases are built for
     the whole stack, the reflected branch iterates in one loop, and
     :func:`_nsp_results` closes out every stopped (trial, level) at once.
-    Returns ``(trials, levels)`` arrays of rates and iteration counts, or,
-    with a ``solution`` builder, per trial one solution per level; a stop
-    keeps its iterate's receive vector and cascade, and its phasors only
-    for a solution.
+    Returns ``(trials, levels)`` arrays of rates and iteration counts, and,
+    with ``traces``, each level's (iterate, trace); a stop keeps its
+    iterate's receive vector and cascade, and its phasors only with
+    ``traces``.
     """
     noise_variances = tuple(noise_variances)
     h_sr, H_ir, h_si = hop
     trials, m, n = H_ir.shape
-    traces = solution is not None
     stops = _Stops(
         trials, noise_variances, epsilon, max_iter if phases is None else 1, traces
     )
@@ -700,7 +684,7 @@ def _nsp(
                 surface = surface.keep(keep)
         # the direct branch needs none of the running rows
         del h, null, surface, direct_null, parts
-    return _nsp_results(hop, p_s_watt, stops, mode, combining, solution, phases)
+    return _nsp_results(hop, p_s_watt, stops, mode, combining, phases)
 
 
 def _nsp_results(
@@ -709,22 +693,21 @@ def _nsp_results(
     stops: _Stops,
     mode: str,
     combining: str,
-    solution,
     phases: PhaseShiftVector | None,
-) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
+) -> tuple:
     """``nsp_max_rp_mrc``'s results at the stopped reflected-branch iterates.
 
     Each iterate ``stops`` kept holds the reflected branch's (receive
-    vector, cascade), its phasors for a solution of the alternation (fixed
-    ``phases`` are every solution's own), and its power, shared by the
+    vector, cascade), its phasors when ``stops`` keeps traces and the
+    alternation ran (not at fixed ``phases``), and its power, shared by the
     levels that stopped on it.  The direct branch's beamformer is built
     off the reflected signal for every kept iterate of the stack at once,
     and both branches are combined.  The branch amplitudes are ``abs`` of
     Python complex numbers, as in the one-trial rule: numpy's complex
     ``abs`` can differ in the last bit.  Every (trial, level)'s rate
     ``log2(1 + power / noise)`` is one array operation (:func:`_rates`).
-    A ``solution`` gets the iterate (direct and reflected receive vectors,
-    combined power, phasors), the phasors None at fixed ``phases``.
+    With traces, a level's iterate is (direct and reflected receive
+    vectors, combined power, phasors), the phasors None at fixed ``phases``.
     """
     h_sr, H_ir, _ = hop
     # each kept iterate and its trial, visited in (trial, level) order: the
@@ -766,15 +749,13 @@ def _nsp_results(
                 raise DegenerateChannelError("both separated branches vanished")
             power_eff = p_s_watt * (amp_s**4 + amp_i**4) / merged
         powers[index] = power_eff
-        if solution is not None:
+        if stops.history is not None:
             kept = stops.kept[index]
             phasors = kept[2] if phases is None else None
             closed[index] = (u_s, kept[0], power_eff, phasors)
     levels = np.arange(len(stops.noise))
     rates = _rates(powers, stops.noise)[stops.column(2), levels]
-    if solution is None:
-        return rates, stops.column(1)
-    return stops.results(solution, closed, rates)
+    return stops.results(rates, closed)
 
 
 def _check_partition_sizes(n: int, m: int) -> None:
@@ -808,8 +789,8 @@ def _irses(
     interference_mode: str,
     combining: str,
     phases: PhaseShiftVector | None,
-    solution=None,
-) -> list[tuple] | tuple[np.ndarray, np.ndarray]:
+    traces: bool = False,
+) -> tuple:
     """``irses_max_rp_mrc``'s closed form on the first hop of a stack of trials.
 
     ``antenna`` holds the trials' element partitions as one ``(trials, n)``
@@ -819,10 +800,9 @@ def _irses(
     element order, as on one trial.  A row's sum over the antennas is the
     one-trial sum of that row, bit for bit, and every (trial, level)'s rate
     is one array operation.  The result is ``(trials, levels)`` arrays of
-    rates and of iteration counts, all 1, or, with a ``solution`` builder,
-    per trial one ``solution(trial, iterate, rate, trace)`` per level: the
-    iterate is the trial's (phasors, MRC weights, power), the phasors the
-    fixed ones at ``phases``, and the trace the one rate.
+    rates and of iteration counts, all 1, and, with ``traces``, each
+    level's (iterate, trace): the trial's (phasors, MRC weights, power),
+    the phasors the fixed ones at ``phases``, and the one rate.
     """
     noise_variances = tuple(noise_variances)
     _check_levels(noise_variances, p_s_watt)
@@ -869,7 +849,6 @@ def _irses(
     unusable = (m - np.count_nonzero(usable, axis=-1)).tolist()
 
     squares = amplitudes**2
-    square_sums = squares.sum(axis=-1)
     if combining == "snr-sum":
         snrs = np.stack([(squares / s2).sum(axis=-1) for s2 in sigma2s], axis=-1)
         snr = p_s_watt * snrs
@@ -892,25 +871,23 @@ def _irses(
             )
     if degenerate < trials:
         raise DegenerateChannelError("all antennas received zero signal")
-    rates = np.log2(1.0 + snr)
-    if solution is None:
-        return rates, np.ones(rates.shape, dtype=np.intp)
+    rates, counts = np.log2(1.0 + snr), np.ones(snr.shape, dtype=np.intp)
+    if not traces:
+        return rates, counts
 
     weights = np.ones((trials, m), dtype=np.complex128)
     weights[usable] = np.conj(own[usable]) / np.abs(own[usable])
+    square_sums = squares.sum(axis=-1)
     if combining == "snr-sum":
         powers = (p_s_watt * square_sums).tolist()
     else:
         powers = (p_s_watt * fourth_sums / square_sums).tolist()
-    return [
-        tuple(
-            solution(row, (row_phasors, weights[row], power), rate, (rate,))
-            for rate in trial_rates
-        )
-        for row, (row_phasors, trial_rates, power) in enumerate(
-            zip(np.broadcast_to(phasors, (trials, n)), rates.tolist(), powers)
-        )
+    iterates = zip(np.broadcast_to(phasors, (trials, n)), weights, powers)
+    stopped = [
+        [(iterate, (rate,)) for rate in row]
+        for iterate, row in zip(iterates, rates.tolist())
     ]
+    return rates, counts, stopped
 
 
 def _closed_rates(

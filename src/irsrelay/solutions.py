@@ -16,17 +16,16 @@ The second slot (relay to destination via the surface) is optimized by
 the relay-to-destination links.  :func:`brute_force_max_rp` is an exhaustive
 grid oracle for small instances, used by the test suite.
 
-Each solver runs a loop or closed form of :mod:`~irsrelay.beamforming`
-on its trial, as a stack of one, with a builder of its solution objects.
-A table runs the same loops on stacks of trials without a builder and
-never imports this module.
+Each solver runs a loop or closed form of :mod:`~irsrelay.beamforming` on
+its trial, a stack of one, with ``traces``, and builds its solution from
+that level's (iterate, trace).  A table never imports this module.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +95,10 @@ class Partition:
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        assignment = np.asarray(self.assignment, dtype=np.intp)
+        assignment = np.asarray(self.assignment)
+        if assignment.dtype.kind not in "iu":  # no float is truncated
+            raise ConfigError(f"assignment must hold integers, not {assignment.dtype}")
+        assignment = assignment.astype(np.intp, copy=False)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ConfigError("partition assignment must be a non-empty vector")
         m = int(assignment.max()) + 1
@@ -132,6 +134,8 @@ def _validated_trace(trace: tuple[float, ...]) -> tuple[float, ...]:
     values = tuple(float(v) for v in trace)
     if not values:
         raise ConfigError("solution trace must contain at least one entry")
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"solution trace must be finite, got {values}")
     if any(b - a < -TRACE_SLACK for a, b in zip(values, values[1:])):
         raise TraceDipError("alternation trace decreased beyond tolerance")
     return values
@@ -160,8 +164,13 @@ class FirstSlotSolution:
     partition: Partition | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_r < 0.0:
-            raise ConfigError("rate must be non-negative")
+        if self.method not in ("ais", "nsp", "irses"):
+            raise ConfigError(f"unknown first-slot method {self.method!r}")
+        power = self.receive_power_watt
+        if not 0.0 <= power < math.inf:
+            raise ConfigError(f"receive power must be finite and >= 0, got {power}")
+        if not self.rate_r >= 0.0:  # a NaN rate fails too
+            raise ConfigError(f"rate must be non-negative, got {self.rate_r}")
         object.__setattr__(self, "trace", _validated_trace(self.trace))
 
     @property
@@ -179,8 +188,8 @@ class SecondSlotSolution:
     trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.rate_d < 0.0:
-            raise ConfigError("rate must be non-negative")
+        if not self.rate_d >= 0.0:  # a NaN rate fails too
+            raise ConfigError(f"rate must be non-negative, got {self.rate_d}")
         object.__setattr__(self, "trace", _validated_trace(self.trace))
 
     @property
@@ -206,8 +215,7 @@ def theta_update_ais(channels: ChannelSet, u_r: Beamformer) -> PhaseShiftVector:
 
 def ur_update_ais(channels: ChannelSet, theta1: PhaseShiftVector) -> Beamformer:
     """Matched-filter receive beamformer for fixed surface phases."""
-    hop = (channels.h_sr, channels.H_ir, channels.h_si)
-    return Beamformer.normalized(_hop_channel(hop, theta1.phasors))
+    return Beamformer.normalized(_hop_channel(_FIRST_HOP(channels), theta1.phasors))
 
 
 def ais_max_rp(
@@ -226,20 +234,14 @@ def ais_max_rp(
     so the rate trace never decreases.
     """
     hop = _hop(channels, _FIRST_HOP)
-    return _alternate(
-        hop, p_s_watt, (noise_variance_watt,), epsilon, max_iter, _ais_solution
-    )[0][0]
-
-
-def _ais_solution(
-    trial: int, iterate: tuple, rate: float, trace: tuple
-) -> FirstSlotSolution:
-    phasors, u, power = iterate
+    noise = (noise_variance_watt,)
+    rates, _, stopped = _alternate(hop, p_s_watt, noise, epsilon, max_iter, True)
+    (phasors, u, power), trace = stopped[0][0]
     return FirstSlotSolution(
         method="ais",
         theta1=PhaseShiftVector(np.angle(phasors)),
         receive_power_watt=float(power),
-        rate_r=rate,
+        rate_r=float(rates[0, 0]),
         trace=trace,
         u_r=Beamformer(u),
     )
@@ -300,24 +302,14 @@ def nsp_max_rp_mrc(
     the returned ``rate_r`` is the MRC-combined rate of both branches.
     """
     hop = _hop(channels, _FIRST_HOP)
-    noise = (noise_variance_watt,)
-    options = (mode, combining, phases, partial(_nsp_solution, phases))
-    return _nsp(hop, p_s_watt, noise, epsilon, max_iter, *options)[0][0]
-
-
-def _nsp_solution(
-    phases: PhaseShiftVector | None,
-    trial: int,
-    iterate: tuple,
-    rate: float,
-    trace: tuple,
-) -> FirstSlotSolution:
-    u_rs, u_ri, power, phasors = iterate
+    options = (epsilon, max_iter, mode, combining, phases, True)
+    rates, _, stopped = _nsp(hop, p_s_watt, (noise_variance_watt,), *options)
+    (u_rs, u_ri, power, phasors), trace = stopped[0][0]
     return FirstSlotSolution(
         method="nsp",
         theta1=PhaseShiftVector(np.angle(phasors)) if phases is None else phases,
         receive_power_watt=power,
-        rate_r=rate,
+        rate_r=float(rates[0, 0]),
         trace=trace,
         u_rs=Beamformer(u_rs),
         u_ri=Beamformer(u_ri),
@@ -370,27 +362,14 @@ def irses_max_rp_mrc(
             f"partition for (m={partition.m}, n={partition.n}) does not "
             f"match channels (m={m}, n={n})"
         )
-    noise = (noise_variance_watt,)
-    solution = partial(_irses_solution, phases, partition)
-    options = (interference_mode, combining, phases, solution)
-    assignment = partition.assignment[np.newaxis]
-    return _irses(hop, p_s_watt, noise, assignment, *options)[0][0]
-
-
-def _irses_solution(
-    phases: PhaseShiftVector | None,
-    partition: Partition,
-    trial: int,
-    iterate: tuple,
-    rate: float,
-    trace: tuple,
-) -> FirstSlotSolution:
-    phasors, weights, power = iterate
+    options = (partition.assignment[np.newaxis], interference_mode, combining, phases)
+    rates, _, stopped = _irses(hop, p_s_watt, (noise_variance_watt,), *options, True)
+    (phasors, weights, power), trace = stopped[0][0]
     return FirstSlotSolution(
         method="irses",
         theta1=PhaseShiftVector(np.angle(phasors)) if phases is None else phases,
         receive_power_watt=power,
-        rate_r=rate,
+        rate_r=float(rates[0, 0]),
         trace=trace,
         mrc_weights=weights,
         partition=partition,
@@ -411,19 +390,13 @@ def second_slot_optimize(
     negated alignment phases.
     """
     hop = _hop(channels, _SECOND_HOP)
-    return _alternate(
-        hop, p_r_watt, (noise_variance_watt,), epsilon, max_iter, _second_slot_solution
-    )[0][0]
-
-
-def _second_slot_solution(
-    trial: int, iterate: tuple, rate: float, trace: tuple
-) -> SecondSlotSolution:
-    phasors, u, _ = iterate
+    noise = (noise_variance_watt,)
+    rates, _, stopped = _alternate(hop, p_r_watt, noise, epsilon, max_iter, True)
+    (phasors, u, _), trace = stopped[0][0]
     return SecondSlotSolution(
         theta2=PhaseShiftVector(np.angle(np.conj(phasors))),
         u_t=Beamformer(u),
-        rate_d=rate,
+        rate_d=float(rates[0, 0]),
         trace=trace,
     )
 

@@ -309,7 +309,8 @@ def test_a_stopped_row_is_copied_once_for_all_its_levels():
     assert stops.kept[1][0].tolist() == [3.0, 4.0, 5.0]
     # a rates form keeps no rate per iterate: after 50 iterates, each a bit
     # above the last (rates 1, 2, ..., 50), it holds the stopped rate and
-    # count and no list of 50; a solution's form keeps the traces
+    # count and no list of 50; with traces it keeps them, and its results
+    # give the stop's iterate (none was kept) and trace
     def longest(value):
         if not isinstance(value, (list, tuple)):
             return 0
@@ -321,8 +322,11 @@ def test_a_stopped_row_is_copied_once_for_all_its_levels():
             assert stops.record([2.0**k - 1.0], ()) == ([] if k == 50 else None)
         assert stops.stopped == [[(50.0, 50, None)]] and stops.kept == []
         assert (longest(list(vars(stops).values())) == 50) == traces
+        results = stops.results()
+        assert [part.tolist() for part in results[:2]] == [[[50.0]], [[50]]]
+        assert len(results) == 2 + traces
         if traces:
-            assert stops.traces() == [[tuple(float(k) for k in range(1, 51))]]
+            assert results[2] == [[(None, tuple(float(k) for k in range(1, 51)))]]
 
 
 def test_a_rates_form_keeps_no_iterate(monkeypatch):
@@ -341,12 +345,49 @@ def test_a_rates_form_keeps_no_iterate(monkeypatch):
     channels = draw_links(4, 16, seeds)
     levels = noise_levels(0, 10, 20, 30)
     for hop, power in ((beamforming._FIRST_HOP, P_S), (beamforming._SECOND_HOP, P_R)):
-        beamforming._alternate(hop(channels), power, levels, EPSILON, MAX_ITER)
+        results = beamforming._alternate(hop(channels), power, levels, EPSILON, MAX_ITER)
+        assert [part.shape for part in results] == [(120, 4), (120, 4)]
     assert len(made) == 2
     for stops in made:
         assert stops.kept == [] and stops.history is None
         assert all(stop[2] is None for trial in stops.stopped for stop in trial)
         assert len(stops.stopped) == 120
+
+
+@pytest.mark.parametrize("loop", ["ais", "second-slot", "nsp", "nsp-fixed", "irses"])
+def test_traces_add_each_stop_and_change_no_bit(loop):
+    # with traces, a loop returns the same rate and count bits and one
+    # (iterate, trace) per (trial, level), the trace one rate per iteration;
+    # the alternations' and irses' last rate is the rate itself, nsp's the
+    # reflected branch's before its combining
+    seeds = [harness.trial_seed(0, k) for k in range(3)]
+    links = draw_links(4, 16, seeds)
+    first, levels = beamforming._FIRST_HOP(links), noise_levels(0, 30)
+    fixed = PhaseShiftVector(np.zeros(16))
+    assignments = beamforming._irses_assignments(16, 4, seeds)
+    nsp = ("effective", "snr-sum", None if loop == "nsp" else fixed)
+    run = {
+        "ais": lambda traces: beamforming._alternate(
+            first, P_S, levels, EPSILON, MAX_ITER, traces
+        ),
+        "second-slot": lambda traces: beamforming._alternate(
+            beamforming._SECOND_HOP(links), P_R, levels, EPSILON, MAX_ITER, traces
+        ),
+        "nsp": lambda traces: beamforming._nsp(
+            first, P_S, levels, EPSILON, MAX_ITER, *nsp, traces
+        ),
+        "irses": lambda traces: beamforming._irses(
+            first, P_S, levels, assignments, "idealized", "snr-sum", None, traces
+        ),
+    }[loop.removesuffix("-fixed")]
+    rates, counts, stopped = run(True)
+    assert rate_pairs((rates, counts)) == rate_pairs(run(False))
+    assert [len(levels) for levels in stopped] == [2, 2, 2]
+    for trial in zip(rates.tolist(), counts.tolist(), stopped):
+        for rate, count, (iterate, trace) in zip(*trial):
+            assert iterate is not None and len(trace) == count
+            if not loop.startswith("nsp"):
+                assert trace[-1] == rate
 
 
 #: nsp and irses: per case, trial 0's rate and receive power at its last

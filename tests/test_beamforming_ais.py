@@ -8,6 +8,7 @@ from irsrelay.beamforming import (
     Beamformer,
     FirstSlotSolution,
     PhaseShiftVector,
+    SecondSlotSolution,
     ais_max_rp,
     brute_force_max_rp,
     second_slot_optimize,
@@ -22,6 +23,7 @@ from irsrelay.errors import (
     DegenerateElementWarning,
     TraceDipError,
 )
+from irsrelay.harness import ScenarioConfig
 from irsrelay.metrics import receive_power_ais
 from irsrelay.selftest import theta_update_pinv
 
@@ -241,14 +243,9 @@ def test_dipping_trace_is_a_runtime_error():
     assert not isinstance(excinfo.value, ConfigError)
 
 
-def _first_slot(trace):
-    return FirstSlotSolution(
-        method="ais",
-        theta1=PhaseShiftVector(np.zeros(2)),
-        receive_power_watt=1.0,
-        rate_r=0.5,
-        trace=trace,
-    )
+def _first_slot(trace=(0.5,), **fields):
+    fields = {"method": "ais", "receive_power_watt": 1.0, "rate_r": 0.5, **fields}
+    return FirstSlotSolution(theta1=PhaseShiftVector(np.zeros(2)), trace=trace, **fields)
 
 
 def test_trace_check_allows_only_its_slack():
@@ -260,6 +257,46 @@ def test_trace_check_allows_only_its_slack():
     assert all(type(value) is float for value in kept.trace)
     with pytest.raises(ConfigError):
         _first_slot(())
+
+
+def _second_slot(rate_d=0.5, trace=(0.5,)):
+    u_t = Beamformer(np.array([1.0, 0.0]))
+    return SecondSlotSolution(PhaseShiftVector(np.zeros(2)), u_t, rate_d, trace)
+
+
+@pytest.mark.parametrize(
+    "build, fields",
+    [
+        (_first_slot, {"rate_r": np.nan}),
+        (_first_slot, {"rate_r": -1.0}),
+        (_first_slot, {"trace": (np.nan,)}),
+        (_first_slot, {"trace": (1.0, np.inf)}),
+        (_first_slot, {"trace": (1.0, np.nan, 2.0)}),
+        (_first_slot, {"receive_power_watt": -1.0}),
+        (_first_slot, {"receive_power_watt": np.nan}),
+        (_first_slot, {"receive_power_watt": np.inf}),
+        (_first_slot, {"method": "bogus"}),
+        (_second_slot, {"rate_d": np.nan}),
+        (_second_slot, {"rate_d": -1.0}),
+        (_second_slot, {"trace": (0.5, np.inf)}),
+    ],
+    ids=lambda value: value.__name__.strip("_") if callable(value) else repr(value),
+)
+def test_solution_types_reject_nan_negative_and_unknown_fields(build, fields):
+    # NaN fails every comparison, so a check written as ``x < 0`` lets it by
+    with pytest.raises(ConfigError):
+        build(**fields)
+    build()  # the same fields, each valid, construct
+
+
+@pytest.mark.parametrize("max_iter", [2.5, "50", None])
+def test_a_non_integer_max_iter_is_a_config_error(max_iter):
+    # rejected where it is configured, not as a TypeError inside a loop
+    with pytest.raises(ConfigError, match="max_iter must be an integer"):
+        ScenarioConfig(method="ais", trials=2, max_iter=max_iter)
+    channels = make_channels(m=4, n=8, seed=3)
+    with pytest.raises(ConfigError, match="max_iter must be an integer"):
+        ais_max_rp(channels, P_S, NOISE_30DB, max_iter=max_iter)
 
 
 def test_ais_respects_iteration_controls():

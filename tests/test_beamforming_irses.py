@@ -79,6 +79,14 @@ def test_partition_type_rejects_uneven_assignment():
         Partition(np.array([0, 0, 0, 1]))
 
 
+@pytest.mark.parametrize("assignment", [[0.5, 1.7], [0, 0, 1, 1.9], [0.0, 1.0]])
+def test_partition_type_rejects_non_integer_assignment(assignment):
+    # an entry is never truncated to an antenna index: [0.5, 1.7] is no [0, 1]
+    with pytest.raises(ConfigError, match="must hold integers"):
+        Partition(np.array(assignment))
+    assert Partition(np.array([0, 1, 1, 0])).assignment.tolist() == [0, 1, 1, 0]
+
+
 def test_irses_real_positive_channels_stay_unrotated():
     ch = manual_channels(h_sr=np.ones(2), H_ir=np.ones((2, 4)), h_si=np.ones(4))
     part = irses_partition(n=4, m=2, seed=3)

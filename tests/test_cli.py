@@ -184,6 +184,7 @@ BAD_VALUES = [
     ("run", "pos_rs", "nan,0"),
     ("run", "workers", "0"),
     ("run", "workers", "-3"),
+    ("run", "max_iter", "2.5"),
     ("run", "methods", "ais,ais"),
     ("sweep-snr", "methods", "nsp,ais,nsp"),
     ("flops", "l", "0"),
