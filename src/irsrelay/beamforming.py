@@ -51,7 +51,7 @@ runs on a stack are here too, beside the loops:
 ``_fixed_first_slot`` and ``_fixed_second_slot`` (the fixed-phase slots),
 ``_matched_direct`` (a hop of ``baseline-relay-only``) and ``_irs_only``.
 They, ``_Stops`` on a stack and NSP's results form every rate with one
-:func:`_rates` call.
+array call of :func:`~irsrelay.metrics._rate`, the package's one rate rule.
 
 A loop's input stack may be shared, read-only, with other solves.  The loop
 multiplies the whole of it until at most :data:`COPY_SHARE` of its rows run
@@ -70,7 +70,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import PARTITION_STREAM, ZERO_NORM, Links, keyed_generators
+from .channel import PARTITION_STREAM, ZERO_NORM, Links, check_integer, keyed_generators
 from .errors import (
     ConfigError,
     DegenerateChannelError,
@@ -78,7 +78,7 @@ from .errors import (
     ProjectorDegenerateError,
     TraceDipError,
 )
-from .metrics import _check_levels
+from .metrics import _check_levels, _rate
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,11 +177,6 @@ def _powers(p_watt: float, weights: np.ndarray, channels: np.ndarray) -> list[fl
     return [p_watt * amp**2 for amp in np.abs(np.vecdot(weights, channels)).tolist()]
 
 
-def _rates(powers: list[float], noises: tuple[float, ...]) -> np.ndarray:
-    """The ``(rows, levels)`` rates ``log2(1 + power / noise)``, in one array call."""
-    return np.log2(1.0 + np.divide.outer(powers, noises))
-
-
 @dataclass(frozen=True)
 class PhaseShiftVector:
     """Per-element reflection phases, stored normalized to [0, 2*pi)."""
@@ -208,10 +203,7 @@ class PhaseShiftVector:
 def _check_iteration_controls(epsilon: float, max_iter: int) -> None:
     if not epsilon > 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    try:
-        operator.index(max_iter)
-    except TypeError:
-        raise ConfigError(f"max_iter must be an integer, got {max_iter!r}") from None
+    check_integer(max_iter, "max_iter")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -385,9 +377,9 @@ class _Stops:
         if len(self.rows) == 1:
             # one array call per iterate would cost more than a few floats
             power = powers[0]
-            rates = ([float(np.log2(1.0 + power / noise)) for noise in self.noise],)
+            rates = ([float(_rate(power / noise)) for noise in self.noise],)
         else:
-            rates = _rates(powers, self.noise).tolist()
+            rates = _rate(np.divide.outer(powers, self.noise)).tolist()
         self.count += 1
         epsilon, last, final = self.epsilon, self.last, self.count == self.max_iter
         stops: dict[int, list[int]] = {}
@@ -705,7 +697,7 @@ def _nsp_results(
     and both branches are combined.  The branch amplitudes are ``abs`` of
     Python complex numbers, as in the one-trial rule: numpy's complex
     ``abs`` can differ in the last bit.  Every (trial, level)'s rate
-    ``log2(1 + power / noise)`` is one array operation (:func:`_rates`).
+    ``log2(1 + power / noise)`` is one array operation (:func:`_rate`).
     With traces, a level's iterate is (direct and reflected receive
     vectors, combined power, phasors), the phasors None at fixed ``phases``.
     """
@@ -754,15 +746,8 @@ def _nsp_results(
             phasors = kept[2] if phases is None else None
             closed[index] = (u_s, kept[0], power_eff, phasors)
     levels = np.arange(len(stops.noise))
-    rates = _rates(powers, stops.noise)[stops.column(2), levels]
+    rates = _rate(np.divide.outer(powers, stops.noise))[stops.column(2), levels]
     return stops.results(rates, closed)
-
-
-def _check_partition_sizes(n: int, m: int) -> None:
-    if m < 1 or n < 1:
-        raise ConfigError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if n % m != 0:
-        raise ConfigError(f"antenna count {m} must divide element count {n}")
 
 
 def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
@@ -772,7 +757,12 @@ def _irses_assignments(n: int, m: int, seeds: Sequence[int]) -> np.ndarray:
     ``seeds[k]``'s partition, bit for bit; no partition object is built, as
     the trial engine reads only the rows.
     """
-    _check_partition_sizes(n, m)
+    check_integer(n, "element count n")
+    check_integer(m, "antenna count m")
+    if m < 1 or n < 1:
+        raise ConfigError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if n % m != 0:
+        raise ConfigError(f"antenna count {m} must divide element count {n}")
     groups = np.repeat(np.arange(m, dtype=np.intp), n // m)
     assignments = np.empty((len(seeds), n), dtype=np.intp)
     keys = ((seed, PARTITION_STREAM) for seed in seeds)
@@ -871,7 +861,7 @@ def _irses(
             )
     if degenerate < trials:
         raise DegenerateChannelError("all antennas received zero signal")
-    rates, counts = np.log2(1.0 + snr), np.ones(snr.shape, dtype=np.intp)
+    rates, counts = _rate(snr), np.ones(snr.shape, dtype=np.intp)
     if not traces:
         return rates, counts
 
@@ -895,11 +885,11 @@ def _closed_rates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A closed form's results on a stack of trials, from each trial's power.
 
-    ``(trials, levels)`` arrays of rates (:func:`_rates`) and of iteration
+    ``(trials, levels)`` arrays of rates (:func:`_rate`) and of iteration
     counts, as the loops' rates forms give them; a closed form takes one
     step.
     """
-    rates = _rates(powers, noises)
+    rates = _rate(np.divide.outer(powers, noises))
     return rates, np.ones(rates.shape, dtype=np.intp)
 
 

@@ -29,6 +29,7 @@ each key and counter in turn instead of building a ``Philox`` and a
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
@@ -61,12 +62,26 @@ ZERO_NORM = 1e-30
 #: and out of it, on the first hop, the second hop and ``baseline-irs-only``'s
 CASCADES = (("H_ir", "h_si"), ("H_ri", "h_id"), ("h_si", "h_id"))
 
+
+def check_integer(value: int, name: str) -> None:
+    """Raise :class:`ConfigError`, naming ``name``, unless ``value`` is an integer.
+
+    The rule is :func:`operator.index`'s: a numpy integer passes, a whole
+    float fails.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a seed outside ``[0, 2**64)``, one word of a Philox key.
+    """Reject a seed that is no integer in ``[0, 2**64)``, one word of a Philox key.
 
     Raises:
         ConfigError: naming ``name``.
     """
+    check_integer(seed, name)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
 
@@ -396,10 +411,12 @@ def sample_links(
     returned read-only.
 
     Raises:
-        ConfigError: if ``m`` or ``n`` is below 1, or a link's amplitude
-            scale (path loss times antenna gains) is not finite or is below
-            :data:`ZERO_NORM`, naming the link.
+        ConfigError: if ``m`` or ``n`` is not an integer of at least 1, or a
+            link's amplitude scale (path loss times antenna gains) is not
+            finite or is below :data:`ZERO_NORM`, naming the link.
     """
+    check_integer(m, "antenna count m")
+    check_integer(n, "element count n")
     if m < 1:
         raise ConfigError(f"antenna count m must be >= 1, got {m}")
     if n < 1:

@@ -346,7 +346,7 @@ def format_table(table: OutputTable, fmt: str) -> str:
     if fmt == "jsonl":
         import json  # only here: a CSV table never loads it
 
-        lines = [json.dumps({"metadata": _jsonable(table.metadata)}, sort_keys=True)]
+        lines = [json.dumps({"metadata": table.metadata}, sort_keys=True)]
         for row in table.rows:
             lines.append(
                 json.dumps(dict(zip(table.columns, row)), sort_keys=True)
@@ -363,16 +363,6 @@ def _format_cell(cell) -> str:
     if isinstance(cell, float):
         return repr(cell)
     return str(cell)
-
-
-def _jsonable(metadata: dict) -> dict:
-    out = {}
-    for key, value in metadata.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
 
 
 def emit_table(table: OutputTable, fmt: str, destination: str | None) -> None:

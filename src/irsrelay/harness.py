@@ -89,6 +89,7 @@ from .channel import (
     Geometry,
     LinkBudget,
     Links,
+    check_integer,
     check_links,
     check_seed,
     sample_links,
@@ -179,12 +180,11 @@ class ScenarioConfig:
     combining: str = COMBINING_MODES[0]
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        for name in ("m", "n", "trials"):
+            value = getattr(self, name)
+            check_integer(value, name)
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         check_seed(self.base_seed, "base_seed")
         if self.method not in METHODS:
             raise ConfigError(
@@ -669,8 +669,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialRecord:
     noise level; its record is what :func:`collect_trials` makes of the same
     trial evaluated with any others.
     """
-    if trial_index < 0:
-        raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
+    check_seed(trial_index, "trial_index")  # the second word of its key
     (plan,) = solve_plans([config])
     seeds = [trial_seed(config.base_seed, trial_index)]
     shared = _evaluate_chunk([plan], seeds)

@@ -93,14 +93,19 @@ def _check_power(p_watt: float) -> None:
         raise ConfigError(f"power must be finite and non-negative, got {p_watt}")
 
 
+def _rate(snr: float | np.ndarray) -> float | np.ndarray:
+    """The package's one rate rule: ``log2(1 + snr)`` bits/s/Hz, entrywise."""
+    return np.log2(1.0 + snr)
+
+
 def rate_from_power(power_watt: float, noise_variance_watt: float) -> float:
-    """Spectral efficiency log2(1 + power/noise) in bits/s/Hz.
+    """Spectral efficiency log2(1 + power/noise) in bits/s/Hz (:func:`_rate`).
 
     The power must be finite and non-negative and the noise variance finite
     and positive, as for the solvers; :class:`ConfigError` otherwise.
     """
     _check_levels((noise_variance_watt,), power_watt)
-    return float(np.log2(1.0 + power_watt / noise_variance_watt))
+    return float(_rate(power_watt / noise_variance_watt))
 
 
 def system_rate(rate_r: float, rate_d: float) -> float:

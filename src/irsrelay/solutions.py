@@ -43,7 +43,6 @@ from .beamforming import (
     PhaseShiftVector,
     _align,
     _alternate,
-    _check_partition_sizes,
     _check_unit_norm,
     _hop_channel,
     _irses,
@@ -169,8 +168,8 @@ class FirstSlotSolution:
         power = self.receive_power_watt
         if not 0.0 <= power < math.inf:
             raise ConfigError(f"receive power must be finite and >= 0, got {power}")
-        if not self.rate_r >= 0.0:  # a NaN rate fails too
-            raise ConfigError(f"rate must be non-negative, got {self.rate_r}")
+        if not 0.0 <= self.rate_r < math.inf:  # a NaN rate fails too
+            raise ConfigError(f"rate must be finite and >= 0, got {self.rate_r}")
         object.__setattr__(self, "trace", _validated_trace(self.trace))
 
     @property
@@ -188,8 +187,8 @@ class SecondSlotSolution:
     trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.rate_d >= 0.0:  # a NaN rate fails too
-            raise ConfigError(f"rate must be non-negative, got {self.rate_d}")
+        if not 0.0 <= self.rate_d < math.inf:  # a NaN rate fails too
+            raise ConfigError(f"rate must be finite and >= 0, got {self.rate_d}")
         object.__setattr__(self, "trace", _validated_trace(self.trace))
 
     @property
@@ -324,10 +323,9 @@ def irses_partition(n: int, m: int, seed: int) -> Partition:
     methods use (:data:`~irsrelay.channel.PARTITION_STREAM`).
 
     Raises:
-        ConfigError: if ``m`` does not divide ``n``, or ``seed`` lies
-            outside ``[0, 2**64)``.
+        ConfigError: if ``n``, ``m`` or ``seed`` is not an integer, ``m``
+            does not divide ``n``, or ``seed`` lies outside ``[0, 2**64)``.
     """
-    _check_partition_sizes(n, m)
     check_seed(seed)
     return Partition(_irses_assignments(n, m, [seed])[0])
 

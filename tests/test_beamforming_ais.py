@@ -269,6 +269,7 @@ def _second_slot(rate_d=0.5, trace=(0.5,)):
     [
         (_first_slot, {"rate_r": np.nan}),
         (_first_slot, {"rate_r": -1.0}),
+        (_first_slot, {"rate_r": np.inf}),
         (_first_slot, {"trace": (np.nan,)}),
         (_first_slot, {"trace": (1.0, np.inf)}),
         (_first_slot, {"trace": (1.0, np.nan, 2.0)}),
@@ -278,6 +279,7 @@ def _second_slot(rate_d=0.5, trace=(0.5,)):
         (_first_slot, {"method": "bogus"}),
         (_second_slot, {"rate_d": np.nan}),
         (_second_slot, {"rate_d": -1.0}),
+        (_second_slot, {"rate_d": np.inf}),
         (_second_slot, {"trace": (0.5, np.inf)}),
     ],
     ids=lambda value: value.__name__.strip("_") if callable(value) else repr(value),

@@ -72,6 +72,9 @@ def test_partition_requires_divisibility():
         irses_partition(n=4, m=2, seed=-1)
     with pytest.raises(ConfigError, match=r"\[0, 2\*\*64\)"):
         irses_partition(n=4, m=2, seed=2**64)
+    for n, m, seed in [(4.0, 2, 0), (4, 2.0, 0), (4, 2, 1.5)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            irses_partition(n=n, m=m, seed=seed)
 
 
 def test_partition_type_rejects_uneven_assignment():

@@ -99,6 +99,11 @@ def test_stream_seed_deterministic_and_distinct():
     assert len(seen) == 64
     with pytest.raises(ConfigError):
         stream_seed(-1, 0)
+    # a seed and an index are whole numbers: numpy integers, never floats
+    assert stream_seed(np.uint64(3), np.int64(5)) == stream_seed(3, 5)
+    for seed, index in [(1.5, 0), (0, 1.5), (3.0, 5), (3, 5.0)]:
+        with pytest.raises(ConfigError, match="must be an integer"):
+            stream_seed(seed, index)
 
 
 @pytest.mark.parametrize("seed, index", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1)])
@@ -281,7 +286,17 @@ def test_stacked_draws_are_pinned_and_equal_one_trial_draws(m, n, trials):
 
 
 @pytest.mark.parametrize(
-    "m, n, seed", [(0, 3, 0), (3, 0, 0), (3, 3, -1), (3, 3, 2**64)]
+    "m, n, seed",
+    [
+        (0, 3, 0),
+        (3, 0, 0),
+        (3, 3, -1),
+        (3, 3, 2**64),
+        (2.5, 3, 0),
+        (3, 3.0, 0),
+        (3, 3, 1.5),
+        (3, 3, 2.0),
+    ],
 )
 def test_stacked_and_one_trial_draws_reject_the_same_input(m, n, seed):
     # the engine draws a stack at the trial seeds of a base seed, which

@@ -66,6 +66,22 @@ def test_scenario_config_validation():
         small_config(base_seed=-1)
     with pytest.raises(ConfigError):
         small_config(snr_db=float("inf"))  # zero noise variance
+    # counts, seeds and indices are whole numbers, checked before any draw
+    for field, value in [
+        ("m", 2.5),
+        ("m", 2.0),
+        ("n", 4.5),
+        ("trials", 2.5),
+        ("base_seed", 1.5),
+        ("base_seed", 1.0),
+    ]:
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            small_config(**{field: value})
+    with pytest.raises(ConfigError, match="trial_index must be an integer"):
+        run_trial(small_config(), 1.5)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        trial_seed(0, 1.5)
+    assert small_config(m=np.int64(2), trials=np.uint8(4)).trials == 4
 
 
 def test_run_trial_deterministic():

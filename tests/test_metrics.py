@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import irsrelay
 from irsrelay.errors import ConfigError
 from irsrelay.metrics import (
     FlopsEstimate,
@@ -28,6 +32,34 @@ def test_rate_from_power_domain():
         rate_from_power(1.0, 0.0)
     with pytest.raises(ValueError):
         rate_from_power(-1.0, 1.0)
+
+
+def _log2_sites(tree: ast.AST, scope: str = "") -> list[str]:
+    """The enclosing function of every mention of ``log2`` under ``tree``.
+
+    A mention is an attribute (``np.log2``), a name or an imported name.
+    """
+    sites = []
+    for node in ast.iter_child_nodes(tree):
+        if "log2" in {getattr(node, key, None) for key in ("attr", "id", "name")}:
+            sites.append(scope)
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        sites += _log2_sites(node, inner)
+    return sites
+
+
+def test_every_rate_is_formed_by_the_one_rate_rule():
+    # a rate log2(1 + snr) is formed only in metrics._rate, so that a change
+    # of its form (e.g. one exact at low SNR) is one change; selftest keeps
+    # its own log2 as an independent check of the solvers
+    sites = {
+        f"{path.stem}.{scope}"
+        for path in Path(irsrelay.__file__).parent.glob("*.py")
+        for scope in _log2_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert sites == {"metrics._rate", "selftest._check_second_slot"}
 
 
 def test_system_rate_half_min():
